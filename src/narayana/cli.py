@@ -18,29 +18,29 @@ import time
 from collections.abc import Sequence
 
 from . import __version__
-from .dyck import DyckPath, distribution, enumerate_paths, joint_q, ls_set, random_path
-from .posets import chain_product_2xn, flag_h_table, ideal_lattice, verify_theorem_main
+from .dyck import DyckPath, distribution, joint_q, ls_set, random_path
+from .posets import THEOREM_GUARD, verify_theorem_main
 from .qpoly import QPoly, catalan, narayana, q_narayana_closed
-from .shelling import check_preshelling, flag_h_from_partition, omega_n, partition_intervals
-from .tableaux import (
-    dyck_to_ssyt,
-    enumerate_ssyt,
-    q_narayana_schur,
-    row_sums,
-    ssyt_to_dyck,
-    two_column,
-)
+from .shelling import OMEGA_GUARD, omega_n, verify_parth, verify_preshelling
+from .tableaux import q_narayana_schur, verify_q_identity, verify_ssyt
 
 CLOSED_FORM_LIMIT = 60
 ENUMERATION_LIMIT = 12
-OMEGA_LIMIT = 8
 ENUMERATIVE_ROUTES = ("enumerate", "schur-ssyt")
 VERIFY_LIMITS = {
-    "main-theorem": 6,
+    "main-theorem": THEOREM_GUARD,
     "preshelling": 5,
     "ssyt": 8,
     "q-identity": 8,
     "parth": 8,
+}
+# each check returns its witnesses; main-theorem also takes the reference paths
+VERIFY_CHECKS = {
+    "main-theorem": verify_theorem_main,
+    "preshelling": verify_preshelling,
+    "ssyt": verify_ssyt,
+    "q-identity": verify_q_identity,
+    "parth": verify_parth,
 }
 Q_PAIRINGS = {"des": "maj", "lnfs": "maj_l", "hp": "maj_w"}
 
@@ -52,10 +52,6 @@ def _usage(message: str) -> int:
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _subset_order(s: frozenset) -> tuple:
-    return (len(s), sorted(s))
 
 
 def cmd_narayana(args: argparse.Namespace) -> int:
@@ -135,8 +131,7 @@ def cmd_qnarayana(args: argparse.Namespace) -> int:
     return 0 if verdict == "pass" else 1
 
 
-def _cache_file(args: argparse.Namespace, n: int, stat: str, with_q: bool) -> str | None:
-    root = args.cache_dir or os.environ.get("NARAYANA_CACHE_DIR")
+def _cache_file(root: str | None, n: int, stat: str, with_q: bool) -> str | None:
     if not root:
         return None
     marker = "-q" if with_q else ""
@@ -156,7 +151,6 @@ def _load_cached(path: str | None) -> dict | None:
 def _store_cached(path: str | None, payload: dict) -> None:
     if path is None:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -189,7 +183,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
         costat = Q_PAIRINGS.get(stat)
         if costat is None:
             return _usage(f"statistic {stat} has no paired co-statistic for --q")
-    cache = _cache_file(args, n, stat, args.q)
+    root = args.cache_dir or os.environ.get("NARAYANA_CACHE_DIR")
+    if root:
+        try:
+            os.makedirs(root, exist_ok=True)
+        except OSError as exc:
+            return _usage(f"unusable cache directory: {exc}")
+    cache = _cache_file(root, n, stat, args.q)
     payload = _load_cached(cache)
     if payload is None:
         payload = _compute_dist(n, stat, costat)
@@ -213,94 +213,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_main_theorem(n: int, ws: list[DyckPath]) -> list[dict]:
-    witnesses = []
-    for w in ws:
-        report = verify_theorem_main(n, w)
-        if report["passed"]:
-            continue
-        for entry in report["entries"]:
-            if not entry["match"]:
-                witnesses.append(
-                    {
-                        "flag_h": entry["flag_h"],
-                        "paths": entry["paths"],
-                        "ref_path": w.word,
-                        "s": entry["s"],
-                    }
-                )
-    return witnesses
-
-
-def _verify_ssyt(n: int) -> list[dict]:
-    betas = flag_h_table(ideal_lattice(chain_product_2xn(n)))
-    counts: dict[frozenset, int] = {}
-    witnesses = []
-    for k in range(n):
-        for T in enumerate_ssyt(two_column(k), n - 1):
-            S = frozenset(row_sums(T))
-            counts[S] = counts.get(S, 0) + 1
-            w = ssyt_to_dyck(T, n)
-            if dyck_to_ssyt(w) != T:
-                witnesses.append({"path": w.word, "tableau": [list(r) for r in T.rows]})
-    for S in sorted(betas, key=_subset_order):
-        expected, got = betas[S], counts.get(S, 0)
-        if expected != got:
-            witnesses.append({"flag_h": expected, "s": sorted(S), "ssyt_count": got})
-    return witnesses
-
-
-def _verify_preshelling(n: int) -> list[dict]:
-    report = check_preshelling(omega_n(n))
-    if report["is_preshelling"]:
-        return []
-    witnesses = []
-    for name in ("i", "ii", "iii", "iv"):
-        if name in report["witnesses"]:
-            witnesses.append({"condition": name, **report["witnesses"][name]})
-    return witnesses
-
-
-def _verify_q_identity(n: int) -> list[dict]:
-    by_des = joint_q(n, "des", "maj")
-    witnesses = []
-    for k in range(n):
-        routes = {
-            "closed": q_narayana_closed(n, k),
-            "enumerate": by_des.get(k, QPoly.zero()),
-            "schur-hook": q_narayana_schur(n, k, method="hook"),
-            "schur-ssyt": q_narayana_schur(n, k, method="ssyt"),
-        }
-        if len({p.coeffs for p in routes.values()}) > 1:
-            witnesses.append(
-                {"k": k, "routes": {name: list(p.coeffs) for name, p in routes.items()}}
-            )
-    return witnesses
-
-
-def _verify_parth(n: int) -> list[dict]:
-    L = ideal_lattice(chain_product_2xn(n))
-    betas = flag_h_table(L)
-    table = flag_h_from_partition(L, partition_intervals(omega_n(n)))
-    ls_counts: dict[frozenset, int] = {}
-    for w in enumerate_paths(n):
-        s = ls_set(w)
-        ls_counts[s] = ls_counts.get(s, 0) + 1
-    witnesses = []
-    for S in sorted(betas, key=_subset_order):
-        trio = (table.get(S, 0), betas[S], ls_counts.get(S, 0))
-        if len(set(trio)) > 1:
-            witnesses.append(
-                {
-                    "flag_h": trio[1],
-                    "ls_count": trio[2],
-                    "partition": trio[0],
-                    "s": sorted(S),
-                }
-            )
-    return witnesses
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run one verification check; exit 1 with witnesses when it fails."""
     check, n = args.check, args.n
@@ -310,13 +222,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         return _usage(f"samples must be positive, got {args.samples}")
     parameters: dict = {"n": n}
+    refs = None
     started = time.monotonic()
     if check == "main-theorem":
         ref = args.ref_path if args.ref_path is not None else "v" * n + "h" * n
         if ref == "random":
             parameters.update({"ref_path": "random", "samples": args.samples, "seed": args.seed})
             rng = random.Random(args.seed)
-            ws = [random_path(n, rng) for _ in range(args.samples)]
+            refs = [random_path(n, rng) for _ in range(args.samples)]
         else:
             try:
                 w = DyckPath(ref)
@@ -325,16 +238,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if w.n != n:
                 return _usage(f"ref-path has semilength {w.n}, expected {n}")
             parameters["ref_path"] = w.word
-            ws = [w]
-        witnesses = _verify_main_theorem(n, ws)
-    elif check == "ssyt":
-        witnesses = _verify_ssyt(n)
-    elif check == "preshelling":
-        witnesses = _verify_preshelling(n)
-    elif check == "q-identity":
-        witnesses = _verify_q_identity(n)
-    else:
-        witnesses = _verify_parth(n)
+            refs = [w]
+    run = VERIFY_CHECKS[check]
+    witnesses = run(n) if refs is None else run(n, refs)
     elapsed = time.monotonic() - started
     verdict = "pass" if not witnesses else "fail"
     if args.format == "json":
@@ -361,8 +267,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_omega(args: argparse.Namespace) -> int:
     """Hasse diagram of the rewriting order, as DOT or JSON."""
     n = args.n
-    if not 1 <= n <= OMEGA_LIMIT:
-        return _usage(f"n out of range: expected 1 <= n <= {OMEGA_LIMIT}, got {n}")
+    if not 1 <= n <= OMEGA_GUARD:
+        return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
     om = omega_n(n)
     words = om.labels
     annotations = {w: sorted(ls_set(DyckPath(w))) for w in words}

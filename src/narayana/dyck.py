@@ -14,6 +14,7 @@ family des_w / maj_w built from the labeling v_i, h_j.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from functools import cache
 from typing import Iterable, Iterator
 
@@ -46,10 +47,6 @@ class DyckPath:
             raise ValueError("unbalanced word: needs equal numbers of v and h")
         self._n = len(word) // 2
         self._bits = bits
-
-    @classmethod
-    def from_string(cls, word: str) -> "DyckPath":
-        return cls(word)
 
     @classmethod
     def _from_bits(cls, n: int, bits: int) -> "DyckPath":
@@ -299,11 +296,7 @@ def distribution(
 ) -> dict[int, int]:
     """Exact counts of a statistic over all paths of semilength n."""
     stat = _resolve(statistic, wrt)
-    counts: dict[int, int] = {}
-    for w in enumerate_paths(n):
-        value = stat(w)
-        counts[value] = counts.get(value, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(map(stat, enumerate_paths(n))).items()))
 
 
 def joint_q(
@@ -313,14 +306,9 @@ def joint_q(
     sum of q**costatistic over the paths with statistic k."""
     stat = _resolve(statistic, wrt)
     costat = _resolve(costatistic, wrt)
-    raw: dict[int, dict[int, int]] = {}
+    raw: defaultdict[int, Counter[int]] = defaultdict(Counter)
     for w in enumerate_paths(n):
-        k = stat(w)
-        m = costat(w)
-        bucket = raw.setdefault(k, {})
-        bucket[m] = bucket.get(m, 0) + 1
-    table: dict[int, QPoly] = {}
-    for k in sorted(raw):
-        bucket = raw[k]
-        table[k] = QPoly([bucket.get(d, 0) for d in range(max(bucket) + 1)])
-    return table
+        raw[stat(w)][costat(w)] += 1
+    return {
+        k: QPoly([raw[k][d] for d in range(max(raw[k]) + 1)]) for k in sorted(raw)
+    }

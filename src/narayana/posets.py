@@ -11,11 +11,11 @@ descent sets of Jordan-Holder permutations to path statistics.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from .dyck import DyckPath, descent_set_wrt, enumerate_paths
+from .dyck import DyckPath, descent_set_wrt, enumerate_paths, label
 
 Element = Hashable
 
@@ -246,6 +246,12 @@ def ideal_lattice(base: FinitePoset) -> IdealLattice:
     return IdealLattice(base, ideals, covers)
 
 
+@cache
+def j2xn(n: int) -> IdealLattice:
+    """J(2 x n), the ideal lattice of chain_product_2xn(n), built once per n."""
+    return ideal_lattice(chain_product_2xn(n))
+
+
 def linear_extensions(P: FinitePoset) -> list[tuple[Element, ...]]:
     """All order-preserving listings of P, as tuples placing each element
     at its rank.  Exhaustive, so guarded by size."""
@@ -340,48 +346,54 @@ def flag_h(L: GradedBoundedPoset, S: Iterable[int]) -> int:
     return total
 
 
-def alpha_table(L: GradedBoundedPoset) -> dict[frozenset[int], int]:
-    """flag_f for every subset of the interior ranks at once, by extending
-    chain-count vectors depth-first one rank at a time."""
+def _alpha_by_mask(L: GradedBoundedPoset) -> list[int]:
+    # alpha(S) at the bitmask of S, rank r being bit r - 1, by extending
+    # chain-count vectors depth-first one rank at a time
     top = L.top_rank
-    table: dict[frozenset[int], int] = {frozenset(): 1}
+    data = [0] * (1 << max(top - 1, 0))
+    data[0] = 1
 
-    def extend(chosen: tuple[int, ...], layer: list[int], counts: list[int]) -> None:
-        table[frozenset(chosen)] = sum(counts)
-        start = chosen[-1] + 1 if chosen else 1
-        for r in range(start, top):
+    def extend(mask: int, last: int, layer: list[int], counts: list[int]) -> None:
+        data[mask] = sum(counts)
+        for r in range(last + 1, top):
             nxt = L._by_rank[r]
             nxt_counts = [
                 sum(c for i, c in zip(layer, counts) if (L._ge[i] >> j) & 1)
                 for j in nxt
             ]
-            extend(chosen + (r,), nxt, nxt_counts)
+            extend(mask | 1 << (r - 1), r, nxt, nxt_counts)
 
     for r in range(1, top):
-        extend((r,), L._by_rank[r], [1] * len(L._by_rank[r]))
-    return table
+        extend(1 << (r - 1), r, L._by_rank[r], [1] * len(L._by_rank[r]))
+    return data
+
+
+def _by_rank_set(data: list[int]) -> dict[frozenset[int], int]:
+    width = len(data).bit_length() - 1
+    return {
+        frozenset(b + 1 for b in range(width) if (mask >> b) & 1): value
+        for mask, value in enumerate(data)
+    }
+
+
+def alpha_table(L: GradedBoundedPoset) -> dict[frozenset[int], int]:
+    """flag_f for every subset of the interior ranks at once, by extending
+    chain-count vectors depth-first one rank at a time.  Keys come in
+    bitmask order, rank r being bit r - 1."""
+    return _by_rank_set(_alpha_by_mask(L))
 
 
 def flag_h_table(L: GradedBoundedPoset) -> dict[frozenset[int], int]:
     """flag_h for every subset of the interior ranks, via the subset
-    Moebius transform of the alpha table."""
-    top = L.top_rank
-    width = max(top - 1, 0)
-    data = [0] * (1 << width)
-    for s, count in alpha_table(L).items():
-        mask = 0
-        for r in s:
-            mask |= 1 << (r - 1)
-        data[mask] = count
-    for b in range(width):
+    Moebius transform of the alpha table.  Keys come in bitmask order,
+    rank r being bit r - 1."""
+    data = _alpha_by_mask(L)
+    for b in range(len(data).bit_length() - 1):
         bit = 1 << b
-        for mask in range(1 << width):
+        for mask in range(len(data)):
             if mask & bit:
                 data[mask] -= data[mask ^ bit]
-    return {
-        frozenset(b + 1 for b in range(width) if (mask >> b) & 1): data[mask]
-        for mask in range(1 << width)
-    }
+    return _by_rank_set(data)
 
 
 def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
@@ -394,49 +406,51 @@ def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
 
 
 def path_to_extension(w: DyckPath) -> tuple[tuple[int, int], ...]:
-    """Inverse of extension_to_path: the i-th v becomes (1, i), the j-th
-    h becomes (2, j)."""
-    out = []
-    seen_v = seen_h = 0
-    for letter in w.word:
-        if letter == "v":
-            seen_v += 1
-            out.append((1, seen_v))
-        else:
-            seen_h += 1
-            out.append((2, seen_h))
-    return tuple(out)
+    """Inverse of extension_to_path: the label ("v", i) becomes (1, i) and
+    ("h", j) becomes (2, j)."""
+    return tuple((1 if letter == "v" else 2, i) for letter, i in label(w))
 
 
-def verify_theorem_main(n: int, W: DyckPath) -> dict:
+def flag_h_mismatches(n: int, **tables: Mapping[frozenset[int], int]) -> list[dict]:
+    """Compare the flag h-vector of J(2 x n) with each named table of
+    counts by rank set.  One witness per subset S, ordered by size and
+    then elements, on which some table differs from beta(S); the witness
+    holds beta(S) as flag_h, S as s, and each table's count by name."""
+    betas = flag_h_table(j2xn(n))
+    witnesses = []
+    for S in sorted(betas, key=lambda s: (len(s), sorted(s))):
+        counts = {name: table.get(S, 0) for name, table in tables.items()}
+        if any(count != betas[S] for count in counts.values()):
+            witnesses.append({"flag_h": betas[S], "s": sorted(S), **counts})
+    return witnesses
+
+
+def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     """Check beta(S) of J(2 x n) against the number of paths whose descent
-    set read against W equals S, for every S in [2n-1].
+    set read against W equals S, for every S in [2n-1] and every reference
+    path W in refs.
 
-    Returns a report dict with one entry per subset and an overall verdict.
+    The flag h-vector is computed once for all references.  Returns one
+    witness per mismatch, by reference and then by subset bitmask, with
+    keys flag_h, paths, ref_path and s; the list is empty when the theorem
+    holds.
     """
     if n > THEOREM_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {THEOREM_GUARD}")
     if n < 1:
         raise ValueError(f"verify_theorem_main needs n >= 1, got {n}")
-    if W.n != n:
-        raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
-    lattice = ideal_lattice(chain_product_2xn(n))
-    beta = flag_h_table(lattice)
-    buckets = Counter(descent_set_wrt(w, W) for w in enumerate_paths(n))
-    entries = []
-    passed = True
-    for mask in range(1 << (2 * n - 1)):
-        s = frozenset(b + 1 for b in range(2 * n - 1) if (mask >> b) & 1)
-        lhs = beta[s]
-        rhs = buckets.get(s, 0)
-        if lhs != rhs:
-            passed = False
-        entries.append(
-            {
-                "s": sorted(s),
-                "flag_h": lhs,
-                "paths": rhs,
-                "match": lhs == rhs,
-            }
-        )
-    return {"n": n, "w": W.word, "passed": passed, "entries": entries}
+    refs = list(refs)
+    for W in refs:
+        if W.n != n:
+            raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
+    beta = flag_h_table(j2xn(n))
+    paths = list(enumerate_paths(n))
+    witnesses = []
+    for W in refs:
+        buckets = Counter(descent_set_wrt(w, W) for w in paths)
+        witnesses += [
+            {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
+            for s, value in beta.items()
+            if buckets[s] != value
+        ]
+    return witnesses

@@ -91,6 +91,9 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # constants hash like the ints they compare equal to
+        if len(self._coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self._coeffs)
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
@@ -258,7 +261,8 @@ def narayana(n: int, k: int) -> int:
         raise ValueError(f"narayana needs k >= 0, got {k}")
     numerator = comb(n, k) * comb(n, k + 1)
     quotient, leftover = divmod(numerator, n)
-    assert leftover == 0, f"narayana({n}, {k}) not integral"
+    if leftover:
+        raise ArithmeticError(f"narayana({n}, {k}) not integral")
     return quotient
 
 

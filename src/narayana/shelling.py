@@ -17,13 +17,14 @@ facets by restriction ranks recovers the flag h-vector.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
-from .dyck import DyckPath, da, enumerate_paths, maj
+from .dyck import DyckPath, da, enumerate_paths, ls_set, maj
 from .dyck import rank as path_rank
-from .posets import GradedBoundedPoset, IdealLattice, chain_product_2xn, ideal_lattice
+from .posets import GradedBoundedPoset, flag_h_mismatches, j2xn
 
 FACE_GUARD = 1 << 20
 OMEGA_GUARD = 8
@@ -56,12 +57,13 @@ class PureComplex:
         d = len(facet_sets[0])
         if any(len(f) != d for f in facet_sets):
             raise ValueError("not pure: all facets must have the same cardinality")
+        # facets share one size, so one lies inside another only when equal
+        repeats = Counter(masks)
         for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a & b == a:
-                    raise ValueError(
-                        f"facet contained in another (or duplicated): index {i}"
-                    )
+            if repeats[a] > 1:
+                raise ValueError(
+                    f"facet contained in another (or duplicated): index {i}"
+                )
         self._facets = tuple(facet_sets)
         self._masks = tuple(masks)
         self._face_cache: "set[int] | None" = None
@@ -335,17 +337,12 @@ def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
 
 
 @cache
-def _j2xn(n: int) -> IdealLattice:
-    return ideal_lattice(chain_product_2xn(n))
-
-
-@cache
 def dyck_complex(n: int) -> PureComplex:
     """The order complex of J(2 x n) with facet i holding the chain of the
     i-th path in lexicographic order."""
     if n < 1:
         raise ValueError(f"dyck_complex needs n >= 1, got {n}")
-    L = _j2xn(n)
+    L = j2xn(n)
     vertices = [e for r in range(1, L.top_rank) for e in L.elements_of_rank(r)]
     return PureComplex(vertices, [path_to_facet(w) for w in enumerate_paths(n)])
 
@@ -397,27 +394,59 @@ def restriction(ord: FacetOrder, f: int) -> frozenset:
 
 def _restriction_mask(ord: FacetOrder, f: int) -> int:
     cx = ord.complex
-    fm = cx.mask(f)
-    out = 0
+    below = []
     rest = ord.below_mask(f)
     while rest:
         bit = rest & -rest
         rest ^= bit
-        missing = fm & ~cx.mask(bit.bit_length() - 1)
+        below.append(cx.mask(bit.bit_length() - 1))
+    return _single_vertex_differences(cx.mask(f), below)
+
+
+def _single_vertex_differences(fm: int, others: Iterable[int]) -> int:
+    """The union of F minus E over the facet masks E that miss exactly one
+    vertex of F."""
+    out = 0
+    for em in others:
+        missing = fm & ~em
         if missing.bit_count() == 1:
             out |= missing
     return out
+
+
+def _first_misowned_face(cx: PureComplex, r: Sequence[int]) -> "dict | None":
+    """Walk each interval [r(F), F] once, recording its facet as an owner
+    of every face in it.  Returns the first face in sorted mask order
+    whose owner count is not one, with its owners ascending, or None when
+    the intervals partition the complex."""
+    faces = cx.face_masks()
+    owners: defaultdict[int, list[int]] = defaultdict(list)
+    for f in range(cx.m):
+        free = cx.mask(f) & ~r[f]
+        sub = free
+        while True:
+            owners[r[f] | sub].append(f)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    for face in sorted(faces):
+        if len(owners[face]) != 1:
+            return {
+                "face": [i for i in range(len(cx.vertices)) if (face >> i) & 1],
+                "covered_by": owners[face],
+            }
+    return None
 
 
 def check_preshelling(ord: FacetOrder) -> dict:
     """Evaluate the four equivalent pre-shelling conditions literally and
     independently, with a witness for each failure.
 
-    The verdicts must agree by the equivalence theorem; a disagreement is
-    asserted against, since it could only come from an implementation bug.
+    The verdicts must agree by the equivalence theorem; a disagreement
+    could only come from an implementation bug and raises RuntimeError.
     """
     cx = ord.complex
-    faces = cx.face_masks()
+    cx.face_masks()  # its size guard, before the O(m^2) conditions
     m = cx.m
     r = [_restriction_mask(ord, f) for f in range(m)]
     conditions: dict[str, bool] = {}
@@ -433,22 +462,10 @@ def check_preshelling(ord: FacetOrder) -> dict:
         if not conditions["i"]:
             break
 
-    conditions["ii"] = True
-    for face in sorted(faces):
-        owners = [
-            f
-            for f in range(m)
-            if not r[f] & ~face and not face & ~cx.mask(f)
-        ]
-        if len(owners) != 1:
-            conditions["ii"] = False
-            witnesses["ii"] = {
-                "face": sorted(
-                    i for i in range(len(cx.vertices)) if (face >> i) & 1
-                ),
-                "covered_by": owners,
-            }
-            break
+    witness = _first_misowned_face(cx, r)
+    conditions["ii"] = witness is None
+    if witness is not None:
+        witnesses["ii"] = witness
 
     conditions["iii"] = True
     for f in range(m):
@@ -472,8 +489,8 @@ def check_preshelling(ord: FacetOrder) -> dict:
         if not conditions["iv"]:
             break
 
-    verdicts = set(conditions.values())
-    assert len(verdicts) == 1, f"equivalence broken: {conditions}"
+    if len(set(conditions.values())) != 1:
+        raise RuntimeError(f"equivalence broken: {conditions}")
     return {
         "is_preshelling": conditions["i"],
         "conditions": conditions,
@@ -489,21 +506,16 @@ def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
         raise ValueError("not a total order on the facets")
     violation = None
     restrictions: dict[int, frozenset] = {}
-    earlier: list[tuple[int, int]] = []
+    earlier: list[int] = []
     for g in order:
-        gm = cx.mask(g)
-        rg = 0
-        for _, em in earlier:
-            missing = gm & ~em
-            if missing.bit_count() == 1:
-                rg |= missing
+        rg = _single_vertex_differences(cx.mask(g), map(cx.mask, earlier))
         restrictions[g] = cx.face_members(rg)
         if violation is None:
-            for f, fm in earlier:
-                if not rg & ~fm:
+            for f in earlier:
+                if not rg & ~cx.mask(f):
                     violation = {"earlier": f, "facet": g}
                     break
-        earlier.append((g, gm))
+        earlier.append(g)
     return {
         "is_shelling": violation is None,
         "violation": violation,
@@ -529,33 +541,31 @@ def verify_partitioning(p: Partitioning) -> dict:
         for v in rset:
             mask |= 1 << cx.vertices.index(v)
         r_masks.append(mask)
-    for face in sorted(cx.face_masks()):
-        owners = [
-            f
-            for f in range(cx.m)
-            if not r_masks[f] & ~face and not face & ~cx.mask(f)
-        ]
-        if len(owners) != 1:
-            return {
-                "valid": False,
-                "witness": {
-                    "face": sorted(
-                        i for i in range(len(cx.vertices)) if (face >> i) & 1
-                    ),
-                    "covered_by": owners,
-                },
-            }
-    return {"valid": True, "witness": None}
+    witness = _first_misowned_face(cx, r_masks)
+    return {"valid": witness is None, "witness": witness}
 
 
 def flag_h_from_partition(
     L: GradedBoundedPoset, p: Partitioning
-) -> dict[frozenset[int], int]:
+) -> Counter[frozenset[int]]:
     """Bucket the facets of the partitioned order complex by the rank sets
     of their restrictions; for a partitioning this is the flag h-vector.
     Only nonzero entries appear."""
-    out: dict[frozenset[int], int] = {}
-    for rset in p.restrictions:
-        ranks = frozenset(L.rank(x) for x in rset)
-        out[ranks] = out.get(ranks, 0) + 1
-    return out
+    return Counter(frozenset(L.rank(x) for x in rset) for rset in p.restrictions)
+
+
+def verify_preshelling(n: int) -> list[dict]:
+    """The preshelling check: omega_n(n) meets the four pre-shelling
+    conditions.  One witness per failed condition, tagged with its name;
+    empty when the order is a pre-shelling."""
+    report = check_preshelling(omega_n(n))
+    return [{"condition": name, **w} for name, w in report["witnesses"].items()]
+
+
+def verify_parth(n: int) -> list[dict]:
+    """The parth check: the interval partitioning of omega_n(n) and the
+    ls_set counts of the paths both reproduce the flag h-vector of
+    J(2 x n).  One witness per rank set where the three disagree."""
+    table = flag_h_from_partition(j2xn(n), partition_intervals(omega_n(n)))
+    ls_counts = Counter(ls_set(w) for w in enumerate_paths(n))
+    return flag_h_mismatches(n, ls_count=ls_counts, partition=table)

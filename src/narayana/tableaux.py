@@ -9,10 +9,12 @@ the two-column shapes in n - 1 variables.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
-from .dyck import DyckPath, descent_set
-from .qpoly import QPoly, exact_div, q_int
+from .dyck import DyckPath, descent_set, joint_q
+from .posets import flag_h_mismatches
+from .qpoly import QPoly, exact_div, q_int, q_narayana_closed
 
 
 class Partition:
@@ -23,7 +25,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(parts)
         for i, part in enumerate(ps):
-            if not isinstance(part, int) or part < 1:
+            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
             if i and ps[i - 1] < part:
                 raise ValueError(f"parts must weakly decrease, got {ps}")
@@ -90,7 +92,7 @@ class SSYT:
         self._shape = Partition(len(row) for row in rs)
         for i, row in enumerate(rs):
             for j, entry in enumerate(row):
-                if not isinstance(entry, int) or entry < 1:
+                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
                     raise ValueError(
                         f"entries must be positive integers, got {entry!r}"
                     )
@@ -235,14 +237,10 @@ def content(shape: "Partition | Iterable[int]", cell: tuple[int, int]) -> int:
 
 def schur_principal_ssyt(shape: "Partition | Iterable[int]", n: int) -> QPoly:
     """The Schur polynomial at (q, q^2, ..., q^n) as a sum over SSYT."""
-    shape = _as_partition(shape)
-    total: dict[int, int] = {}
-    for T in enumerate_ssyt(shape, n):
-        d = T.total
-        total[d] = total.get(d, 0) + 1
+    total = Counter(T.total for T in enumerate_ssyt(shape, n))
     if not total:
         return QPoly.zero()
-    return QPoly([total.get(d, 0) for d in range(max(total) + 1)])
+    return QPoly([total[d] for d in range(max(total) + 1)])
 
 
 def schur_principal_hook(shape: "Partition | Iterable[int]", n: int) -> QPoly:
@@ -279,3 +277,39 @@ def q_narayana_schur(n: int, k: int, method: str = "ssyt") -> QPoly:
     if method == "hook":
         return schur_principal_hook(two_column(k), n - 1)
     raise ValueError(f"unknown method: {method}")
+
+
+def verify_ssyt(n: int) -> list[dict]:
+    """The ssyt check: two-column SSYT with entries below n, counted by
+    row-sum set, reproduce the flag h-vector of J(2 x n), and every one
+    round-trips through ssyt_to_dyck and dyck_to_ssyt.  Witnesses of
+    failed round-trips come first, then one per mismatched rank set."""
+    counts: Counter[frozenset[int]] = Counter()
+    witnesses = []
+    for k in range(n):
+        for T in enumerate_ssyt(two_column(k), n - 1):
+            counts[frozenset(row_sums(T))] += 1
+            w = ssyt_to_dyck(T, n)
+            if dyck_to_ssyt(w) != T:
+                witnesses.append({"path": w.word, "tableau": [list(r) for r in T.rows]})
+    return witnesses + flag_h_mismatches(n, ssyt_count=counts)
+
+
+def verify_q_identity(n: int) -> list[dict]:
+    """The q-identity check: for every k < n the closed form, path
+    enumeration by (des, maj) and both Schur routes give one q-Narayana
+    polynomial.  One witness per k where they differ, with every route."""
+    by_des = joint_q(n, "des", "maj")
+    witnesses = []
+    for k in range(n):
+        routes = {
+            "closed": q_narayana_closed(n, k),
+            "enumerate": by_des.get(k, QPoly.zero()),
+            "schur-hook": q_narayana_schur(n, k, method="hook"),
+            "schur-ssyt": q_narayana_schur(n, k, method="ssyt"),
+        }
+        if len({p.coeffs for p in routes.values()}) > 1:
+            witnesses.append(
+                {"k": k, "routes": {name: list(p.coeffs) for name, p in routes.items()}}
+            )
+    return witnesses

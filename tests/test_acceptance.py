@@ -94,14 +94,12 @@ def test_criterion_02_q_narayana_three_way(capsys):
 def test_criterion_03_main_theorem_all_reference_paths(capsys):
     def body():
         for n in range(1, 5):
-            for W in enumerate_paths(n):
-                if not verify_theorem_main(n, W)["passed"]:
-                    return False
+            if verify_theorem_main(n, enumerate_paths(n)):
+                return False
         for n in (5, 6):
             rng = random.Random(40 + n)
-            for _ in range(25):
-                if not verify_theorem_main(n, random_path(n, rng))["passed"]:
-                    return False
+            if verify_theorem_main(n, [random_path(n, rng) for _ in range(25)]):
+                return False
         return True
 
     _criterion(

@@ -207,6 +207,20 @@ def test_dist_no_cache_by_default(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dist_cache_dir_that_is_a_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("keep")
+    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, "dist", "--n", "3", "--stat", "des", "--cache-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("narayana: error:") and "Traceback" not in err
+    monkeypatch.setenv("NARAYANA_CACHE_DIR", str(blocker / "sub"))
+    code, out, err = run(capsys, "dist", "--n", "3", "--stat", "des")
+    assert (code, out) == (2, "")
+    assert err.startswith("narayana: error:")
+    assert blocker.read_text() == "keep"
+
+
 def test_verify_main_theorem(capsys):
     code, out, err = run(
         capsys, "verify", "--check", "main-theorem", "--n", "3", "--ref-path", "vhvhvh"
@@ -334,3 +348,16 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "1, 6, 6, 1\nsum 14\n"
+
+
+def test_verify_checks_survive_optimized_mode(capsys):
+    argv = ["verify", "--check", "preshelling", "--n", "4"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "narayana.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == expected

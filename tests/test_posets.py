@@ -12,6 +12,7 @@ from narayana.posets import (
     extension_to_path,
     flag_f,
     flag_h,
+    flag_h_mismatches,
     flag_h_table,
     ideal_lattice,
     is_linear_extension,
@@ -268,30 +269,42 @@ def test_extension_to_path_rejects():
         extension_to_path(((1, 1), (1, 2), (2, 1)))
 
 
-def test_verify_theorem_main_small():
-    report = verify_theorem_main(1, DyckPath("vh"))
-    assert report["passed"] is True
-    assert report["entries"] == [
-        {"s": [], "flag_h": 1, "paths": 1, "match": True},
-        {"s": [1], "flag_h": 0, "paths": 0, "match": True},
+def test_verify_theorem_main_small(monkeypatch):
+    assert verify_theorem_main(1, [DyckPath("vh")]) == []
+    assert verify_theorem_main(3, [DyckPath("vvvhhh"), DyckPath("vhvhvh")]) == []
+    # with every descent set read as empty, all catalan(2) paths land on the
+    # empty set, so beta({}) = 1 and beta({2}) = 1 both mismatch
+    monkeypatch.setattr("narayana.posets.descent_set_wrt", lambda w, W: frozenset())
+    assert verify_theorem_main(2, [DyckPath("vhvh"), DyckPath("vvhh")]) == [
+        {"flag_h": 1, "paths": 2, "ref_path": "vhvh", "s": []},
+        {"flag_h": 1, "paths": 0, "ref_path": "vhvh", "s": [2]},
+        {"flag_h": 1, "paths": 2, "ref_path": "vvhh", "s": []},
+        {"flag_h": 1, "paths": 0, "ref_path": "vvhh", "s": [2]},
     ]
-    for word in ("vvvhhh", "vhvhvh"):
-        report = verify_theorem_main(3, DyckPath(word))
-        assert report["passed"] is True
-        assert len(report["entries"]) == 32
-        assert sum(e["flag_h"] for e in report["entries"]) == catalan(3)
 
 
 def test_verify_theorem_main_random_reference_paths():
-    for seed in range(5):
-        W = random_path(4, seed)
-        assert verify_theorem_main(4, W)["passed"] is True
+    assert verify_theorem_main(4, [random_path(4, seed) for seed in range(5)]) == []
 
 
 def test_verify_theorem_main_guards():
     with pytest.raises(ValueError, match="too large"):
-        verify_theorem_main(7, DyckPath("vh" * 7))
+        verify_theorem_main(7, [DyckPath("vh" * 7)])
     with pytest.raises(ValueError, match="length mismatch"):
-        verify_theorem_main(3, DyckPath("vh"))
+        verify_theorem_main(3, [DyckPath("vh")])
     with pytest.raises(ValueError):
-        verify_theorem_main(0, DyckPath(""))
+        verify_theorem_main(0, [DyckPath("")])
+
+
+def test_flag_h_mismatches_orders_by_size_then_elements():
+    # beta of J(2 x 3) is 1 on {}, {2}, {3}, {4}, {2, 4} and 0 elsewhere
+    betas = flag_h_table(ideal_lattice(chain_product_2xn(3)))
+    assert flag_h_mismatches(3, exact=betas) == []
+    shifted = Counter({frozenset({1}): 1, frozenset({2, 4}): 1})
+    assert flag_h_mismatches(3, exact=betas, shifted=shifted) == [
+        {"flag_h": 1, "s": [], "exact": 1, "shifted": 0},
+        {"flag_h": 0, "s": [1], "exact": 0, "shifted": 1},
+        {"flag_h": 1, "s": [2], "exact": 1, "shifted": 0},
+        {"flag_h": 1, "s": [3], "exact": 1, "shifted": 0},
+        {"flag_h": 1, "s": [4], "exact": 1, "shifted": 0},
+    ]

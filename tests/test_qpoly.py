@@ -43,6 +43,13 @@ def test_equality_with_ints():
     assert QPoly((0, 1)) != 1
 
 
+def test_hash_agrees_with_int_equality():
+    for value in (5, 0, -3, 1):
+        assert hash(QPoly((value,))) == hash(value)
+        assert len({QPoly((value,)), value}) == 1
+    assert {QPoly((0, 1)): "q"}[QPoly([0, 1, 0])] == "q"
+
+
 def test_arithmetic_smoke():
     p = QPoly((1, 1))
     assert p + p == QPoly((2, 2))
@@ -162,6 +169,13 @@ def test_narayana_frozen():
         narayana(0, 0)
     with pytest.raises(ValueError):
         narayana(3, -1)
+
+
+def test_narayana_integrality_check_raises(monkeypatch):
+    # a real exception, so the check survives python -O
+    monkeypatch.setattr("narayana.qpoly.comb", lambda n, k: 1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        narayana(3, 1)
 
 
 def test_catalan_matches_closed_form():

@@ -63,6 +63,9 @@ def test_pure_complex_validation():
         PureComplex([1, 2, 3], [{1, 2}, {3}])
     with pytest.raises(ValueError, match="contained in another"):
         PureComplex([1, 2, 3], [{1, 2}, {1, 2}])
+    # the first facet that has a duplicate anywhere is reported
+    with pytest.raises(ValueError, match="index 1$"):
+        PureComplex([1, 2, 3], [{2, 3}, {1, 2}, {1, 3}, {1, 2}, {1, 3}])
     with pytest.raises(ValueError, match="at least one facet"):
         PureComplex([1], [])
 
@@ -296,6 +299,16 @@ def test_check_preshelling_broken_orders_verdicts_agree():
     assert verdicts == [False] * len(broken)
 
 
+def test_check_preshelling_disagreement_raises(monkeypatch):
+    # a real exception, so the equivalence check survives python -O
+    monkeypatch.setattr(
+        "narayana.shelling._first_misowned_face",
+        lambda cx, r: {"face": [], "covered_by": []},
+    )
+    with pytest.raises(RuntimeError, match="equivalence broken"):
+        check_preshelling(omega_n(3))
+
+
 def test_check_preshelling_guard():
     cx = PureComplex(range(21), [set(range(21))])
     with pytest.raises(ValueError, match="complex too large"):
@@ -409,6 +422,53 @@ def test_verify_partitioning_catches_damage():
     assert report["valid"] is False
     assert len(report["witness"]["covered_by"]) != 1
     assert good.restrictions != bad.restrictions
+
+
+def brute_force_owner_witness(p: Partitioning) -> "dict | None":
+    """Scan every interval for every face: the first face in sorted mask
+    order not owned exactly once, with its owners."""
+    cx = p.complex
+    r = [sum(1 << cx.vertices.index(v) for v in rset) for rset in p.restrictions]
+    for face in sorted(cx.face_masks()):
+        owners = [
+            f for f in range(cx.m) if not r[f] & ~face and not face & ~cx.mask(f)
+        ]
+        if len(owners) != 1:
+            members = [i for i in range(len(cx.vertices)) if (face >> i) & 1]
+            return {"face": members, "covered_by": owners}
+    return None
+
+
+def test_verify_partitioning_matches_brute_force_on_damage():
+    rng = random.Random(7)
+    for n in (3, 4):
+        om = omega_n(n)
+        good = partition_intervals(om).restrictions
+        damaged = [good, (frozenset(),) * om.m]
+        damaged.append(tuple(om.complex.facets))
+        for _ in range(30):
+            rs = list(good)
+            for f in rng.sample(range(om.m), rng.randint(1, 3)):
+                facet = sorted(om.complex.facets[f], key=sorted)
+                rs[f] = frozenset(rng.sample(facet, rng.randint(0, len(facet))))
+            damaged.append(tuple(rs))
+        owner_counts = set()
+        for rs in damaged:
+            p = Partitioning(om.complex, rs)
+            witness = brute_force_owner_witness(p)
+            assert verify_partitioning(p) == {"valid": witness is None, "witness": witness}
+            owner_counts.add(None if witness is None else len(witness["covered_by"]))
+        # valid, uncovered and multiply covered faces all occur
+        assert {None, 0} < owner_counts and max(owner_counts - {None}) >= 2
+    cx3, cx4 = dyck_complex(3), dyck_complex(4)
+    for order in (
+        omega_n(4),
+        FacetOrder(cx3, []),
+        FacetOrder(cx3, [(b, a) for a, b in omega_n(3).relations]),
+        FacetOrder(cx4, [(0, 1), (2, 3), (5, 7)]),
+    ):
+        witness = brute_force_owner_witness(partition_intervals(order))
+        assert check_preshelling(order)["witnesses"].get("ii") == witness
 
 
 def test_single_facet_partitioning_covers_everything():

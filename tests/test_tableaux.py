@@ -49,6 +49,9 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError, match="positive"):
         Partition((2, 0))
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="positive integers"):
+            Partition((2, flag))
     assert two_column(3).parts == (2, 2, 2)
     assert two_column(0).parts == ()
     with pytest.raises(ValueError):
@@ -66,6 +69,9 @@ def test_ssyt_validation():
         SSYT([[1, 1], [1, 2]])
     with pytest.raises(ValueError, match="positive"):
         SSYT([[0, 1]])
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="positive integers"):
+            SSYT([[flag, 2]])
     with pytest.raises(ValueError, match="weakly decrease"):
         SSYT([[1], [1, 2]])
 
