@@ -9,6 +9,7 @@ byte identical across runs; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -20,13 +21,14 @@ from collections.abc import Sequence
 from . import __version__
 from .dyck import DyckPath, distribution, joint_q, ls_set, random_path
 from .posets import THEOREM_GUARD, verify_theorem_main
-from .qpoly import QPoly, catalan, narayana, q_narayana_closed
+from .qpoly import QPoly, catalan, narayana
 from .shelling import OMEGA_GUARD, omega_n, verify_parth, verify_preshelling
-from .tableaux import q_narayana_schur, verify_q_identity, verify_ssyt
+from .tableaux import Q_NARAYANA_ROUTES, verify_q_identity, verify_ssyt
 
 CLOSED_FORM_LIMIT = 60
 ENUMERATION_LIMIT = 12
 ENUMERATIVE_ROUTES = ("enumerate", "schur-ssyt")
+SAMPLES_LIMIT = 200
 VERIFY_LIMITS = {
     "main-theorem": THEOREM_GUARD,
     "preshelling": 5,
@@ -75,16 +77,6 @@ def cmd_narayana(args: argparse.Namespace) -> int:
     return 0
 
 
-def _qnarayana_route(route: str, n: int, k: int) -> QPoly:
-    if route == "closed":
-        return q_narayana_closed(n, k)
-    if route == "schur-ssyt":
-        return q_narayana_schur(n, k, method="ssyt")
-    if route == "schur-hook":
-        return q_narayana_schur(n, k, method="hook")
-    return joint_q(n, "des", "maj").get(k, QPoly.zero())
-
-
 def cmd_qnarayana(args: argparse.Namespace) -> int:
     """One q-Narayana polynomial, by a single route or all routes compared."""
     n, k, route = args.n, args.k, args.route
@@ -94,8 +86,10 @@ def cmd_qnarayana(args: argparse.Namespace) -> int:
         return _usage(f"k must be nonnegative, got {k}")
     if route in ENUMERATIVE_ROUTES and n > ENUMERATION_LIMIT:
         return _usage(f"route {route} enumerates and is limited to n <= {ENUMERATION_LIMIT}")
+    if n > CLOSED_FORM_LIMIT:
+        return _usage(f"route {route} is limited to n <= {CLOSED_FORM_LIMIT}")
     if route != "all":
-        poly = _qnarayana_route(route, n, k)
+        poly = Q_NARAYANA_ROUTES[route](n, k)
         if args.format == "json":
             _emit_json(
                 {
@@ -112,7 +106,7 @@ def cmd_qnarayana(args: argparse.Namespace) -> int:
     names = ["closed", "schur-hook"]
     if n <= ENUMERATION_LIMIT:
         names += list(ENUMERATIVE_ROUTES)
-    routes = {name: _qnarayana_route(name, n, k) for name in names}
+    routes = {name: Q_NARAYANA_ROUTES[name](n, k) for name in names}
     verdict = "pass" if len({p.coeffs for p in routes.values()}) == 1 else "fail"
     if args.format == "json":
         _emit_json(
@@ -138,39 +132,56 @@ def _cache_file(root: str | None, n: int, stat: str, with_q: bool) -> str | None
     return os.path.join(root, f"dist-{__version__}-n{n}-{stat}{marker}.json")
 
 
-def _load_cached(path: str | None) -> dict | None:
-    if path is None or not os.path.exists(path):
+def _is_table(table: object, with_q: bool) -> bool:
+    """A list of [k, entry] pairs: an int k and an int count, or with_q a
+    list of int coefficients."""
+    return isinstance(table, list) and all(
+        isinstance(row, list)
+        and len(row) == 2
+        and isinstance(row[1], list) == with_q
+        and all(type(x) is int for x in [row[0], *(row[1] if with_q else row[1:])])
+        for row in table
+    )
+
+
+def _load_cached(path: str | None, header: dict) -> dict | None:
+    """The cached payload of the request that header describes, or None when
+    the file is missing, unreadable or holds another request's table."""
+    if path is None:
         return None
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            payload = json.load(handle)
     except (OSError, ValueError):
         return None
+    if isinstance(payload, dict) and all(payload.get(k) == v for k, v in header.items()):
+        if _is_table(payload.get("table"), header["q"]):
+            return dict(header, table=payload["table"])
+    return None
 
 
 def _store_cached(path: str | None, payload: dict) -> None:
+    """Write through a temp file and os.replace, so that a reader never sees a
+    partial table; a failure leaves no file and is only a warning."""
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(temp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        print(f"narayana: warning: cache not written: {exc}", file=sys.stderr)
 
 
-def _compute_dist(n: int, stat: str, costat: str | None) -> dict:
+def _dist_table(n: int, stat: str, costat: str | None) -> list:
     if costat is None:
-        table = [[k, count] for k, count in distribution(n, stat).items()]
-    else:
-        wrt = DyckPath("vh" * n) if costat == "maj_w" else None
-        polys = joint_q(n, stat, costat, wrt=wrt)
-        table = [[k, list(p.coeffs)] for k, p in sorted(polys.items())]
-    return {
-        "command": "dist",
-        "costat": costat,
-        "n": n,
-        "q": costat is not None,
-        "stat": stat,
-        "table": table,
-    }
+        return [[k, count] for k, count in distribution(n, stat).items()]
+    wrt = DyckPath("vh" * n) if costat == "maj_w" else None
+    return [[k, list(p.coeffs)] for k, p in joint_q(n, stat, costat, wrt=wrt).items()]
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -189,23 +200,20 @@ def cmd_dist(args: argparse.Namespace) -> int:
             os.makedirs(root, exist_ok=True)
         except OSError as exc:
             return _usage(f"unusable cache directory: {exc}")
+    header = {"command": "dist", "costat": costat, "n": n, "q": args.q, "stat": stat}
     cache = _cache_file(root, n, stat, args.q)
-    payload = _load_cached(cache)
+    payload = _load_cached(cache, header)
     if payload is None:
-        payload = _compute_dist(n, stat, costat)
+        payload = dict(header, table=_dist_table(n, stat, costat))
         _store_cached(cache, payload)
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        if payload["q"]:
-            writer.writerow(["value", "coefficients"])
-            for k, coeffs in payload["table"]:
-                writer.writerow([k, json.dumps(coeffs, separators=(",", ":"))])
-        else:
-            writer.writerow(["value", "count"])
-            for k, count in payload["table"]:
-                writer.writerow([k, count])
+        writer.writerow(["value", "coefficients" if payload["q"] else "count"])
+        for k, entry in payload["table"]:
+            # a count prints as itself, coefficients as a compact JSON array
+            writer.writerow([k, json.dumps(entry, separators=(",", ":"))])
     else:
         for k, entry in payload["table"]:
             rendered = QPoly(entry) if payload["q"] else entry
@@ -219,8 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limit = VERIFY_LIMITS[check]
     if not 1 <= n <= limit:
         return _usage(f"check {check} supports 1 <= n <= {limit}, got {n}")
-    if args.samples < 1:
-        return _usage(f"samples must be positive, got {args.samples}")
+    if not 1 <= args.samples <= SAMPLES_LIMIT:
+        return _usage(f"samples must be 1 to {SAMPLES_LIMIT}, got {args.samples}")
     parameters: dict = {"n": n}
     refs = None
     started = time.monotonic()
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_narayana)
 
     p = sub.add_parser("qnarayana", help="q-Narayana polynomial by one route or all")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 60")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--route",
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="vh-string or 'random' (main-theorem only); default v^n h^n",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=int, default=1, help="1 <= samples <= 200")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from functools import cache
+from operator import add
 from typing import Iterable, Iterator
 
 from .qpoly import QPoly, catalan
@@ -274,29 +275,79 @@ def maj_wrt(w: DyckPath, w0: DyckPath) -> int:
     return sum(descent_set_wrt(w, w0))
 
 
-STATISTICS = {"des": des, "hp": hp, "ea": ea, "lnfs": lnfs, "da": da}
-COSTATISTICS = {"maj": maj, "maj_l": maj_l}
+# Position i counts for a statistic when its mark holds on (i, height before
+# i, w_{i-1}, w_i, w_{i+1}), with None past either end of the word.  A major
+# index adds i where its statistic adds 1.
+_MARKS = {
+    "des": lambda i, h, a, b, c: b == "h" and c == "v",
+    "hp": lambda i, h, a, b, c: b == "v" and c == "h" and h >= 1,
+    "ea": lambda i, h, a, b, c: b == "v" and i % 2 == 0,
+    "lnfs": lambda i, h, a, b, c: (a, b, c) in (("v", "v", "h"), ("h", "h", "v")),
+    "da": lambda i, h, a, b, c: b == "v" and c == "v",
+}
+_MAJOR = {"maj": "des", "maj_l": "lnfs", "maj_w": "des_w"}
 
 
-def _resolve(name: str, wrt: DyckPath | None):
-    if name in STATISTICS:
-        return STATISTICS[name]
-    if name in COSTATISTICS:
-        return COSTATISTICS[name]
-    if name in ("des_w", "maj_w"):
-        if wrt is None:
-            raise ValueError(f"statistic {name} needs a reference path")
-        fn = des_wrt if name == "des_w" else maj_wrt
-        return lambda w: fn(w, wrt)
-    raise ValueError(f"unknown statistic: {name}")
+def _mark(name: str, wrt: DyckPath | None):
+    base = _MAJOR.get(name, name)
+    if base in _MARKS:
+        return _MARKS[base]
+    if base != "des_w":
+        raise ValueError(f"unknown statistic: {name}")
+    if wrt is None:
+        raise ValueError(f"statistic {name} needs a reference path")
+    order = {lab: pos for pos, lab in enumerate(label(wrt))}
+
+    def rank_in_wrt(i: int, h: int, letter: str) -> int:
+        # the i - 1 letters before position i, ending at height h, hold
+        # (i - 1 + h) / 2 letters v
+        seen_v = (i - 1 + h) // 2
+        return order[("v", seen_v + 1) if letter == "v" else ("h", i - seen_v)]
+
+    def descent_wrt(i, h, a, b, c):
+        after = h + (1 if b == "v" else -1)
+        return c is not None and rank_in_wrt(i + 1, after, c) < rank_in_wrt(i, h, b)
+
+    return descent_wrt
+
+
+def _joint_counts(n: int, names: tuple[str, ...], wrt: DyckPath | None) -> Counter:
+    """Number of paths of semilength n by the tuple of values of the named
+    statistics: a transfer matrix over (height, previous letter, letter)."""
+    rules = [(_mark(name, wrt), name in _MAJOR) for name in names]
+    if n < 0:
+        raise ValueError(f"negative semilength: {n}")
+    if wrt is not None and wrt.n != n and {"des_w", "maj_w"} & set(names):
+        raise ValueError(f"length mismatch: |w| = {2 * n}, |W| = {len(wrt)}")
+    length = 2 * n
+    # once w_i is chosen: (height before i, w_{i-1}, w_i) -> Counter of the
+    # value tuples so far; for n = 0 no letter is chosen and all values are 0
+    states = {(0, None, "v"): Counter({(0,) * len(names): 1})}
+    for i in range(1, length + 1):
+        following: defaultdict[tuple, Counter] = defaultdict(Counter)
+        for (h, a, b), counts in states.items():
+            after = h + (1 if b == "v" else -1)
+            for c in ("v", "h") if i < length else (None,):
+                # w_{i+1} keeps the path at or above 0 and able to return to 0
+                if c == "v" and after + 1 > length - i - 1 or c == "h" and not after:
+                    continue
+                step = tuple((i if major else 1) * mark(i, h, a, b, c) for mark, major in rules)
+                target = following[(after, b, c)]
+                if not any(step):
+                    target.update(counts)
+                    continue
+                for values, count in counts.items():
+                    target[tuple(map(add, values, step))] += count
+        states = following
+    return sum(states.values(), Counter())
 
 
 def distribution(
     n: int, statistic: str, *, wrt: DyckPath | None = None
 ) -> dict[int, int]:
     """Exact counts of a statistic over all paths of semilength n."""
-    stat = _resolve(statistic, wrt)
-    return dict(sorted(Counter(map(stat, enumerate_paths(n))).items()))
+    counts = _joint_counts(n, (statistic,), wrt)
+    return {key[0]: counts[key] for key in sorted(counts)}
 
 
 def joint_q(
@@ -304,11 +355,7 @@ def joint_q(
 ) -> dict[int, QPoly]:
     """For each value k of the statistic, the generating polynomial
     sum of q**costatistic over the paths with statistic k."""
-    stat = _resolve(statistic, wrt)
-    costat = _resolve(costatistic, wrt)
-    raw: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    for w in enumerate_paths(n):
-        raw[stat(w)][costat(w)] += 1
-    return {
-        k: QPoly([raw[k][d] for d in range(max(raw[k]) + 1)]) for k in sorted(raw)
-    }
+    counts = _joint_counts(n, (statistic, costatistic), wrt)
+    # the sorted pairs leave each k at its largest costatistic value
+    degrees = dict(sorted(counts))
+    return {k: QPoly(counts[k, d] for d in range(top + 1)) for k, top in degrees.items()}

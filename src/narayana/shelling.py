@@ -20,14 +20,23 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from itertools import combinations, permutations
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import DyckPath, da, enumerate_paths, ls_set, maj
 from .dyck import rank as path_rank
-from .posets import GradedBoundedPoset, flag_h_mismatches, j2xn
+from .posets import GradedBoundedPoset, _topological_order, flag_h_mismatches, j2xn
 
 FACE_GUARD = 1 << 20
 OMEGA_GUARD = 8
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 class PureComplex:
@@ -88,9 +97,7 @@ class PureComplex:
         return self._masks[f]
 
     def face_members(self, mask: int) -> frozenset:
-        return frozenset(
-            self._vertices[i] for i in range(len(self._vertices)) if (mask >> i) & 1
-        )
+        return frozenset(self._vertices[i] for i in _bit_indices(mask))
 
     def face_masks(self) -> set[int]:
         """Bitmasks of every face, the empty face included."""
@@ -104,11 +111,8 @@ class PureComplex:
             stack = list(self._masks)
             while stack:
                 mask = stack.pop()
-                rest = mask
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    sub = mask ^ bit
+                for i in _bit_indices(mask):
+                    sub = mask ^ 1 << i
                     if sub not in seen:
                         seen.add(sub)
                         stack.append(sub)
@@ -133,23 +137,13 @@ class FacetOrder:
         m = complex.m
         rels = sorted({(int(a), int(b)) for a, b in relations})
         up: list[list[int]] = [[] for _ in range(m)]
-        indegree = [0] * m
         for a, b in rels:
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"facet index out of range: ({a}, {b})")
             if a == b:
                 raise ValueError("order contains a cycle")
             up[a].append(b)
-            indegree[b] += 1
-        order: list[int] = []
-        ready = [i for i in range(m) if indegree[i] == 0]
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            for j in up[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    ready.append(j)
+        order = _topological_order(up)
         if len(order) != m:
             raise ValueError("order contains a cycle")
         below = [0] * m
@@ -196,22 +190,15 @@ class FacetOrder:
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) of the closure: i < j with nothing between."""
         above = [0] * self.m
-        for j in range(self.m):
-            rest = self._below[j]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                above[bit.bit_length() - 1] |= 1 << j
-        out = []
-        for j in range(self.m):
-            rest = self._below[j]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                i = bit.bit_length() - 1
-                if not (above[i] & self._below[j]):
-                    out.append((i, j))
-        return out
+        for j, below in enumerate(self._below):
+            for i in _bit_indices(below):
+                above[i] |= 1 << j
+        return [
+            (i, j)
+            for j, below in enumerate(self._below)
+            for i in _bit_indices(below)
+            if not above[i] & below
+        ]
 
     def is_linear_extension(self, order: Sequence[int]) -> bool:
         if sorted(order) != list(range(self.m)):
@@ -223,19 +210,7 @@ class FacetOrder:
         self, seed: "int | random.Random | None" = None
     ) -> list[int]:
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        indegree = [0] * self.m
-        for a, b in self._relations:
-            indegree[b] += 1
-        ready = [i for i in range(self.m) if indegree[i] == 0]
-        out: list[int] = []
-        while ready:
-            i = ready.pop(rng.randrange(len(ready)))
-            out.append(i)
-            for j in self._up[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    ready.append(j)
-        return out
+        return _topological_order(self._up, rng.randrange)
 
     def extend(self, extra: Iterable[tuple[int, int]]) -> "FacetOrder":
         return FacetOrder(
@@ -353,12 +328,8 @@ def s_map(w: DyckPath, i: int) -> DyckPath:
     if not 1 <= i <= 2 * w.n - 2:
         raise ValueError(f"position out of range: {i} not in [1, {2 * w.n - 2}]")
     word = w.word
-    factor = word[i - 1 : i + 2]
-    if factor == "vvh":
-        return DyckPath(word[: i - 1] + "vhv" + word[i + 2 :])
-    if factor == "hhv":
-        return DyckPath(word[: i - 1] + "hvh" + word[i + 2 :])
-    return w
+    rewrite = {"vvh": "vhv", "hhv": "hvh"}.get(word[i - 1 : i + 2])
+    return w if rewrite is None else DyckPath(word[: i - 1] + rewrite + word[i + 2 :])
 
 
 def sigma_stat(w: DyckPath) -> tuple[int, int]:
@@ -394,12 +365,7 @@ def restriction(ord: FacetOrder, f: int) -> frozenset:
 
 def _restriction_mask(ord: FacetOrder, f: int) -> int:
     cx = ord.complex
-    below = []
-    rest = ord.below_mask(f)
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        below.append(cx.mask(bit.bit_length() - 1))
+    below = map(cx.mask, _bit_indices(ord.below_mask(f)))
     return _single_vertex_differences(cx.mask(f), below)
 
 
@@ -432,7 +398,7 @@ def _first_misowned_face(cx: PureComplex, r: Sequence[int]) -> "dict | None":
     for face in sorted(faces):
         if len(owners[face]) != 1:
             return {
-                "face": [i for i in range(len(cx.vertices)) if (face >> i) & 1],
+                "face": list(_bit_indices(face)),
                 "covered_by": owners[face],
             }
     return None
@@ -449,46 +415,21 @@ def check_preshelling(ord: FacetOrder) -> dict:
     cx.face_masks()  # its size guard, before the O(m^2) conditions
     m = cx.m
     r = [_restriction_mask(ord, f) for f in range(m)]
-    conditions: dict[str, bool] = {}
-    witnesses: dict[str, dict] = {}
 
-    conditions["i"] = True
-    for f in range(m):
-        for g in range(f + 1, m):
-            if not r[f] & ~cx.mask(g) and not r[g] & ~cx.mask(f):
-                conditions["i"] = False
-                witnesses["i"] = {"f": f, "g": g}
-                break
-        if not conditions["i"]:
-            break
+    def fits(f: int, g: int) -> bool:  # r(F) lies inside G
+        return not r[f] & ~cx.mask(g)
 
-    witness = _first_misowned_face(cx, r)
-    conditions["ii"] = witness is None
-    if witness is not None:
-        witnesses["ii"] = witness
+    def first(pairs: Iterable[tuple[int, int]], holds) -> "dict | None":
+        return next(({"f": f, "g": g} for f, g in pairs if holds(f, g)), None)
 
-    conditions["iii"] = True
-    for f in range(m):
-        for g in range(m):
-            if f != g and not r[f] & ~cx.mask(g) and not ord.less(f, g):
-                conditions["iii"] = False
-                witnesses["iii"] = {"f": f, "g": g}
-                break
-        if not conditions["iii"]:
-            break
-
-    conditions["iv"] = True
-    for f in range(m):
-        for g in range(m):
-            if f == g or ord.leq(g, f):
-                continue
-            if not r[g] & ~cx.mask(f):
-                conditions["iv"] = False
-                witnesses["iv"] = {"f": f, "g": g}
-                break
-        if not conditions["iv"]:
-            break
-
+    found = {
+        "i": first(combinations(range(m), 2), lambda f, g: fits(f, g) and fits(g, f)),
+        "ii": _first_misowned_face(cx, r),
+        "iii": first(permutations(range(m), 2), lambda f, g: fits(f, g) and not ord.less(f, g)),
+        "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not ord.leq(g, f)),
+    }
+    conditions = {name: witness is None for name, witness in found.items()}
+    witnesses = {name: witness for name, witness in found.items() if witness is not None}
     if len(set(conditions.values())) != 1:
         raise RuntimeError(f"equivalence broken: {conditions}")
     return {
@@ -535,12 +476,7 @@ def verify_partitioning(p: Partitioning) -> dict:
     """Confirm every face lies in exactly one interval, or exhibit a face
     that is uncovered or covered twice."""
     cx = p.complex
-    r_masks = []
-    for rset in p.restrictions:
-        mask = 0
-        for v in rset:
-            mask |= 1 << cx.vertices.index(v)
-        r_masks.append(mask)
+    r_masks = [sum(1 << cx.vertices.index(v) for v in rset) for rset in p.restrictions]
     witness = _first_misowned_face(cx, r_masks)
     return {"valid": witness is None, "witness": witness}
 

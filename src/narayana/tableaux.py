@@ -279,6 +279,15 @@ def q_narayana_schur(n: int, k: int, method: str = "ssyt") -> QPoly:
     raise ValueError(f"unknown method: {method}")
 
 
+# the four routes to the q-Narayana polynomial of (n, k), by name
+Q_NARAYANA_ROUTES = {
+    "closed": q_narayana_closed,
+    "enumerate": lambda n, k: joint_q(n, "des", "maj").get(k, QPoly.zero()),
+    "schur-hook": lambda n, k: q_narayana_schur(n, k, method="hook"),
+    "schur-ssyt": lambda n, k: q_narayana_schur(n, k, method="ssyt"),
+}
+
+
 def verify_ssyt(n: int) -> list[dict]:
     """The ssyt check: two-column SSYT with entries below n, counted by
     row-sum set, reproduce the flag h-vector of J(2 x n), and every one
@@ -296,18 +305,12 @@ def verify_ssyt(n: int) -> list[dict]:
 
 
 def verify_q_identity(n: int) -> list[dict]:
-    """The q-identity check: for every k < n the closed form, path
-    enumeration by (des, maj) and both Schur routes give one q-Narayana
+    """The q-identity check: for every k < n the closed form, the sum over
+    paths by (des, maj) and both Schur routes give one q-Narayana
     polynomial.  One witness per k where they differ, with every route."""
-    by_des = joint_q(n, "des", "maj")
     witnesses = []
     for k in range(n):
-        routes = {
-            "closed": q_narayana_closed(n, k),
-            "enumerate": by_des.get(k, QPoly.zero()),
-            "schur-hook": q_narayana_schur(n, k, method="hook"),
-            "schur-ssyt": q_narayana_schur(n, k, method="ssyt"),
-        }
+        routes = {name: route(n, k) for name, route in Q_NARAYANA_ROUTES.items()}
         if len({p.coeffs for p in routes.values()}) > 1:
             witnesses.append(
                 {"k": k, "routes": {name: list(p.coeffs) for name, p in routes.items()}}

@@ -104,6 +104,16 @@ def test_qnarayana_enumerative_route_guard(capsys):
         assert "limited to n <= 12" in err
 
 
+def test_qnarayana_closed_form_routes_guard(capsys):
+    for route in ("closed", "schur-hook", "all"):
+        code, out, err = run(capsys, "qnarayana", "--n", "61", "--k", "1", "--route", route)
+        assert (code, out) == (2, "")
+        assert err.startswith("narayana: error:") and "limited to n <= 60" in err
+        assert "Traceback" not in err
+    code, out, _ = run(capsys, "qnarayana", "--n", "60", "--k", "1", "--route", "closed")
+    assert code == 0 and out.startswith("q^2 + ")
+
+
 def test_qnarayana_bad_arguments(capsys):
     assert run(capsys, "qnarayana", "--n", "0", "--k", "1")[0] == 2
     assert run(capsys, "qnarayana", "--n", "3", "--k", "-1")[0] == 2
@@ -190,6 +200,42 @@ def test_dist_cache_write_and_read(capsys, tmp_path):
     code, third, _ = run(capsys, *argv)
     assert code == 0
     assert third == "0  999\n"
+
+
+def test_dist_cache_of_another_request_is_recomputed(capsys, tmp_path):
+    code, _, _ = run(capsys, "dist", "--n", "4", "--stat", "des", "--cache-dir", str(tmp_path))
+    assert code == 0
+    n5 = tmp_path / "dist-0.1.0-n5-des.json"
+    n5.write_text((tmp_path / "dist-0.1.0-n4-des.json").read_text())
+    argv = ["dist", "--n", "5", "--stat", "des", "--cache-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "0  1\n1  10\n2  20\n3  10\n4  1\n")
+    assert json.loads(n5.read_text())["n"] == 5
+    # matching keys around a table that is not a list of [k, entry] pairs
+    for table in ("junk", [[0, 1, 2]], [[0, [1]]], [["0", 1]]):
+        payload = json.loads(n5.read_text())
+        payload["table"] = table
+        n5.write_text(json.dumps(payload))
+        code, again, _ = run(capsys, *argv)
+        assert (code, again) == (0, out)
+        assert json.loads(n5.read_text())["table"] == [[0, 1], [1, 10], [2, 20], [3, 10], [4, 1]]
+
+
+def test_dist_cache_write_failure_is_a_warning(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
+    argv = ["dist", "--n", "4", "--stat", "lnfs", "--q", "--format", "json"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == (0, expected)
+    assert err.startswith("narayana: warning:") and err.count("\n") == 1
+    assert list(cache.iterdir()) == []
 
 
 def test_dist_cache_env_fallback(capsys, tmp_path, monkeypatch):
@@ -284,6 +330,16 @@ def test_verify_guards(capsys):
         code, _, err = run(capsys, "verify", "--check", check, "--n", n)
         assert code == 2
         assert "supports 1 <= n <=" in err
+
+
+def test_verify_samples_bound(capsys):
+    base = ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random"]
+    for bad in ("0", "201"):
+        code, out, err = run(capsys, *base, "--samples", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("narayana: error:") and "Traceback" not in err
+    code, out, _ = run(capsys, *base, "--samples", "200")
+    assert code == 0 and "samples 200" in out and "verdict pass" in out
 
 
 def test_verify_remaining_checks_pass(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,6 +193,84 @@ def test_descent_set_wrt_length_mismatch():
         descent_set_wrt(DyckPath("vh"), DyckPath("vvhh"))
     with pytest.raises(ValueError, match="length mismatch"):
         maj_wrt(DyckPath("vvhh"), DyckPath("vh"))
+
+
+# Per-path oracle for the transfer matrix behind distribution and joint_q:
+# every accepted statistic name read off each enumerated path.
+PER_PATH = {"des": des, "maj": maj, "hp": hp, "ea": ea, "lnfs": lnfs, "maj_l": maj_l, "da": da}
+ACCEPTED = (*PER_PATH, "des_w", "maj_w")
+
+
+def per_path(name, wrt):
+    if name == "des_w":
+        return lambda w: des_wrt(w, wrt)
+    if name == "maj_w":
+        return lambda w: maj_wrt(w, wrt)
+    return PER_PATH[name]
+
+
+def oracle_distribution(n, name, wrt=None):
+    return dict(sorted(Counter(map(per_path(name, wrt), enumerate_paths(n))).items()))
+
+
+def oracle_joint_q(n, name, coname, wrt=None):
+    stat, costat = per_path(name, wrt), per_path(coname, wrt)
+    raw = defaultdict(Counter)
+    for w in enumerate_paths(n):
+        raw[stat(w)][costat(w)] += 1
+    return {k: QPoly([raw[k][d] for d in range(max(raw[k]) + 1)]) for k in sorted(raw)}
+
+
+def test_distribution_matches_enumeration_oracle():
+    for n in range(10):
+        wrt = random_path(n, n)
+        for name in ACCEPTED:
+            expected = oracle_distribution(n, name, wrt)
+            # same counts in the same key order
+            assert list(distribution(n, name, wrt=wrt).items()) == list(expected.items()), (n, name)
+
+
+def test_joint_q_matches_enumeration_oracle():
+    for n in range(10):
+        zigzag = DyckPath("vh" * n)
+        for name, coname in (("des", "maj"), ("lnfs", "maj_l"), ("hp", "maj_w"), ("ea", "maj")):
+            expected = oracle_joint_q(n, name, coname, zigzag)
+            got = joint_q(n, name, coname, wrt=zigzag)
+            assert list(got.items()) == list(expected.items()), (n, name, coname)
+
+
+def test_joint_q_des_w_every_reference_path():
+    for n in range(6):
+        for w0 in enumerate_paths(n):
+            expected = oracle_joint_q(n, "des_w", "maj_w", w0)
+            assert list(joint_q(n, "des_w", "maj_w", wrt=w0).items()) == list(expected.items())
+            assert distribution(n, "maj_w", wrt=w0) == oracle_distribution(n, "maj_w", w0)
+
+
+def test_distribution_does_not_enumerate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-path code called")
+
+    per_path_code = ("enumerate_paths", "descent_set", "high_peak_set", "ls_set", "descent_set_wrt")
+    for name in (*per_path_code, *PER_PATH, "des_wrt", "maj_wrt"):
+        monkeypatch.setattr(f"narayana.dyck.{name}", forbidden)
+    w0 = DyckPath("vvhvhh")
+    for name in ACCEPTED:
+        assert sum(distribution(3, name, wrt=w0).values()) == 5
+    assert sum(p(1) for p in joint_q(3, "des_w", "maj_w", wrt=w0).values()) == 5
+
+
+def test_distribution_errors():
+    assert all(distribution(0, name, wrt=DyckPath("")) == {0: 1} for name in ACCEPTED)
+    assert joint_q(0, "des", "maj") == {0: QPoly.one()}
+    with pytest.raises(ValueError, match="length mismatch"):
+        distribution(3, "des_w", wrt=DyckPath("vh"))
+    with pytest.raises(ValueError, match="length mismatch"):
+        joint_q(3, "hp", "maj_w", wrt=DyckPath("vvhh"))
+    with pytest.raises(ValueError, match="negative semilength"):
+        distribution(-1, "des")
+    with pytest.raises(ValueError, match="negative semilength"):
+        joint_q(-2, "lnfs", "maj_l")
 
 
 def test_distribution_frozen():
