@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .dyck import DyckPath, descent_set_wrt, enumerate_paths, label
+from .dyck import DyckPath, enumerate_paths, label
 
 Element = Hashable
 
@@ -214,12 +214,8 @@ def chain_product_2xn(n: int) -> FinitePoset:
     if n < 1:
         raise ValueError(f"chain_product_2xn needs n >= 1, got {n}")
     elements = [(1, k) for k in range(1, n + 1)] + [(2, k) for k in range(1, n + 1)]
-    covers: list[tuple[Element, Element]] = []
-    for i in (1, 2):
-        for k in range(1, n):
-            covers.append(((i, k), (i, k + 1)))
-    for k in range(1, n + 1):
-        covers.append(((1, k), (2, k)))
+    covers = [((i, k), (i, k + 1)) for i in (1, 2) for k in range(1, n)]
+    covers += [((1, k), (2, k)) for k in range(1, n + 1)]
     return FinitePoset(elements, covers)
 
 
@@ -436,10 +432,10 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     set read against W equals S, for every S in [2n-1] and every reference
     path W in refs.
 
-    The flag h-vector is computed once for all references.  Returns one
-    witness per mismatch, by reference and then by subset bitmask, with
-    keys flag_h, paths, ref_path and s; the list is empty when the theorem
-    holds.
+    The flag h-vector is computed once and every path and reference is
+    labeled once.  Returns one witness per mismatch, by reference and then
+    by subset bitmask, with keys flag_h, paths, ref_path and s; the list is
+    empty when the theorem holds.
     """
     if n > THEOREM_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {THEOREM_GUARD}")
@@ -450,10 +446,11 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
         if W.n != n:
             raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
     beta = flag_h_table(j2xn(n))
-    paths = list(enumerate_paths(n))
+    labeled = [label(w) for w in enumerate_paths(n)]
     witnesses = []
     for W in refs:
-        buckets = Counter(descent_set_wrt(w, W) for w in paths)
+        order = {lab: pos for pos, lab in enumerate(label(W))}
+        buckets = Counter(permutation_descents([order[x] for x in lab]) for lab in labeled)
         witnesses += [
             {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
             for s, value in beta.items()

@@ -5,13 +5,19 @@ q-factorials, Gaussian binomial coefficients and the closed-form q-Narayana
 numbers, together with the plain (q = 1) Narayana and Catalan numbers.
 
 All coefficients are Python ints, so arithmetic is exact at every size.
+Long products run as one big-integer product (Kronecker substitution), and
+multiplying or dividing by a q-integer [m] takes time linear in the degree.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator
+
+SCHOOLBOOK_MAX = 8  # products whose shorter factor has at most this many terms
 
 
 class InexactDivisionError(ArithmeticError):
@@ -122,6 +128,8 @@ class QPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return QPoly()
+        if min(len(a), len(b)) > SCHOOLBOOK_MAX:
+            return QPoly(_kronecker(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -175,6 +183,29 @@ class QPoly:
         return text
 
 
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The coefficients of a * b by Kronecker substitution: one integer
+    product of a(2**w) and b(2**w), read back as base-2**w digits.  Digits
+    are stored offset by half = 2**(w-1), so signed coefficients pack as
+    unsigned bytes; half exceeds every |coefficient| the product can have."""
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    offset = bytes(width - 1) + b"\x80"  # one digit holding half
+
+    def evaluate(cs: tuple[int, ...]) -> int:
+        digits = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+        return int.from_bytes(digits, "little") - int.from_bytes(offset * len(cs), "little")
+
+    size = len(a) + len(b) - 1
+    product = evaluate(a) * evaluate(b) + int.from_bytes(offset * size, "little")
+    digits = product.to_bytes(width * size, "little")
+    return [
+        int.from_bytes(digits[i : i + width], "little") - half
+        for i in range(0, len(digits), width)
+    ]
+
+
 def _coerce(value: "QPoly | int") -> QPoly:
     if isinstance(value, QPoly):
         return value
@@ -190,36 +221,52 @@ def q_int(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
+def mul_q_int(cs: list[int], m: int) -> list[int]:
+    """The coefficients of p * [m] from those of p, for m >= 1, in linear
+    time: p * (1 - q**m) / (1 - q), so each is a window sum of m of p's."""
+    padded = cs + [0] * (m - 1) if cs else []
+    return list(accumulate(map(sub, padded, [0] * m + padded)))
+
+
+def div_q_int(cs: list[int], m: int) -> list[int]:
+    """The coefficients of p / [m] from those of p, in linear time:
+    p * (1 - q) / (1 - q**m), running sums over each residue class mod m.
+    Exact when the last m sums vanish; otherwise (or for m < 1) exact_div
+    raises its own error, message and remainder for p and q_int(m)."""
+    ext, prev = cs + [0], [0] + cs
+    quot = [0] * len(ext)
+    for r in range(m):
+        # the differences are summed as they are made, never stored
+        quot[r::m] = accumulate(map(sub, ext[r::m], prev[r::m]))
+    cut = max(len(quot) - m, 0)
+    if m < 1 or any(quot[cut:]):
+        return list(exact_div(QPoly(cs), q_int(m)).coeffs)  # raises
+    return quot[:cut]
+
+
 def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1 through n; the empty product is 1."""
     if n < 0:
         raise ValueError(f"q_factorial of negative {n}")
-    result = QPoly.one()
-    for m in range(2, n + 1):
-        result = result * q_int(m)
-    return result
+    return QPoly(reduce(mul_q_int, range(2, n + 1), [1]))
 
 
 def q_binomial(n: int, k: int) -> QPoly:
     """The Gaussian binomial coefficient, zero outside 0 <= k <= n.
 
-    Built bottom-up by the q-Pascal recurrence
-    ``qbin(m, j) = qbin(m-1, j-1) + q**j * qbin(m-1, j)``,
-    which keeps every intermediate value a polynomial with nonnegative
-    integer coefficients; no division is performed.
+    With k' = min(k, n - k), the product of [n - k' + i] / [i] for
+    i = 1..k'; after step i the list holds qbin(n - k' + i, i), so every
+    division is exact.
     """
     if n < 0:
         raise ValueError(f"q_binomial with negative n: {n}")
     if k < 0 or k > n:
         return QPoly.zero()
-    row = [QPoly.one()]
-    for m in range(1, n + 1):
-        prev = row
-        row = [QPoly.one()]
-        for j in range(1, m):
-            row.append(prev[j - 1] + QPoly.q_power(j) * prev[j])
-        row.append(QPoly.one())
-    return row[k]
+    k = min(k, n - k)
+    cs = [1]
+    for i in range(1, k + 1):
+        cs = div_q_int(mul_q_int(cs, n - k + i), i)
+    return QPoly(cs)
 
 
 def exact_div(a: QPoly, b: QPoly) -> QPoly:
@@ -289,5 +336,5 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
         raise ValueError(f"q_narayana_closed needs k >= 0, got {k}")
     if k >= n:
         return QPoly.zero()
-    numerator = q_binomial(n, k) * q_binomial(n, k + 1) * QPoly.q_power(k * k + k)
-    return exact_div(numerator, q_int(n))
+    numerator = q_binomial(n, k) * q_binomial(n, k + 1)
+    return QPoly([0] * (k * k + k) + div_q_int(list(numerator.coeffs), n))

@@ -10,11 +10,13 @@ the two-column shapes in n - 1 variables.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from functools import cache, reduce
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import DyckPath, descent_set, joint_q
 from .posets import flag_h_mismatches
-from .qpoly import QPoly, exact_div, q_int, q_narayana_closed
+from .qpoly import QPoly, div_q_int, mul_q_int, q_narayana_closed
 
 
 class Partition:
@@ -132,39 +134,34 @@ class SSYT:
         return f"SSYT({[list(row) for row in self._rows]!r})"
 
 
-def enumerate_ssyt(
-    shape: "Partition | Iterable[int]", max_part: int
-) -> list[SSYT]:
-    """All SSYT of the shape with entries in [1, max_part], in lexicographic
-    order of the row-major reading word."""
-    shape = _as_partition(shape)
+def _fillings(shape: "Partition | Iterable[int]", max_part: int) -> Iterator[tuple]:
+    """The rows of every SSYT of the shape with entries in [1, max_part], in
+    lexicographic order of the row-major reading word."""
+    parts = _as_partition(shape).parts
     if max_part < 0:
         raise ValueError(f"negative max_part: {max_part}")
-    if shape.length == 0:
-        return [SSYT(())]
-    if max_part < shape.length:
-        return []
-    rows: list[list[int]] = [[0] * part for part in shape.parts]
-    out: list[SSYT] = []
-    cells = shape.cells()
 
-    def fill(pos: int) -> None:
-        if pos == len(cells):
-            out.append(SSYT([tuple(row) for row in rows]))
+    @cache
+    def rows_under(length: int, above: tuple[int, ...]) -> list[tuple[int, ...]]:
+        low = above[0] + 1 if above else 1
+        rows = combinations_with_replacement(range(low, max_part + 1), length)
+        return [row for row in rows if all(x > y for x, y in zip(row, above))]
+
+    def fill(i: int, above: tuple[int, ...]) -> Iterator[tuple]:
+        if i == len(parts):
+            yield ()
             return
-        i, j = cells[pos]
-        lo = 1
-        if j > 1:
-            lo = rows[i - 1][j - 2]
-        if i > 1 and len(rows[i - 2]) >= j:
-            lo = max(lo, rows[i - 2][j - 1] + 1)
-        for value in range(lo, max_part + 1):
-            rows[i - 1][j - 1] = value
-            fill(pos + 1)
-        rows[i - 1][j - 1] = 0
+        for row in rows_under(parts[i], above):
+            for rest in fill(i + 1, row):
+                yield (row, *rest)
 
-    fill(0)
-    return out
+    return fill(0, ())
+
+
+def enumerate_ssyt(shape: "Partition | Iterable[int]", max_part: int) -> list[SSYT]:
+    """All SSYT of the shape with entries in [1, max_part], in lexicographic
+    order of the row-major reading word."""
+    return [SSYT(rows) for rows in _fillings(shape, max_part)]
 
 
 def row_sums(T: SSYT) -> tuple[int, ...]:
@@ -180,7 +177,6 @@ def ssyt_to_dyck(T: SSYT, n: int) -> DyckPath:
     down the columns, and the last block tops both columns up to n.  The
     descent set of the result is exactly the set of row sums.
     """
-    k = T.shape.length
     if any(part != 2 for part in T.shape.parts):
         raise ValueError(f"not a two-column shape: {T.shape.parts}")
     if n < 1:
@@ -190,13 +186,10 @@ def ssyt_to_dyck(T: SSYT, n: int) -> DyckPath:
             if entry >= n:
                 raise ValueError(f"entry out of range: {entry} >= {n}")
     word = []
-    prev_col1 = prev_col2 = 0
-    for i in range(1, k + 1):
-        word.append("v" * (T.entry(i, 2) - prev_col2))
-        word.append("h" * (T.entry(i, 1) - prev_col1))
-        prev_col1, prev_col2 = T.entry(i, 1), T.entry(i, 2)
-    word.append("v" * (n - prev_col2))
-    word.append("h" * (n - prev_col1))
+    prev1 = prev2 = 0
+    for t1, t2 in (*T.rows, (n, n)):
+        word += ["v" * (t2 - prev2), "h" * (t1 - prev1)]
+        prev1, prev2 = t1, t2
     return DyckPath("".join(word))
 
 
@@ -237,18 +230,17 @@ def content(shape: "Partition | Iterable[int]", cell: tuple[int, int]) -> int:
 
 def schur_principal_ssyt(shape: "Partition | Iterable[int]", n: int) -> QPoly:
     """The Schur polynomial at (q, q^2, ..., q^n) as a sum over SSYT."""
-    total = Counter(T.total for T in enumerate_ssyt(shape, n))
-    if not total:
-        return QPoly.zero()
-    return QPoly([total[d] for d in range(max(total) + 1)])
+    total = Counter(sum(map(sum, rows)) for rows in _fillings(shape, n))
+    return QPoly(total[d] for d in range(max(total, default=-1) + 1))
 
 
 def schur_principal_hook(shape: "Partition | Iterable[int]", n: int) -> QPoly:
     """The same specialization by the hook-content formula:
     q**(sum of i * lambda_i) times the product of [n + c(u)] / [h(u)].
 
-    Divisions run one hook at a time, smallest first, through exact_div;
-    a nonzero remainder would abort loudly and means a bug.
+    Every [n + c(u)] multiplies in first, then the divisions run one hook
+    at a time, smallest first; both steps are linear in the degree.  A
+    nonzero remainder raises InexactDivisionError and means a bug.
     """
     shape = _as_partition(shape)
     if n < 0:
@@ -256,14 +248,10 @@ def schur_principal_hook(shape: "Partition | Iterable[int]", n: int) -> QPoly:
     if n < shape.length:
         return QPoly.zero()
     prefactor = sum(i * part for i, part in enumerate(shape.parts, start=1))
-    result = QPoly.q_power(prefactor)
-    hooks = []
-    for cell in shape.cells():
-        result = result * q_int(n + content(shape, cell))
-        hooks.append(hook_length(shape, cell))
-    for h in sorted(hooks):
-        result = exact_div(result, q_int(h))
-    return result
+    cs = reduce(mul_q_int, [n + content(shape, cell) for cell in shape.cells()], [1])
+    for h in sorted(hook_length(shape, cell) for cell in shape.cells()):
+        cs = div_q_int(cs, h)  # a loop, so each dividend is freed once divided
+    return QPoly([0] * prefactor + cs)
 
 
 def q_narayana_schur(n: int, k: int, method: str = "ssyt") -> QPoly:

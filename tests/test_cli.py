@@ -417,3 +417,18 @@ def test_verify_checks_survive_optimized_mode(capsys):
     )
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+def test_qnarayana_routes_survive_optimized_mode(capsys):
+    # the exactness checks of the q-integer kernels raise real exceptions
+    argv = ["qnarayana", "--n", "40", "--k", "20", "--route", "all"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    assert expected.splitlines()[-1] == "verdict pass"
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "narayana.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == expected

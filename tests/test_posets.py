@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from narayana.dyck import DyckPath, descent_set, enumerate_paths, random_path
+from narayana.dyck import DyckPath, descent_set, descent_set_wrt, enumerate_paths, random_path
 from narayana.posets import (
     FinitePoset,
     GradedBoundedPoset,
@@ -16,6 +16,7 @@ from narayana.posets import (
     flag_h_table,
     ideal_lattice,
     is_linear_extension,
+    j2xn,
     jordan_holder,
     linear_extensions,
     path_to_extension,
@@ -274,7 +275,7 @@ def test_verify_theorem_main_small(monkeypatch):
     assert verify_theorem_main(3, [DyckPath("vvvhhh"), DyckPath("vhvhvh")]) == []
     # with every descent set read as empty, all catalan(2) paths land on the
     # empty set, so beta({}) = 1 and beta({2}) = 1 both mismatch
-    monkeypatch.setattr("narayana.posets.descent_set_wrt", lambda w, W: frozenset())
+    monkeypatch.setattr("narayana.posets.permutation_descents", lambda pi: frozenset())
     assert verify_theorem_main(2, [DyckPath("vhvh"), DyckPath("vvhh")]) == [
         {"flag_h": 1, "paths": 2, "ref_path": "vhvh", "s": []},
         {"flag_h": 1, "paths": 0, "ref_path": "vhvh", "s": [2]},
@@ -285,6 +286,33 @@ def test_verify_theorem_main_small(monkeypatch):
 
 def test_verify_theorem_main_random_reference_paths():
     assert verify_theorem_main(4, [random_path(4, seed) for seed in range(5)]) == []
+
+
+def theorem_witnesses_per_pair(n, refs, beta):
+    # the oracle: descent_set_wrt relabels both paths for every pair
+    witnesses = []
+    for W in refs:
+        buckets = Counter(descent_set_wrt(w, W) for w in enumerate_paths(n))
+        witnesses += [
+            {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
+            for s, value in beta.items()
+            if buckets[s] != value
+        ]
+    return witnesses
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_verify_theorem_main_matches_per_pair_oracle(n, monkeypatch):
+    refs = [random_path(n, seed) for seed in range(6)]
+    beta = flag_h_table(j2xn(n))
+    assert verify_theorem_main(n, refs) == theorem_witnesses_per_pair(n, refs, beta) == []
+    # with every beta off by one, each (reference, subset) pair is a witness
+    # that carries its own path count
+    shifted = {s: value + 1 for s, value in beta.items()}
+    monkeypatch.setattr("narayana.posets.flag_h_table", lambda lattice: shifted)
+    witnesses = verify_theorem_main(n, refs)
+    assert len(witnesses) == len(refs) * len(beta)
+    assert witnesses == theorem_witnesses_per_pair(n, refs, shifted)
 
 
 def test_verify_theorem_main_guards():

@@ -4,18 +4,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from narayana.qpoly import (
+    SCHOOLBOOK_MAX,
     InexactDivisionError,
     QPoly,
     catalan,
+    div_q_int,
     exact_div,
+    mul_q_int,
     narayana,
     q_binomial,
     q_factorial,
     q_int,
     q_narayana_closed,
 )
+from narayana.tableaux import q_narayana_schur
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
+# small and huge coefficients of either sign, well past 2**64
+signed = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-(2**80), max_value=2**80)
+# polynomials long enough that a product of two runs by Kronecker substitution
+long_coeff_lists = st.tuples(
+    st.lists(signed, min_size=SCHOOLBOOK_MAX, max_size=40), signed.filter(bool)
+).map(lambda parts: parts[0] + [parts[1]])
 
 
 def ref_mul(a: QPoly, b: QPoly) -> QPoly:
@@ -84,6 +94,73 @@ def test_ring_axioms(a, b, c):
     assert (pa * pb) * pc == pa * (pb * pc)
 
 
+@given(long_coeff_lists, long_coeff_lists)
+def test_kronecker_mul_matches_reference(a, b):
+    pa, pb = QPoly(a), QPoly(b)
+    assert min(len(a), len(b)) > SCHOOLBOOK_MAX
+    assert pa * pb == ref_mul(pa, pb)
+    assert pa * pb == pb * pa
+
+
+@given(long_coeff_lists, long_coeff_lists, long_coeff_lists)
+def test_ring_axioms_on_the_kronecker_path(a, b, c):
+    pa, pb, pc = QPoly(a), QPoly(b), QPoly(c)
+    assert (pa + pb) + pc == pa + (pb + pc)
+    assert pa * (pb + pc) == pa * pb + pa * pc
+    assert (pa * pb) * pc == pa * (pb * pc)
+
+
+def test_kronecker_mul_at_its_digit_bound():
+    # equal coefficients of one size make the middle product coefficient
+    # exactly min(len) * max|a| * max|b|, the bound the digit width is sized by
+    for top in (1, 127, 128, 255, 256, 2**63, 2**64 - 1, 2**64):
+        for length in (SCHOOLBOOK_MAX + 1, 2 * SCHOOLBOOK_MAX + 3):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                pa, pb = QPoly([sa * top] * length), QPoly([sb * top] * length)
+                assert pa * pb == ref_mul(pa, pb)
+
+
+@given(st.lists(signed, max_size=12), st.integers(min_value=1, max_value=12))
+def test_mul_q_int_matches_schoolbook(cs, m):
+    p = QPoly(cs)
+    assert mul_q_int(list(p.coeffs), m) == list(ref_mul(p, q_int(m)).coeffs)
+
+
+@given(
+    st.lists(signed, max_size=12),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=3),
+)
+def test_div_q_int_matches_exact_div(cs, m, bump):
+    # a multiple of [m], sometimes disturbed, so exact and inexact inputs both occur
+    p = ref_mul(QPoly(cs), q_int(m)) + QPoly(bump)
+    try:
+        expected = exact_div(p, q_int(m))
+    except InexactDivisionError as error:
+        with pytest.raises(InexactDivisionError) as info:
+            div_q_int(list(p.coeffs), m)
+        assert type(info.value) is type(error)
+        assert str(info.value) == str(error)
+        assert info.value.remainder == error.remainder
+    else:
+        assert div_q_int(list(p.coeffs), m) == list(expected.coeffs)
+        if not bump:
+            assert expected == QPoly(cs)
+
+
+def test_div_q_int_errors_match_exact_div():
+    with pytest.raises(ZeroDivisionError):
+        div_q_int([1, 1], 0)
+    with pytest.raises(InexactDivisionError) as info:
+        div_q_int([1, 0, 1], 2)
+    assert str(info.value) == "inexact division: 1 + q^2 by 1 + q"
+    assert info.value.remainder == 2
+    # nonzero and shorter than the divisor, so not a multiple of it
+    with pytest.raises(InexactDivisionError):
+        div_q_int([1, 1], 5)
+    assert div_q_int([], 3) == []
+
+
 def test_q_int_values():
     assert q_int(0) == QPoly()
     assert q_int(1) == QPoly((1,))
@@ -112,8 +189,26 @@ def test_q_binomial_frozen():
     assert q_binomial(3, -1) == 0
 
 
+def q_pascal_rows(top: int):
+    """Rows 0..top of Gaussian binomials by the q-Pascal recurrence
+    qbin(m, j) = qbin(m-1, j-1) + q**j * qbin(m-1, j), with no division."""
+    row = [QPoly.one()]
+    yield row
+    for m in range(1, top + 1):
+        # q**j * qbin(m-1, j) as a shift, so the oracle uses no multiply
+        row = [QPoly.one()] + [
+            row[j - 1] + QPoly((0,) * j + row[j].coeffs) for j in range(1, m)
+        ] + [QPoly.one()]
+        yield row
+
+
+def test_q_binomial_matches_q_pascal_oracle():
+    for n, row in enumerate(q_pascal_rows(20)):
+        assert [q_binomial(n, k) for k in range(n + 1)] == row
+
+
 def test_q_binomial_matches_factorial_quotient():
-    # the recurrence route must agree with the defining quotient of q-factorials
+    # the product route must agree with the defining quotient of q-factorials
     for n in range(9):
         for k in range(n + 1):
             expected = exact_div(q_factorial(n), q_factorial(k) * q_factorial(n - k))
@@ -205,3 +300,12 @@ def test_q_narayana_closed_specializes_to_narayana():
             p = q_narayana_closed(n, k)
             assert p(1) == narayana(n, k)
             assert all(c >= 0 for c in p.coeffs)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_q_narayana_closed_matches_hook_route_at_large_n(n):
+    for k in (0, 1, n // 6, n // 2, n // 2 + 1, 5 * n // 6, n - 2, n - 1):
+        p = q_narayana_closed(n, k)
+        assert p == q_narayana_schur(n, k, method="hook")
+        assert all(c >= 0 for c in p.coeffs)
+        assert p(1) == narayana(n, k)

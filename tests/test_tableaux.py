@@ -212,6 +212,23 @@ def test_schur_routes_agree():
             ), (shape, n)
 
 
+def test_schur_principal_ssyt_matches_tableau_totals():
+    # the sum over fillings against the validated SSYT objects it skips
+    shapes = [two_column(k) for k in range(5)] + [
+        Partition((3, 1)),
+        Partition((2, 2, 1)),
+        Partition((1,)),
+        Partition((3, 3)),
+    ]
+    for shape in shapes:
+        for n in range(7):
+            totals = Counter(T.total for T in enumerate_ssyt(shape, n))
+            expected = QPoly(totals[d] for d in range(max(totals, default=-1) + 1))
+            assert schur_principal_ssyt(shape, n) == expected, (shape, n)
+    with pytest.raises(ValueError, match="negative max_part"):
+        schur_principal_ssyt((2,), -1)
+
+
 def test_q_narayana_schur_frozen():
     assert q_narayana_schur(5, 0) == 1
     assert q_narayana_schur(3, 1) == QPoly((0, 0, 1, 1, 1))
