@@ -268,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verdict {verdict}")
         for witness in witnesses:
             print(f"witness {json.dumps(witness, sort_keys=True)}")
-        print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
     return 0 if verdict == "pass" else 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .dyck import DyckPath, enumerate_paths, label
 
@@ -21,6 +21,14 @@ Element = Hashable
 
 LINEAR_EXTENSION_GUARD = 16
 THEOREM_GUARD = 6
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _topological_order(
@@ -370,25 +378,23 @@ def _alpha_by_mask(L: GradedBoundedPoset) -> list[int]:
     return data
 
 
-def _by_rank_set(data: list[int]) -> dict[frozenset[int], int]:
-    width = len(data).bit_length() - 1
-    return {
-        frozenset(b + 1 for b in range(width) if (mask >> b) & 1): value
-        for mask, value in enumerate(data)
-    }
+def _by_rank_set(data: list[int]) -> Counter[frozenset[int]]:
+    # the nonzero entries of a mask-indexed table, rank r being bit r - 1
+    entries = ((mask, value) for mask, value in enumerate(data) if value)
+    return Counter({frozenset(b + 1 for b in _bit_indices(m)): v for m, v in entries})
 
 
-def alpha_table(L: GradedBoundedPoset) -> dict[frozenset[int], int]:
+def alpha_table(L: GradedBoundedPoset) -> Counter[frozenset[int]]:
     """flag_f for every subset of the interior ranks at once, by extending
-    chain-count vectors depth-first one rank at a time.  Keys come in
-    bitmask order, rank r being bit r - 1."""
+    chain-count vectors depth-first one rank at a time.  Only nonzero
+    entries appear, in bitmask order, rank r being bit r - 1."""
     return _by_rank_set(_alpha_by_mask(L))
 
 
-def flag_h_table(L: GradedBoundedPoset) -> dict[frozenset[int], int]:
+def flag_h_table(L: GradedBoundedPoset) -> Counter[frozenset[int]]:
     """flag_h for every subset of the interior ranks, via the subset
-    Moebius transform of the alpha table.  Keys come in bitmask order,
-    rank r being bit r - 1."""
+    Moebius transform of the alpha table.  Only nonzero entries appear,
+    in bitmask order, rank r being bit r - 1."""
     data = _alpha_by_mask(L)
     for b in range(len(data).bit_length() - 1):
         bit = 1 << b
@@ -413,17 +419,20 @@ def path_to_extension(w: DyckPath) -> tuple[tuple[int, int], ...]:
     return tuple((1 if letter == "v" else 2, i) for letter, i in label(w))
 
 
-def flag_h_mismatches(n: int, **tables: Mapping[frozenset[int], int]) -> list[dict]:
-    """Compare the flag h-vector of J(2 x n) with each named table of
-    counts by rank set.  One witness per subset S, ordered by size and
-    then elements, on which some table differs from beta(S); the witness
-    holds beta(S) as flag_h, S as s, and each table's count by name."""
-    betas = flag_h_table(j2xn(n))
+def flag_h_mismatches(
+    betas: Mapping[frozenset[int], int], **tables: Mapping[frozenset[int], int]
+) -> list[dict]:
+    """Compare a flag h-table, as flag_h_table gives it, with each named
+    table of counts by rank set; a missing key counts as zero.  One witness
+    per rank set S, ordered by size and then elements, on which some table
+    differs from beta(S); the witness holds beta(S) as flag_h, S as s, and
+    each table's count by name."""
     witnesses = []
-    for S in sorted(betas, key=lambda s: (len(s), sorted(s))):
+    for S in sorted(set(betas).union(*tables.values()), key=lambda s: (len(s), sorted(s))):
+        beta = betas.get(S, 0)
         counts = {name: table.get(S, 0) for name, table in tables.items()}
-        if any(count != betas[S] for count in counts.values()):
-            witnesses.append({"flag_h": betas[S], "s": sorted(S), **counts})
+        if any(count != beta for count in counts.values()):
+            witnesses.append({"flag_h": beta, "s": sorted(S), **counts})
     return witnesses
 
 
@@ -433,9 +442,9 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     path W in refs.
 
     The flag h-vector is computed once and every path and reference is
-    labeled once.  Returns one witness per mismatch, by reference and then
-    by subset bitmask, with keys flag_h, paths, ref_path and s; the list is
-    empty when the theorem holds.
+    labeled once.  Returns the flag_h_mismatches witnesses of each
+    reference in turn, each with keys flag_h, paths, ref_path and s; the
+    list is empty when the theorem holds.
     """
     if n > THEOREM_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {THEOREM_GUARD}")
@@ -445,15 +454,12 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     for W in refs:
         if W.n != n:
             raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
-    beta = flag_h_table(j2xn(n))
+    betas = flag_h_table(j2xn(n))
     labeled = [label(w) for w in enumerate_paths(n)]
     witnesses = []
     for W in refs:
         order = {lab: pos for pos, lab in enumerate(label(W))}
         buckets = Counter(permutation_descents([order[x] for x in lab]) for lab in labeled)
-        witnesses += [
-            {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
-            for s, value in beta.items()
-            if buckets[s] != value
-        ]
+        mismatches = flag_h_mismatches(betas, paths=buckets)
+        witnesses += [dict(w, ref_path=W.word) for w in mismatches]
     return witnesses

@@ -21,22 +21,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .dyck import DyckPath, da, enumerate_paths, ls_set, maj
 from .dyck import rank as path_rank
-from .posets import GradedBoundedPoset, _topological_order, flag_h_mismatches, j2xn
+from .posets import GradedBoundedPoset, _bit_indices, _topological_order
+from .posets import flag_h_mismatches, flag_h_table, j2xn, path_to_extension
 
 FACE_GUARD = 1 << 20
 OMEGA_GUARD = 8
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 class PureComplex:
@@ -259,67 +252,40 @@ def order_complex(L: GradedBoundedPoset) -> PureComplex:
     return PureComplex(vertices, facets)
 
 
-def _ideal_of(a: int, b: int) -> frozenset:
-    return frozenset(
-        [(1, i) for i in range(1, a + 1)] + [(2, j) for j in range(1, b + 1)]
-    )
-
-
 def path_to_facet(w: DyckPath) -> frozenset[frozenset]:
     """The maximal interior chain of J(2 x n) traced by the proper
     prefixes of the path: a prefix with a letters v and b letters h
     becomes the ideal with a elements in the first row and b in the
-    second."""
-    a = b = 0
-    chain = []
-    for letter in w.word[: 2 * w.n - 1]:
-        if letter == "v":
-            a += 1
-        else:
-            b += 1
-        chain.append(_ideal_of(a, b))
-    return frozenset(chain)
+    second, the same prefix of the linear extension path_to_extension(w)."""
+    sigma = path_to_extension(w)
+    return frozenset(frozenset(sigma[:i]) for i in range(1, 2 * w.n))
 
 
 def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
     """Inverse of path_to_facet; rejects anything that is not a maximal
     interior chain of some J(2 x n)."""
-    ideals = list(chain)
-    n, remainder = divmod(len(ideals) + 1, 2)
-    if remainder or n < 1:
-        raise ValueError("not a maximal chain: wrong number of ideals")
     try:
-        ideals.sort(key=len)
-        a = b = 0
-        word = []
-        for k, ideal in enumerate(ideals, start=1):
-            if len(ideal) != k:
-                raise ValueError
-            if ideal == _ideal_of(a + 1, b):
-                a += 1
-                word.append("v")
-            elif ideal == _ideal_of(a, b + 1):
-                b += 1
-                word.append("h")
-            else:
-                raise ValueError
-        if max(a, b) > n:
-            raise ValueError
-        word.append("v" if a < n else "h")
-        return DyckPath("".join(word))
-    except (ValueError, TypeError):
+        # read a word off the first-row sizes, then path_to_facet must agree
+        ideals = frozenset(chain)
+        firsts = [sum(e[0] == 1 for e in ideal) for ideal in sorted(ideals, key=len)]
+        n = (len(firsts) + 1) // 2
+        word = "".join("v" if b > a else "h" for a, b in zip([0, *firsts], firsts))
+        w = DyckPath(word + ("v" if firsts[-1] < n else "h"))
+    except (ValueError, TypeError, IndexError):
         raise ValueError("not a maximal chain") from None
+    if path_to_facet(w) != ideals:
+        raise ValueError("not a maximal chain")
+    return w
 
 
 @cache
 def dyck_complex(n: int) -> PureComplex:
-    """The order complex of J(2 x n) with facet i holding the chain of the
-    i-th path in lexicographic order."""
+    """The order complex of J(2 x n).  Its climb adds a first-row element
+    (a v) before a second-row one (an h), so facet i is path_to_facet of
+    the i-th path of enumerate_paths(n)."""
     if n < 1:
         raise ValueError(f"dyck_complex needs n >= 1, got {n}")
-    L = j2xn(n)
-    vertices = [e for r in range(1, L.top_rank) for e in L.elements_of_rank(r)]
-    return PureComplex(vertices, [path_to_facet(w) for w in enumerate_paths(n)])
+    return order_complex(j2xn(n))
 
 
 def s_map(w: DyckPath, i: int) -> DyckPath:
@@ -502,6 +468,7 @@ def verify_parth(n: int) -> list[dict]:
     """The parth check: the interval partitioning of omega_n(n) and the
     ls_set counts of the paths both reproduce the flag h-vector of
     J(2 x n).  One witness per rank set where the three disagree."""
-    table = flag_h_from_partition(j2xn(n), partition_intervals(omega_n(n)))
+    L = j2xn(n)
+    table = flag_h_from_partition(L, partition_intervals(omega_n(n)))
     ls_counts = Counter(ls_set(w) for w in enumerate_paths(n))
-    return flag_h_mismatches(n, ls_count=ls_counts, partition=table)
+    return flag_h_mismatches(flag_h_table(L), ls_count=ls_counts, partition=table)

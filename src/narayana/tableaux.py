@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import DyckPath, descent_set, joint_q
-from .posets import flag_h_mismatches
+from .posets import flag_h_mismatches, flag_h_table, j2xn
 from .qpoly import QPoly, div_q_int, mul_q_int, q_narayana_closed
 
 
@@ -255,16 +255,17 @@ def schur_principal_hook(shape: "Partition | Iterable[int]", n: int) -> QPoly:
 
 
 def q_narayana_schur(n: int, k: int, method: str = "ssyt") -> QPoly:
-    """q-Narayana via the two-column Schur specialization in n - 1 variables."""
+    """q-Narayana via the two-column Schur specialization in n - 1 variables;
+    zero for k >= n, as in q_narayana_closed."""
     if n < 1:
         raise ValueError(f"q_narayana_schur needs n >= 1, got {n}")
     if k < 0:
         raise ValueError(f"q_narayana_schur needs k >= 0, got {k}")
-    if method == "ssyt":
-        return schur_principal_ssyt(two_column(k), n - 1)
-    if method == "hook":
-        return schur_principal_hook(two_column(k), n - 1)
-    raise ValueError(f"unknown method: {method}")
+    principal = {"ssyt": schur_principal_ssyt, "hook": schur_principal_hook}.get(method)
+    if principal is None:
+        raise ValueError(f"unknown method: {method}")
+    # k rows in n - 1 variables give zero; decided before the k-row shape is built
+    return QPoly.zero() if k >= n else principal(two_column(k), n - 1)
 
 
 # the four routes to the q-Narayana polynomial of (n, k), by name
@@ -289,7 +290,7 @@ def verify_ssyt(n: int) -> list[dict]:
             w = ssyt_to_dyck(T, n)
             if dyck_to_ssyt(w) != T:
                 witnesses.append({"path": w.word, "tableau": [list(r) for r in T.rows]})
-    return witnesses + flag_h_mismatches(n, ssyt_count=counts)
+    return witnesses + flag_h_mismatches(flag_h_table(j2xn(n)), ssyt_count=counts)
 
 
 def verify_q_identity(n: int) -> list[dict]:

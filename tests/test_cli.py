@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from narayana.cli import main
 from narayana.qpoly import q_narayana_closed
@@ -112,6 +117,14 @@ def test_qnarayana_closed_form_routes_guard(capsys):
         assert "Traceback" not in err
     code, out, _ = run(capsys, "qnarayana", "--n", "60", "--k", "1", "--route", "closed")
     assert code == 0 and out.startswith("q^2 + ")
+
+
+def test_qnarayana_huge_k_is_zero_on_every_route(capsys):
+    code, out, _ = run(
+        capsys, "qnarayana", "--n", "5", "--k", "1000000000000", "--route", "all"
+    )
+    assert code == 0
+    assert out == "closed: 0\nenumerate: 0\nschur-hook: 0\nschur-ssyt: 0\nverdict pass\n"
 
 
 def test_qnarayana_bad_arguments(capsys):
@@ -278,6 +291,13 @@ def test_verify_main_theorem(capsys):
     assert "elapsed" in err
 
 
+def test_verify_reports_elapsed_for_every_format(capsys):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--check", "ssyt", "--n", "3", "--format", fmt)
+        assert code == 0 and "elapsed" not in out
+        assert err.startswith("elapsed ") and err.endswith("s\n"), fmt
+
+
 def test_verify_main_theorem_staircase(capsys):
     code, out, _ = run(
         capsys, "verify", "--check", "main-theorem", "--n", "2", "--ref-path", "vvhh"
@@ -407,16 +427,18 @@ def test_module_entry_point():
 
 
 def test_verify_checks_survive_optimized_mode(capsys):
-    argv = ["verify", "--check", "preshelling", "--n", "4"]
-    code, expected, _ = run(capsys, *argv)
-    assert code == 0
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "narayana.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert result.stdout == expected
+    # every check, since python -O strips asserts
+    for check in ("main-theorem", "preshelling", "ssyt", "q-identity", "parth"):
+        argv = ["verify", "--check", check, "--n", "4"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0, check
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "narayana.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, check
+        assert result.stdout == expected, check
 
 
 def test_qnarayana_routes_survive_optimized_mode(capsys):
@@ -432,3 +454,55 @@ def test_qnarayana_routes_survive_optimized_mode(capsys):
     )
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+@st.composite
+def accepted_argv(draw) -> list[str]:
+    """An argv the parser accepts: every subcommand with every format, small
+    n, k up to 10**12, and refusable values of every bounded option."""
+    command = draw(st.sampled_from(["narayana", "qnarayana", "dist", "verify", "omega"]))
+    n = draw(st.integers(-1, 7))
+    argv = [command, f"--n={n}"]
+    if command == "narayana":
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    elif command == "qnarayana":
+        route = draw(st.sampled_from(["closed", "schur-ssyt", "schur-hook", "enumerate", "all"]))
+        argv += [f"--k={draw(st.integers(-1, 10**12))}", "--route", route]
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    elif command == "dist":
+        argv += ["--stat", draw(st.sampled_from(["des", "hp", "ea", "lnfs", "da"]))]
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+        argv += ["--q"] if draw(st.booleans()) else []
+    elif command == "verify":
+        checks = ["main-theorem", "ssyt", "preshelling", "q-identity", "parth"]
+        argv += ["--check", draw(st.sampled_from(checks))]
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+        argv += [f"--samples={draw(st.sampled_from([1, 2, 3, 0, 201]))}"]
+        argv += [f"--seed={draw(st.integers(0, 3))}"]
+        refs = st.one_of(st.just("random"), st.just("vh" * max(n, 0)), st.text("vh", max_size=14))
+        ref = draw(st.none() | refs)
+        argv += [] if ref is None else [f"--ref-path={ref}"]
+    else:
+        argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
+    return argv
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(accepted_argv())
+def test_every_accepted_request_finishes_or_is_refused(argv):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("NARAYANA_CACHE_DIR", None)
+        code, out = run_in_process(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "", argv
+        elif "json" in argv:
+            json.loads(out)
+        assert run_in_process(argv) == (code, out), argv

@@ -228,10 +228,22 @@ def test_tables_match_pointwise_ops():
         L = ideal_lattice(chain_product_2xn(n))
         alphas = alpha_table(L)
         betas = flag_h_table(L)
-        assert len(alphas) == len(betas) == 1 << (2 * n - 1)
-        for S in alphas:
-            assert alphas[S] == flag_f(L, S)
-            assert betas[S] == flag_h(L, S)
+        # sparse tables: a key is present exactly when its entry is nonzero
+        assert 0 not in alphas.values() and 0 not in betas.values()
+        for size in range(2 * n):
+            for S in map(frozenset, itertools.combinations(range(1, 2 * n), size)):
+                assert alphas[S] == flag_f(L, S)
+                assert betas[S] == flag_h(L, S)
+
+
+def test_flag_h_table_keeps_only_nonzero_entries():
+    # of the 2^(2n-1) rank sets, F(2n-1) carry a nonzero beta, and the
+    # entries sum to catalan(n)
+    for n, size in ((7, 233), (8, 610)):
+        betas = flag_h_table(j2xn(n))
+        assert len(betas) == size
+        assert 0 not in betas.values()
+        assert sum(betas.values()) == catalan(n)
 
 
 def test_narayana_from_flag_h():
@@ -289,15 +301,17 @@ def test_verify_theorem_main_random_reference_paths():
 
 
 def theorem_witnesses_per_pair(n, refs, beta):
-    # the oracle: descent_set_wrt relabels both paths for every pair
+    # the oracle: descent_set_wrt relabels both paths for every pair; within
+    # a reference, witnesses come by size and then elements of s
     witnesses = []
     for W in refs:
         buckets = Counter(descent_set_wrt(w, W) for w in enumerate_paths(n))
-        witnesses += [
-            {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
-            for s, value in beta.items()
-            if buckets[s] != value
-        ]
+        for s in sorted(set(beta) | set(buckets), key=lambda s: (len(s), sorted(s))):
+            value = beta.get(s, 0)
+            if buckets[s] != value:
+                witnesses.append(
+                    {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
+                )
     return witnesses
 
 
@@ -308,7 +322,7 @@ def test_verify_theorem_main_matches_per_pair_oracle(n, monkeypatch):
     assert verify_theorem_main(n, refs) == theorem_witnesses_per_pair(n, refs, beta) == []
     # with every beta off by one, each (reference, subset) pair is a witness
     # that carries its own path count
-    shifted = {s: value + 1 for s, value in beta.items()}
+    shifted = Counter({s: value + 1 for s, value in beta.items()})
     monkeypatch.setattr("narayana.posets.flag_h_table", lambda lattice: shifted)
     witnesses = verify_theorem_main(n, refs)
     assert len(witnesses) == len(refs) * len(beta)
@@ -327,9 +341,9 @@ def test_verify_theorem_main_guards():
 def test_flag_h_mismatches_orders_by_size_then_elements():
     # beta of J(2 x 3) is 1 on {}, {2}, {3}, {4}, {2, 4} and 0 elsewhere
     betas = flag_h_table(ideal_lattice(chain_product_2xn(3)))
-    assert flag_h_mismatches(3, exact=betas) == []
+    assert flag_h_mismatches(betas, exact=betas) == []
     shifted = Counter({frozenset({1}): 1, frozenset({2, 4}): 1})
-    assert flag_h_mismatches(3, exact=betas, shifted=shifted) == [
+    assert flag_h_mismatches(betas, exact=betas, shifted=shifted) == [
         {"flag_h": 1, "s": [], "exact": 1, "shifted": 0},
         {"flag_h": 0, "s": [1], "exact": 0, "shifted": 1},
         {"flag_h": 1, "s": [2], "exact": 1, "shifted": 0},

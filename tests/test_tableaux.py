@@ -229,6 +229,21 @@ def test_schur_principal_ssyt_matches_tableau_totals():
         schur_principal_ssyt((2,), -1)
 
 
+def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(monkeypatch):
+    # k rows in n - 1 variables give zero; a k-row shape for k = 10**7 would
+    # take seconds and k = 10**12 all memory, so building one is an error here
+    def two_column_below_5(k):
+        if k >= 5:
+            raise AssertionError(f"built a {k}-row shape for n = 5")
+        return two_column(k)
+
+    monkeypatch.setattr("narayana.tableaux.two_column", two_column_below_5)
+    for method in ("ssyt", "hook"):
+        for k in (5, 6, 10**7, 10**12):
+            assert q_narayana_schur(5, k, method=method) == 0
+        assert q_narayana_schur(5, 4, method=method) == q_narayana_closed(5, 4)
+
+
 def test_q_narayana_schur_frozen():
     assert q_narayana_schur(5, 0) == 1
     assert q_narayana_schur(3, 1) == QPoly((0, 0, 1, 1, 1))
