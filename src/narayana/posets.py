@@ -1,18 +1,20 @@
-"""Finite posets, ideal lattices, linear extensions and flag vectors.
+"""Finite posets, ideal lattices, linear extensions and the flag h-vector.
 
 The central objects are the chain product 2 x n, its lattice of order
-ideals J(2 x n), and the two flag vectors of a graded bounded poset:
-alpha(S) counts chains through the interior ranks S, beta(S) is its
-inclusion-exclusion transform.  Linear extensions of 2 x n biject with
-Dyck paths by reading the first coordinate, and that bijection carries
-descent sets of Jordan-Holder permutations to path statistics.
+ideals J(2 x n), and the flag h-vector of a graded bounded poset: beta(S)
+is the inclusion-exclusion transform of alpha(S), the number of chains
+through the interior ranks S.  On an ideal lattice J(P), beta(S) counts
+the maximal chains, that is the linear extensions of P, whose descent set
+under a natural labelling of P is S (Stanley), and flag_h_table computes
+it that way.  Linear extensions of 2 x n biject with Dyck paths by reading
+the first coordinate, and that bijection carries descent sets of
+Jordan-Holder permutations to path statistics.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property
-from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .dyck import DyckPath, enumerate_paths, label
@@ -318,90 +320,34 @@ def permutation_descents(pi: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i in range(1, len(pi)) if pi[i - 1] > pi[i])
 
 
-def _check_rank_subset(L: GradedBoundedPoset, S: Iterable[int]) -> frozenset[int]:
-    s = frozenset(S)
-    for r in s:
-        if not isinstance(r, int) or not 1 <= r <= L.top_rank - 1:
-            raise ValueError(
-                f"rank out of range: {r!r} not in [1, {L.top_rank - 1}]"
-            )
-    return s
+def flag_h_table(L: IdealLattice) -> Counter[frozenset[int]]:
+    """beta(S) for every subset S of the interior ranks of L = J(P).
 
-
-def flag_f(L: GradedBoundedPoset, S: Iterable[int]) -> int:
-    """Number of chains in the proper part of L whose rank set is exactly S."""
-    s = sorted(_check_rank_subset(L, S))
-    if not s:
-        return 1
-    layer = L._by_rank[s[0]]
-    counts = [1] * len(layer)
-    for r in s[1:]:
-        nxt = L._by_rank[r]
-        counts = [
-            sum(c for i, c in zip(layer, counts) if (L._ge[i] >> j) & 1)
-            for j in nxt
-        ]
-        layer = nxt
-    return sum(counts)
-
-
-def flag_h(L: GradedBoundedPoset, S: Iterable[int]) -> int:
-    """Inclusion-exclusion transform of flag_f over subsets of S."""
-    s = sorted(_check_rank_subset(L, S))
-    total = 0
-    for size in range(len(s) + 1):
-        sign = (-1) ** (len(s) - size)
-        for T in combinations(s, size):
-            total += sign * flag_f(L, T)
-    return total
-
-
-def _alpha_by_mask(L: GradedBoundedPoset) -> list[int]:
-    # alpha(S) at the bitmask of S, rank r being bit r - 1, by extending
-    # chain-count vectors depth-first one rank at a time
-    top = L.top_rank
-    data = [0] * (1 << max(top - 1, 0))
-    data[0] = 1
-
-    def extend(mask: int, last: int, layer: list[int], counts: list[int]) -> None:
-        data[mask] = sum(counts)
-        for r in range(last + 1, top):
-            nxt = L._by_rank[r]
-            nxt_counts = [
-                sum(c for i, c in zip(layer, counts) if (L._ge[i] >> j) & 1)
-                for j in nxt
-            ]
-            extend(mask | 1 << (r - 1), r, nxt, nxt_counts)
-
-    for r in range(1, top):
-        extend(1 << (r - 1), r, L._by_rank[r], [1] * len(L._by_rank[r]))
-    return data
-
-
-def _by_rank_set(data: list[int]) -> Counter[frozenset[int]]:
-    # the nonzero entries of a mask-indexed table, rank r being bit r - 1
-    entries = ((mask, value) for mask, value in enumerate(data) if value)
-    return Counter({frozenset(b + 1 for b in _bit_indices(m)): v for m, v in entries})
-
-
-def alpha_table(L: GradedBoundedPoset) -> Counter[frozenset[int]]:
-    """flag_f for every subset of the interior ranks at once, by extending
-    chain-count vectors depth-first one rank at a time.  Only nonzero
-    entries appear, in bitmask order, rank r being bit r - 1."""
-    return _by_rank_set(_alpha_by_mask(L))
-
-
-def flag_h_table(L: GradedBoundedPoset) -> Counter[frozenset[int]]:
-    """flag_h for every subset of the interior ranks, via the subset
-    Moebius transform of the alpha table.  Only nonzero entries appear,
-    in bitmask order, rank r being bit r - 1."""
-    data = _alpha_by_mask(L)
-    for b in range(len(data).bit_length() - 1):
-        bit = 1 << b
-        for mask in range(len(data)):
-            if mask & bit:
-                data[mask] -= data[mask ^ bit]
-    return _by_rank_set(data)
+    By Stanley's theorem (EC1 3.13), beta(S) counts the maximal chains of
+    L whose label word has descent set S, a cover I < I + {x} being
+    labelled by the position of x in the base's topological order, a
+    natural labelling of P.  One pass over the covers by rank keeps, for
+    each ideal and label of its last cover, a Counter of descent masks,
+    rank r being bit r - 1.  Only nonzero entries appear, in bitmask
+    order."""
+    base = L.base
+    position = {base.elements[i]: pos for pos, i in enumerate(base._topo)}
+    states: list[dict[int, Counter[int]]] = [{} for _ in range(L.p)]
+    states[L.index(L.zero_hat)][-1] = Counter({0: 1})
+    for r, layer in enumerate(L._by_rank):
+        for i in layer:
+            for j in L._up[i]:
+                (x,) = L.elements[j] - L.elements[i]
+                new = position[x]
+                masks = states[j].setdefault(new, Counter())
+                for last, counts in states[i].items():
+                    descent = 1 << (r - 1) if last > new else 0
+                    for mask, count in counts.items():
+                        masks[mask | descent] += count
+    top: Counter[int] = Counter()
+    for counts in states[L.index(L.one_hat)].values():
+        top.update(counts)
+    return Counter({frozenset(b + 1 for b in _bit_indices(m)): top[m] for m in sorted(top)})
 
 
 def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -454,6 +456,22 @@ def test_qnarayana_routes_survive_optimized_mode(capsys):
     )
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+def test_acceptance_gate_survives_optimized_mode():
+    # python -O strips the gate's own asserts, so count its PASS lines
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_acceptance.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    passes = re.findall(r"\[acceptance +(\d+)\] PASS ", result.stdout)
+    assert result.returncode == 0, result.stdout
+    assert passes == [str(i) for i in range(1, 11)], result.stdout
 
 
 @st.composite

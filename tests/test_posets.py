@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -7,11 +8,8 @@ from narayana.dyck import DyckPath, descent_set, descent_set_wrt, enumerate_path
 from narayana.posets import (
     FinitePoset,
     GradedBoundedPoset,
-    alpha_table,
     chain_product_2xn,
     extension_to_path,
-    flag_f,
-    flag_h,
     flag_h_mismatches,
     flag_h_table,
     ideal_lattice,
@@ -24,6 +22,7 @@ from narayana.posets import (
     verify_theorem_main,
 )
 from narayana.qpoly import catalan, narayana
+from oracles import alpha_table, dense_flag_h_table, flag_f, flag_h
 
 
 def chain(k: int) -> FinitePoset:
@@ -32,6 +31,23 @@ def chain(k: int) -> FinitePoset:
 
 def antichain(k: int) -> FinitePoset:
     return FinitePoset(range(k), [])
+
+
+def random_poset(k: int, seed: int) -> FinitePoset:
+    # a random order on k elements, relabelled at random so that neither
+    # the element order nor the topological order is the identity, given
+    # by its Hasse diagram
+    rng = random.Random(seed)
+    below = [{i for i in range(j) if rng.random() < 0.35} for j in range(k)]
+    for j in range(k):
+        for i in list(below[j]):
+            below[j] |= below[i]
+    covers = [
+        (i, j) for j in range(k) for i in below[j]
+        if not any(i in below[m] for m in below[j])
+    ]
+    name = rng.sample(range(k), k)
+    return FinitePoset(range(k), [(name[i], name[j]) for i, j in covers])
 
 
 def brute_alpha(L, S: frozenset[int]) -> int:
@@ -239,11 +255,25 @@ def test_tables_match_pointwise_ops():
 def test_flag_h_table_keeps_only_nonzero_entries():
     # of the 2^(2n-1) rank sets, F(2n-1) carry a nonzero beta, and the
     # entries sum to catalan(n)
-    for n, size in ((7, 233), (8, 610)):
+    for n, size in ((7, 233), (8, 610), (9, 1597), (10, 4181)):
         betas = flag_h_table(j2xn(n))
         assert len(betas) == size
         assert 0 not in betas.values()
         assert sum(betas.values()) == catalan(n)
+
+
+def test_flag_h_table_matches_dense_oracle():
+    # the descent-set walk over J(P)'s covers against the Moebius transform
+    # of the dense alpha table: the same entries in the same key order, for
+    # J(2 x n) and for J(P) of posets that are not 2 x n
+    bases = [chain_product_2xn(n) for n in range(1, 10)]
+    bases += [chain(k) for k in range(8)] + [antichain(k) for k in range(8)]
+    bases += [random_poset(k, seed) for k in range(1, 8) for seed in range(40)]
+    for P in bases:
+        L = ideal_lattice(P)
+        betas, expected = flag_h_table(L), dense_flag_h_table(L)
+        assert betas == expected, P.covers
+        assert list(betas) == list(expected), P.covers
 
 
 def test_narayana_from_flag_h():
