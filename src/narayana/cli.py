@@ -36,11 +36,12 @@ VERIFY_LIMITS = {
     "q-identity": 8,
     "parth": 8,
 }
-# each check returns its witnesses; main-theorem also takes the reference paths
+# each check returns its witnesses; main-theorem also takes the reference
+# paths.  Key order is the order --help lists the checks in.
 VERIFY_CHECKS = {
     "main-theorem": verify_theorem_main,
-    "preshelling": verify_preshelling,
     "ssyt": verify_ssyt,
+    "preshelling": verify_preshelling,
     "q-identity": verify_q_identity,
     "parth": verify_parth,
 }
@@ -318,11 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qnarayana", help="q-Narayana polynomial by one route or all")
     p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 60")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--route",
-        choices=("closed", "schur-ssyt", "schur-hook", "enumerate", "all"),
-        default="closed",
-    )
+    p.add_argument("--route", choices=(*Q_NARAYANA_ROUTES, "all"), default="closed")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_qnarayana)
 
@@ -342,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("verify", help="run one verification check and report pass/fail")
-    p.add_argument(
-        "--check",
-        choices=("main-theorem", "ssyt", "preshelling", "q-identity", "parth"),
-        required=True,
-    )
+    p.add_argument("--check", choices=VERIFY_CHECKS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--ref-path",
@@ -366,7 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # every other OSError is handled where it arises, so this is stdout:
+        # a full device or a closed pipe.  fd 1 then points at devnull, so
+        # that the interpreter's final flush of the unwritten rest is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage(f"cannot write output: {exc}")
+    return code
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ prefix holds at least as many v as h.  Positions are 1-based.  Words are
 bit-packed most-significant-bit first with h = 1, so the integer order on the
 packed word is exactly the lexicographic order with v < h.
 
-Statistics provided: des / maj (valleys, reported at the h), hp (peaks with
-prefix v-excess at least 2), ea (v in even position), lnfs / maj_l (vvh and
-hhv factors, reported at the center), da (vv factors), and the reference-word
-family des_w / maj_w built from the labeling v_i, h_j.
+Statistics, by the names that distribution and joint_q accept: des / maj
+(valleys, reported at the h), hp (peaks with prefix v-excess at least 2), ea
+(v in even position), lnfs / maj_l (vvh and hhv factors, reported at the
+center), da (vv factors), and the reference-word family des_w / maj_w built
+from the labeling v_i, h_j.  Both tables sum over all paths by a transfer
+matrix; on one path, descent_set and ls_set give the des and lnfs positions.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class DyckPath:
                 raise ValueError(f"invalid character {letter!r} in path word")
             if excess < 0:
                 raise ValueError(f"prefix condition violated at position {position}")
-        if excess != 0 or len(word) % 2:
+        if excess != 0:
             raise ValueError("unbalanced word: needs equal numbers of v and h")
         self._n = len(word) // 2
         self._bits = bits
@@ -178,39 +180,6 @@ def descent_set(w: DyckPath) -> frozenset[int]:
     )
 
 
-def des(w: DyckPath) -> int:
-    return len(descent_set(w))
-
-
-def maj(w: DyckPath) -> int:
-    return sum(descent_set(w))
-
-
-def high_peak_set(w: DyckPath) -> frozenset[int]:
-    """Positions i of peaks vh whose prefix v-excess through the v is >= 2."""
-    word = w.word
-    high = []
-    excess = 0
-    for i, letter in enumerate(word, start=1):
-        if letter == "v":
-            excess += 1
-            if excess >= 2 and i < len(word) and word[i] == "h":
-                high.append(i)
-        else:
-            excess -= 1
-    return frozenset(high)
-
-
-def hp(w: DyckPath) -> int:
-    return len(high_peak_set(w))
-
-
-def ea(w: DyckPath) -> int:
-    """Number of v in even positions."""
-    word = w.word
-    return sum(1 for i in range(2, 2 * w.n + 1, 2) if word[i - 1] == "v")
-
-
 def ls_set(w: DyckPath) -> frozenset[int]:
     """Centers i in [2, 2n-1] of factors w_{i-1} w_i w_{i+1} = vvh or hhv."""
     word = w.word
@@ -219,20 +188,6 @@ def ls_set(w: DyckPath) -> frozenset[int]:
         for i in range(2, 2 * w.n)
         if word[i - 2 : i + 1] in ("vvh", "hhv")
     )
-
-
-def lnfs(w: DyckPath) -> int:
-    return len(ls_set(w))
-
-
-def maj_l(w: DyckPath) -> int:
-    return sum(ls_set(w))
-
-
-def da(w: DyckPath) -> int:
-    """Number of double ascents, i.e. factors vv."""
-    word = w.word
-    return sum(1 for i in range(2 * w.n - 1) if word[i] == "v" and word[i + 1] == "v")
 
 
 def label(w: DyckPath) -> tuple[Label, ...]:
@@ -247,32 +202,6 @@ def label(w: DyckPath) -> tuple[Label, ...]:
             seen_h += 1
             labels.append(("h", seen_h))
     return tuple(labels)
-
-
-def label_string(w: DyckPath) -> str:
-    """The labeling rendered like ``v1v2h1v3h2h3``."""
-    return "".join(f"{letter}{index}" for letter, index in label(w))
-
-
-def descent_set_wrt(w: DyckPath, w0: DyckPath) -> frozenset[int]:
-    """Positions i where the labeled letter w_{i+1} occurs before w_i in w0."""
-    if len(w) != len(w0):
-        raise ValueError(f"length mismatch: |w| = {len(w)}, |W| = {len(w0)}")
-    order = {lab: pos for pos, lab in enumerate(label(w0))}
-    labeled = label(w)
-    return frozenset(
-        i
-        for i in range(1, len(w))
-        if order[labeled[i]] < order[labeled[i - 1]]
-    )
-
-
-def des_wrt(w: DyckPath, w0: DyckPath) -> int:
-    return len(descent_set_wrt(w, w0))
-
-
-def maj_wrt(w: DyckPath, w0: DyckPath) -> int:
-    return sum(descent_set_wrt(w, w0))
 
 
 # Position i counts for a statistic when its mark holds on (i, height before

@@ -1,4 +1,4 @@
-"""Finite posets, ideal lattices, linear extensions and the flag h-vector.
+"""Finite posets, ideal lattices and the flag h-vector.
 
 The central objects are the chain product 2 x n, its lattice of order
 ideals J(2 x n), and the flag h-vector of a graded bounded poset: beta(S)
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .dyck import DyckPath, enumerate_paths, label
 
 Element = Hashable
 
-LINEAR_EXTENSION_GUARD = 16
 THEOREM_GUARD = 6
 
 
@@ -33,12 +32,9 @@ def _bit_indices(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _topological_order(
-    up: Sequence[Sequence[int]], pick: "Callable[[int], int] | None" = None
-) -> list[int]:
-    """Kahn's algorithm on successor lists: take a node none of whose
-    predecessors is left, the last one found unless pick(count) gives its
-    index among the count candidates.  Shorter than up on a cycle."""
+def _topological_order(up: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm on successor lists, taking the last node found none
+    of whose predecessors is left.  Shorter than up on a cycle."""
     indegree = [0] * len(up)
     for successors in up:
         for j in successors:
@@ -46,7 +42,7 @@ def _topological_order(
     ready = [i for i, d in enumerate(indegree) if not d]
     order: list[int] = []
     while ready:
-        i = ready.pop(pick(len(ready)) if pick else -1)
+        i = ready.pop()
         order.append(i)
         for j in up[i]:
             indegree[j] -= 1
@@ -264,57 +260,6 @@ def j2xn(n: int) -> IdealLattice:
     return ideal_lattice(chain_product_2xn(n))
 
 
-def linear_extensions(P: FinitePoset) -> list[tuple[Element, ...]]:
-    """All order-preserving listings of P, as tuples placing each element
-    at its rank.  Exhaustive, so guarded by size."""
-    if P.p > LINEAR_EXTENSION_GUARD:
-        raise ValueError(
-            f"too large: |P| = {P.p} exceeds guard {LINEAR_EXTENSION_GUARD}"
-        )
-    down_left = [len(P._down[i]) for i in range(P.p)]
-    out: list[tuple[Element, ...]] = []
-    sequence: list[int] = []
-
-    def place() -> None:
-        if len(sequence) == P.p:
-            out.append(tuple(P.elements[i] for i in sequence))
-            return
-        for i in range(P.p):
-            if down_left[i] == 0:
-                down_left[i] = -1
-                for j in P._up[i]:
-                    down_left[j] -= 1
-                sequence.append(i)
-                place()
-                sequence.pop()
-                for j in P._up[i]:
-                    down_left[j] += 1
-                down_left[i] = 0
-
-    place()
-    return out
-
-
-def is_linear_extension(P: FinitePoset, order: Sequence[Element]) -> bool:
-    if len(order) != P.p or set(order) != set(P.elements):
-        return False
-    position = {e: i for i, e in enumerate(order)}
-    return all(position[a] < position[b] for a, b in P.covers)
-
-
-def jordan_holder(
-    P: FinitePoset, omega: Sequence[Element]
-) -> list[tuple[int, ...]]:
-    """The Jordan-Holder set of (P, omega): the permutation omega compose
-    sigma-inverse for every linear extension sigma, in one-line notation."""
-    if not is_linear_extension(P, omega):
-        raise ValueError("not a linear extension")
-    value = {e: i + 1 for i, e in enumerate(omega)}
-    return [
-        tuple(value[e] for e in sigma) for sigma in linear_extensions(P)
-    ]
-
-
 def permutation_descents(pi: Sequence[int]) -> frozenset[int]:
     """Positions i with pi(i) > pi(i+1), 1-based."""
     return frozenset(i for i in range(1, len(pi)) if pi[i - 1] > pi[i])
@@ -348,21 +293,6 @@ def flag_h_table(L: IdealLattice) -> Counter[frozenset[int]]:
     for counts in states[L.index(L.one_hat)].values():
         top.update(counts)
     return Counter({frozenset(b + 1 for b in _bit_indices(m)): top[m] for m in sorted(top)})
-
-
-def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
-    """Read a linear extension of 2 x n as a word: first-row elements
-    become v, second-row elements become h."""
-    n, remainder = divmod(len(sigma), 2)
-    if remainder or n < 1 or not is_linear_extension(chain_product_2xn(n), sigma):
-        raise ValueError("not a linear extension")
-    return DyckPath("v" if e[0] == 1 else "h" for e in sigma)
-
-
-def path_to_extension(w: DyckPath) -> tuple[tuple[int, int], ...]:
-    """Inverse of extension_to_path: the label ("v", i) becomes (1, i) and
-    ("h", j) becomes (2, j)."""
-    return tuple((1 if letter == "v" else 2, i) for letter, i in label(w))
 
 
 def flag_h_mismatches(

@@ -1,8 +1,8 @@
 """Exact polynomial arithmetic in the variable q over the integers.
 
 Provides the q-analogues used everywhere else in the package: q-integers,
-q-factorials, Gaussian binomial coefficients and the closed-form q-Narayana
-numbers, together with the plain (q = 1) Narayana and Catalan numbers.
+Gaussian binomial coefficients and the closed-form q-Narayana numbers,
+together with the plain (q = 1) Narayana and Catalan numbers.
 
 All coefficients are Python ints, so arithmetic is exact at every size.
 Long products run as one big-integer product (Kronecker substitution), and
@@ -11,7 +11,7 @@ multiplying or dividing by a q-integer [m] takes time linear in the degree.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import sub
@@ -242,13 +242,6 @@ def div_q_int(cs: list[int], m: int) -> list[int]:
     if m < 1 or any(quot[cut:]):
         return list(exact_div(QPoly(cs), q_int(m)).coeffs)  # raises
     return quot[:cut]
-
-
-def q_factorial(n: int) -> QPoly:
-    """Product of the q-integers 1 through n; the empty product is 1."""
-    if n < 0:
-        raise ValueError(f"q_factorial of negative {n}")
-    return QPoly(reduce(mul_q_int, range(2, n + 1), [1]))
 
 
 def q_binomial(n: int, k: int) -> QPoly:

@@ -16,17 +16,15 @@ facets by restriction ranks recovers the flag h-vector.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .dyck import DyckPath, da, enumerate_paths, ls_set, maj
+from .dyck import DyckPath, enumerate_paths, ls_set
 from .dyck import rank as path_rank
 from .posets import GradedBoundedPoset, _bit_indices, _topological_order
-from .posets import flag_h_mismatches, flag_h_table, j2xn, path_to_extension
+from .posets import flag_h_mismatches, flag_h_table, j2xn
 
 FACE_GUARD = 1 << 20
 OMEGA_GUARD = 8
@@ -145,7 +143,6 @@ class FacetOrder:
                 below[j] |= (1 << i) | below[i]
         self._below = below
         self._relations = tuple(rels)
-        self._up = up
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != m:
@@ -177,9 +174,6 @@ class FacetOrder:
     def below_mask(self, j: int) -> int:
         return self._below[j]
 
-    def minimal_indices(self) -> list[int]:
-        return [i for i in range(self.m) if not self._below[i]]
-
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) of the closure: i < j with nothing between."""
         above = [0] * self.m
@@ -192,38 +186,6 @@ class FacetOrder:
             for i in _bit_indices(below)
             if not above[i] & below
         ]
-
-    def is_linear_extension(self, order: Sequence[int]) -> bool:
-        if sorted(order) != list(range(self.m)):
-            return False
-        position = {f: pos for pos, f in enumerate(order)}
-        return all(position[a] < position[b] for a, b in self._relations)
-
-    def random_linear_extension(
-        self, seed: "int | random.Random | None" = None
-    ) -> list[int]:
-        rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        return _topological_order(self._up, rng.randrange)
-
-    def extend(self, extra: Iterable[tuple[int, int]]) -> "FacetOrder":
-        return FacetOrder(
-            self._complex, self._relations + tuple(extra), self._labels
-        )
-
-
-@dataclass(frozen=True)
-class Partitioning:
-    """A restriction map facet index -> r(F) with r(F) inside F."""
-
-    complex: PureComplex
-    restrictions: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if len(self.restrictions) != self.complex.m:
-            raise ValueError("one restriction per facet required")
-        for f, r in enumerate(self.restrictions):
-            if not r <= self.complex.facets[f]:
-                raise ValueError(f"restriction not inside its facet: index {f}")
 
 
 def order_complex(L: GradedBoundedPoset) -> PureComplex:
@@ -252,37 +214,13 @@ def order_complex(L: GradedBoundedPoset) -> PureComplex:
     return PureComplex(vertices, facets)
 
 
-def path_to_facet(w: DyckPath) -> frozenset[frozenset]:
-    """The maximal interior chain of J(2 x n) traced by the proper
-    prefixes of the path: a prefix with a letters v and b letters h
-    becomes the ideal with a elements in the first row and b in the
-    second, the same prefix of the linear extension path_to_extension(w)."""
-    sigma = path_to_extension(w)
-    return frozenset(frozenset(sigma[:i]) for i in range(1, 2 * w.n))
-
-
-def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
-    """Inverse of path_to_facet; rejects anything that is not a maximal
-    interior chain of some J(2 x n)."""
-    try:
-        # read a word off the first-row sizes, then path_to_facet must agree
-        ideals = frozenset(chain)
-        firsts = [sum(e[0] == 1 for e in ideal) for ideal in sorted(ideals, key=len)]
-        n = (len(firsts) + 1) // 2
-        word = "".join("v" if b > a else "h" for a, b in zip([0, *firsts], firsts))
-        w = DyckPath(word + ("v" if firsts[-1] < n else "h"))
-    except (ValueError, TypeError, IndexError):
-        raise ValueError("not a maximal chain") from None
-    if path_to_facet(w) != ideals:
-        raise ValueError("not a maximal chain")
-    return w
-
-
 @cache
 def dyck_complex(n: int) -> PureComplex:
     """The order complex of J(2 x n).  Its climb adds a first-row element
-    (a v) before a second-row one (an h), so facet i is path_to_facet of
-    the i-th path of enumerate_paths(n)."""
+    (a v) before a second-row one (an h), so facet i is the chain traced by
+    the proper prefixes of the i-th path of enumerate_paths(n), a prefix
+    with a letters v and b letters h being the ideal with a elements in the
+    first row and b in the second."""
     if n < 1:
         raise ValueError(f"dyck_complex needs n >= 1, got {n}")
     return order_complex(j2xn(n))
@@ -296,12 +234,6 @@ def s_map(w: DyckPath, i: int) -> DyckPath:
     word = w.word
     rewrite = {"vvh": "vhv", "hhv": "hvh"}.get(word[i - 1 : i + 2])
     return w if rewrite is None else DyckPath(word[: i - 1] + rewrite + word[i + 2 :])
-
-
-def sigma_stat(w: DyckPath) -> tuple[int, int]:
-    """The potential (da, maj); strictly lexicographically smaller after
-    every nontrivial rewrite, which makes the rewriting relation acyclic."""
-    return (da(w), maj(w))
 
 
 @cache
@@ -330,17 +262,12 @@ def restriction(ord: FacetOrder, f: int) -> frozenset:
 
 
 def _restriction_mask(ord: FacetOrder, f: int) -> int:
+    # the union of F minus E over the facets E below F that miss exactly
+    # one vertex of F
     cx = ord.complex
-    below = map(cx.mask, _bit_indices(ord.below_mask(f)))
-    return _single_vertex_differences(cx.mask(f), below)
-
-
-def _single_vertex_differences(fm: int, others: Iterable[int]) -> int:
-    """The union of F minus E over the facet masks E that miss exactly one
-    vertex of F."""
-    out = 0
-    for em in others:
-        missing = fm & ~em
+    fm, out = cx.mask(f), 0
+    for e in _bit_indices(ord.below_mask(f)):
+        missing = fm & ~cx.mask(e)
         if missing.bit_count() == 1:
             out |= missing
     return out
@@ -405,55 +332,20 @@ def check_preshelling(ord: FacetOrder) -> dict:
     }
 
 
-def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
-    """Check the classical shelling condition along a total order of the
-    facets, reporting the first violating pair and the restriction of
-    every facet with respect to its predecessors."""
-    if sorted(order) != list(range(cx.m)):
-        raise ValueError("not a total order on the facets")
-    violation = None
-    restrictions: dict[int, frozenset] = {}
-    earlier: list[int] = []
-    for g in order:
-        rg = _single_vertex_differences(cx.mask(g), map(cx.mask, earlier))
-        restrictions[g] = cx.face_members(rg)
-        if violation is None:
-            for f in earlier:
-                if not rg & ~cx.mask(f):
-                    violation = {"earlier": f, "facet": g}
-                    break
-        earlier.append(g)
-    return {
-        "is_shelling": violation is None,
-        "violation": violation,
-        "restrictions": restrictions,
-    }
-
-
-def partition_intervals(ord: FacetOrder) -> Partitioning:
-    """The candidate partitioning of the complex into [r(F), F]."""
-    return Partitioning(
-        ord.complex,
-        tuple(restriction(ord, f) for f in range(ord.m)),
-    )
-
-
-def verify_partitioning(p: Partitioning) -> dict:
-    """Confirm every face lies in exactly one interval, or exhibit a face
-    that is uncovered or covered twice."""
-    cx = p.complex
-    r_masks = [sum(1 << cx.vertices.index(v) for v in rset) for rset in p.restrictions]
-    witness = _first_misowned_face(cx, r_masks)
-    return {"valid": witness is None, "witness": witness}
+def partition_intervals(ord: FacetOrder) -> tuple[frozenset, ...]:
+    """The restriction r(F) of every facet, in facet order: the lower ends of
+    the intervals [r(F), F] that partition the complex when ord is a
+    pre-shelling."""
+    return tuple(restriction(ord, f) for f in range(ord.m))
 
 
 def flag_h_from_partition(
-    L: GradedBoundedPoset, p: Partitioning
+    L: GradedBoundedPoset, restrictions: Iterable[frozenset]
 ) -> Counter[frozenset[int]]:
-    """Bucket the facets of the partitioned order complex by the rank sets
-    of their restrictions; for a partitioning this is the flag h-vector.
-    Only nonzero entries appear."""
-    return Counter(frozenset(L.rank(x) for x in rset) for rset in p.restrictions)
+    """Bucket the facets of the order complex of L by the rank sets of their
+    restrictions; for a partitioning this is the flag h-vector.  Only
+    nonzero entries appear."""
+    return Counter(frozenset(L.rank(x) for x in rset) for rset in restrictions)
 
 
 def verify_preshelling(n: int) -> list[dict]:

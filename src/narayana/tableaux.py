@@ -268,12 +268,13 @@ def q_narayana_schur(n: int, k: int, method: str = "ssyt") -> QPoly:
     return QPoly.zero() if k >= n else principal(two_column(k), n - 1)
 
 
-# the four routes to the q-Narayana polynomial of (n, k), by name
+# the four routes to the q-Narayana polynomial of (n, k), by name, in the
+# order that qnarayana --help lists them
 Q_NARAYANA_ROUTES = {
     "closed": q_narayana_closed,
-    "enumerate": lambda n, k: joint_q(n, "des", "maj").get(k, QPoly.zero()),
-    "schur-hook": lambda n, k: q_narayana_schur(n, k, method="hook"),
     "schur-ssyt": lambda n, k: q_narayana_schur(n, k, method="ssyt"),
+    "schur-hook": lambda n, k: q_narayana_schur(n, k, method="hook"),
+    "enumerate": lambda n, k: joint_q(n, "des", "maj").get(k, QPoly.zero()),
 }
 
 

@@ -1,18 +1,262 @@
-"""Slow definitional oracles for the fast routines of the library.
-
-Each routine here computes by definition what the library computes by a
-theorem, and the tests compare the two.  None of it serves a request.
+"""Slow definitional oracles for the fast routines of the library, and the
+paper's proof devices.  Each routine computes by definition what the library
+computes by a theorem or a transfer matrix, and the tests compare the two.
+None of it serves a request.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
-from typing import Iterable
+from typing import Hashable, Iterable, Sequence
 
-from narayana.posets import GradedBoundedPoset, _bit_indices
+from narayana.dyck import DyckPath, descent_set, label, ls_set
+from narayana.posets import FinitePoset, GradedBoundedPoset, _bit_indices, chain_product_2xn
+from narayana.qpoly import QPoly, mul_q_int
+from narayana.shelling import FacetOrder, PureComplex
+
+LINEAR_EXTENSION_GUARD = 16
 
 
+# per-path statistics, the oracle of dyck.distribution and dyck.joint_q
+def des(w: DyckPath) -> int:
+    return len(descent_set(w))
+
+
+def maj(w: DyckPath) -> int:
+    return sum(descent_set(w))
+
+
+def high_peak_set(w: DyckPath) -> frozenset[int]:
+    """Positions i of peaks vh whose prefix v-excess through the v is >= 2."""
+    word = w.word
+    high = []
+    excess = 0
+    for i, letter in enumerate(word, start=1):
+        if letter == "v":
+            excess += 1
+            if excess >= 2 and i < len(word) and word[i] == "h":
+                high.append(i)
+        else:
+            excess -= 1
+    return frozenset(high)
+
+
+def hp(w: DyckPath) -> int:
+    return len(high_peak_set(w))
+
+
+def ea(w: DyckPath) -> int:
+    """Number of v in even positions."""
+    word = w.word
+    return sum(1 for i in range(2, 2 * w.n + 1, 2) if word[i - 1] == "v")
+
+
+def lnfs(w: DyckPath) -> int:
+    return len(ls_set(w))
+
+
+def maj_l(w: DyckPath) -> int:
+    return sum(ls_set(w))
+
+
+def da(w: DyckPath) -> int:
+    """Number of double ascents, i.e. factors vv."""
+    word = w.word
+    return sum(1 for i in range(2 * w.n - 1) if word[i] == "v" and word[i + 1] == "v")
+
+
+def label_string(w: DyckPath) -> str:
+    """The labeling rendered like ``v1v2h1v3h2h3``."""
+    return "".join(f"{letter}{index}" for letter, index in label(w))
+
+
+def descent_set_wrt(w: DyckPath, w0: DyckPath) -> frozenset[int]:
+    """Positions i where the labeled letter w_{i+1} occurs before w_i in w0."""
+    if len(w) != len(w0):
+        raise ValueError(f"length mismatch: |w| = {len(w)}, |W| = {len(w0)}")
+    order = {lab: pos for pos, lab in enumerate(label(w0))}
+    labeled = label(w)
+    return frozenset(
+        i
+        for i in range(1, len(w))
+        if order[labeled[i]] < order[labeled[i - 1]]
+    )
+
+
+def des_wrt(w: DyckPath, w0: DyckPath) -> int:
+    return len(descent_set_wrt(w, w0))
+
+
+def maj_wrt(w: DyckPath, w0: DyckPath) -> int:
+    return sum(descent_set_wrt(w, w0))
+
+
+# linear extensions, Jordan-Holder sets and the extension-path bijection
+def is_linear_extension(
+    order: Sequence[Hashable], ground: Iterable[Hashable], pairs: Iterable[tuple]
+) -> bool:
+    """order lists every element of ground once, and a before b for every
+    pair (a, b): the covers of a poset or the relations of a facet order."""
+    ground = list(ground)
+    if len(order) != len(ground) or set(order) != set(ground):
+        return False
+    position = {e: i for i, e in enumerate(order)}
+    return all(position[a] < position[b] for a, b in pairs)
+
+
+def linear_extensions(P: FinitePoset) -> list[tuple[Hashable, ...]]:
+    """All order-preserving listings of P, as tuples placing each element
+    at its rank.  Exhaustive, so guarded by size."""
+    if P.p > LINEAR_EXTENSION_GUARD:
+        raise ValueError(
+            f"too large: |P| = {P.p} exceeds guard {LINEAR_EXTENSION_GUARD}"
+        )
+    down_left = [len(P._down[i]) for i in range(P.p)]
+    out: list[tuple[Hashable, ...]] = []
+    sequence: list[int] = []
+
+    def place() -> None:
+        if len(sequence) == P.p:
+            out.append(tuple(P.elements[i] for i in sequence))
+            return
+        for i in range(P.p):
+            if down_left[i] == 0:
+                down_left[i] = -1
+                for j in P._up[i]:
+                    down_left[j] -= 1
+                sequence.append(i)
+                place()
+                sequence.pop()
+                for j in P._up[i]:
+                    down_left[j] += 1
+                down_left[i] = 0
+
+    place()
+    return out
+
+
+def jordan_holder(
+    P: FinitePoset, omega: Sequence[Hashable]
+) -> list[tuple[int, ...]]:
+    """The Jordan-Holder set of (P, omega): the permutation omega compose
+    sigma-inverse for every linear extension sigma, in one-line notation."""
+    if not is_linear_extension(omega, P.elements, P.covers):
+        raise ValueError("not a linear extension")
+    value = {e: i + 1 for i, e in enumerate(omega)}
+    return [
+        tuple(value[e] for e in sigma) for sigma in linear_extensions(P)
+    ]
+
+
+def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
+    """Read a linear extension of 2 x n as a word: first-row elements
+    become v, second-row elements become h."""
+    n, remainder = divmod(len(sigma), 2)
+    P = chain_product_2xn(n) if n >= 1 and not remainder else None
+    if P is None or not is_linear_extension(sigma, P.elements, P.covers):
+        raise ValueError("not a linear extension")
+    return DyckPath("v" if e[0] == 1 else "h" for e in sigma)
+
+
+def path_to_extension(w: DyckPath) -> tuple[tuple[int, int], ...]:
+    """Inverse of extension_to_path: the label ("v", i) becomes (1, i) and
+    ("h", j) becomes (2, j)."""
+    return tuple((1 if letter == "v" else 2, i) for letter, i in label(w))
+
+
+# the path-facet bijection, shellings and the rewrite potential
+def path_to_facet(w: DyckPath) -> frozenset[frozenset]:
+    """The maximal interior chain of J(2 x n) traced by the proper
+    prefixes of the path: a prefix with a letters v and b letters h
+    becomes the ideal with a elements in the first row and b in the
+    second, the same prefix of the linear extension path_to_extension(w)."""
+    sigma = path_to_extension(w)
+    return frozenset(frozenset(sigma[:i]) for i in range(1, 2 * w.n))
+
+
+def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
+    """Inverse of path_to_facet; rejects anything that is not a maximal
+    interior chain of some J(2 x n)."""
+    try:
+        # read a word off the first-row sizes, then path_to_facet must agree
+        ideals = frozenset(chain)
+        firsts = [sum(e[0] == 1 for e in ideal) for ideal in sorted(ideals, key=len)]
+        n = (len(firsts) + 1) // 2
+        word = "".join("v" if b > a else "h" for a, b in zip([0, *firsts], firsts))
+        w = DyckPath(word + ("v" if firsts[-1] < n else "h"))
+    except (ValueError, TypeError, IndexError):
+        raise ValueError("not a maximal chain") from None
+    if path_to_facet(w) != ideals:
+        raise ValueError("not a maximal chain")
+    return w
+
+
+def sigma_stat(w: DyckPath) -> tuple[int, int]:
+    """The potential (da, maj); strictly lexicographically smaller after
+    every nontrivial rewrite, which makes the rewriting relation acyclic."""
+    return (da(w), maj(w))
+
+
+def random_linear_extension(
+    om: FacetOrder, seed: "int | random.Random | None" = None
+) -> list[int]:
+    """A linear extension of the facet order by Kahn's algorithm, taking the
+    next facet uniformly among those whose predecessors are all placed;
+    reproducible for a fixed integer seed."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    up: list[list[int]] = [[] for _ in range(om.m)]
+    indegree = [0] * om.m
+    for a, b in om.relations:
+        up[a].append(b)
+        indegree[b] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(i)
+        for j in up[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return order
+
+
+def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
+    """The classical shelling condition along a total order of the facets,
+    by definition on vertex sets.  The restriction r(G) holds each vertex x
+    of G for which G minus x lies in an earlier facet, and the order is a
+    shelling when no r(G) lies in an earlier facet.  Reports the first
+    violating pair and the restriction of every facet."""
+    if sorted(order) != list(range(cx.m)):
+        raise ValueError("not a total order on the facets")
+    violation = None
+    restrictions: dict[int, frozenset] = {}
+    for position, g in enumerate(order):
+        G, earlier = cx.facets[g], order[:position]
+        r = frozenset(x for x in G if any(G - {x} <= cx.facets[f] for f in earlier))
+        restrictions[g] = r
+        f = next((f for f in earlier if r <= cx.facets[f]), None)
+        if violation is None and f is not None:
+            violation = {"earlier": f, "facet": g}
+    return {
+        "is_shelling": violation is None,
+        "violation": violation,
+        "restrictions": restrictions,
+    }
+
+
+# q-analogues
+def q_factorial(n: int) -> QPoly:
+    """Product of the q-integers 1 through n; the empty product is 1."""
+    if n < 0:
+        raise ValueError(f"q_factorial of negative {n}")
+    return QPoly(reduce(mul_q_int, range(2, n + 1), [1]))
+
+
+# flag f- and h-vectors by definition, the oracle of posets.flag_h_table
 def _check_rank_subset(L: GradedBoundedPoset, S: Iterable[int]) -> frozenset[int]:
     s = frozenset(S)
     for r in s:

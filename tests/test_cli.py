@@ -428,6 +428,48 @@ def test_module_entry_point():
     assert result.stdout == "1, 6, 6, 1\nsum 14\n"
 
 
+def run_into(stdout, *argv, unbuffered: bool) -> subprocess.CompletedProcess:
+    # buffered, a short output fails at the final flush; unbuffered, at its write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "narayana.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def assert_cannot_write(result: subprocess.CompletedProcess) -> None:
+    # a usage-level exit with one error line, not a verification failure
+    assert result.returncode == 2
+    assert result.stderr.startswith("narayana: error: cannot write output: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error():
+    for argv in (["narayana", "--n", "5"], ["omega", "--n", "6", "--format", "json"]):
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                assert_cannot_write(run_into(full, *argv, unbuffered=unbuffered))
+
+
+def test_closed_stdout_pipe_is_a_usage_error():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["omega", "--n", "8"], ["narayana", "--n", "3"]):
+            for unbuffered in (False, True):
+                assert_cannot_write(run_into(write_end, *argv, unbuffered=unbuffered))
+    finally:
+        os.close(write_end)
+
+
 def test_verify_checks_survive_optimized_mode(capsys):
     # every check, since python -O strips asserts
     for check in ("main-theorem", "preshelling", "ssyt", "q-identity", "parth"):

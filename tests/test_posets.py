@@ -4,25 +4,31 @@ from collections import Counter
 
 import pytest
 
-from narayana.dyck import DyckPath, descent_set, descent_set_wrt, enumerate_paths, random_path
+from narayana.dyck import DyckPath, descent_set, enumerate_paths, random_path
 from narayana.posets import (
     FinitePoset,
     GradedBoundedPoset,
     chain_product_2xn,
-    extension_to_path,
     flag_h_mismatches,
     flag_h_table,
     ideal_lattice,
-    is_linear_extension,
     j2xn,
-    jordan_holder,
-    linear_extensions,
-    path_to_extension,
     permutation_descents,
     verify_theorem_main,
 )
 from narayana.qpoly import catalan, narayana
-from oracles import alpha_table, dense_flag_h_table, flag_f, flag_h
+from oracles import (
+    alpha_table,
+    dense_flag_h_table,
+    descent_set_wrt,
+    extension_to_path,
+    flag_f,
+    flag_h,
+    is_linear_extension,
+    jordan_holder,
+    linear_extensions,
+    path_to_extension,
+)
 
 
 def chain(k: int) -> FinitePoset:
@@ -160,9 +166,11 @@ def test_linear_extensions_guard():
 
 def test_is_linear_extension():
     P = chain_product_2xn(2)
-    assert is_linear_extension(P, [(1, 1), (1, 2), (2, 1), (2, 2)])
-    assert not is_linear_extension(P, [(1, 2), (1, 1), (2, 1), (2, 2)])
-    assert not is_linear_extension(P, [(1, 1), (1, 2), (2, 1)])
+    assert is_linear_extension([(1, 1), (1, 2), (2, 1), (2, 2)], P.elements, P.covers)
+    assert not is_linear_extension([(1, 2), (1, 1), (2, 1), (2, 2)], P.elements, P.covers)
+    assert not is_linear_extension([(1, 1), (1, 2), (2, 1)], P.elements, P.covers)
+    # an element in no cover still has to be listed
+    assert not is_linear_extension([0], antichain(2).elements, [])
 
 
 def test_jordan_holder_small():

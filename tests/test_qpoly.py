@@ -13,11 +13,11 @@ from narayana.qpoly import (
     mul_q_int,
     narayana,
     q_binomial,
-    q_factorial,
     q_int,
     q_narayana_closed,
 )
 from narayana.tableaux import q_narayana_schur
+from oracles import q_factorial
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 # small and huge coefficients of either sign, well past 2**64

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from narayana.dyck import DyckPath, enumerate_paths, ls_set, maj_l
+from narayana.dyck import DyckPath, enumerate_paths, ls_set
 from narayana.posets import (
     GradedBoundedPoset,
     chain_product_2xn,
@@ -13,21 +13,25 @@ from narayana.posets import (
 from narayana.qpoly import catalan
 from narayana.shelling import (
     FacetOrder,
-    Partitioning,
     PureComplex,
+    _first_misowned_face,
     check_preshelling,
     dyck_complex,
-    facet_to_path,
     flag_h_from_partition,
-    is_shelling,
     omega_n,
     order_complex,
     partition_intervals,
-    path_to_facet,
     restriction,
     s_map,
+)
+from oracles import (
+    facet_to_path,
+    is_linear_extension,
+    is_shelling,
+    maj_l,
+    path_to_facet,
+    random_linear_extension,
     sigma_stat,
-    verify_partitioning,
 )
 
 OMEGA_4_COVERS = {
@@ -52,6 +56,14 @@ OMEGA_4_COVERS = {
 
 def triangle_boundary() -> PureComplex:
     return PureComplex([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
+
+
+def minimal_indices(om: FacetOrder) -> list[int]:
+    return [i for i in range(om.m) if not om.below_mask(i)]
+
+
+def restriction_masks(cx: PureComplex, restrictions) -> list[int]:
+    return [sum(1 << cx.vertices.index(v) for v in rset) for rset in restrictions]
 
 
 def test_pure_complex_validation():
@@ -88,13 +100,15 @@ def test_facet_order_basics():
     assert om.less(0, 1) and om.less(1, 2) and om.less(0, 2)
     assert not om.less(2, 0) and not om.less(0, 0)
     assert om.leq(0, 0)
-    assert om.minimal_indices() == [0]
+    assert minimal_indices(om) == [0]
     assert om.covers() == [(0, 1), (1, 2)]
-    assert om.is_linear_extension([0, 1, 2])
-    assert not om.is_linear_extension([1, 0, 2])
-    assert not om.is_linear_extension([0, 1])
-    bigger = om.extend([(0, 2)])
-    assert bigger.less(0, 2)
+    assert is_linear_extension([0, 1, 2], range(om.m), om.relations)
+    assert not is_linear_extension([1, 0, 2], range(om.m), om.relations)
+    assert not is_linear_extension([0, 1], range(om.m), om.relations)
+    # a relation the closure implies changes no comparison and adds no cover
+    bigger = FacetOrder(cx, [*om.relations, (0, 2)])
+    assert bigger.relations == ((0, 1), (0, 2), (1, 2))
+    assert bigger.less(0, 2) and bigger.covers() == om.covers()
 
 
 def test_facet_order_rejects():
@@ -109,11 +123,13 @@ def test_facet_order_rejects():
 
 def test_random_linear_extension():
     om = omega_n(4)
-    first = om.random_linear_extension(11)
-    assert first == om.random_linear_extension(11)
-    assert om.is_linear_extension(first)
+    first = random_linear_extension(om, 11)
+    assert first == random_linear_extension(om, 11)
+    # frozen: the draws of Kahn's algorithm picking by rng.randrange
+    assert first == [13, 12, 10, 11, 5, 9, 4, 6, 1, 0, 2, 8, 3, 7]
+    assert is_linear_extension(first, range(om.m), om.relations)
     rng = random.Random(3)
-    assert om.is_linear_extension(om.random_linear_extension(rng))
+    assert is_linear_extension(random_linear_extension(om, rng), range(om.m), om.relations)
 
 
 def test_order_complex_shapes():
@@ -235,7 +251,7 @@ def test_omega_4_matches_figure():
 def test_omega_unique_minimum():
     for n in range(1, 6):
         om = omega_n(n)
-        mins = om.minimal_indices()
+        mins = minimal_indices(om)
         assert [om.labels[i] for i in mins] == ["vh" * n]
 
 
@@ -322,7 +338,7 @@ def test_upward_closure_preserves_restrictions():
     for n in (3, 4):
         om = omega_n(n)
         base = [restriction(om, f) for f in range(om.m)]
-        le = om.random_linear_extension(5)
+        le = random_linear_extension(om, 5)
         position = {f: i for i, f in enumerate(le)}
         rng = random.Random(n)
         extra = []
@@ -332,7 +348,7 @@ def test_upward_closure_preserves_restrictions():
                 a, b = b, a
             if not om.leq(a, b):
                 extra.append((a, b))
-        bigger = om.extend(extra)
+        bigger = FacetOrder(om.complex, om.relations + tuple(extra), om.labels)
         assert check_preshelling(bigger)["is_preshelling"] is True
         assert [restriction(bigger, f) for f in range(om.m)] == base
 
@@ -357,7 +373,7 @@ def test_linear_extensions_of_omega_shell():
         om = omega_n(n)
         expected = {f: restriction(om, f) for f in range(om.m)}
         for seed in range(5):
-            order = om.random_linear_extension(seed)
+            order = random_linear_extension(om, seed)
             report = is_shelling(om.complex, order)
             assert report["is_shelling"] is True
             assert report["violation"] is None
@@ -366,7 +382,7 @@ def test_linear_extensions_of_omega_shell():
 
 def test_violating_order_found():
     om = omega_n(3)
-    order = list(reversed(om.random_linear_extension(0)))
+    order = list(reversed(random_linear_extension(om, 0)))
     report = is_shelling(om.complex, order)
     assert report["is_shelling"] is False
     assert report["violation"] is not None
@@ -388,50 +404,39 @@ def test_every_shelling_is_a_preshelling():
     assert accepted == 44
 
 
-def test_partitioning_validation():
-    cx = triangle_boundary()
-    with pytest.raises(ValueError, match="one restriction per facet"):
-        Partitioning(cx, (frozenset(),))
-    with pytest.raises(ValueError, match="not inside its facet"):
-        Partitioning(cx, (frozenset({3}), frozenset(), frozenset()))
-
-
 def test_partition_intervals_omega():
     om = omega_n(3)
     p = partition_intervals(om)
-    assert len(p.restrictions) == 5
-    assert verify_partitioning(p) == {"valid": True, "witness": None}
+    assert len(p) == 5
+    assert _first_misowned_face(om.complex, restriction_masks(om.complex, p)) is None
     total_faces = len(om.complex.face_masks())
     covered = sum(
-        1 << (om.complex.d - len(r)) for r in p.restrictions
+        1 << (om.complex.d - len(r)) for r in p
     )
     assert covered == total_faces
     for n in (2, 4, 5):
         om = omega_n(n)
         p = partition_intervals(om)
-        assert verify_partitioning(p)["valid"] is True
+        assert _first_misowned_face(om.complex, restriction_masks(om.complex, p)) is None
         assert sum(
-            1 << (om.complex.d - len(r)) for r in p.restrictions
+            1 << (om.complex.d - len(r)) for r in p
         ) == len(om.complex.face_masks())
 
 
 def test_verify_partitioning_catches_damage():
     om = omega_n(3)
     good = partition_intervals(om)
-    bad = Partitioning(
-        om.complex, (frozenset(),) * om.m
-    )
-    report = verify_partitioning(bad)
-    assert report["valid"] is False
-    assert len(report["witness"]["covered_by"]) != 1
-    assert good.restrictions != bad.restrictions
+    bad = (frozenset(),) * om.m
+    witness = _first_misowned_face(om.complex, restriction_masks(om.complex, bad))
+    assert witness is not None
+    assert len(witness["covered_by"]) != 1
+    assert good != bad
 
 
-def brute_force_owner_witness(p: Partitioning) -> "dict | None":
+def brute_force_owner_witness(cx: PureComplex, restrictions) -> "dict | None":
     """Scan every interval for every face: the first face in sorted mask
     order not owned exactly once, with its owners."""
-    cx = p.complex
-    r = [sum(1 << cx.vertices.index(v) for v in rset) for rset in p.restrictions]
+    r = restriction_masks(cx, restrictions)
     for face in sorted(cx.face_masks()):
         owners = [
             f for f in range(cx.m) if not r[f] & ~face and not face & ~cx.mask(f)
@@ -446,7 +451,7 @@ def test_verify_partitioning_matches_brute_force_on_damage():
     rng = random.Random(7)
     for n in (3, 4):
         om = omega_n(n)
-        good = partition_intervals(om).restrictions
+        good = partition_intervals(om)
         damaged = [good, (frozenset(),) * om.m]
         damaged.append(tuple(om.complex.facets))
         for _ in range(30):
@@ -457,9 +462,8 @@ def test_verify_partitioning_matches_brute_force_on_damage():
             damaged.append(tuple(rs))
         owner_counts = set()
         for rs in damaged:
-            p = Partitioning(om.complex, rs)
-            witness = brute_force_owner_witness(p)
-            assert verify_partitioning(p) == {"valid": witness is None, "witness": witness}
+            witness = brute_force_owner_witness(om.complex, rs)
+            assert _first_misowned_face(om.complex, restriction_masks(om.complex, rs)) == witness
             owner_counts.add(None if witness is None else len(witness["covered_by"]))
         # valid, uncovered and multiply covered faces all occur
         assert {None, 0} < owner_counts and max(owner_counts - {None}) >= 2
@@ -470,15 +474,15 @@ def test_verify_partitioning_matches_brute_force_on_damage():
         FacetOrder(cx3, [(b, a) for a, b in omega_n(3).relations]),
         FacetOrder(cx4, [(0, 1), (2, 3), (5, 7)]),
     ):
-        witness = brute_force_owner_witness(partition_intervals(order))
+        witness = brute_force_owner_witness(order.complex, partition_intervals(order))
         assert check_preshelling(order)["witnesses"].get("ii") == witness
 
 
 def test_single_facet_partitioning_covers_everything():
     cx = PureComplex("abc", [{"a", "b", "c"}])
     p = partition_intervals(FacetOrder(cx, []))
-    assert p.restrictions == (frozenset(),)
-    assert verify_partitioning(p)["valid"] is True
+    assert p == (frozenset(),)
+    assert _first_misowned_face(cx, restriction_masks(cx, p)) is None
     assert len(cx.face_masks()) == 8
 
 

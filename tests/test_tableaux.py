@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from narayana.dyck import DyckPath, descent_set, des, enumerate_paths, joint_q
+from narayana.dyck import DyckPath, descent_set, enumerate_paths, joint_q
 from narayana.posets import chain_product_2xn, ideal_lattice
 from narayana.qpoly import QPoly, q_narayana_closed
 from narayana.tableaux import (
@@ -20,7 +20,7 @@ from narayana.tableaux import (
     ssyt_to_dyck,
     two_column,
 )
-from oracles import flag_h
+from oracles import des, flag_h
 
 
 def brute_ssyt(shape: tuple[int, ...], max_part: int) -> set[tuple]:
