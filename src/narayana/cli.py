@@ -303,8 +303,20 @@ def cmd_omega(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse ignores a failed write, and --help and --version exit before
+    # main flushes stdout; so their text is written and flushed here, and a
+    # full or closed stdout reaches main's handler like any other output
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="narayana",
         description="Exact Narayana, q-Narayana, and shelling computations on Dyck paths.",
     )
@@ -358,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:

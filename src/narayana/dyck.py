@@ -1,9 +1,7 @@
 """Dyck paths and their combinatorial statistics.
 
 A path of semilength n is a word of n ``v`` and n ``h`` steps in which every
-prefix holds at least as many v as h.  Positions are 1-based.  Words are
-bit-packed most-significant-bit first with h = 1, so the integer order on the
-packed word is exactly the lexicographic order with v < h.
+prefix holds at least as many v as h.  Positions are 1-based.
 
 Statistics, by the names that distribution and joint_q accept: des / maj
 (valleys, reported at the h), hp (peaks with prefix v-excess at least 2), ea
@@ -27,78 +25,57 @@ Label = tuple[str, int]
 
 
 class DyckPath:
-    """An immutable Dyck path of semilength n."""
+    """An immutable Dyck path of semilength n, held as its lowercase word."""
 
-    __slots__ = ("_n", "_bits")
+    __slots__ = ("_word",)
 
     def __init__(self, steps: "Iterable[str] | str"):
         word = "".join(steps).lower()
-        bits = 0
         excess = 0
         for position, letter in enumerate(word, start=1):
             if letter == "v":
-                bits <<= 1
                 excess += 1
             elif letter == "h":
-                bits = (bits << 1) | 1
                 excess -= 1
+                if excess < 0:
+                    raise ValueError(f"prefix condition violated at position {position}")
             else:
                 raise ValueError(f"invalid character {letter!r} in path word")
-            if excess < 0:
-                raise ValueError(f"prefix condition violated at position {position}")
         if excess != 0:
             raise ValueError("unbalanced word: needs equal numbers of v and h")
-        self._n = len(word) // 2
-        self._bits = bits
-
-    @classmethod
-    def _from_bits(cls, n: int, bits: int) -> "DyckPath":
-        path = object.__new__(cls)
-        path._n = n
-        path._bits = bits
-        return path
+        self._word = word
 
     @property
     def n(self) -> int:
         """Semilength; the word has 2n letters."""
-        return self._n
+        return len(self._word) // 2
 
     @property
     def word(self) -> str:
-        length = 2 * self._n
-        return "".join(
-            "h" if (self._bits >> (length - i)) & 1 else "v"
-            for i in range(1, length + 1)
-        )
+        return self._word
 
     def letter(self, i: int) -> str:
         """The letter at 1-based position i."""
-        if not 1 <= i <= 2 * self._n:
-            raise IndexError(f"position {i} outside 1..{2 * self._n}")
-        return "h" if (self._bits >> (2 * self._n - i)) & 1 else "v"
+        if not 1 <= i <= len(self._word):
+            raise IndexError(f"position {i} outside 1..{len(self._word)}")
+        return self._word[i - 1]
 
     def __len__(self) -> int:
-        return 2 * self._n
+        return len(self._word)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyckPath):
-            return self._n == other._n and self._bits == other._bits
+            return self._word == other._word
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._n, self._bits))
-
-    def __lt__(self, other: "DyckPath") -> bool:
-        return (self._n, self._bits) < (other._n, other._bits)
-
-    def __le__(self, other: "DyckPath") -> bool:
-        return (self._n, self._bits) <= (other._n, other._bits)
+        return hash(self._word)
 
     def __str__(self) -> str:
-        return self.word
+        return self._word
 
     def __repr__(self) -> str:
-        return f"DyckPath({self.word!r})"
+        return f"DyckPath({self._word!r})"
 
 
 def enumerate_paths(n: int) -> Iterator[DyckPath]:
@@ -106,16 +83,16 @@ def enumerate_paths(n: int) -> Iterator[DyckPath]:
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
 
-    def walk(bits: int, v_left: int, h_left: int, excess: int) -> Iterator[DyckPath]:
+    def walk(prefix: str, v_left: int, h_left: int, excess: int) -> Iterator[DyckPath]:
         if not v_left and not h_left:
-            yield DyckPath._from_bits(n, bits)
+            yield DyckPath(prefix)
             return
         if v_left:
-            yield from walk(bits << 1, v_left - 1, h_left, excess + 1)
+            yield from walk(prefix + "v", v_left - 1, h_left, excess + 1)
         if h_left and excess:
-            yield from walk((bits << 1) | 1, v_left, h_left - 1, excess - 1)
+            yield from walk(prefix + "h", v_left, h_left - 1, excess - 1)
 
-    return walk(0, n, n, 0)
+    return walk("", n, n, 0)
 
 
 @cache
@@ -138,32 +115,18 @@ def unrank(n: int, index: int) -> DyckPath:
         raise ValueError(f"negative semilength: {n}")
     if not 0 <= index < catalan(n):
         raise ValueError(f"index out of range: {index} not in [0, {catalan(n)})")
-    bits = 0
+    word = []
     excess = 0
     for remaining in range(2 * n, 0, -1):
         with_v = _completions(remaining - 1, excess + 1)
         if index < with_v:
-            bits <<= 1
+            word.append("v")
             excess += 1
         else:
             index -= with_v
-            bits = (bits << 1) | 1
+            word.append("h")
             excess -= 1
-    return DyckPath._from_bits(n, bits)
-
-
-def rank(w: DyckPath) -> int:
-    """Position of w in lexicographic order; inverse of unrank."""
-    index = 0
-    excess = 0
-    length = 2 * w.n
-    for i in range(1, length + 1):
-        if w.letter(i) == "h":
-            index += _completions(length - i, excess + 1)
-            excess -= 1
-        else:
-            excess += 1
-    return index
+    return DyckPath(word)
 
 
 def random_path(n: int, seed: "int | random.Random | None" = None) -> DyckPath:
@@ -227,7 +190,7 @@ def _mark(name: str, wrt: DyckPath | None):
         raise ValueError(f"statistic {name} needs a reference path")
     order = {lab: pos for pos, lab in enumerate(label(wrt))}
 
-    def rank_in_wrt(i: int, h: int, letter: str) -> int:
+    def position_in_wrt(i: int, h: int, letter: str) -> int:
         # the i - 1 letters before position i, ending at height h, hold
         # (i - 1 + h) / 2 letters v
         seen_v = (i - 1 + h) // 2
@@ -235,7 +198,7 @@ def _mark(name: str, wrt: DyckPath | None):
 
     def descent_wrt(i, h, a, b, c):
         after = h + (1 if b == "v" else -1)
-        return c is not None and rank_in_wrt(i + 1, after, c) < rank_in_wrt(i, h, b)
+        return c is not None and position_in_wrt(i + 1, after, c) < position_in_wrt(i, h, b)
 
     return descent_wrt
 

@@ -122,12 +122,6 @@ class FinitePoset:
     def p(self) -> int:
         return len(self._elements)
 
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __contains__(self, e: Element) -> bool:
-        return e in self._index
-
     def index(self, e: Element) -> int:
         return self._index[e]
 

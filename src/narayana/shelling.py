@@ -22,7 +22,6 @@ from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .dyck import DyckPath, enumerate_paths, ls_set
-from .dyck import rank as path_rank
 from .posets import GradedBoundedPoset, _bit_indices, _topological_order
 from .posets import flag_h_mismatches, flag_h_table, j2xn
 
@@ -245,14 +244,15 @@ def omega_n(n: int) -> FacetOrder:
     if n > OMEGA_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {OMEGA_GUARD}")
     cx = dyck_complex(n)
-    words = list(enumerate_paths(n))
+    paths = list(enumerate_paths(n))
+    index = {w: j for j, w in enumerate(paths)}
     relations = []
-    for j, w in enumerate(words):
+    for j, w in enumerate(paths):
         for i in range(1, 2 * n - 1):
             u = s_map(w, i)
             if u != w:
-                relations.append((path_rank(u), j))
-    return FacetOrder(cx, relations, labels=tuple(w.word for w in words))
+                relations.append((index[u], j))
+    return FacetOrder(cx, relations, labels=tuple(w.word for w in paths))
 
 
 def restriction(ord: FacetOrder, f: int) -> frozenset:

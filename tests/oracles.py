@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
-from narayana.dyck import DyckPath, descent_set, label, ls_set
+from narayana.dyck import DyckPath, _completions, descent_set, label, ls_set
 from narayana.posets import FinitePoset, GradedBoundedPoset, _bit_indices, chain_product_2xn
 from narayana.qpoly import QPoly, mul_q_int
 from narayana.shelling import FacetOrder, PureComplex
@@ -92,6 +92,21 @@ def des_wrt(w: DyckPath, w0: DyckPath) -> int:
 
 def maj_wrt(w: DyckPath, w0: DyckPath) -> int:
     return sum(descent_set_wrt(w, w0))
+
+
+def rank(w: DyckPath) -> int:
+    """Position of w in lexicographic order with v < h; inverse of
+    dyck.unrank, counting the paths that branch off w with an h."""
+    index = 0
+    excess = 0
+    length = 2 * w.n
+    for i in range(1, length + 1):
+        if w.letter(i) == "h":
+            index += _completions(length - i, excess + 1)
+            excess -= 1
+        else:
+            excess += 1
+    return index
 
 
 # linear extensions, Jordan-Holder sets and the extension-path bijection

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narayana.cli import main
+from narayana import __version__
+from narayana.cli import build_parser, main
 from narayana.qpoly import q_narayana_closed
 
 
@@ -418,6 +420,76 @@ def test_bad_choices_exit_2(capsys):
         capsys.readouterr()
 
 
+def test_help_and_version_to_a_working_stdout_exit_0(capsys):
+    # the layout of --help varies with the terminal width, its start does not
+    for argv, start in (
+        (["--help"], "usage: narayana [-h]"),
+        (["--version"], f"narayana {__version__}\n"),
+        (["dist", "--help"], "usage: narayana dist [-h]"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(start) and err == ""
+
+
+# subcommand ("" for the top level) -> option -> (choices, default, required);
+# a knob added, removed or changed must show up here as a reviewed diff
+OPTION_SURFACE = {
+    "": {"--version": (None, argparse.SUPPRESS, False)},
+    "narayana": {
+        "--n": (None, None, True),
+        "--format": (("text", "json", "csv"), "text", False),
+    },
+    "qnarayana": {
+        "--n": (None, None, True),
+        "--k": (None, None, True),
+        "--route": (("closed", "schur-ssyt", "schur-hook", "enumerate", "all"), "closed", False),
+        "--format": (("text", "json"), "text", False),
+    },
+    "dist": {
+        "--n": (None, None, True),
+        "--stat": (("des", "hp", "ea", "lnfs", "da"), None, True),
+        "--q": (None, False, False),
+        "--format": (("text", "json", "csv"), "text", False),
+        "--cache-dir": (None, None, False),
+    },
+    "verify": {
+        "--check": (("main-theorem", "ssyt", "preshelling", "q-identity", "parth"), None, True),
+        "--n": (None, None, True),
+        "--ref-path": (None, None, False),
+        "--seed": (None, 0, False),
+        "--samples": (None, 1, False),
+        "--format": (("text", "json"), "text", False),
+    },
+    "omega": {
+        "--n": (None, None, True),
+        "--format": (("dot", "json"), "dot", False),
+    },
+}
+
+
+def test_option_surface_is_frozen():
+    def options(parser: argparse.ArgumentParser) -> dict:
+        return {
+            "/".join(action.option_strings): (
+                None if action.choices is None else tuple(action.choices),
+                action.default,
+                action.required,
+            )
+            for action in parser._actions
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        }
+
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {"": options(parser)}
+    surface.update((name, options(sub)) for name, sub in commands.choices.items())
+    assert surface == OPTION_SURFACE
+    assert list(surface) == list(OPTION_SURFACE)
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "narayana.cli", "narayana", "--n", "4"],
@@ -443,6 +515,10 @@ def run_into(stdout, *argv, unbuffered: bool) -> subprocess.CompletedProcess:
     )
 
 
+# argparse writes these itself and exits before the command runs
+HELP_REQUESTS = (["--help"], ["--version"], ["dist", "--help"])
+
+
 def assert_cannot_write(result: subprocess.CompletedProcess) -> None:
     # a usage-level exit with one error line, not a verification failure
     assert result.returncode == 2
@@ -452,7 +528,12 @@ def assert_cannot_write(result: subprocess.CompletedProcess) -> None:
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_is_a_usage_error():
-    for argv in (["narayana", "--n", "5"], ["omega", "--n", "6", "--format", "json"]):
+    requests = (
+        ["narayana", "--n", "5"],
+        ["omega", "--n", "6", "--format", "json"],
+        *HELP_REQUESTS,
+    )
+    for argv in requests:
         for unbuffered in (False, True):
             with open("/dev/full", "w") as full:
                 assert_cannot_write(run_into(full, *argv, unbuffered=unbuffered))
@@ -463,7 +544,7 @@ def test_closed_stdout_pipe_is_a_usage_error():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        for argv in (["omega", "--n", "8"], ["narayana", "--n", "3"]):
+        for argv in (["omega", "--n", "8"], ["narayana", "--n", "3"], *HELP_REQUESTS):
             for unbuffered in (False, True):
                 assert_cannot_write(run_into(write_end, *argv, unbuffered=unbuffered))
     finally:

@@ -13,7 +13,6 @@ from narayana.dyck import (
     joint_q,
     ls_set,
     random_path,
-    rank,
     unrank,
 )
 from narayana.qpoly import QPoly, catalan, narayana
@@ -30,6 +29,7 @@ from oracles import (
     maj,
     maj_l,
     maj_wrt,
+    rank,
 )
 
 
@@ -336,6 +336,18 @@ def test_unrank_agrees_with_enumerate():
         for i, w in enumerate(enumerate_paths(n)):
             assert unrank(n, i) == w
             assert rank(w) == i
+
+
+def test_paths_from_every_constructor_are_one_value():
+    # omega_n finds facets through a dict keyed by path, so a path built by
+    # enumeration, by unranking or from an uppercase word is one key
+    for n in range(7):
+        for i, w in enumerate(enumerate_paths(n)):
+            twins = (w, unrank(n, i), DyckPath(w.word.upper()))
+            assert all(t == w for t in twins) and {hash(t) for t in twins} == {hash(w)}
+            assert {t: i for t in twins} == {w: i}
+            assert len(w) == 2 * w.n
+            assert [w.letter(k) for k in range(1, len(w) + 1)] == list(w.word)
 
 
 def test_random_path_deterministic():

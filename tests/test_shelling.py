@@ -31,6 +31,7 @@ from oracles import (
     maj_l,
     path_to_facet,
     random_linear_extension,
+    rank,
     sigma_stat,
 )
 
@@ -246,6 +247,22 @@ def test_omega_4_matches_figure():
     om = omega_n(4)
     covers = {(om.labels[a], om.labels[b]) for a, b in om.covers()}
     assert covers == OMEGA_4_COVERS
+
+
+def test_omega_relations_match_rank_oracle():
+    # omega_n finds each rewrite's facet through a dict from path to index;
+    # the oracle ranks the rewritten path by counting
+    for n in range(1, 8):
+        om = omega_n(n)
+        paths = list(enumerate_paths(n))
+        expected = {
+            (rank(s_map(w, i)), j)
+            for j, w in enumerate(paths)
+            for i in range(1, 2 * n - 1)
+            if s_map(w, i) != w
+        }
+        assert om.relations == tuple(sorted(expected)), n
+        assert om.labels == tuple(w.word for w in paths), n
 
 
 def test_omega_unique_minimum():
