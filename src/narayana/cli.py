@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import importlib
 import json
 import os
 import random
@@ -19,31 +19,31 @@ import time
 from collections.abc import Sequence
 
 from . import __version__
-from .dyck import DyckPath, distribution, joint_q, ls_set, random_path
-from .posets import THEOREM_GUARD, verify_theorem_main
-from .qpoly import QPoly, catalan, narayana
-from .shelling import OMEGA_GUARD, omega_n, verify_parth, verify_preshelling
-from .tableaux import Q_NARAYANA_ROUTES, verify_q_identity, verify_ssyt
 
+# Each handler imports the library modules it calls, so that a request
+# loads, and without bytecode compiles, only those.  Names the parser needs
+# are copied here and pinned to the library by tests/test_cli.py.
 CLOSED_FORM_LIMIT = 60
 ENUMERATION_LIMIT = 12
+ROUTES = ("closed", "schur-ssyt", "schur-hook", "enumerate")
 ENUMERATIVE_ROUTES = ("enumerate", "schur-ssyt")
 SAMPLES_LIMIT = 200
 VERIFY_LIMITS = {
-    "main-theorem": THEOREM_GUARD,
+    "main-theorem": 6,  # posets.THEOREM_GUARD
     "preshelling": 5,
     "ssyt": 8,
     "q-identity": 8,
     "parth": 8,
 }
-# each check returns its witnesses; main-theorem also takes the reference
-# paths.  Key order is the order --help lists the checks in.
+# check -> (module, function) of the library routine that returns its
+# witnesses; main-theorem also takes the reference paths.  Key order is the
+# order --help lists the checks in.
 VERIFY_CHECKS = {
-    "main-theorem": verify_theorem_main,
-    "ssyt": verify_ssyt,
-    "preshelling": verify_preshelling,
-    "q-identity": verify_q_identity,
-    "parth": verify_parth,
+    "main-theorem": ("posets", "verify_theorem_main"),
+    "ssyt": ("tableaux", "verify_ssyt"),
+    "preshelling": ("shelling", "verify_preshelling"),
+    "q-identity": ("tableaux", "verify_q_identity"),
+    "parth": ("shelling", "verify_parth"),
 }
 Q_PAIRINGS = {"des": "maj", "lnfs": "maj_l", "hp": "maj_w"}
 
@@ -62,11 +62,15 @@ def cmd_narayana(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= CLOSED_FORM_LIMIT:
         return _usage(f"n out of range: expected 1 <= n <= {CLOSED_FORM_LIMIT}, got {n}")
+    from .qpoly import catalan, narayana
+
     row = [narayana(n, k) for k in range(n)]
     total = catalan(n)
     if args.format == "json":
         _emit_json({"command": "narayana", "n": n, "row": row, "sum": total})
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["k", "narayana"])
         for k, value in enumerate(row):
@@ -89,6 +93,8 @@ def cmd_qnarayana(args: argparse.Namespace) -> int:
         return _usage(f"route {route} enumerates and is limited to n <= {ENUMERATION_LIMIT}")
     if n > CLOSED_FORM_LIMIT:
         return _usage(f"route {route} is limited to n <= {CLOSED_FORM_LIMIT}")
+    from .tableaux import Q_NARAYANA_ROUTES
+
     if route != "all":
         poly = Q_NARAYANA_ROUTES[route](n, k)
         if args.format == "json":
@@ -179,6 +185,8 @@ def _store_cached(path: str | None, payload: dict) -> None:
 
 
 def _dist_table(n: int, stat: str, costat: str | None) -> list:
+    from .dyck import DyckPath, distribution, joint_q
+
     if costat is None:
         return [[k, count] for k, count in distribution(n, stat).items()]
     wrt = DyckPath("vh" * n) if costat == "maj_w" else None
@@ -210,15 +218,21 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["value", "coefficients" if payload["q"] else "count"])
         for k, entry in payload["table"]:
             # a count prints as itself, coefficients as a compact JSON array
             writer.writerow([k, json.dumps(entry, separators=(",", ":"))])
+    elif payload["q"]:
+        from .qpoly import QPoly
+
+        for k, coeffs in payload["table"]:
+            print(f"{k}  {QPoly(coeffs)}")
     else:
-        for k, entry in payload["table"]:
-            rendered = QPoly(entry) if payload["q"] else entry
-            print(f"{k}  {rendered}")
+        for k, count in payload["table"]:
+            print(f"{k}  {count}")
     return 0
 
 
@@ -230,10 +244,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage(f"check {check} supports 1 <= n <= {limit}, got {n}")
     if not 1 <= args.samples <= SAMPLES_LIMIT:
         return _usage(f"samples must be 1 to {SAMPLES_LIMIT}, got {args.samples}")
+    if args.ref_path is not None and check != "main-theorem":
+        return _usage(f"--ref-path applies to check main-theorem only, not {check}")
     parameters: dict = {"n": n}
     refs = None
-    started = time.monotonic()
     if check == "main-theorem":
+        from .dyck import DyckPath, random_path
+
         ref = args.ref_path if args.ref_path is not None else "v" * n + "h" * n
         if ref == "random":
             parameters.update({"ref_path": "random", "samples": args.samples, "seed": args.seed})
@@ -248,7 +265,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 return _usage(f"ref-path has semilength {w.n}, expected {n}")
             parameters["ref_path"] = w.word
             refs = [w]
-    run = VERIFY_CHECKS[check]
+    module, function = VERIFY_CHECKS[check]
+    run = getattr(importlib.import_module(f".{module}", __package__), function)
+    started = time.monotonic()
     witnesses = run(n) if refs is None else run(n, refs)
     elapsed = time.monotonic() - started
     verdict = "pass" if not witnesses else "fail"
@@ -275,6 +294,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_omega(args: argparse.Namespace) -> int:
     """Hasse diagram of the rewriting order, as DOT or JSON."""
+    from .dyck import DyckPath, ls_set
+    from .shelling import OMEGA_GUARD, omega_n
+
     n = args.n
     if not 1 <= n <= OMEGA_GUARD:
         return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
@@ -331,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qnarayana", help="q-Narayana polynomial by one route or all")
     p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 60")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--route", choices=(*Q_NARAYANA_ROUTES, "all"), default="closed")
+    p.add_argument("--route", choices=(*ROUTES, "all"), default="closed")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_qnarayana)
 

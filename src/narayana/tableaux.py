@@ -15,7 +15,6 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .dyck import DyckPath, descent_set, joint_q
-from .posets import flag_h_mismatches, flag_h_table, j2xn
 from .qpoly import QPoly, div_q_int, mul_q_int, q_narayana_closed
 
 
@@ -283,6 +282,9 @@ def verify_ssyt(n: int) -> list[dict]:
     row-sum set, reproduce the flag h-vector of J(2 x n), and every one
     round-trips through ssyt_to_dyck and dyck_to_ssyt.  Witnesses of
     failed round-trips come first, then one per mismatched rank set."""
+    # imported here, so that the q-Narayana routes do not load posets
+    from .posets import flag_h_mismatches, flag_h_table, j2xn
+
     counts: Counter[frozenset[int]] = Counter()
     witnesses = []
     for k in range(n):

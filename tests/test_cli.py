@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narayana import __version__
+from narayana import __version__, cli, posets, shelling, tableaux
 from narayana.cli import build_parser, main
 from narayana.qpoly import q_narayana_closed
 
@@ -356,6 +357,16 @@ def test_verify_guards(capsys):
         assert "supports 1 <= n <=" in err
 
 
+def test_verify_ref_path_is_main_theorem_only(capsys):
+    # refused before the check runs: one error line and no elapsed line
+    for check in ("ssyt", "preshelling", "q-identity", "parth"):
+        for ref in ("vhvhvh", "random", "nonsense"):
+            code, out, err = run(capsys, "verify", "--check", check, "--n", "3", "--ref-path", ref)
+            assert (code, out) == (2, "")
+            message = f"--ref-path applies to check main-theorem only, not {check}"
+            assert err == f"narayana: error: {message}\n"
+
+
 def test_verify_samples_bound(capsys):
     base = ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random"]
     for bad in ("0", "201"):
@@ -488,6 +499,91 @@ def test_option_surface_is_frozen():
     surface.update((name, options(sub)) for name, sub in commands.choices.items())
     assert surface == OPTION_SURFACE
     assert list(surface) == list(OPTION_SURFACE)
+
+
+def test_cli_copies_agree_with_the_library():
+    # the parser names routes, checks and guards without importing the library
+    assert cli.ROUTES == tuple(tableaux.Q_NARAYANA_ROUTES)
+    assert set(cli.ENUMERATIVE_ROUTES) < set(cli.ROUTES)
+    checks = {
+        name: getattr(importlib.import_module(f"narayana.{module}"), function)
+        for name, (module, function) in cli.VERIFY_CHECKS.items()
+    }
+    assert checks == {
+        "main-theorem": posets.verify_theorem_main,
+        "ssyt": tableaux.verify_ssyt,
+        "preshelling": shelling.verify_preshelling,
+        "q-identity": tableaux.verify_q_identity,
+        "parth": shelling.verify_parth,
+    }
+    assert set(cli.VERIFY_LIMITS) == set(cli.VERIFY_CHECKS)
+    assert cli.VERIFY_LIMITS["main-theorem"] == posets.THEOREM_GUARD
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (omega_n,) = (a for a in commands.choices["omega"]._actions if a.dest == "n")
+    assert omega_n.help == f"semilength, 1 <= n <= {shelling.OMEGA_GUARD}"
+
+
+# run in a fresh interpreter: build the parser, serve argv if any, and print
+# to stderr the narayana modules and whether csv was loaded, at start and end
+STARTUP_PROBE = """
+import sys
+csv_at_start = "csv" in sys.modules
+from narayana.cli import build_parser, main
+build_parser()
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+sys.stdout.flush()
+loaded = sorted(m[len("narayana."):] for m in sys.modules if m.startswith("narayana."))
+print(loaded, csv_at_start, "csv" in sys.modules, file=sys.stderr)
+raise SystemExit(code)
+"""
+TABLEAUX_MODULES = ["cli", "dyck", "qpoly", "tableaux"]
+SHELLING_MODULES = ["cli", "dyck", "posets", "qpoly", "shelling"]
+# one request per row of README's start-up table: (argv, whether the dist
+# cache is warmed first, the narayana modules it loads)
+STARTUP_ROWS = [
+    ([], False, ["cli"]),
+    (["dist", "--n", "4", "--stat", "des", "--format", "json"], True, ["cli"]),
+    (["dist", "--n", "4", "--stat", "hp", "--q"], True, ["cli", "qpoly"]),
+    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"], False, ["cli", "dyck", "qpoly"]),
+    (["narayana", "--n", "5", "--format", "csv"], False, ["cli", "qpoly"]),
+    *(
+        (["qnarayana", "--n", "4", "--k", "1", "--route", route], False, TABLEAUX_MODULES)
+        for route in (*cli.ROUTES, "all")
+    ),
+    (
+        ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random", "--samples", "2"],
+        False,
+        ["cli", "dyck", "posets", "qpoly"],
+    ),
+    (["verify", "--check", "ssyt", "--n", "3"], False, sorted([*TABLEAUX_MODULES, "posets"])),
+    (["verify", "--check", "q-identity", "--n", "3"], False, TABLEAUX_MODULES),
+    (["verify", "--check", "preshelling", "--n", "3"], False, SHELLING_MODULES),
+    (["verify", "--check", "parth", "--n", "3"], False, SHELLING_MODULES),
+    (["omega", "--n", "3", "--format", "json"], False, SHELLING_MODULES),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, warm, modules", STARTUP_ROWS, ids=[" ".join(row[0]) or "parser" for row in STARTUP_ROWS]
+)
+def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_path, monkeypatch):
+    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
+    if warm:
+        argv = [*argv, "--cache-dir", str(tmp_path)]
+        assert run_in_process(argv)[0] == 0
+    expected = run_in_process(argv) if argv else (0, "")
+    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout) == expected, result.stderr
+    loaded, csv_at_start, csv_at_end = result.stderr.splitlines()[-1].rsplit(" ", 2)
+    assert loaded == repr(modules)
+    if "csv" in argv:
+        assert csv_at_end == "True"
+    else:
+        assert csv_at_end == csv_at_start
 
 
 def test_module_entry_point():
