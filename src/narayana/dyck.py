@@ -17,9 +17,10 @@ import random
 from collections import Counter, defaultdict
 from functools import cache
 from operator import add
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .qpoly import QPoly, catalan
+if TYPE_CHECKING:
+    from .qpoly import QPoly
 
 Label = tuple[str, int]
 
@@ -111,6 +112,10 @@ def _completions(steps: int, excess: int) -> int:
 
 def unrank(n: int, index: int) -> DyckPath:
     """The path at the given 0-based position in lexicographic order."""
+    # qpoly is imported by the three functions that call it, so that a
+    # request using only paths and their statistics does not load it
+    from .qpoly import catalan
+
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
     if not 0 <= index < catalan(n):
@@ -131,6 +136,8 @@ def unrank(n: int, index: int) -> DyckPath:
 
 def random_path(n: int, seed: "int | random.Random | None" = None) -> DyckPath:
     """A uniformly random path, reproducible for a fixed integer seed."""
+    from .qpoly import catalan
+
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return unrank(n, rng.randrange(catalan(n)))
 
@@ -247,6 +254,8 @@ def joint_q(
 ) -> dict[int, QPoly]:
     """For each value k of the statistic, the generating polynomial
     sum of q**costatistic over the paths with statistic k."""
+    from .qpoly import QPoly
+
     counts = _joint_counts(n, (statistic, costatistic), wrt)
     # the sorted pairs leave each k at its largest costatistic value
     degrees = dict(sorted(counts))

@@ -17,11 +17,11 @@ facets by restriction ranks recovers the flag h-vector.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .dyck import DyckPath, enumerate_paths, ls_set
+from .dyck import enumerate_paths, ls_set
 from .posets import GradedBoundedPoset, _bit_indices, _topological_order
 from .posets import flag_h_mismatches, flag_h_table, j2xn
 
@@ -97,17 +97,23 @@ class PureComplex:
                     f"complex too large: {self.m} * 2^{self.d} "
                     f"candidate faces exceed the guard 2^20"
                 )
-            seen = set(self._masks)
-            stack = list(self._masks)
-            while stack:
-                mask = stack.pop()
-                for i in _bit_indices(mask):
-                    sub = mask ^ 1 << i
-                    if sub not in seen:
-                        seen.add(sub)
-                        stack.append(sub)
-            self._face_cache = seen
+            faces = {0}
+            for mask in self._masks:
+                sub = mask
+                while sub:
+                    faces.add(sub)
+                    sub = (sub - 1) & mask
+            self._face_cache = faces
         return self._face_cache
+
+    @cached_property
+    def vertex_facets(self) -> tuple[int, ...]:
+        """For each vertex index, the bitmask of the facets containing it."""
+        incidence = [0] * len(self._vertices)
+        for f, mask in enumerate(self._masks):
+            for v in _bit_indices(mask):
+                incidence[v] |= 1 << f
+        return tuple(incidence)
 
     def faces(self) -> list[frozenset]:
         return [self.face_members(mask) for mask in sorted(self.face_masks())]
@@ -127,12 +133,14 @@ class FacetOrder:
         m = complex.m
         rels = sorted({(int(a), int(b)) for a, b in relations})
         up: list[list[int]] = [[] for _ in range(m)]
+        successors = [0] * m
         for a, b in rels:
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"facet index out of range: ({a}, {b})")
             if a == b:
                 raise ValueError("order contains a cycle")
             up[a].append(b)
+            successors[a] |= 1 << b
         order = _topological_order(up)
         if len(order) != m:
             raise ValueError("order contains a cycle")
@@ -141,6 +149,7 @@ class FacetOrder:
             for j in up[i]:
                 below[j] |= (1 << i) | below[i]
         self._below = below
+        self._successors = successors
         self._relations = tuple(rels)
         if labels is not None:
             labels = tuple(labels)
@@ -174,17 +183,13 @@ class FacetOrder:
         return self._below[j]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) of the closure: i < j with nothing between."""
-        above = [0] * self.m
-        for j, below in enumerate(self._below):
-            for i in _bit_indices(below):
-                above[i] |= 1 << j
-        return [
-            (i, j)
-            for j, below in enumerate(self._below)
-            for i in _bit_indices(below)
-            if not above[i] & below
-        ]
+        """Cover pairs (i, j) of the closure, i < j with nothing between,
+        ordered by j and then i.  Each is a generating relation, and it
+        covers exactly when no generated successor of i lies below j (j
+        itself never does)."""
+        successors, below = self._successors, self._below
+        covers = [(i, j) for i, j in self._relations if not successors[i] & below[j]]
+        return sorted(covers, key=lambda pair: (pair[1], pair[0]))
 
 
 def order_complex(L: GradedBoundedPoset) -> PureComplex:
@@ -225,14 +230,8 @@ def dyck_complex(n: int) -> PureComplex:
     return order_complex(j2xn(n))
 
 
-def s_map(w: DyckPath, i: int) -> DyckPath:
-    """Rewrite the factor at positions i, i+1, i+2: vvh -> vhv and
-    hhv -> hvh; anything else is left alone."""
-    if not 1 <= i <= 2 * w.n - 2:
-        raise ValueError(f"position out of range: {i} not in [1, {2 * w.n - 2}]")
-    word = w.word
-    rewrite = {"vvh": "vhv", "hhv": "hvh"}.get(word[i - 1 : i + 2])
-    return w if rewrite is None else DyckPath(word[: i - 1] + rewrite + word[i + 2 :])
+# the single rewrites of a three-letter factor
+_REWRITES = {"vvh": "vhv", "hhv": "hvh"}
 
 
 @cache
@@ -244,15 +243,16 @@ def omega_n(n: int) -> FacetOrder:
     if n > OMEGA_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {OMEGA_GUARD}")
     cx = dyck_complex(n)
-    paths = list(enumerate_paths(n))
-    index = {w: j for j, w in enumerate(paths)}
+    words = tuple(w.word for w in enumerate_paths(n))
+    # a rewrite that left the paths would raise KeyError here
+    index = {word: j for j, word in enumerate(words)}
     relations = []
-    for j, w in enumerate(paths):
-        for i in range(1, 2 * n - 1):
-            u = s_map(w, i)
-            if u != w:
-                relations.append((index[u], j))
-    return FacetOrder(cx, relations, labels=tuple(w.word for w in paths))
+    for j, word in enumerate(words):
+        for i in range(2 * n - 2):
+            rewrite = _REWRITES.get(word[i : i + 3])
+            if rewrite is not None:
+                relations.append((index[word[:i] + rewrite + word[i + 3 :]], j))
+    return FacetOrder(cx, relations, labels=words)
 
 
 def restriction(ord: FacetOrder, f: int) -> frozenset:
@@ -262,14 +262,22 @@ def restriction(ord: FacetOrder, f: int) -> frozenset:
 
 
 def _restriction_mask(ord: FacetOrder, f: int) -> int:
-    # the union of F minus E over the facets E below F that miss exactly
-    # one vertex of F
-    cx = ord.complex
-    fm, out = cx.mask(f), 0
-    for e in _bit_indices(ord.below_mask(f)):
-        missing = fm & ~cx.mask(e)
-        if missing.bit_count() == 1:
-            out |= missing
+    # x is in r(F) when some facet below F contains F minus x: all facets
+    # have |F| vertices, so such a facet meets F in exactly F minus x.  The
+    # facets containing F minus x are the AND of the vertex incidences over
+    # the vertices of F before x and those after it.
+    incidence = ord.complex.vertex_facets
+    vertices = list(_bit_indices(ord.complex.mask(f)))
+    # later[k]: the facets below F that contain every vertex after the k-th
+    later = [ord.below_mask(f)]
+    for v in reversed(vertices[1:]):
+        later.append(later[-1] & incidence[v])
+    later.reverse()
+    earlier, out = -1, 0
+    for v, facets in zip(vertices, later):
+        if earlier & facets:
+            out |= 1 << v
+        earlier &= incidence[v]
     return out
 
 

@@ -209,6 +209,61 @@ def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
     return w
 
 
+def s_map(w: DyckPath, i: int) -> DyckPath:
+    """Rewrite the factor at positions i, i+1, i+2: vvh -> vhv and
+    hhv -> hvh; anything else is left alone.  The oracle of the rewrites
+    in shelling.omega_n."""
+    if not 1 <= i <= 2 * w.n - 2:
+        raise ValueError(f"position out of range: {i} not in [1, {2 * w.n - 2}]")
+    word = w.word
+    rewrite = {"vvh": "vhv", "hhv": "hvh"}.get(word[i - 1 : i + 2])
+    return w if rewrite is None else DyckPath(word[: i - 1] + rewrite + word[i + 2 :])
+
+
+def closure_covers(om: FacetOrder) -> list[tuple[int, int]]:
+    """Cover pairs (i, j), ordered by j and then i, by walking every pair
+    i < j of the closure: the oracle of FacetOrder.covers."""
+    below = [om.below_mask(j) for j in range(om.m)]
+    above = [0] * om.m
+    for j, mask in enumerate(below):
+        for i in _bit_indices(mask):
+            above[i] |= 1 << j
+    return [
+        (i, j)
+        for j, mask in enumerate(below)
+        for i in _bit_indices(mask)
+        if not above[i] & mask
+    ]
+
+
+def pairwise_restriction_mask(om: FacetOrder, f: int) -> int:
+    """The mask of r(F) as the union of F minus E over the facets E below F
+    that miss exactly one vertex of F: the oracle of the restriction
+    masks in shelling."""
+    cx = om.complex
+    fm, out = cx.mask(f), 0
+    for e in _bit_indices(om.below_mask(f)):
+        missing = fm & ~cx.mask(e)
+        if missing.bit_count() == 1:
+            out |= missing
+    return out
+
+
+def dfs_face_masks(cx: PureComplex) -> set[int]:
+    """Every face of the complex by removing one vertex at a time from the
+    facets, depth first: the oracle of PureComplex.face_masks."""
+    seen = {cx.mask(f) for f in range(cx.m)}
+    stack = list(seen)
+    while stack:
+        mask = stack.pop()
+        for i in _bit_indices(mask):
+            sub = mask ^ 1 << i
+            if sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
+    return seen
+
+
 def sigma_stat(w: DyckPath) -> tuple[int, int]:
     """The potential (da, maj); strictly lexicographically smaller after
     every nontrivial rewrite, which makes the rewriting relation acyclic."""

@@ -30,7 +30,6 @@ from narayana.shelling import (
     omega_n,
     partition_intervals,
     restriction,
-    s_map,
 )
 from narayana.tableaux import (
     SSYT,
@@ -46,6 +45,7 @@ from oracles import (
     is_shelling,
     label_string,
     random_linear_extension,
+    s_map,
     sigma_stat,
 )
 

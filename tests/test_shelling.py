@@ -15,6 +15,7 @@ from narayana.shelling import (
     FacetOrder,
     PureComplex,
     _first_misowned_face,
+    _restriction_mask,
     check_preshelling,
     dyck_complex,
     flag_h_from_partition,
@@ -22,16 +23,19 @@ from narayana.shelling import (
     order_complex,
     partition_intervals,
     restriction,
-    s_map,
 )
 from oracles import (
+    closure_covers,
+    dfs_face_masks,
     facet_to_path,
     is_linear_extension,
     is_shelling,
     maj_l,
+    pairwise_restriction_mask,
     path_to_facet,
     random_linear_extension,
     rank,
+    s_map,
     sigma_stat,
 )
 
@@ -263,6 +267,52 @@ def test_omega_relations_match_rank_oracle():
         }
         assert om.relations == tuple(sorted(expected)), n
         assert om.labels == tuple(w.word for w in paths), n
+
+
+def random_facet_order(rng: random.Random) -> FacetOrder:
+    """A random pure complex of 3 to 8 vertices, up to 14 facets and facets
+    of 1 to 4 vertices, and a random acyclic order on its facets whose
+    relations include a few that the closure of the others implies."""
+    vertices = rng.randint(3, 8)
+    candidates = list(itertools.combinations(range(vertices), rng.randint(1, min(vertices - 1, 4))))
+    cx = PureComplex(range(vertices), rng.sample(candidates, min(len(candidates), rng.randint(2, 14))))
+    position = rng.sample(range(cx.m), cx.m)
+    pairs = [(a, b) for a, b in itertools.permutations(range(cx.m), 2) if position[a] < position[b]]
+    om = FacetOrder(cx, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * cx.m))))
+    implied = [(a, b) for a, b in pairs if om.less(a, b) and (a, b) not in om.relations]
+    return FacetOrder(cx, [*om.relations, *rng.sample(implied, min(len(implied), 3))])
+
+
+def assert_sparse_queries_match_oracles(om: FacetOrder, faces: bool) -> None:
+    assert om.covers() == closure_covers(om)
+    for f in range(om.m):
+        assert _restriction_mask(om, f) == pairwise_restriction_mask(om, f), f
+    if faces:
+        assert om.complex.face_masks() == dfs_face_masks(om.complex)
+
+
+def test_sparse_queries_match_closure_oracles_on_omega():
+    # covers from the generators, restrictions from the vertex incidences
+    # and faces by submask enumeration, against walks of the closure; the
+    # face guard admits omega_n(6) but not omega_n(7)
+    for n in range(1, 9):
+        assert_sparse_queries_match_oracles(omega_n(n), faces=n <= 6)
+
+
+def test_sparse_queries_match_closure_oracles_on_random_orders():
+    # a single facet, also the empty one, has no cover and no restriction
+    for cx in (PureComplex("ab", [{"a", "b"}]), PureComplex([], [frozenset()])):
+        assert_sparse_queries_match_oracles(FacetOrder(cx, []), faces=True)
+    rng = random.Random(29)
+    redundant = proper = 0
+    for _ in range(400):
+        om = random_facet_order(rng)
+        assert_sparse_queries_match_oracles(om, faces=True)
+        redundant += len(om.relations) > len(om.covers())
+        proper += any(0 < _restriction_mask(om, f).bit_count() < om.complex.d for f in range(om.m))
+    # over half the draws hold a relation that is not a cover, and a facet
+    # whose restriction is neither empty nor the whole facet
+    assert redundant > 200 and proper > 200
 
 
 def test_omega_unique_minimum():

@@ -3,10 +3,12 @@ from collections import Counter
 
 import pytest
 
+from narayana import dyck
 from narayana.dyck import DyckPath, descent_set, enumerate_paths, joint_q
 from narayana.posets import chain_product_2xn, ideal_lattice
 from narayana.qpoly import QPoly, q_narayana_closed
 from narayana.tableaux import (
+    Q_NARAYANA_ROUTES,
     Partition,
     SSYT,
     content,
@@ -19,6 +21,7 @@ from narayana.tableaux import (
     schur_principal_ssyt,
     ssyt_to_dyck,
     two_column,
+    verify_q_identity,
 )
 from oracles import des, flag_h
 
@@ -287,3 +290,32 @@ def test_schur_sum_counts_paths_by_descents():
         for k in range(n):
             count = sum(1 for w in enumerate_paths(n) if des(w) == k)
             assert q_narayana_schur(n, k)(1) == count
+
+
+def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
+    calls = []
+    joint_counts = dyck._joint_counts
+
+    def counted(n, names, wrt):
+        calls.append((n, names))
+        return joint_counts(n, names, wrt)
+
+    monkeypatch.setattr(dyck, "_joint_counts", counted)
+    assert verify_q_identity(8) == []
+    assert calls == [(8, ("des", "maj"))]
+    # nothing is shared between calls: the next one builds its own table
+    assert verify_q_identity(8) == []
+    assert calls == [(8, ("des", "maj"))] * 2
+
+
+def test_q_identity_witness_lists_every_route(monkeypatch):
+    closed = Q_NARAYANA_ROUTES["closed"]
+    monkeypatch.setitem(Q_NARAYANA_ROUTES, "closed", lambda n, k: closed(n, k) + (k == 2))
+    (witness,) = verify_q_identity(4)
+    true = list(closed(4, 2).coeffs)
+    damaged = list((closed(4, 2) + 1).coeffs)
+    assert witness == {
+        "k": 2,
+        "routes": {"closed": damaged, "schur-ssyt": true, "schur-hook": true, "enumerate": true},
+    }
+    assert list(witness["routes"]) == list(Q_NARAYANA_ROUTES)
