@@ -48,8 +48,29 @@ VERIFY_CHECKS = {
 Q_PAIRINGS = {"des": "maj", "lnfs": "maj_l", "hp": "maj_w"}
 
 
+def _discard(stream) -> None:
+    # point the stream's descriptor at devnull, so that the interpreter's
+    # final flush of what it holds unwritten is quiet and, for stderr, does
+    # not turn the exit code into 120
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
+
+
+def _stderr(text: str) -> None:
+    """Write diagnostics to stderr.  A failed write is dropped: it never
+    changes the exit code that the request's work and its stdout decided."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
+
+
 def _usage(message: str) -> int:
-    print(f"narayana: error: {message}", file=sys.stderr)
+    _stderr(f"narayana: error: {message}\n")
     return 2
 
 
@@ -181,7 +202,7 @@ def _store_cached(path: str | None, payload: dict) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
-        print(f"narayana: warning: cache not written: {exc}", file=sys.stderr)
+        _stderr(f"narayana: warning: cache not written: {exc}\n")
 
 
 def _dist_table(n: int, stat: str, costat: str | None) -> list:
@@ -288,13 +309,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verdict {verdict}")
         for witness in witnesses:
             print(f"witness {json.dumps(witness, sort_keys=True)}")
-    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
+    _stderr(f"elapsed {elapsed:.3f}s\n")
     return 0 if verdict == "pass" else 1
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
     """Hasse diagram of the rewriting order, as DOT or JSON."""
-    from .dyck import DyckPath, ls_set
+    from .dyck import ls_set
     from .shelling import OMEGA_GUARD, omega_n
 
     n = args.n
@@ -302,7 +323,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
         return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
     om = omega_n(n)
     words = om.labels
-    annotations = {w: sorted(ls_set(DyckPath(w))) for w in words}
+    annotations = {w: sorted(ls_set(w)) for w in words}
     edges = [(words[a], words[b]) for a, b in sorted(om.covers())]
     if args.format == "json":
         _emit_json(
@@ -328,13 +349,14 @@ def cmd_omega(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     # argparse ignores a failed write, and --help and --version exit before
     # main flushes stdout; so their text is written and flushed here, and a
-    # full or closed stdout reaches main's handler like any other output
+    # full or closed stdout reaches main's handler like any other output.
+    # Usage errors go to stderr like every other diagnostic.
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stdout:
             file.write(message)
             file.flush()
-        else:
-            super()._print_message(message, file)
+        elif message:
+            _stderr(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,9 +420,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
     except OSError as exc:
         # every other OSError is handled where it arises, so this is stdout:
-        # a full device or a closed pipe.  fd 1 then points at devnull, so
-        # that the interpreter's final flush of the unwritten rest is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # a full device or a closed pipe
+        _discard(sys.stdout)
         return _usage(f"cannot write output: {exc}")
     return code
 

@@ -8,7 +8,8 @@ Statistics, by the names that distribution and joint_q accept: des / maj
 (v in even position), lnfs / maj_l (vvh and hhv factors, reported at the
 center), da (vv factors), and the reference-word family des_w / maj_w built
 from the labeling v_i, h_j.  Both tables sum over all paths by a transfer
-matrix; on one path, descent_set and ls_set give the des and lnfs positions.
+matrix; on one path's word, descent_set and ls_set give the des and lnfs
+positions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ Label = tuple[str, int]
 
 
 class DyckPath:
-    """An immutable Dyck path of semilength n, held as its lowercase word."""
+    """An immutable Dyck path of semilength n, held as its lowercase word.
+
+    It validates words that come from outside; the readers below take a
+    word, since the library's own words are Dyck words by construction."""
 
     __slots__ = ("_word",)
 
@@ -55,15 +59,6 @@ class DyckPath:
     def word(self) -> str:
         return self._word
 
-    def letter(self, i: int) -> str:
-        """The letter at 1-based position i."""
-        if not 1 <= i <= len(self._word):
-            raise IndexError(f"position {i} outside 1..{len(self._word)}")
-        return self._word[i - 1]
-
-    def __len__(self) -> int:
-        return len(self._word)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyckPath):
             return self._word == other._word
@@ -71,9 +66,6 @@ class DyckPath:
 
     def __hash__(self) -> int:
         return hash(self._word)
-
-    def __str__(self) -> str:
-        return self._word
 
     def __repr__(self) -> str:
         return f"DyckPath({self._word!r})"
@@ -142,29 +134,27 @@ def random_path(n: int, seed: "int | random.Random | None" = None) -> DyckPath:
     return unrank(n, rng.randrange(catalan(n)))
 
 
-def descent_set(w: DyckPath) -> frozenset[int]:
+def descent_set(word: str) -> frozenset[int]:
     """Positions i with w_i = h and w_{i+1} = v (the valley's h)."""
-    word = w.word
     return frozenset(
-        i for i in range(1, 2 * w.n) if word[i - 1] == "h" and word[i] == "v"
+        i for i in range(1, len(word)) if word[i - 1] == "h" and word[i] == "v"
     )
 
 
-def ls_set(w: DyckPath) -> frozenset[int]:
+def ls_set(word: str) -> frozenset[int]:
     """Centers i in [2, 2n-1] of factors w_{i-1} w_i w_{i+1} = vvh or hhv."""
-    word = w.word
     return frozenset(
         i
-        for i in range(2, 2 * w.n)
+        for i in range(2, len(word))
         if word[i - 2 : i + 1] in ("vvh", "hhv")
     )
 
 
-def label(w: DyckPath) -> tuple[Label, ...]:
+def label(word: str) -> tuple[Label, ...]:
     """Occurrence labels: the i-th v becomes ("v", i), the j-th h ("h", j)."""
     labels = []
     seen_v = seen_h = 0
-    for letter in w.word:
+    for letter in word:
         if letter == "v":
             seen_v += 1
             labels.append(("v", seen_v))
@@ -195,7 +185,7 @@ def _mark(name: str, wrt: DyckPath | None):
         raise ValueError(f"unknown statistic: {name}")
     if wrt is None:
         raise ValueError(f"statistic {name} needs a reference path")
-    order = {lab: pos for pos, lab in enumerate(label(wrt))}
+    order = {lab: pos for pos, lab in enumerate(label(wrt.word))}
 
     def position_in_wrt(i: int, h: int, letter: str) -> int:
         # the i - 1 letters before position i, ending at height h, hold
@@ -217,7 +207,7 @@ def _joint_counts(n: int, names: tuple[str, ...], wrt: DyckPath | None) -> Count
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
     if wrt is not None and wrt.n != n and {"des_w", "maj_w"} & set(names):
-        raise ValueError(f"length mismatch: |w| = {2 * n}, |W| = {len(wrt)}")
+        raise ValueError(f"length mismatch: |w| = {2 * n}, |W| = {2 * wrt.n}")
     length = 2 * n
     # once w_i is chosen: (height before i, w_{i-1}, w_i) -> Counter of the
     # value tuples so far; for n = 0 no letter is chosen and all values are 0

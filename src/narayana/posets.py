@@ -70,11 +70,10 @@ class FinitePoset:
             if e in self._index:
                 raise ValueError(f"duplicate element: {e!r}")
             self._index[e] = i
-        self._covers = tuple((a, b) for a, b in covers)
         p = len(self._elements)
         up: list[list[int]] = [[] for _ in range(p)]
         down: list[list[int]] = [[] for _ in range(p)]
-        for a, b in self._covers:
+        for a, b in covers:
             if a not in self._index or b not in self._index:
                 raise ValueError(f"cover endpoint not an element: ({a!r}, {b!r})")
             ia, ib = self._index[a], self._index[b]
@@ -115,21 +114,11 @@ class FinitePoset:
         return self._elements
 
     @property
-    def covers(self) -> tuple[tuple[Element, Element], ...]:
-        return self._covers
-
-    @property
     def p(self) -> int:
         return len(self._elements)
 
     def index(self, e: Element) -> int:
         return self._index[e]
-
-    def leq(self, a: Element, b: Element) -> bool:
-        return bool((self._ge[self._index[a]] >> self._index[b]) & 1)
-
-    def less(self, a: Element, b: Element) -> bool:
-        return a != b and self.leq(a, b)
 
     def upper_covers(self, e: Element) -> list[Element]:
         return [self._elements[j] for j in self._up[self._index[e]]]
@@ -325,10 +314,10 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
         if W.n != n:
             raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
     betas = flag_h_table(j2xn(n))
-    labeled = [label(w) for w in enumerate_paths(n)]
+    labeled = [label(w.word) for w in enumerate_paths(n)]
     witnesses = []
     for W in refs:
-        order = {lab: pos for pos, lab in enumerate(label(W))}
+        order = {lab: pos for pos, lab in enumerate(label(W.word))}
         buckets = Counter(permutation_descents([order[x] for x in lab]) for lab in labeled)
         mismatches = flag_h_mismatches(betas, paths=buckets)
         witnesses += [dict(w, ref_path=W.word) for w in mismatches]

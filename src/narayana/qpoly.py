@@ -1,7 +1,8 @@
-"""Exact polynomial arithmetic in the variable q over the integers.
+"""Exact polynomials in the variable q over the integers.
 
-Provides the q-analogues used everywhere else in the package: q-integers,
-Gaussian binomial coefficients and the closed-form q-Narayana numbers,
+Provides the q-analogues used everywhere else in the package: products and
+quotients by q-integers, Gaussian binomial coefficients and the closed-form
+q-Narayana numbers,
 together with the plain (q = 1) Narayana and Catalan numbers.
 
 All coefficients are Python ints, so arithmetic is exact at every size.
@@ -15,20 +16,9 @@ from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator
+from typing import Iterable
 
 SCHOOLBOOK_MAX = 8  # products whose shorter factor has at most this many terms
-
-
-class InexactDivisionError(ArithmeticError):
-    """Polynomial division left a nonzero remainder.
-
-    The offending remainder is available as the ``remainder`` attribute.
-    """
-
-    def __init__(self, message: str, remainder: "QPoly"):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 class QPoly:
@@ -51,19 +41,6 @@ class QPoly:
     def zero(cls) -> "QPoly":
         return cls()
 
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    @classmethod
-    def q_power(cls, exponent: int, coefficient: int = 1) -> "QPoly":
-        """The monomial ``coefficient * q**exponent``."""
-        if exponent < 0:
-            raise ValueError(f"negative exponent: {exponent}")
-        if coefficient == 0:
-            return cls()
-        return cls((0,) * exponent + (coefficient,))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
@@ -73,58 +50,15 @@ class QPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, i: int) -> int:
-        """Coefficient of ``q**i`` (zero beyond the stored range)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self._coeffs == (() if other == 0 else (other,))
         return NotImplemented
 
     def __hash__(self) -> int:
-        # constants hash like the ints they compare equal to
-        if len(self._coeffs) <= 1:
-            return hash(self.coefficient(0))
         return hash(self._coeffs)
 
-    def __add__(self, other: "QPoly | int") -> "QPoly":
-        other = _coerce(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other: "QPoly | int") -> "QPoly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: "QPoly | int") -> "QPoly":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other: "QPoly | int") -> "QPoly":
-        other = _coerce(other)
+    def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return QPoly()
@@ -136,27 +70,6 @@ class QPoly:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError(f"negative power: {n}")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at an integer point by Horner's rule."""
-        value = 0
-        for c in reversed(self._coeffs):
-            value = value * x + c
-        return value
 
     def __repr__(self) -> str:
         return f"QPoly({self._coeffs!r})"
@@ -206,21 +119,6 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     ]
 
 
-def _coerce(value: "QPoly | int") -> QPoly:
-    if isinstance(value, QPoly):
-        return value
-    if isinstance(value, int):
-        return QPoly((value,))
-    raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
-
-
-def q_int(n: int) -> QPoly:
-    """The q-integer ``1 + q + ... + q**(n-1)``; zero for n = 0."""
-    if n < 0:
-        raise ValueError(f"q_int of negative {n}")
-    return QPoly((1,) * n)
-
-
 def mul_q_int(cs: list[int], m: int) -> list[int]:
     """The coefficients of p * [m] from those of p, for m >= 1, in linear
     time: p * (1 - q**m) / (1 - q), so each is a window sum of m of p's."""
@@ -229,18 +127,19 @@ def mul_q_int(cs: list[int], m: int) -> list[int]:
 
 
 def div_q_int(cs: list[int], m: int) -> list[int]:
-    """The coefficients of p / [m] from those of p, in linear time:
-    p * (1 - q) / (1 - q**m), running sums over each residue class mod m.
-    Exact when the last m sums vanish; otherwise (or for m < 1) exact_div
-    raises its own error, message and remainder for p and q_int(m)."""
+    """The coefficients of p / [m] from those of p, for m >= 1, in linear
+    time: p * (1 - q) / (1 - q**m), running sums over each residue class
+    mod m.  Exact when the last m sums vanish; otherwise ArithmeticError."""
+    if m < 1:
+        raise ValueError(f"div_q_int needs m >= 1, got {m}")
     ext, prev = cs + [0], [0] + cs
     quot = [0] * len(ext)
     for r in range(m):
         # the differences are summed as they are made, never stored
         quot[r::m] = accumulate(map(sub, ext[r::m], prev[r::m]))
     cut = max(len(quot) - m, 0)
-    if m < 1 or any(quot[cut:]):
-        return list(exact_div(QPoly(cs), q_int(m)).coeffs)  # raises
+    if any(quot[cut:]):
+        raise ArithmeticError(f"inexact division: {QPoly(cs)} by [{m}]")
     return quot[:cut]
 
 
@@ -260,37 +159,6 @@ def q_binomial(n: int, k: int) -> QPoly:
     for i in range(1, k + 1):
         cs = div_q_int(mul_q_int(cs, n - k + i), i)
     return QPoly(cs)
-
-
-def exact_div(a: QPoly, b: QPoly) -> QPoly:
-    """Divide a by b, requiring the division to be exact over the integers.
-
-    Raises ZeroDivisionError when b is zero and InexactDivisionError (with
-    the remainder attached) when b does not divide a.
-    """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return QPoly.zero()
-    db = b.degree
-    lead = b.coeffs[-1]
-    rem = list(a.coeffs)
-    if a.degree < db:
-        raise InexactDivisionError(f"inexact division: {a} by {b}", QPoly(rem))
-    quot = [0] * (a.degree - db + 1)
-    for d in range(a.degree - db, -1, -1):
-        c = rem[d + db]
-        if c == 0:
-            continue
-        step, leftover = divmod(c, lead)
-        if leftover:
-            raise InexactDivisionError(f"inexact division: {a} by {b}", QPoly(rem))
-        quot[d] = step
-        for j, cb in enumerate(b.coeffs):
-            rem[d + j] -= step * cb
-    if any(rem):
-        raise InexactDivisionError(f"inexact division: {a} by {b}", QPoly(rem))
-    return QPoly(quot)
 
 
 def narayana(n: int, k: int) -> int:

@@ -63,25 +63,16 @@ class PureComplex:
                 raise ValueError(
                     f"facet contained in another (or duplicated): index {i}"
                 )
-        self._facets = tuple(facet_sets)
         self._masks = tuple(masks)
         self._face_cache: "set[int] | None" = None
 
     @property
-    def vertices(self) -> tuple:
-        return self._vertices
-
-    @property
-    def facets(self) -> tuple[frozenset, ...]:
-        return self._facets
-
-    @property
     def m(self) -> int:
-        return len(self._facets)
+        return len(self._masks)
 
     @property
     def d(self) -> int:
-        return len(self._facets[0])
+        return self._masks[0].bit_count()
 
     def mask(self, f: int) -> int:
         return self._masks[f]
@@ -114,9 +105,6 @@ class PureComplex:
             for v in _bit_indices(mask):
                 incidence[v] |= 1 << f
         return tuple(incidence)
-
-    def faces(self) -> list[frozenset]:
-        return [self.face_members(mask) for mask in sorted(self.face_masks())]
 
 
 class FacetOrder:
@@ -366,9 +354,10 @@ def verify_preshelling(n: int) -> list[dict]:
 
 def verify_parth(n: int) -> list[dict]:
     """The parth check: the interval partitioning of omega_n(n) and the
-    ls_set counts of the paths both reproduce the flag h-vector of
+    ls_set counts of its path words both reproduce the flag h-vector of
     J(2 x n).  One witness per rank set where the three disagree."""
     L = j2xn(n)
-    table = flag_h_from_partition(L, partition_intervals(omega_n(n)))
-    ls_counts = Counter(ls_set(w) for w in enumerate_paths(n))
+    om = omega_n(n)
+    table = flag_h_from_partition(L, partition_intervals(om))
+    ls_counts = Counter(ls_set(w) for w in om.labels)
     return flag_h_mismatches(flag_h_table(L), ls_count=ls_counts, partition=table)

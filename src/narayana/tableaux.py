@@ -40,10 +40,6 @@ class Partition:
     def length(self) -> int:
         return len(self._parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self._parts)
-
     def cells(self) -> list[tuple[int, int]]:
         """All (row, column) pairs of the diagram, 1-based, row-major."""
         return [
@@ -52,17 +48,9 @@ class Partition:
             for j in range(1, part + 1)
         ]
 
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __iter__(self):
-        return iter(self._parts)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self._parts == other._parts
-        if isinstance(other, tuple):
-            return self._parts == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -112,14 +100,6 @@ class SSYT:
     @property
     def shape(self) -> Partition:
         return self._shape
-
-    def entry(self, i: int, j: int) -> int:
-        """T_ij with 1-based row i and column j."""
-        return self._rows[i - 1][j - 1]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SSYT):
@@ -197,7 +177,7 @@ def dyck_to_ssyt(w: DyckPath) -> SSYT:
     prefix ending at the i-th descent."""
     word = w.word
     rows = []
-    for s in sorted(descent_set(w)):
+    for s in sorted(descent_set(word)):
         prefix = word[:s]
         rows.append((prefix.count("h"), prefix.count("v")))
     return SSYT(rows)
@@ -239,7 +219,7 @@ def schur_principal_hook(shape: "Partition | Iterable[int]", n: int) -> QPoly:
 
     Every [n + c(u)] multiplies in first, then the divisions run one hook
     at a time, smallest first; both steps are linear in the degree.  A
-    nonzero remainder raises InexactDivisionError and means a bug.
+    nonzero remainder raises ArithmeticError and means a bug.
     """
     shape = _as_partition(shape)
     if n < 0:

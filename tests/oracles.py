@@ -22,11 +22,11 @@ LINEAR_EXTENSION_GUARD = 16
 
 # per-path statistics, the oracle of dyck.distribution and dyck.joint_q
 def des(w: DyckPath) -> int:
-    return len(descent_set(w))
+    return len(descent_set(w.word))
 
 
 def maj(w: DyckPath) -> int:
-    return sum(descent_set(w))
+    return sum(descent_set(w.word))
 
 
 def high_peak_set(w: DyckPath) -> frozenset[int]:
@@ -55,11 +55,11 @@ def ea(w: DyckPath) -> int:
 
 
 def lnfs(w: DyckPath) -> int:
-    return len(ls_set(w))
+    return len(ls_set(w.word))
 
 
 def maj_l(w: DyckPath) -> int:
-    return sum(ls_set(w))
+    return sum(ls_set(w.word))
 
 
 def da(w: DyckPath) -> int:
@@ -70,18 +70,18 @@ def da(w: DyckPath) -> int:
 
 def label_string(w: DyckPath) -> str:
     """The labeling rendered like ``v1v2h1v3h2h3``."""
-    return "".join(f"{letter}{index}" for letter, index in label(w))
+    return "".join(f"{letter}{index}" for letter, index in label(w.word))
 
 
 def descent_set_wrt(w: DyckPath, w0: DyckPath) -> frozenset[int]:
     """Positions i where the labeled letter w_{i+1} occurs before w_i in w0."""
-    if len(w) != len(w0):
-        raise ValueError(f"length mismatch: |w| = {len(w)}, |W| = {len(w0)}")
-    order = {lab: pos for pos, lab in enumerate(label(w0))}
-    labeled = label(w)
+    if w.n != w0.n:
+        raise ValueError(f"length mismatch: |w| = {2 * w.n}, |W| = {2 * w0.n}")
+    order = {lab: pos for pos, lab in enumerate(label(w0.word))}
+    labeled = label(w.word)
     return frozenset(
         i
-        for i in range(1, len(w))
+        for i in range(1, 2 * w.n)
         if order[labeled[i]] < order[labeled[i - 1]]
     )
 
@@ -101,7 +101,7 @@ def rank(w: DyckPath) -> int:
     excess = 0
     length = 2 * w.n
     for i in range(1, length + 1):
-        if w.letter(i) == "h":
+        if w.word[i - 1] == "h":
             index += _completions(length - i, excess + 1)
             excess -= 1
         else:
@@ -158,7 +158,8 @@ def jordan_holder(
 ) -> list[tuple[int, ...]]:
     """The Jordan-Holder set of (P, omega): the permutation omega compose
     sigma-inverse for every linear extension sigma, in one-line notation."""
-    if not is_linear_extension(omega, P.elements, P.covers):
+    covers = [(a, b) for a in P.elements for b in P.upper_covers(a)]
+    if not is_linear_extension(omega, P.elements, covers):
         raise ValueError("not a linear extension")
     value = {e: i + 1 for i, e in enumerate(omega)}
     return [
@@ -171,7 +172,8 @@ def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
     become v, second-row elements become h."""
     n, remainder = divmod(len(sigma), 2)
     P = chain_product_2xn(n) if n >= 1 and not remainder else None
-    if P is None or not is_linear_extension(sigma, P.elements, P.covers):
+    covers = [] if P is None else [(a, b) for a in P.elements for b in P.upper_covers(a)]
+    if P is None or not is_linear_extension(sigma, P.elements, covers):
         raise ValueError("not a linear extension")
     return DyckPath("v" if e[0] == 1 else "h" for e in sigma)
 
@@ -179,7 +181,7 @@ def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
 def path_to_extension(w: DyckPath) -> tuple[tuple[int, int], ...]:
     """Inverse of extension_to_path: the label ("v", i) becomes (1, i) and
     ("h", j) becomes (2, j)."""
-    return tuple((1 if letter == "v" else 2, i) for letter, i in label(w))
+    return tuple((1 if letter == "v" else 2, i) for letter, i in label(w.word))
 
 
 # the path-facet bijection, shellings and the rewrite potential
@@ -302,13 +304,14 @@ def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
     violating pair and the restriction of every facet."""
     if sorted(order) != list(range(cx.m)):
         raise ValueError("not a total order on the facets")
+    facets = [cx.face_members(cx.mask(f)) for f in range(cx.m)]
     violation = None
     restrictions: dict[int, frozenset] = {}
     for position, g in enumerate(order):
-        G, earlier = cx.facets[g], order[:position]
-        r = frozenset(x for x in G if any(G - {x} <= cx.facets[f] for f in earlier))
+        G, earlier = facets[g], order[:position]
+        r = frozenset(x for x in G if any(G - {x} <= facets[f] for f in earlier))
         restrictions[g] = r
-        f = next((f for f in earlier if r <= cx.facets[f]), None)
+        f = next((f for f in earlier if r <= facets[f]), None)
         if violation is None and f is not None:
             violation = {"earlier": f, "facet": g}
     return {
@@ -318,7 +321,56 @@ def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
     }
 
 
-# q-analogues
+# q-analogues, and long division, the oracle of qpoly.div_q_int
+class InexactDivisionError(ArithmeticError):
+    """Polynomial division left a nonzero remainder.
+
+    The offending remainder is available as the ``remainder`` attribute.
+    """
+
+    def __init__(self, message: str, remainder: QPoly):
+        super().__init__(message)
+        self.remainder = remainder
+
+
+def q_int(n: int) -> QPoly:
+    """The q-integer ``1 + q + ... + q**(n-1)``; zero for n = 0."""
+    if n < 0:
+        raise ValueError(f"q_int of negative {n}")
+    return QPoly((1,) * n)
+
+
+def exact_div(a: QPoly, b: QPoly) -> QPoly:
+    """Divide a by b, requiring the division to be exact over the integers.
+
+    Raises ZeroDivisionError when b is zero and InexactDivisionError (with
+    the remainder attached) when b does not divide a.
+    """
+    if not b.coeffs:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a.coeffs:
+        return QPoly()
+    db = b.degree
+    lead = b.coeffs[-1]
+    rem = list(a.coeffs)
+    if a.degree < db:
+        raise InexactDivisionError(f"inexact division: {a} by {b}", QPoly(rem))
+    quot = [0] * (a.degree - db + 1)
+    for d in range(a.degree - db, -1, -1):
+        c = rem[d + db]
+        if c == 0:
+            continue
+        step, leftover = divmod(c, lead)
+        if leftover:
+            raise InexactDivisionError(f"inexact division: {a} by {b}", QPoly(rem))
+        quot[d] = step
+        for j, cb in enumerate(b.coeffs):
+            rem[d + j] -= step * cb
+    if any(rem):
+        raise InexactDivisionError(f"inexact division: {a} by {b}", QPoly(rem))
+    return QPoly(quot)
+
+
 def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1 through n; the empty product is 1."""
     if n < 0:

@@ -206,7 +206,7 @@ def test_criterion_08_partition_flag_h(capsys):
         for n in range(1, 6):
             L = ideal_lattice(chain_product_2xn(n))
             table = flag_h_from_partition(L, partition_intervals(omega_n(n)))
-            ls_counts = Counter(ls_set(w) for w in enumerate_paths(n))
+            ls_counts = Counter(ls_set(w.word) for w in enumerate_paths(n))
             if not table == flag_h_table(L) == ls_counts:
                 return False
         return True
@@ -243,7 +243,7 @@ def test_criterion_10_figure_regressions(capsys):
         path = ssyt_to_dyck(T, 7)
         if path != DyckPath("vvhvvvhhvhhvhh"):
             return False
-        if descent_set(path) != frozenset({3, 8, 11}):
+        if descent_set(path.word) != frozenset({3, 8, 11}):
             return False
         if dyck_to_ssyt(path) != T:
             return False

@@ -589,18 +589,20 @@ def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_p
         assert csv_at_end == csv_at_start
 
 
-def test_shelling_requests_reproduce_the_benchmark_digests():
+def test_every_request_reproduces_the_benchmark_digests(monkeypatch):
     # perfbench/golden.json holds the sha256 of the stdout of every request
-    # the benchmark draws; the shelling ones are checked here in-process,
-    # at their ceilings, reading the file and never writing it
+    # the benchmark draws, up to their ceilings; all are checked here
+    # in-process, reading the file and never writing it
+    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
     golden_path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
     golden = json.loads(golden_path.read_text())
-    keys = [k for k in golden if k.startswith(("omega ", "verify --check preshelling ", "verify --check parth "))]
-    assert len(keys) == 16
-    for key in keys:
+    assert len(golden) == 319
+    mismatches = []
+    for key, digest in golden.items():
         code, out = run_in_process(key.split())
-        assert code == 0, key
-        assert hashlib.sha256(out.encode()).hexdigest() == golden[key], key
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, digest):
+            mismatches.append(key)
+    assert mismatches == []
 
 
 def test_module_entry_point():
@@ -613,7 +615,9 @@ def test_module_entry_point():
     assert result.stdout == "1, 6, 6, 1\nsum 14\n"
 
 
-def run_into(stdout, *argv, unbuffered: bool) -> subprocess.CompletedProcess:
+def run_into(
+    stdout, *argv, unbuffered: bool, stderr=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     # buffered, a short output fails at the final flush; unbuffered, at its write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
@@ -622,7 +626,7 @@ def run_into(stdout, *argv, unbuffered: bool) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "narayana.cli", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         env=env,
     )
@@ -662,6 +666,55 @@ def test_closed_stdout_pipe_is_a_usage_error():
                 assert_cannot_write(run_into(write_end, *argv, unbuffered=unbuffered))
     finally:
         os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stderr_never_changes_the_exit_code_or_stdout(tmp_path):
+    # a directory where the cache file belongs makes the table's write fail
+    cache = tmp_path / "cache"
+    (cache / f"dist-{__version__}-n4-des.json").mkdir(parents=True)
+    silent = (
+        ["narayana", "--n", "5"],
+        ["qnarayana", "--n", "4", "--k", "1", "--route", "all"],
+        ["omega", "--n", "3", "--format", "json"],
+    )
+    # each writes to stderr: the elapsed line, the cache warning, and the
+    # usage errors of a handler and of argparse
+    noisy = (
+        ["verify", "--check", "ssyt", "--n", "3"],
+        ["dist", "--n", "4", "--stat", "des", "--cache-dir", str(cache)],
+        ["narayana", "--n", "0"],
+        ["dist", "--n", "4", "--stat", "nope"],
+    )
+    expected = {}
+    for argv in (*silent, *noisy):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert bool(err.getvalue()) == (argv in noisy), argv
+        expected[tuple(argv)] = (code, out.getvalue())
+    read_end, closed = os.pipe()
+    os.close(read_end)
+    sinks = [(sink, unbuffered) for sink in ("/dev/full", closed) for unbuffered in (False, True)]
+    # the silent requests share the four sinks out, the noisy ones meet each;
+    # an uncaught exception would exit 1, or 120 for a failed final flush
+    runs = [(argv, [sink]) for argv, sink in zip(silent, sinks)]
+    runs += [(argv, sinks) for argv in noisy]
+    try:
+        for argv, argv_sinks in runs:
+            for sink, unbuffered in argv_sinks:
+                with contextlib.ExitStack() as stack:
+                    stderr = sink if sink == closed else stack.enter_context(open(sink, "w"))
+                    result = run_into(
+                        subprocess.PIPE, *argv, unbuffered=unbuffered, stderr=stderr
+                    )
+                got = (result.returncode, result.stdout)
+                assert got == expected[tuple(argv)], (argv, sink, unbuffered)
+    finally:
+        os.close(closed)
 
 
 def test_verify_checks_survive_optimized_mode(capsys):

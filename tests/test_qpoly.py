@@ -1,23 +1,23 @@
 import math
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
 
 from narayana.qpoly import (
     SCHOOLBOOK_MAX,
-    InexactDivisionError,
     QPoly,
     catalan,
     div_q_int,
-    exact_div,
     mul_q_int,
     narayana,
     q_binomial,
-    q_int,
     q_narayana_closed,
 )
 from narayana.tableaux import q_narayana_schur
-from oracles import q_factorial
+from oracles import InexactDivisionError, exact_div, q_factorial, q_int
+
+ONE = QPoly((1,))
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 # small and huge coefficients of either sign, well past 2**64
@@ -42,41 +42,23 @@ def ref_mul(a: QPoly, b: QPoly) -> QPoly:
 def test_canonical_form_trims_trailing_zeros():
     assert QPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert QPoly((0, 0, 0)).coeffs == ()
-    assert QPoly().is_zero
     assert QPoly((0, 1)).degree == 1
     assert QPoly().degree == -1
-
-
-def test_equality_with_ints():
-    assert QPoly((5,)) == 5
-    assert QPoly() == 0
-    assert QPoly((0, 1)) != 1
-
-
-def test_hash_agrees_with_int_equality():
-    for value in (5, 0, -3, 1):
-        assert hash(QPoly((value,))) == hash(value)
-        assert len({QPoly((value,)), value}) == 1
     assert {QPoly((0, 1)): "q"}[QPoly([0, 1, 0])] == "q"
 
 
 def test_arithmetic_smoke():
     p = QPoly((1, 1))
-    assert p + p == QPoly((2, 2))
-    assert p - p == QPoly()
     assert p * p == QPoly((1, 2, 1))
-    assert 3 * p == QPoly((3, 3))
-    assert p**3 == QPoly((1, 3, 3, 1))
-    assert (-p).coeffs == (-1, -1)
-    assert p(10) == 11
-    assert QPoly()(7) == 0
+    assert QPoly((3,)) * p == QPoly((3, 3))
+    assert p * QPoly() == QPoly() * p == QPoly()
 
 
 def test_str_rendering():
     assert str(QPoly()) == "0"
     assert str(QPoly((1, 1, 2, 1, 1))) == "1 + q + 2q^2 + q^3 + q^4"
     assert str(QPoly((0, -1, 3))) == "-q + 3q^2"
-    assert str(QPoly.q_power(6)) == "q^6"
+    assert str(QPoly((0,) * 6 + (1,))) == "q^6"
 
 
 @given(coeff_lists, coeff_lists)
@@ -88,10 +70,10 @@ def test_mul_matches_reference(a, b):
 
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_ring_axioms(a, b, c):
+    # the axioms of the one operation a QPoly has: its product
     pa, pb, pc = QPoly(a), QPoly(b), QPoly(c)
-    assert (pa + pb) + pc == pa + (pb + pc)
-    assert pa * (pb + pc) == pa * pb + pa * pc
     assert (pa * pb) * pc == pa * (pb * pc)
+    assert pa * pb == pb * pa
 
 
 @given(long_coeff_lists, long_coeff_lists)
@@ -105,9 +87,8 @@ def test_kronecker_mul_matches_reference(a, b):
 @given(long_coeff_lists, long_coeff_lists, long_coeff_lists)
 def test_ring_axioms_on_the_kronecker_path(a, b, c):
     pa, pb, pc = QPoly(a), QPoly(b), QPoly(c)
-    assert (pa + pb) + pc == pa + (pb + pc)
-    assert pa * (pb + pc) == pa * pb + pa * pc
     assert (pa * pb) * pc == pa * (pb * pc)
+    assert pa * pb == pb * pa
 
 
 def test_kronecker_mul_at_its_digit_bound():
@@ -133,37 +114,37 @@ def test_mul_q_int_matches_schoolbook(cs, m):
 )
 def test_div_q_int_matches_exact_div(cs, m, bump):
     # a multiple of [m], sometimes disturbed, so exact and inexact inputs both occur
-    p = ref_mul(QPoly(cs), q_int(m)) + QPoly(bump)
+    multiple = ref_mul(QPoly(cs), q_int(m)).coeffs
+    p = QPoly(x + y for x, y in zip_longest(multiple, bump, fillvalue=0))
     try:
         expected = exact_div(p, q_int(m))
-    except InexactDivisionError as error:
-        with pytest.raises(InexactDivisionError) as info:
+    except InexactDivisionError:
+        with pytest.raises(ArithmeticError) as info:
             div_q_int(list(p.coeffs), m)
-        assert type(info.value) is type(error)
-        assert str(info.value) == str(error)
-        assert info.value.remainder == error.remainder
+        assert str(info.value) == f"inexact division: {p} by [{m}]"
     else:
         assert div_q_int(list(p.coeffs), m) == list(expected.coeffs)
-        if not bump:
+        if not any(bump):
             assert expected == QPoly(cs)
 
 
 def test_div_q_int_errors_match_exact_div():
-    with pytest.raises(ZeroDivisionError):
-        div_q_int([1, 1], 0)
-    with pytest.raises(InexactDivisionError) as info:
-        div_q_int([1, 0, 1], 2)
-    assert str(info.value) == "inexact division: 1 + q^2 by 1 + q"
-    assert info.value.remainder == 2
-    # nonzero and shorter than the divisor, so not a multiple of it
-    with pytest.raises(InexactDivisionError):
-        div_q_int([1, 1], 5)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="needs m >= 1"):
+            div_q_int([1, 1], m)
+    # the second is nonzero and shorter than the divisor, so not a multiple of it
+    for cs, m, text in (([1, 0, 1], 2, "1 + q^2 by [2]"), ([1, 1], 5, "1 + q by [5]")):
+        with pytest.raises(InexactDivisionError):
+            exact_div(QPoly(cs), q_int(m))
+        with pytest.raises(ArithmeticError) as info:
+            div_q_int(cs, m)
+        assert str(info.value) == f"inexact division: {text}"
     assert div_q_int([], 3) == []
 
 
 def test_q_int_values():
     assert q_int(0) == QPoly()
-    assert q_int(1) == QPoly((1,))
+    assert q_int(1) == ONE
     assert q_int(4) == QPoly((1, 1, 1, 1))
     with pytest.raises(ValueError):
         q_int(-1)
@@ -171,34 +152,38 @@ def test_q_int_values():
 
 def test_q_factorial_frozen():
     # [3]! = (1+q)(1+q+q^2) expanded by hand
-    assert q_factorial(0) == 1
-    assert q_factorial(1) == 1
+    assert q_factorial(0) == ONE
+    assert q_factorial(1) == ONE
     assert q_factorial(3) == QPoly((1, 2, 2, 1))
 
 
 def test_q_factorial_specializes_to_factorial():
     for n in range(8):
-        assert q_factorial(n)(1) == math.factorial(n)
+        assert sum(q_factorial(n).coeffs) == math.factorial(n)
 
 
 def test_q_binomial_frozen():
     assert q_binomial(4, 2) == QPoly((1, 1, 2, 1, 1))
-    assert q_binomial(5, 0) == 1
-    assert q_binomial(5, 5) == 1
-    assert q_binomial(3, 4) == 0
-    assert q_binomial(3, -1) == 0
+    assert q_binomial(5, 0) == ONE
+    assert q_binomial(5, 5) == ONE
+    assert q_binomial(3, 4) == QPoly()
+    assert q_binomial(3, -1) == QPoly()
 
 
 def q_pascal_rows(top: int):
     """Rows 0..top of Gaussian binomials by the q-Pascal recurrence
     qbin(m, j) = qbin(m-1, j-1) + q**j * qbin(m-1, j), with no division."""
-    row = [QPoly.one()]
+    row = [ONE]
     yield row
     for m in range(1, top + 1):
         # q**j * qbin(m-1, j) as a shift, so the oracle uses no multiply
-        row = [QPoly.one()] + [
-            row[j - 1] + QPoly((0,) * j + row[j].coeffs) for j in range(1, m)
-        ] + [QPoly.one()]
+        row = [ONE] + [
+            QPoly(
+                x + y
+                for x, y in zip_longest(row[j - 1].coeffs, (0,) * j + row[j].coeffs, fillvalue=0)
+            )
+            for j in range(1, m)
+        ] + [ONE]
         yield row
 
 
@@ -220,7 +205,7 @@ def test_q_binomial_symmetry_and_specialization():
         for k in range(n + 1):
             p = q_binomial(n, k)
             assert p == q_binomial(n, n - k)
-            assert p(1) == math.comb(n, k)
+            assert sum(p.coeffs) == math.comb(n, k)
             assert all(c >= 0 for c in p.coeffs)
 
 
@@ -228,7 +213,7 @@ def test_exact_div_frozen():
     # (q^2 + q^3 + q^4) / (1 + q + q^2) = q^2
     a = QPoly((0, 0, 1, 1, 1))
     b = QPoly((1, 1, 1))
-    assert exact_div(a, b) == QPoly.q_power(2)
+    assert exact_div(a, b) == QPoly((0, 0, 1))
 
 
 def test_exact_div_errors():
@@ -239,14 +224,14 @@ def test_exact_div_errors():
     assert info.value.remainder == QPoly((1, 1))
     with pytest.raises(InexactDivisionError) as info:
         exact_div(QPoly((1, 0, 1)), QPoly((1, 1)))
-    assert not info.value.remainder.is_zero
-    assert exact_div(QPoly(), QPoly((1, 1))) == 0
+    assert info.value.remainder.coeffs
+    assert exact_div(QPoly(), QPoly((1, 1))) == QPoly()
 
 
 @given(coeff_lists, coeff_lists)
 def test_exact_div_inverts_mul(a, b):
     pa, pb = QPoly(a), QPoly(b)
-    if pb.is_zero:
+    if not pb.coeffs:
         with pytest.raises(ZeroDivisionError):
             exact_div(pa * pb, pb)
     else:
@@ -284,10 +269,10 @@ def test_narayana_rows_sum_to_catalan():
 
 
 def test_q_narayana_closed_frozen():
-    assert q_narayana_closed(3, 0) == 1
+    assert q_narayana_closed(3, 0) == ONE
     assert q_narayana_closed(3, 1) == QPoly((0, 0, 1, 1, 1))
-    assert q_narayana_closed(3, 2) == QPoly.q_power(6)
-    assert q_narayana_closed(5, 7) == 0
+    assert q_narayana_closed(3, 2) == QPoly((0,) * 6 + (1,))
+    assert q_narayana_closed(5, 7) == QPoly()
     with pytest.raises(ValueError):
         q_narayana_closed(0, 0)
     with pytest.raises(ValueError):
@@ -298,7 +283,7 @@ def test_q_narayana_closed_specializes_to_narayana():
     for n in range(1, 10):
         for k in range(n):
             p = q_narayana_closed(n, k)
-            assert p(1) == narayana(n, k)
+            assert sum(p.coeffs) == narayana(n, k)
             assert all(c >= 0 for c in p.coeffs)
 
 
@@ -308,4 +293,4 @@ def test_q_narayana_closed_matches_hook_route_at_large_n(n):
         p = q_narayana_closed(n, k)
         assert p == q_narayana_schur(n, k, method="hook")
         assert all(c >= 0 for c in p.coeffs)
-        assert p(1) == narayana(n, k)
+        assert sum(p.coeffs) == narayana(n, k)

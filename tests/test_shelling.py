@@ -68,7 +68,9 @@ def minimal_indices(om: FacetOrder) -> list[int]:
 
 
 def restriction_masks(cx: PureComplex, restrictions) -> list[int]:
-    return [sum(1 << cx.vertices.index(v) for v in rset) for rset in restrictions]
+    # each vertex's bit, read back through face_members
+    bit = {v: 1 << i for i in range(len(cx.vertex_facets)) for v in cx.face_members(1 << i)}
+    return [sum(bit[v] for v in rset) for rset in restrictions]
 
 
 def test_pure_complex_validation():
@@ -89,14 +91,15 @@ def test_pure_complex_validation():
 
 def test_pure_complex_faces():
     cx = PureComplex("ab", [{"a", "b"}])
-    assert sorted(map(sorted, cx.faces())) == [[], ["a"], ["a", "b"], ["b"]]
-    assert len(triangle_boundary().faces()) == 7
+    faces = [cx.face_members(mask) for mask in sorted(cx.face_masks())]
+    assert sorted(map(sorted, faces)) == [[], ["a"], ["a", "b"], ["b"]]
+    assert len(triangle_boundary().face_masks()) == 7
 
 
 def test_face_guard():
     cx = PureComplex(range(21), [set(range(21))])
     with pytest.raises(ValueError, match="complex too large"):
-        cx.faces()
+        cx.face_masks()
 
 
 def test_facet_order_basics():
@@ -140,12 +143,15 @@ def test_random_linear_extension():
 def test_order_complex_shapes():
     three_chain = GradedBoundedPoset("0a1", [("0", "a"), ("a", "1")])
     cx = order_complex(three_chain)
-    assert cx.facets == (frozenset({"a"}),)
+    assert cx.m == 1 and cx.face_members(cx.mask(0)) == {"a"}
     cx2 = order_complex(ideal_lattice(chain_product_2xn(2)))
     assert cx2.m == 2 and cx2.d == 3
     cx4 = order_complex(ideal_lattice(chain_product_2xn(4)))
     assert cx4.m == 14 and cx4.d == 7
-    assert set(cx4.facets) == set(dyck_complex(4).facets)
+    dyck4 = dyck_complex(4)
+    assert {cx4.face_members(cx4.mask(f)) for f in range(cx4.m)} == {
+        dyck4.face_members(dyck4.mask(f)) for f in range(dyck4.m)
+    }
 
 
 def test_dyck_complex_alignment():
@@ -154,7 +160,7 @@ def test_dyck_complex_alignment():
         assert cx.m == catalan(n)
         assert cx.d == 2 * n - 1
         for i, w in enumerate(enumerate_paths(n)):
-            assert cx.facets[i] == path_to_facet(w)
+            assert cx.face_members(cx.mask(i)) == path_to_facet(w)
     with pytest.raises(ValueError):
         dyck_complex(0)
 
@@ -327,7 +333,7 @@ def test_restriction_matches_ls():
         om = omega_n(n)
         for i, w in enumerate(enumerate_paths(n)):
             ranks = frozenset(len(x) for x in restriction(om, i))
-            assert ranks == ls_set(w), w.word
+            assert ranks == ls_set(w.word), w.word
             assert sum(ranks) == maj_l(w)
 
 
@@ -509,7 +515,7 @@ def brute_force_owner_witness(cx: PureComplex, restrictions) -> "dict | None":
             f for f in range(cx.m) if not r[f] & ~face and not face & ~cx.mask(f)
         ]
         if len(owners) != 1:
-            members = [i for i in range(len(cx.vertices)) if (face >> i) & 1]
+            members = [i for i in range(face.bit_length()) if (face >> i) & 1]
             return {"face": members, "covered_by": owners}
     return None
 
@@ -519,12 +525,12 @@ def test_verify_partitioning_matches_brute_force_on_damage():
     for n in (3, 4):
         om = omega_n(n)
         good = partition_intervals(om)
-        damaged = [good, (frozenset(),) * om.m]
-        damaged.append(tuple(om.complex.facets))
+        facets = [om.complex.face_members(om.complex.mask(f)) for f in range(om.m)]
+        damaged = [good, (frozenset(),) * om.m, tuple(facets)]
         for _ in range(30):
             rs = list(good)
             for f in rng.sample(range(om.m), rng.randint(1, 3)):
-                facet = sorted(om.complex.facets[f], key=sorted)
+                facet = sorted(facets[f], key=sorted)
                 rs[f] = frozenset(rng.sample(facet, rng.randint(0, len(facet))))
             damaged.append(tuple(rs))
         owner_counts = set()
@@ -576,6 +582,6 @@ def test_flag_h_from_partition_matches_inclusion_exclusion():
         assert table == flag_h_table(L), n
         ls_counts: dict[frozenset[int], int] = {}
         for w in enumerate_paths(n):
-            s = ls_set(w)
+            s = ls_set(w.word)
             ls_counts[s] = ls_counts.get(s, 0) + 1
         assert table == ls_counts
