@@ -71,14 +71,15 @@ class DyckPath:
         return f"DyckPath({self._word!r})"
 
 
-def enumerate_paths(n: int) -> Iterator[DyckPath]:
-    """Yield every path of semilength n once, lexicographically with v < h."""
+def enumerate_paths(n: int) -> Iterator[str]:
+    """Yield the word of every path of semilength n once, lexicographically
+    with v < h.  Each is a Dyck word by construction and is not validated."""
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
 
-    def walk(prefix: str, v_left: int, h_left: int, excess: int) -> Iterator[DyckPath]:
+    def walk(prefix: str, v_left: int, h_left: int, excess: int) -> Iterator[str]:
         if not v_left and not h_left:
-            yield DyckPath(prefix)
+            yield prefix
             return
         if v_left:
             yield from walk(prefix + "v", v_left - 1, h_left, excess + 1)

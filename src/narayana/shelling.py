@@ -7,11 +7,14 @@ forces equality, (ii) the intervals [r(F), F] partition the complex,
 admits a shelling step into G.  Every linear extension of a pre-shelling is
 a shelling with the same restriction function.
 
-The concrete pre-shelling here lives on the order complex of J(2 x n),
-whose facets are the maximal interior chains, identified with Dyck paths.
-The order is generated by the rewrites vvh -> vhv and hhv -> hvh; its
-restriction sets sit at the centers of vvh and hhv factors, and bucketing
-facets by restriction ranks recovers the flag h-vector.
+The concrete pre-shelling here lives on the order complex of the proper
+part of J(2 x n).  Its vertices are the points (a, b), 0 <= b <= a <= n, of
+ranks 1 to 2n - 1, the ideal with a elements in the first row and b in the
+second having rank a + b, and its facets are the Dyck paths, each the chain
+of points that its proper prefixes reach.  The order is generated by the
+rewrites vvh -> vhv and hhv -> hvh; its restriction sets sit at the centers
+of vvh and hhv factors, and bucketing facets by restriction ranks recovers
+the flag h-vector.
 """
 
 from __future__ import annotations
@@ -19,14 +22,39 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cache, cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dyck import enumerate_paths, ls_set
-from .posets import GradedBoundedPoset, _bit_indices, _topological_order
-from .posets import flag_h_mismatches, flag_h_table, j2xn
 
 FACE_GUARD = 1 << 20
 OMEGA_GUARD = 8
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _topological_order(up: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm on successor lists, taking the last node found none
+    of whose predecessors is left.  Shorter than up on a cycle."""
+    indegree = [0] * len(up)
+    for successors in up:
+        for j in successors:
+            indegree[j] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]
+    order: list[int] = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in up[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return order
 
 
 class PureComplex:
@@ -180,42 +208,28 @@ class FacetOrder:
         return sorted(covers, key=lambda pair: (pair[1], pair[0]))
 
 
-def order_complex(L: GradedBoundedPoset) -> PureComplex:
-    """The chains of the proper part of L; facets are the maximal ones,
-    which in a graded bounded poset are the saturated rank-1 to top-1
-    chains."""
-    top = L.top_rank
-    vertices = [e for r in range(1, top) for e in L.elements_of_rank(r)]
-    if top < 2:
-        return PureComplex([], [frozenset()])
-    facets: list[frozenset] = []
-    chain: list = []
-
-    def climb(e) -> None:
-        chain.append(e)
-        if L.rank(e) == top - 1:
-            facets.append(frozenset(chain))
-        else:
-            for f in L.upper_covers(e):
-                if L.rank(f) < top:
-                    climb(f)
-        chain.pop()
-
-    for e in L.elements_of_rank(1):
-        climb(e)
-    return PureComplex(vertices, facets)
-
-
 @cache
 def dyck_complex(n: int) -> PureComplex:
-    """The order complex of J(2 x n).  Its climb adds a first-row element
-    (a v) before a second-row one (an h), so facet i is the chain traced by
-    the proper prefixes of the i-th path of enumerate_paths(n), a prefix
-    with a letters v and b letters h being the ideal with a elements in the
-    first row and b in the second."""
+    """The order complex of the proper part of J(2 x n).  Its vertices are
+    the points (a, b) of ranks 1 to 2n - 1, indexed by rank a + b and then
+    by a; facet i holds the points reached by the proper prefixes of the
+    i-th word of enumerate_paths(n), a prefix with a letters v and b letters
+    h reaching (a, b)."""
     if n < 1:
         raise ValueError(f"dyck_complex needs n >= 1, got {n}")
-    return order_complex(j2xn(n))
+    points = [(a, r - a) for r in range(1, 2 * n) for a in range((r + 1) // 2, min(r, n) + 1)]
+    facets = []
+    for word in enumerate_paths(n):
+        a = b = 0
+        chain = []
+        for letter in word[:-1]:
+            if letter == "v":
+                a += 1
+            else:
+                b += 1
+            chain.append((a, b))
+        facets.append(chain)
+    return PureComplex(points, facets)
 
 
 # the single rewrites of a three-letter factor
@@ -231,7 +245,7 @@ def omega_n(n: int) -> FacetOrder:
     if n > OMEGA_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {OMEGA_GUARD}")
     cx = dyck_complex(n)
-    words = tuple(w.word for w in enumerate_paths(n))
+    words = tuple(enumerate_paths(n))
     # a rewrite that left the paths would raise KeyError here
     index = {word: j for j, word in enumerate(words)}
     relations = []
@@ -335,13 +349,11 @@ def partition_intervals(ord: FacetOrder) -> tuple[frozenset, ...]:
     return tuple(restriction(ord, f) for f in range(ord.m))
 
 
-def flag_h_from_partition(
-    L: GradedBoundedPoset, restrictions: Iterable[frozenset]
-) -> Counter[frozenset[int]]:
-    """Bucket the facets of the order complex of L by the rank sets of their
-    restrictions; for a partitioning this is the flag h-vector.  Only
-    nonzero entries appear."""
-    return Counter(frozenset(L.rank(x) for x in rset) for rset in restrictions)
+def flag_h_from_partition(restrictions: Iterable[frozenset]) -> Counter[frozenset[int]]:
+    """Bucket the facets of a dyck_complex by the rank sets of their
+    restrictions, the point (a, b) having rank a + b; for a partitioning
+    this is the flag h-vector.  Only nonzero entries appear."""
+    return Counter(frozenset(a + b for a, b in rset) for rset in restrictions)
 
 
 def verify_preshelling(n: int) -> list[dict]:
@@ -356,8 +368,10 @@ def verify_parth(n: int) -> list[dict]:
     """The parth check: the interval partitioning of omega_n(n) and the
     ls_set counts of its path words both reproduce the flag h-vector of
     J(2 x n).  One witness per rank set where the three disagree."""
-    L = j2xn(n)
+    # imported here, so that omega and preshelling do not load posets
+    from .posets import flag_h_mismatches, flag_h_table
+
     om = omega_n(n)
-    table = flag_h_from_partition(L, partition_intervals(om))
+    table = flag_h_from_partition(partition_intervals(om))
     ls_counts = Counter(ls_set(w) for w in om.labels)
-    return flag_h_mismatches(flag_h_table(L), ls_count=ls_counts, partition=table)
+    return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=table)

@@ -263,7 +263,7 @@ def verify_ssyt(n: int) -> list[dict]:
     round-trips through ssyt_to_dyck and dyck_to_ssyt.  Witnesses of
     failed round-trips come first, then one per mismatched rank set."""
     # imported here, so that the q-Narayana routes do not load posets
-    from .posets import flag_h_mismatches, flag_h_table, j2xn
+    from .posets import flag_h_mismatches, flag_h_table
 
     counts: Counter[frozenset[int]] = Counter()
     witnesses = []
@@ -273,7 +273,7 @@ def verify_ssyt(n: int) -> list[dict]:
             w = ssyt_to_dyck(T, n)
             if dyck_to_ssyt(w) != T:
                 witnesses.append({"path": w.word, "tableau": [list(r) for r in T.rows]})
-    return witnesses + flag_h_mismatches(flag_h_table(j2xn(n)), ssyt_count=counts)
+    return witnesses + flag_h_mismatches(flag_h_table(n), ssyt_count=counts)
 
 
 def verify_q_identity(n: int) -> list[dict]:

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
 from narayana.dyck import DyckPath, _completions, descent_set, label, ls_set
-from narayana.posets import FinitePoset, GradedBoundedPoset, _bit_indices, chain_product_2xn
 from narayana.qpoly import QPoly, mul_q_int
-from narayana.shelling import FacetOrder, PureComplex
+from narayana.shelling import FacetOrder, PureComplex, _bit_indices, _topological_order
+
+Element = Hashable
 
 LINEAR_EXTENSION_GUARD = 16
 
@@ -107,6 +108,226 @@ def rank(w: DyckPath) -> int:
         else:
             excess += 1
     return index
+
+
+# validated finite posets, ideal lattices and order complexes: the
+# generic J(P) that the grid J(2 x n) of the library is checked against
+class FinitePoset:
+    """A finite poset given by its elements and covering pairs.
+
+    The covers must be irredundant: the constructor rejects cycles and any
+    cover pair already implied by two or more others, so the stored data is
+    always the Hasse diagram of the order it generates.
+    """
+
+    def __init__(
+        self,
+        elements: Iterable[Element],
+        covers: Iterable[tuple[Element, Element]],
+    ):
+        self._elements = tuple(elements)
+        self._index: dict[Element, int] = {}
+        for i, e in enumerate(self._elements):
+            if e in self._index:
+                raise ValueError(f"duplicate element: {e!r}")
+            self._index[e] = i
+        p = len(self._elements)
+        up: list[list[int]] = [[] for _ in range(p)]
+        down: list[list[int]] = [[] for _ in range(p)]
+        for a, b in covers:
+            if a not in self._index or b not in self._index:
+                raise ValueError(f"cover endpoint not an element: ({a!r}, {b!r})")
+            ia, ib = self._index[a], self._index[b]
+            if ia == ib:
+                raise ValueError(f"covers contain a cycle: {a!r} covers itself")
+            up[ia].append(ib)
+            down[ib].append(ia)
+        self._up = up
+        self._down = down
+        self._topo = _topological_order(up)
+        if len(self._topo) != p:
+            raise ValueError("covers contain a cycle")
+        self._ge = self._reachability()
+        self._check_reduction()
+
+    def _reachability(self) -> list[int]:
+        # ge[i] holds a bit for every j with e_j >= e_i
+        ge = [0] * len(self._elements)
+        for i in reversed(self._topo):
+            mask = 1 << i
+            for j in self._up[i]:
+                mask |= ge[j]
+            ge[i] = mask
+        return ge
+
+    def _check_reduction(self) -> None:
+        for i, ups in enumerate(self._up):
+            for j in ups:
+                for k in ups:
+                    if k != j and (self._ge[k] >> j) & 1:
+                        raise ValueError(
+                            f"cover pair implied by others: "
+                            f"({self._elements[i]!r}, {self._elements[j]!r})"
+                        )
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        return self._elements
+
+    @property
+    def p(self) -> int:
+        return len(self._elements)
+
+    def index(self, e: Element) -> int:
+        return self._index[e]
+
+    def upper_covers(self, e: Element) -> list[Element]:
+        return [self._elements[j] for j in self._up[self._index[e]]]
+
+    def lower_covers(self, e: Element) -> list[Element]:
+        return [self._elements[j] for j in self._down[self._index[e]]]
+
+    @cached_property
+    def minimal_elements(self) -> tuple[Element, ...]:
+        return tuple(e for i, e in enumerate(self._elements) if not self._down[i])
+
+    @cached_property
+    def maximal_elements(self) -> tuple[Element, ...]:
+        return tuple(e for i, e in enumerate(self._elements) if not self._up[i])
+
+
+class GradedBoundedPoset(FinitePoset):
+    """A finite poset with unique bottom and top in which every cover
+    raises rank by exactly one."""
+
+    def __init__(self, elements, covers):
+        super().__init__(elements, covers)
+        if len(self.minimal_elements) != 1:
+            raise ValueError("no unique minimum")
+        if len(self.maximal_elements) != 1:
+            raise ValueError("no unique maximum")
+        rank = [-1] * self.p
+        rank[self.index(self.minimal_elements[0])] = 0
+        for i in self._topo:
+            for j in self._up[i]:
+                if rank[j] == -1:
+                    rank[j] = rank[i] + 1
+                elif rank[j] != rank[i] + 1:
+                    raise ValueError(
+                        f"not graded: unequal chain lengths at {self._elements[j]!r}"
+                    )
+        self._rank = rank
+
+    @property
+    def zero_hat(self) -> Element:
+        return self.minimal_elements[0]
+
+    @property
+    def one_hat(self) -> Element:
+        return self.maximal_elements[0]
+
+    def rank(self, e: Element) -> int:
+        return self._rank[self.index(e)]
+
+    @property
+    def top_rank(self) -> int:
+        return self._rank[self.index(self.one_hat)]
+
+    @cached_property
+    def _by_rank(self) -> list[list[int]]:
+        layers: list[list[int]] = [[] for _ in range(self.top_rank + 1)]
+        for i, r in enumerate(self._rank):
+            layers[r].append(i)
+        return layers
+
+    def elements_of_rank(self, r: int) -> list[Element]:
+        if not 0 <= r <= self.top_rank:
+            return []
+        return [self._elements[i] for i in self._by_rank[r]]
+
+
+class IdealLattice(GradedBoundedPoset):
+    """The lattice of order ideals of a base poset, ordered by inclusion.
+
+    Elements are frozensets of base elements; rank is cardinality and
+    covers add exactly one element.  Built via ideal_lattice().
+    """
+
+    def __init__(self, base: FinitePoset, ideals, covers):
+        super().__init__(ideals, covers)
+        self.base = base
+
+
+def chain_product_2xn(n: int) -> FinitePoset:
+    """The product of a 2-chain and an n-chain, with elements (i, k) for
+    i in {1, 2} and k in [n], ordered coordinatewise."""
+    if n < 1:
+        raise ValueError(f"chain_product_2xn needs n >= 1, got {n}")
+    elements = [(1, k) for k in range(1, n + 1)] + [(2, k) for k in range(1, n + 1)]
+    covers = [((i, k), (i, k + 1)) for i in (1, 2) for k in range(1, n)]
+    covers += [((1, k), (2, k)) for k in range(1, n + 1)]
+    return FinitePoset(elements, covers)
+
+
+def ideal_lattice(base: FinitePoset) -> IdealLattice:
+    """All order ideals of the base poset, ordered by inclusion."""
+    order = [base.elements[i] for i in base._topo]
+    ideals: list[frozenset] = []
+
+    def grow(chosen: set, start: int) -> None:
+        ideals.append(frozenset(chosen))
+        for i in range(start, len(order)):
+            e = order[i]
+            if all(c in chosen for c in base.lower_covers(e)):
+                chosen.add(e)
+                grow(chosen, i + 1)
+                chosen.remove(e)
+
+    # enumerate by position in a fixed topological order: each ideal is the
+    # set of chosen positions, so each arises exactly once
+    grow(set(), 0)
+    position = {e: i for i, e in enumerate(order)}
+    ideals.sort(key=lambda s: (len(s), sorted(position[e] for e in s)))
+    covers = []
+    ideal_set = set(ideals)
+    # ideal plus e is itself an ideal exactly when it covers ideal
+    for ideal in ideals:
+        for e in base.elements:
+            if e not in ideal and ideal | {e} in ideal_set:
+                covers.append((ideal, ideal | {e}))
+    return IdealLattice(base, ideals, covers)
+
+
+@cache
+def j2xn(n: int) -> IdealLattice:
+    """J(2 x n), the ideal lattice of chain_product_2xn(n), built once per n."""
+    return ideal_lattice(chain_product_2xn(n))
+
+
+def order_complex(L: GradedBoundedPoset) -> PureComplex:
+    """The chains of the proper part of L; facets are the maximal ones,
+    which in a graded bounded poset are the saturated rank-1 to top-1
+    chains."""
+    top = L.top_rank
+    vertices = [e for r in range(1, top) for e in L.elements_of_rank(r)]
+    if top < 2:
+        return PureComplex([], [frozenset()])
+    facets: list[frozenset] = []
+    chain: list = []
+
+    def climb(e) -> None:
+        chain.append(e)
+        if L.rank(e) == top - 1:
+            facets.append(frozenset(chain))
+        else:
+            for f in L.upper_covers(e):
+                if L.rank(f) < top:
+                    climb(f)
+        chain.pop()
+
+    for e in L.elements_of_rank(1):
+        climb(e)
+    return PureComplex(vertices, facets)
 
 
 # linear extensions, Jordan-Holder sets and the extension-path bijection

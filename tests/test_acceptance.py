@@ -16,12 +16,7 @@ from narayana.dyck import (
     ls_set,
     random_path,
 )
-from narayana.posets import (
-    chain_product_2xn,
-    flag_h_table,
-    ideal_lattice,
-    verify_theorem_main,
-)
+from narayana.posets import flag_h_table, verify_theorem_main
 from narayana.qpoly import QPoly, narayana, q_narayana_closed
 from narayana.shelling import (
     FacetOrder,
@@ -97,7 +92,7 @@ def test_criterion_02_q_narayana_three_way(capsys):
 def test_criterion_03_main_theorem_all_reference_paths(capsys):
     def body():
         for n in range(1, 5):
-            if verify_theorem_main(n, enumerate_paths(n)):
+            if verify_theorem_main(n, map(DyckPath, enumerate_paths(n))):
                 return False
         for n in (5, 6):
             rng = random.Random(40 + n)
@@ -113,7 +108,7 @@ def test_criterion_03_main_theorem_all_reference_paths(capsys):
 def test_criterion_04_ssyt_counts_and_bijection(capsys):
     def body():
         for n in range(1, 6):
-            betas = flag_h_table(ideal_lattice(chain_product_2xn(n)))
+            betas = flag_h_table(n)
             counts = Counter(
                 frozenset(row_sums(T))
                 for k in range(n)
@@ -204,10 +199,9 @@ def test_criterion_07_linear_extensions_shell(capsys):
 def test_criterion_08_partition_flag_h(capsys):
     def body():
         for n in range(1, 6):
-            L = ideal_lattice(chain_product_2xn(n))
-            table = flag_h_from_partition(L, partition_intervals(omega_n(n)))
-            ls_counts = Counter(ls_set(w.word) for w in enumerate_paths(n))
-            if not table == flag_h_table(L) == ls_counts:
+            table = flag_h_from_partition(partition_intervals(omega_n(n)))
+            ls_counts = Counter(map(ls_set, enumerate_paths(n)))
+            if not table == flag_h_table(n) == ls_counts:
                 return False
         return True
 
@@ -219,7 +213,7 @@ def test_criterion_08_partition_flag_h(capsys):
 def test_criterion_09_sigma_strictly_decreases(capsys):
     def body():
         for n in range(2, 8):
-            for w in enumerate_paths(n):
+            for w in map(DyckPath, enumerate_paths(n)):
                 before = sigma_stat(w)
                 for i in range(1, 2 * n - 1):
                     u = s_map(w, i)

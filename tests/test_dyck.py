@@ -84,14 +84,14 @@ def test_construction_rejects_bad_words():
 def test_empty_path():
     w = DyckPath("")
     assert w.n == 0
-    assert list(enumerate_paths(0)) == [w]
+    assert list(enumerate_paths(0)) == [w.word]
     assert des(w) == hp(w) == ea(w) == lnfs(w) == da(w) == 0
 
 
 def test_enumerate_matches_brute_force():
     for n in range(7):
         expected = brute_force_words(n)
-        got = [w.word for w in enumerate_paths(n)]
+        got = list(enumerate_paths(n))
         assert sorted(got) == sorted(expected)
         assert len(got) == catalan(n)
         # lexicographic with v < h, which is NOT the ascii string order
@@ -100,7 +100,7 @@ def test_enumerate_matches_brute_force():
 
 
 def test_enumerate_frozen():
-    assert [w.word for w in enumerate_paths(1)] == ["vh"]
+    assert list(enumerate_paths(1)) == ["vh"]
     assert len(list(enumerate_paths(4))) == 14
 
 
@@ -173,12 +173,12 @@ def test_descent_set_wrt_worked_example():
 
 
 def test_descent_set_wrt_identity_and_classical():
-    for w in enumerate_paths(4):
+    for w in map(DyckPath, enumerate_paths(4)):
         assert descent_set_wrt(w, w) == frozenset()
     for n in range(6):
         staircase = DyckPath("v" * n + "h" * n)
         zigzag = DyckPath("vh" * n)
-        for w in enumerate_paths(n):
+        for w in map(DyckPath, enumerate_paths(n)):
             assert descent_set_wrt(w, staircase) == descent_set(w.word)
             assert descent_set_wrt(w, zigzag) == high_peak_set(w)
 
@@ -205,13 +205,14 @@ def per_path(name, wrt):
 
 
 def oracle_distribution(n, name, wrt=None):
-    return dict(sorted(Counter(map(per_path(name, wrt), enumerate_paths(n))).items()))
+    paths = map(DyckPath, enumerate_paths(n))
+    return dict(sorted(Counter(map(per_path(name, wrt), paths)).items()))
 
 
 def oracle_joint_q(n, name, coname, wrt=None):
     stat, costat = per_path(name, wrt), per_path(coname, wrt)
     raw = defaultdict(Counter)
-    for w in enumerate_paths(n):
+    for w in map(DyckPath, enumerate_paths(n)):
         raw[stat(w)][costat(w)] += 1
     return {k: QPoly([raw[k][d] for d in range(max(raw[k]) + 1)]) for k in sorted(raw)}
 
@@ -236,7 +237,7 @@ def test_joint_q_matches_enumeration_oracle():
 
 def test_joint_q_des_w_every_reference_path():
     for n in range(6):
-        for w0 in enumerate_paths(n):
+        for w0 in map(DyckPath, enumerate_paths(n)):
             expected = oracle_joint_q(n, "des_w", "maj_w", w0)
             assert list(joint_q(n, "des_w", "maj_w", wrt=w0).items()) == list(expected.items())
             assert distribution(n, "maj_w", wrt=w0) == oracle_distribution(n, "maj_w", w0)
@@ -326,7 +327,7 @@ def test_unrank_errors():
 
 def test_unrank_agrees_with_enumerate():
     for n in range(7):
-        for i, w in enumerate(enumerate_paths(n)):
+        for i, w in enumerate(map(DyckPath, enumerate_paths(n))):
             assert unrank(n, i) == w
             assert rank(w) == i
 
@@ -335,7 +336,7 @@ def test_paths_from_every_constructor_are_one_value():
     # a path built by enumeration, by unranking or from an uppercase word
     # is one value and one dict key
     for n in range(7):
-        for i, w in enumerate(enumerate_paths(n)):
+        for i, w in enumerate(map(DyckPath, enumerate_paths(n))):
             twins = (w, unrank(n, i), DyckPath(w.word.upper()))
             assert all(t == w for t in twins) and {hash(t) for t in twins} == {hash(w)}
             assert {t: i for t in twins} == {w: i}

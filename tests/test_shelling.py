@@ -4,12 +4,7 @@ import random
 import pytest
 
 from narayana.dyck import DyckPath, enumerate_paths, ls_set
-from narayana.posets import (
-    GradedBoundedPoset,
-    chain_product_2xn,
-    flag_h_table,
-    ideal_lattice,
-)
+from narayana.posets import flag_h_table
 from narayana.qpoly import catalan
 from narayana.shelling import (
     FacetOrder,
@@ -20,17 +15,21 @@ from narayana.shelling import (
     dyck_complex,
     flag_h_from_partition,
     omega_n,
-    order_complex,
     partition_intervals,
     restriction,
 )
 from oracles import (
+    GradedBoundedPoset,
+    chain_product_2xn,
     closure_covers,
     dfs_face_masks,
     facet_to_path,
+    ideal_lattice,
     is_linear_extension,
     is_shelling,
+    j2xn,
     maj_l,
+    order_complex,
     pairwise_restriction_mask,
     path_to_facet,
     random_linear_extension,
@@ -65,6 +64,12 @@ def triangle_boundary() -> PureComplex:
 
 def minimal_indices(om: FacetOrder) -> list[int]:
     return [i for i in range(om.m) if not om.below_mask(i)]
+
+
+def ideal_point(ideal: frozenset) -> tuple[int, int]:
+    # the ideal of J(2 x n) with a elements in the first row and b in the
+    # second is the point (a, b) of dyck_complex
+    return sum(e[0] == 1 for e in ideal), sum(e[0] == 2 for e in ideal)
 
 
 def restriction_masks(cx: PureComplex, restrictions) -> list[int]:
@@ -148,10 +153,19 @@ def test_order_complex_shapes():
     assert cx2.m == 2 and cx2.d == 3
     cx4 = order_complex(ideal_lattice(chain_product_2xn(4)))
     assert cx4.m == 14 and cx4.d == 7
-    dyck4 = dyck_complex(4)
-    assert {cx4.face_members(cx4.mask(f)) for f in range(cx4.m)} == {
-        dyck4.face_members(dyck4.mask(f)) for f in range(dyck4.m)
-    }
+
+
+def test_dyck_complex_matches_order_complex_oracle():
+    # the grid of points against the order complex of the generic ideal
+    # lattice: the same vertex at every index and the same mask for every
+    # facet, so vertex indices in witnesses and the facet order both hold
+    for n in range(1, 9):
+        cx, oracle = dyck_complex(n), order_complex(j2xn(n))
+        assert len(cx.vertex_facets) == len(oracle.vertex_facets), n
+        for i in range(len(oracle.vertex_facets)):
+            (ideal,) = oracle.face_members(1 << i)
+            assert cx.face_members(1 << i) == {ideal_point(ideal)}, (n, i)
+        assert [cx.mask(f) for f in range(cx.m)] == [oracle.mask(f) for f in range(oracle.m)], n
 
 
 def test_dyck_complex_alignment():
@@ -160,7 +174,8 @@ def test_dyck_complex_alignment():
         assert cx.m == catalan(n)
         assert cx.d == 2 * n - 1
         for i, w in enumerate(enumerate_paths(n)):
-            assert cx.face_members(cx.mask(i)) == path_to_facet(w)
+            facet = path_to_facet(DyckPath(w))
+            assert cx.face_members(cx.mask(i)) == set(map(ideal_point, facet))
     with pytest.raises(ValueError):
         dyck_complex(0)
 
@@ -174,7 +189,7 @@ def test_path_facet_round_trip():
     ]
     assert facet_to_path(chain) == DyckPath("vvhh")
     for n in range(1, 7):
-        for w in enumerate_paths(n):
+        for w in map(DyckPath, enumerate_paths(n)):
             assert facet_to_path(path_to_facet(w)) == w
 
 
@@ -218,7 +233,7 @@ def test_s_map_bounds():
 
 def test_s_map_preserves_dyck():
     for n in range(2, 6):
-        for w in enumerate_paths(n):
+        for w in map(DyckPath, enumerate_paths(n)):
             for i in range(1, 2 * n - 1):
                 DyckPath(s_map(w, i).word)
 
@@ -232,7 +247,7 @@ def test_sigma_stat():
 
 def test_sigma_strictly_decreases():
     for n in range(2, 6):
-        for w in enumerate_paths(n):
+        for w in map(DyckPath, enumerate_paths(n)):
             for i in range(1, 2 * n - 1):
                 u = s_map(w, i)
                 if u != w:
@@ -264,7 +279,7 @@ def test_omega_relations_match_rank_oracle():
     # the oracle ranks the rewritten path by counting
     for n in range(1, 8):
         om = omega_n(n)
-        paths = list(enumerate_paths(n))
+        paths = list(map(DyckPath, enumerate_paths(n)))
         expected = {
             (rank(s_map(w, i)), j)
             for j, w in enumerate(paths)
@@ -332,22 +347,17 @@ def test_restriction_matches_ls():
     for n in range(1, 6):
         om = omega_n(n)
         for i, w in enumerate(enumerate_paths(n)):
-            ranks = frozenset(len(x) for x in restriction(om, i))
-            assert ranks == ls_set(w.word), w.word
-            assert sum(ranks) == maj_l(w)
+            ranks = frozenset(a + b for a, b in restriction(om, i))
+            assert ranks == ls_set(w), w
+            assert sum(ranks) == maj_l(DyckPath(w))
 
 
 def test_restriction_examples():
     om = omega_n(3)
     words = list(om.labels)
     assert restriction(om, words.index("vhvhvh")) == frozenset()
-    assert restriction(om, words.index("vvvhhh")) == {
-        frozenset({(1, 1), (1, 2), (1, 3)})
-    }
-    assert restriction(om, words.index("vvhhvh")) == {
-        frozenset({(1, 1), (1, 2)}),
-        frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}),
-    }
+    assert restriction(om, words.index("vvvhhh")) == {(3, 0)}
+    assert restriction(om, words.index("vvhhvh")) == {(2, 0), (2, 2)}
 
 
 def test_check_preshelling_omega():
@@ -530,7 +540,7 @@ def test_verify_partitioning_matches_brute_force_on_damage():
         for _ in range(30):
             rs = list(good)
             for f in rng.sample(range(om.m), rng.randint(1, 3)):
-                facet = sorted(facets[f], key=sorted)
+                facet = sorted(facets[f])
                 rs[f] = frozenset(rng.sample(facet, rng.randint(0, len(facet))))
             damaged.append(tuple(rs))
         owner_counts = set()
@@ -560,12 +570,10 @@ def test_single_facet_partitioning_covers_everything():
 
 
 def test_flag_h_from_partition_frozen():
-    L1 = ideal_lattice(chain_product_2xn(1))
     p1 = partition_intervals(omega_n(1))
-    assert flag_h_from_partition(L1, p1) == {frozenset(): 1}
-    L3 = ideal_lattice(chain_product_2xn(3))
+    assert flag_h_from_partition(p1) == {frozenset(): 1}
     p3 = partition_intervals(omega_n(3))
-    table = flag_h_from_partition(L3, p3)
+    table = flag_h_from_partition(p3)
     assert table == {
         frozenset(): 1,
         frozenset({2}): 1,
@@ -577,11 +585,10 @@ def test_flag_h_from_partition_frozen():
 
 def test_flag_h_from_partition_matches_inclusion_exclusion():
     for n in range(1, 6):
-        L = ideal_lattice(chain_product_2xn(n))
-        table = flag_h_from_partition(L, partition_intervals(omega_n(n)))
-        assert table == flag_h_table(L), n
+        table = flag_h_from_partition(partition_intervals(omega_n(n)))
+        assert table == flag_h_table(n), n
         ls_counts: dict[frozenset[int], int] = {}
         for w in enumerate_paths(n):
-            s = ls_set(w.word)
+            s = ls_set(w)
             ls_counts[s] = ls_counts.get(s, 0) + 1
         assert table == ls_counts

@@ -5,7 +5,6 @@ import pytest
 
 from narayana import dyck
 from narayana.dyck import DyckPath, descent_set, enumerate_paths, joint_q
-from narayana.posets import chain_product_2xn, ideal_lattice
 from narayana.qpoly import QPoly, q_narayana_closed
 from narayana.tableaux import (
     Q_NARAYANA_ROUTES,
@@ -23,7 +22,7 @@ from narayana.tableaux import (
     two_column,
     verify_q_identity,
 )
-from oracles import des, flag_h
+from oracles import chain_product_2xn, des, flag_h, ideal_lattice
 
 
 def brute_ssyt(shape: tuple[int, ...], max_part: int) -> set[tuple]:
@@ -144,7 +143,7 @@ def test_dyck_to_ssyt_figure():
 
 def test_bijection_round_trips():
     for n in range(1, 8):
-        for w in enumerate_paths(n):
+        for w in map(DyckPath, enumerate_paths(n)):
             T = dyck_to_ssyt(w)
             assert ssyt_to_dyck(T, n) == w
             assert descent_set(w.word) == set(row_sums(T))
@@ -285,7 +284,7 @@ def test_lowest_degree_is_k_squared_plus_k():
 def test_schur_sum_counts_paths_by_descents():
     for n in range(1, 7):
         for k in range(n):
-            count = sum(1 for w in enumerate_paths(n) if des(w) == k)
+            count = sum(1 for w in enumerate_paths(n) if des(DyckPath(w)) == k)
             assert sum(q_narayana_schur(n, k).coeffs) == count
 
 
