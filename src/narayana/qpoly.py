@@ -37,10 +37,6 @@ class QPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
@@ -122,6 +118,8 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 def mul_q_int(cs: list[int], m: int) -> list[int]:
     """The coefficients of p * [m] from those of p, for m >= 1, in linear
     time: p * (1 - q**m) / (1 - q), so each is a window sum of m of p's."""
+    if m < 1:
+        raise ValueError(f"mul_q_int needs m >= 1, got {m}")
     padded = cs + [0] * (m - 1) if cs else []
     return list(accumulate(map(sub, padded, [0] * m + padded)))
 
@@ -153,7 +151,7 @@ def q_binomial(n: int, k: int) -> QPoly:
     if n < 0:
         raise ValueError(f"q_binomial with negative n: {n}")
     if k < 0 or k > n:
-        return QPoly.zero()
+        return QPoly()
     k = min(k, n - k)
     cs = [1]
     for i in range(1, k + 1):
@@ -196,6 +194,6 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
     if k < 0:
         raise ValueError(f"q_narayana_closed needs k >= 0, got {k}")
     if k >= n:
-        return QPoly.zero()
+        return QPoly()
     numerator = q_binomial(n, k) * q_binomial(n, k + 1)
     return QPoly([0] * (k * k + k) + div_q_int(list(numerator.coeffs), n))

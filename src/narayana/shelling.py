@@ -209,6 +209,12 @@ class FacetOrder:
 
 
 @cache
+def _words(n: int) -> tuple[str, ...]:
+    # the facet labels of dyck_complex(n) and omega_n(n), enumerated once
+    return tuple(enumerate_paths(n))
+
+
+@cache
 def dyck_complex(n: int) -> PureComplex:
     """The order complex of the proper part of J(2 x n).  Its vertices are
     the points (a, b) of ranks 1 to 2n - 1, indexed by rank a + b and then
@@ -219,7 +225,7 @@ def dyck_complex(n: int) -> PureComplex:
         raise ValueError(f"dyck_complex needs n >= 1, got {n}")
     points = [(a, r - a) for r in range(1, 2 * n) for a in range((r + 1) // 2, min(r, n) + 1)]
     facets = []
-    for word in enumerate_paths(n):
+    for word in _words(n):
         a = b = 0
         chain = []
         for letter in word[:-1]:
@@ -245,7 +251,7 @@ def omega_n(n: int) -> FacetOrder:
     if n > OMEGA_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {OMEGA_GUARD}")
     cx = dyck_complex(n)
-    words = tuple(enumerate_paths(n))
+    words = _words(n)
     # a rewrite that left the paths would raise KeyError here
     index = {word: j for j, word in enumerate(words)}
     relations = []

@@ -14,7 +14,7 @@ from narayana.qpoly import (
     q_binomial,
     q_narayana_closed,
 )
-from narayana.tableaux import q_narayana_schur
+from narayana.tableaux import q_narayana_hook
 from oracles import InexactDivisionError, exact_div, q_factorial, q_int
 
 ONE = QPoly((1,))
@@ -105,6 +105,14 @@ def test_kronecker_mul_at_its_digit_bound():
 def test_mul_q_int_matches_schoolbook(cs, m):
     p = QPoly(cs)
     assert mul_q_int(list(p.coeffs), m) == list(ref_mul(p, q_int(m)).coeffs)
+
+
+def test_mul_q_int_rejects_m_below_1():
+    # refused as div_q_int refuses it: [m] for m < 0 is no polynomial
+    for m in (0, -1, -2):
+        with pytest.raises(ValueError, match=f"mul_q_int needs m >= 1, got {m}"):
+            mul_q_int([1, 2], m)
+    assert mul_q_int([], 1) == []
 
 
 @given(
@@ -291,6 +299,6 @@ def test_q_narayana_closed_specializes_to_narayana():
 def test_q_narayana_closed_matches_hook_route_at_large_n(n):
     for k in (0, 1, n // 6, n // 2, n // 2 + 1, 5 * n // 6, n - 2, n - 1):
         p = q_narayana_closed(n, k)
-        assert p == q_narayana_schur(n, k, method="hook")
+        assert p == q_narayana_hook(n, k)
         assert all(c >= 0 for c in p.coeffs)
         assert sum(p.coeffs) == narayana(n, k)

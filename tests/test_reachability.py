@@ -32,11 +32,6 @@ ALLOWED = {
     "narayana.qpoly.QPoly.__eq__": _VALUE,
     "narayana.qpoly.QPoly.__hash__": _VALUE,
     "narayana.qpoly.QPoly.__repr__": _VALUE,
-    "narayana.tableaux.Partition.__eq__": _VALUE,
-    "narayana.tableaux.Partition.__hash__": _VALUE,
-    "narayana.tableaux.Partition.__repr__": _VALUE,
-    "narayana.tableaux.SSYT.__hash__": _VALUE,
-    "narayana.tableaux.SSYT.__repr__": _VALUE,
     "narayana.qpoly.QPoly.degree": _TRACER,
     "narayana.shelling.FacetOrder.relations": _TRACER,
 }

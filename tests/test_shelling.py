@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from narayana import shelling
 from narayana.dyck import DyckPath, enumerate_paths, ls_set
 from narayana.posets import flag_h_table
 from narayana.qpoly import catalan
@@ -178,6 +179,25 @@ def test_dyck_complex_alignment():
             assert cx.face_members(cx.mask(i)) == set(map(ideal_point, facet))
     with pytest.raises(ValueError):
         dyck_complex(0)
+
+
+def test_omega_n_enumerates_the_words_once(monkeypatch):
+    # dyck_complex(n) and omega_n(n) share one word tuple per n
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_paths(n)
+
+    monkeypatch.setattr(shelling, "enumerate_paths", counted)
+    for value in vars(shelling).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    om = omega_n(5)
+    assert calls == [5]
+    assert om.labels == tuple(enumerate_paths(5))
+    assert dyck_complex(5) is om.complex
+    assert calls == [5]
 
 
 def test_path_facet_round_trip():

@@ -3,160 +3,137 @@ from collections import Counter
 
 import pytest
 
-from narayana import dyck
+from narayana import dyck, tableaux
 from narayana.dyck import DyckPath, descent_set, enumerate_paths, joint_q
 from narayana.qpoly import QPoly, q_narayana_closed
 from narayana.tableaux import (
     Q_NARAYANA_ROUTES,
-    Partition,
-    SSYT,
-    content,
     dyck_to_ssyt,
-    enumerate_ssyt,
-    hook_length,
-    q_narayana_schur,
-    row_sums,
-    schur_principal_hook,
-    schur_principal_ssyt,
+    q_narayana_hook,
+    q_narayana_ssyt,
     ssyt_to_dyck,
-    two_column,
+    two_column_fillings,
     verify_q_identity,
 )
 from oracles import chain_product_2xn, des, flag_h, ideal_lattice
 
+FIGURE = ((1, 2), (3, 5), (5, 6))  # the tableau of the paper's figure, n = 7
+
 
 def brute_ssyt(shape: tuple[int, ...], max_part: int) -> set[tuple]:
-    # oracle: filter every filling of the diagram for semistandardness
-    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
+    # oracle: filter every filling of the diagram for semistandardness, the
+    # columns first (strictly increasing), then the rows of each combination
+    # of them (weakly increasing)
+    heights = [sum(1 for p in shape if p > j) for j in range(max(shape, default=0))]
+    columns = [
+        [c for c in itertools.product(range(1, max_part + 1), repeat=h) if list(c) == sorted(set(c))]
+        for h in heights
+    ]
     found = set()
-    for values in itertools.product(range(1, max_part + 1), repeat=len(cells)):
-        grid: dict[tuple[int, int], int] = dict(zip(cells, values))
-        ok = True
-        for (i, j), v in grid.items():
-            if j and grid[i, j - 1] > v:
-                ok = False
-            if i and (i - 1, j) in grid and grid[i - 1, j] >= v:
-                ok = False
-        if ok:
-            found.add(
-                tuple(tuple(grid[i, j] for j in range(p)) for i, p in enumerate(shape))
-            )
+    for cols in itertools.product(*columns):
+        rows = tuple(tuple(col[i] for col in cols[:p]) for i, p in enumerate(shape))
+        if all(list(row) == sorted(row) for row in rows):
+            found.add(rows)
     return found
 
 
-def test_partition_validation():
-    assert Partition((3, 1)).parts == (3, 1)
-    assert Partition().length == 0
-    with pytest.raises(ValueError, match="weakly decrease"):
-        Partition((1, 2))
-    with pytest.raises(ValueError, match="positive"):
-        Partition((2, 0))
-    for flag in (True, False):
-        with pytest.raises(ValueError, match="positive integers"):
-            Partition((2, flag))
-    assert two_column(3).parts == (2, 2, 2)
-    assert two_column(0).parts == ()
-    with pytest.raises(ValueError):
-        two_column(-1)
-
-
 def test_ssyt_validation():
-    T = SSYT([[1, 2], [3, 5], [5, 6]])
-    assert T.shape.parts == (2, 2, 2)
     with pytest.raises(ValueError, match="weakly increase"):
-        SSYT([[2, 1]])
-    with pytest.raises(ValueError, match="strictly increase"):
-        SSYT([[1, 1], [1, 2]])
+        ssyt_to_dyck(((2, 1),), 9)
+    with pytest.raises(ValueError, match="strictly increase: column 1"):
+        ssyt_to_dyck(((1, 1), (1, 2)), 9)
+    with pytest.raises(ValueError, match="strictly increase: column 2"):
+        ssyt_to_dyck(((1, 3), (2, 3)), 9)
     with pytest.raises(ValueError, match="positive"):
-        SSYT([[0, 1]])
+        ssyt_to_dyck(((0, 1),), 9)
     for flag in (True, False):
         with pytest.raises(ValueError, match="positive integers"):
-            SSYT([[flag, 2]])
-    with pytest.raises(ValueError, match="weakly decrease"):
-        SSYT([[1], [1, 2]])
+            ssyt_to_dyck(((flag, 2),), 9)
+    with pytest.raises(ValueError, match="two-column"):
+        ssyt_to_dyck(((1,), (1, 2)), 9)
 
 
 def test_enumerate_ssyt_frozen():
-    assert [T.rows for T in enumerate_ssyt((2,), 1)] == [((1, 1),)]
-    assert [T.rows for T in enumerate_ssyt((2,), 2)] == [
-        ((1, 1),),
-        ((1, 2),),
-        ((2, 2),),
-    ]
-    only = enumerate_ssyt((2, 2), 2)
-    assert [T.rows for T in only] == [((1, 1), (2, 2))]
-    assert enumerate_ssyt((2, 2, 2), 2) == []
-    assert [T.rows for T in enumerate_ssyt((), 5)] == [()]
+    assert list(two_column_fillings(1, 1)) == [((1, 1),)]
+    assert list(two_column_fillings(1, 2)) == [((1, 1),), ((1, 2),), ((2, 2),)]
+    assert list(two_column_fillings(2, 2)) == [((1, 1), (2, 2))]
+    assert list(two_column_fillings(3, 2)) == []
+    assert list(two_column_fillings(0, 5)) == [()]
+    assert list(two_column_fillings(0, 0)) == [()]
+    for k, m in ((-1, 3), (2, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            two_column_fillings(k, m)
 
 
 def test_enumerate_ssyt_matches_brute_force():
-    for shape in ((2,), (2, 2), (3, 1), (2, 2, 1), (3,)):
-        for max_part in range(1, 5):
-            got = {T.rows for T in enumerate_ssyt(shape, max_part)}
-            assert got == brute_ssyt(shape, max_part), (shape, max_part)
+    for k in range(6):
+        for m in range(7):
+            got = list(two_column_fillings(k, m))
+            assert set(got) == brute_ssyt((2,) * k, m), (k, m)
+            assert len(got) == len(set(got))
 
 
 def test_enumerate_ssyt_is_lexicographic():
-    words = [
-        tuple(e for row in T.rows for e in row)
-        for T in enumerate_ssyt((2, 2), 4)
-    ]
-    assert words == sorted(words)
-    assert len(words) == len(set(words))
+    for k in range(6):
+        for m in range(7):
+            words = [sum(rows, ()) for rows in two_column_fillings(k, m)]
+            assert words == sorted(words), (k, m)
 
 
 def test_row_sums():
-    assert row_sums(SSYT([[1, 1]])) == (2,)
-    assert row_sums(SSYT([[1, 2], [3, 5], [5, 6]])) == (3, 8, 11)
-    assert row_sums(SSYT([[1, 1], [2, 2]])) == (2, 4)
-    assert row_sums(SSYT(())) == ()
+    # the row sums of a tableau are the descent set of its path
+    for rows, n, sums in (
+        (((1, 1),), 2, {2}),
+        (FIGURE, 7, {3, 8, 11}),
+        (((1, 1), (2, 2)), 3, {2, 4}),
+        ((), 4, set()),
+    ):
+        assert {a + b for a, b in rows} == sums
+        assert descent_set(ssyt_to_dyck(rows, n).word) == sums
 
 
 def test_ssyt_to_dyck_figure():
-    T = SSYT([[1, 2], [3, 5], [5, 6]])
-    w = ssyt_to_dyck(T, 7)
+    w = ssyt_to_dyck(FIGURE, 7)
     assert w.word == "vvhvvvhhvhhvhh"
     assert descent_set(w.word) == {3, 8, 11}
 
 
 def test_ssyt_to_dyck_small():
-    assert ssyt_to_dyck(SSYT(()), 4).word == "vvvvhhhh"
-    assert ssyt_to_dyck(SSYT([[1, 1]]), 2).word == "vhvh"
+    assert ssyt_to_dyck((), 4).word == "vvvvhhhh"
+    assert ssyt_to_dyck(((1, 1),), 2).word == "vhvh"
 
 
 def test_ssyt_to_dyck_errors():
     with pytest.raises(ValueError, match="entry out of range"):
-        ssyt_to_dyck(SSYT([[1, 3]]), 3)
+        ssyt_to_dyck(((1, 3),), 3)
     with pytest.raises(ValueError, match="two-column"):
-        ssyt_to_dyck(SSYT([[1, 1, 1]]), 5)
+        ssyt_to_dyck(((1, 1, 1),), 5)
     with pytest.raises(ValueError):
-        ssyt_to_dyck(SSYT(()), 0)
+        ssyt_to_dyck((), 0)
 
 
 def test_dyck_to_ssyt_figure():
-    assert dyck_to_ssyt(DyckPath("vvhvvvhhvhhvhh")) == SSYT(
-        [[1, 2], [3, 5], [5, 6]]
-    )
-    assert dyck_to_ssyt(DyckPath("vvvhhh")) == SSYT(())
-    assert dyck_to_ssyt(DyckPath("vhvh")) == SSYT([[1, 1]])
+    assert dyck_to_ssyt(DyckPath("vvhvvvhhvhhvhh")) == FIGURE
+    assert dyck_to_ssyt(DyckPath("vvvhhh")) == ()
+    assert dyck_to_ssyt(DyckPath("vhvh")) == ((1, 1),)
 
 
 def test_bijection_round_trips():
     for n in range(1, 8):
         for w in map(DyckPath, enumerate_paths(n)):
-            T = dyck_to_ssyt(w)
-            assert ssyt_to_dyck(T, n) == w
-            assert descent_set(w.word) == set(row_sums(T))
+            rows = dyck_to_ssyt(w)
+            assert ssyt_to_dyck(rows, n) == w
+            assert descent_set(w.word) == {a + b for a, b in rows}
         for k in range(n):
-            for T in enumerate_ssyt(two_column(k), n - 1):
-                assert dyck_to_ssyt(ssyt_to_dyck(T, n)) == T
+            for rows in two_column_fillings(k, n - 1):
+                assert dyck_to_ssyt(ssyt_to_dyck(rows, n)) == rows
 
 
 def test_row_sums_strictly_increase_for_two_columns():
     for n in range(1, 7):
         for k in range(n):
-            for T in enumerate_ssyt(two_column(k), n - 1):
-                sums = row_sums(T)
+            for rows in two_column_fillings(k, n - 1):
+                sums = [a + b for a, b in rows]
                 assert all(a < b for a, b in zip(sums, sums[1:]))
 
 
@@ -165,97 +142,109 @@ def test_counting_form_against_flag_h():
         L = ideal_lattice(chain_product_2xn(n))
         buckets: Counter = Counter()
         for k in range(n):
-            for T in enumerate_ssyt(two_column(k), n - 1):
-                buckets[frozenset(row_sums(T))] += 1
+            for rows in two_column_fillings(k, n - 1):
+                buckets[frozenset(a + b for a, b in rows)] += 1
         for size in range(2 * n):
             for S in itertools.combinations(range(1, 2 * n), size):
                 assert flag_h(L, S) == buckets.get(frozenset(S), 0)
 
 
-def test_hook_and_content():
-    assert hook_length((2,), (1, 1)) == 2
-    assert content((2,), (1, 1)) == 0
-    for k in range(1, 6):
-        for i in range(1, k + 1):
-            assert hook_length(two_column(k), (i, 1)) == k - i + 2
-    assert hook_length((3, 1), (1, 3)) == 1
-    assert hook_length((3, 1), (1, 1)) == 4
-    assert content((3, 1), (2, 1)) == -1
-    with pytest.raises(ValueError, match="cell not in diagram"):
-        hook_length((2,), (2, 1))
-    with pytest.raises(ValueError, match="cell not in diagram"):
-        content((2,), (1, 3))
+def test_hook_and_content(monkeypatch):
+    # the factors the hook route multiplies in and divides out are the
+    # [n - 1 + content] and [hook] of the cells of 2^k, read off the diagram
+    factors = []
+
+    def recorded(name):
+        kernel = getattr(tableaux, name)
+
+        def call(cs, m):
+            factors.append((name, m))
+            return kernel(cs, m)
+
+        return call
+
+    for name in ("mul_q_int", "div_q_int"):
+        monkeypatch.setattr(tableaux, name, recorded(name))
+    for k in range(7):
+        cells = [(i, j) for i in range(1, k + 1) for j in (1, 2)]
+        hooks = [(2 - j) + (k - i) + 1 for i, j in cells]  # arm + leg + 1
+        for n in range(k + 1, k + 4):
+            factors.clear()
+            assert q_narayana_hook(n, k) == q_narayana_closed(n, k)
+            assert Counter(m for name, m in factors if name == "mul_q_int") == Counter(
+                n - 1 + j - i for i, j in cells
+            )
+            assert [m for name, m in factors if name == "div_q_int"] == sorted(hooks)
 
 
 def test_schur_principal_frozen():
-    assert schur_principal_ssyt((), 3) == QPoly((1,))
-    assert schur_principal_hook((), 3) == QPoly((1,))
-    assert schur_principal_ssyt((2,), 2) == QPoly((0, 0, 1, 1, 1))
-    assert schur_principal_hook((2,), 2) == QPoly((0, 0, 1, 1, 1))
-    assert schur_principal_ssyt((2, 2), 2) == QPoly((0,) * 6 + (1,))
-    assert schur_principal_hook((2, 2), 2) == QPoly((0,) * 6 + (1,))
-    assert schur_principal_ssyt((2, 2, 2), 2) == QPoly()
-    assert schur_principal_hook((2, 2, 2), 2) == QPoly()
+    # s_{2^k}(q, ..., q^(n-1)) by both routes
+    for route in (q_narayana_ssyt, q_narayana_hook):
+        assert route(4, 0) == QPoly((1,))
+        assert route(3, 1) == QPoly((0, 0, 1, 1, 1))
+        assert route(3, 2) == QPoly((0,) * 6 + (1,))
+        assert route(3, 3) == QPoly()
 
 
 def test_schur_routes_agree():
-    shapes = [two_column(k) for k in range(6)] + [
-        Partition((3, 1)),
-        Partition((2, 2, 1)),
-        Partition((4, 2, 1)),
-    ]
-    for shape in shapes:
-        top = 8 if all(p == 2 for p in shape.parts) else 5
-        for n in range(top + 1):
-            assert schur_principal_ssyt(shape, n) == schur_principal_hook(
-                shape, n
-            ), (shape, n)
+    for n in range(1, 10):
+        for k in range(n + 2):
+            closed = q_narayana_closed(n, k)
+            assert q_narayana_ssyt(n, k) == closed, (n, k)
+            assert q_narayana_hook(n, k) == closed, (n, k)
+
+
+def test_hook_route_matches_closed_form_for_every_k():
+    # every n <= 30, and the closed-form ceiling 60; every n <= 60 takes 30 s
+    for n in [*range(1, 31), 60]:
+        for k in range(n + 2):
+            assert q_narayana_hook(n, k) == q_narayana_closed(n, k), (n, k)
 
 
 def test_schur_principal_ssyt_matches_tableau_totals():
-    # the sum over fillings against the validated SSYT objects it skips
-    shapes = [two_column(k) for k in range(5)] + [
-        Partition((3, 1)),
-        Partition((2, 2, 1)),
-        Partition((1,)),
-        Partition((3, 3)),
-    ]
-    for shape in shapes:
-        for n in range(7):
-            totals = Counter(sum(map(sum, T.rows)) for T in enumerate_ssyt(shape, n))
-            expected = QPoly(totals[d] for d in range(max(totals, default=-1) + 1))
-            assert schur_principal_ssyt(shape, n) == expected, (shape, n)
-    with pytest.raises(ValueError, match="negative max_part"):
-        schur_principal_ssyt((2,), -1)
+    # the sum over the generator against the entry sums of the oracle's tableaux
+    for n in range(1, 8):
+        for k in range(n):
+            totals = Counter(sum(map(sum, rows)) for rows in brute_ssyt((2,) * k, n - 1))
+            expected = QPoly(totals[d] for d in range(max(totals) + 1))
+            assert q_narayana_ssyt(n, k) == expected, (n, k)
 
 
 def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(monkeypatch):
-    # k rows in n - 1 variables give zero; a k-row shape for k = 10**7 would
-    # take seconds and k = 10**12 all memory, so building one is an error here
-    def two_column_below_5(k):
-        if k >= 5:
-            raise AssertionError(f"built a {k}-row shape for n = 5")
-        return two_column(k)
+    # k rows in n - 1 variables give zero; k = 10**7 rows would take seconds
+    # and k = 10**12 all memory, so filling or multiplying is an error here
+    fillings = tableaux.two_column_fillings
 
-    monkeypatch.setattr("narayana.tableaux.two_column", two_column_below_5)
-    for method in ("ssyt", "hook"):
+    def fillings_below_5(k, m):
+        if k >= 5:
+            raise AssertionError(f"filled {k} rows for n = 5")
+        return fillings(k, m)
+
+    monkeypatch.setattr(tableaux, "two_column_fillings", fillings_below_5)
+    for route in (q_narayana_ssyt, q_narayana_hook):
+        assert route(5, 4) == q_narayana_closed(5, 4)
+
+    def no_factor(cs, m):
+        raise AssertionError("multiplied in a factor for k >= n")
+
+    monkeypatch.setattr(tableaux, "mul_q_int", no_factor)
+    for route in (q_narayana_ssyt, q_narayana_hook):
         for k in (5, 6, 10**7, 10**12):
-            assert q_narayana_schur(5, k, method=method) == QPoly()
-        assert q_narayana_schur(5, 4, method=method) == q_narayana_closed(5, 4)
+            assert route(5, k) == QPoly()
 
 
 def test_q_narayana_schur_frozen():
-    assert q_narayana_schur(5, 0) == QPoly((1,))
-    assert q_narayana_schur(3, 1) == QPoly((0, 0, 1, 1, 1))
-    assert q_narayana_schur(3, 2) == QPoly((0,) * 6 + (1,))
-    assert q_narayana_schur(3, 2, method="hook") == QPoly((0,) * 6 + (1,))
-    assert q_narayana_schur(3, 5) == QPoly()
-    with pytest.raises(ValueError):
-        q_narayana_schur(0, 0)
-    with pytest.raises(ValueError):
-        q_narayana_schur(3, -1)
-    with pytest.raises(ValueError, match="unknown method"):
-        q_narayana_schur(3, 1, method="rsk")
+    for route in (q_narayana_ssyt, q_narayana_hook):
+        assert route(5, 0) == QPoly((1,))
+        assert route(3, 1) == QPoly((0, 0, 1, 1, 1))
+        assert route(3, 2) == QPoly((0,) * 6 + (1,))
+        assert route(3, 5) == QPoly()
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            route(0, 0)
+        with pytest.raises(ValueError, match="needs k >= 0"):
+            route(3, -1)
+    assert Q_NARAYANA_ROUTES["schur-ssyt"] is q_narayana_ssyt
+    assert Q_NARAYANA_ROUTES["schur-hook"] is q_narayana_hook
 
 
 def test_three_way_q_narayana_identity():
@@ -263,12 +252,12 @@ def test_three_way_q_narayana_identity():
         table = joint_q(n, "des", "maj")
         for k in range(n):
             closed = q_narayana_closed(n, k)
-            assert q_narayana_schur(n, k) == closed
-            assert q_narayana_schur(n, k, method="hook") == closed
-            assert table.get(k, QPoly.zero()) == closed
+            assert q_narayana_ssyt(n, k) == closed
+            assert q_narayana_hook(n, k) == closed
+            assert table.get(k, QPoly()) == closed
         if n > 1:
             low = min(
-                d for d, c in enumerate(q_narayana_schur(n, 1).coeffs) if c
+                d for d, c in enumerate(q_narayana_ssyt(n, 1).coeffs) if c
             )
             assert low == 2
 
@@ -276,7 +265,7 @@ def test_three_way_q_narayana_identity():
 def test_lowest_degree_is_k_squared_plus_k():
     for n in range(1, 8):
         for k in range(n):
-            p = q_narayana_schur(n, k)
+            p = q_narayana_ssyt(n, k)
             low = min(d for d, c in enumerate(p.coeffs) if c)
             assert low == k * k + k
 
@@ -285,7 +274,7 @@ def test_schur_sum_counts_paths_by_descents():
     for n in range(1, 7):
         for k in range(n):
             count = sum(1 for w in enumerate_paths(n) if des(DyckPath(w)) == k)
-            assert sum(q_narayana_schur(n, k).coeffs) == count
+            assert sum(q_narayana_ssyt(n, k).coeffs) == count
 
 
 def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
