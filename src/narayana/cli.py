@@ -25,7 +25,14 @@ from . import __version__
 # are copied here and pinned to the library by tests/test_cli.py.
 CLOSED_FORM_LIMIT = 60
 ENUMERATION_LIMIT = 12
-ROUTES = ("closed", "schur-ssyt", "schur-hook", "enumerate")
+# route -> (module, function) of the library routine that computes it; key
+# order is the order --help lists the routes in
+ROUTES = {
+    "closed": ("qpoly", "q_narayana_closed"),
+    "schur-ssyt": ("tableaux", "q_narayana_ssyt"),
+    "schur-hook": ("tableaux", "q_narayana_hook"),
+    "enumerate": ("tableaux", "q_narayana_enumerate"),
+}
 ENUMERATIVE_ROUTES = ("enumerate", "schur-ssyt")
 SAMPLES_LIMIT = 200
 VERIFY_LIMITS = {
@@ -74,6 +81,11 @@ def _usage(message: str) -> int:
     return 2
 
 
+def _library(module: str, function: str):
+    """The named function of a library module, imported on first use."""
+    return getattr(importlib.import_module(f".{module}", __package__), function)
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -114,10 +126,8 @@ def cmd_qnarayana(args: argparse.Namespace) -> int:
         return _usage(f"route {route} enumerates and is limited to n <= {ENUMERATION_LIMIT}")
     if n > CLOSED_FORM_LIMIT:
         return _usage(f"route {route} is limited to n <= {CLOSED_FORM_LIMIT}")
-    from .tableaux import Q_NARAYANA_ROUTES
-
     if route != "all":
-        poly = Q_NARAYANA_ROUTES[route](n, k)
+        poly = _library(*ROUTES[route])(n, k)
         if args.format == "json":
             _emit_json(
                 {
@@ -134,7 +144,7 @@ def cmd_qnarayana(args: argparse.Namespace) -> int:
     names = ["closed", "schur-hook"]
     if n <= ENUMERATION_LIMIT:
         names += list(ENUMERATIVE_ROUTES)
-    routes = {name: Q_NARAYANA_ROUTES[name](n, k) for name in names}
+    routes = {name: _library(*ROUTES[name])(n, k) for name in names}
     verdict = "pass" if len({p.coeffs for p in routes.values()}) == 1 else "fail"
     if args.format == "json":
         _emit_json(
@@ -286,8 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 return _usage(f"ref-path has semilength {w.n}, expected {n}")
             parameters["ref_path"] = w.word
             refs = [w]
-    module, function = VERIFY_CHECKS[check]
-    run = getattr(importlib.import_module(f".{module}", __package__), function)
+    run = _library(*VERIFY_CHECKS[check])
     started = time.monotonic()
     witnesses = run(n) if refs is None else run(n, refs)
     elapsed = time.monotonic() - started

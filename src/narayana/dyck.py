@@ -8,16 +8,19 @@ Statistics, by the names that distribution and joint_q accept: des / maj
 (v in even position), lnfs / maj_l (vvh and hhv factors, reported at the
 center), da (vv factors), and the reference-word family des_w / maj_w built
 from the labeling v_i, h_j.  Both tables sum over all paths by a transfer
-matrix; on one path's word, descent_set and ls_set give the des and lnfs
-positions.
+matrix over (height, previous letter, letter), whose states also carry the
+value of joint_q's statistic.  Each state holds its counts by the value of
+distribution's statistic, or of joint_q's costatistic, packed into one int
+as base-2**bits digits wide enough for Catalan(n), so a step that adds s to
+that value is a shift by s digits.
+On one path's word, descent_set and ls_set give the des and lnfs positions.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
-from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -176,6 +179,9 @@ _MARKS = {
     "da": lambda i, h, a, b, c: b == "v" and c == "v",
 }
 _MAJOR = {"maj": "des", "maj_l": "lnfs", "maj_w": "des_w"}
+# the rule of a statistic that is 0 on every path: the first of
+# distribution's two, so that its states all carry the value 0
+_NEVER = (lambda i, h, a, b, c: False, False)
 
 
 def _mark(name: str, wrt: DyckPath | None):
@@ -201,43 +207,61 @@ def _mark(name: str, wrt: DyckPath | None):
     return descent_wrt
 
 
-def _joint_counts(n: int, names: tuple[str, ...], wrt: DyckPath | None) -> Counter:
-    """Number of paths of semilength n by the tuple of values of the named
-    statistics: a transfer matrix over (height, previous letter, letter)."""
+def _joint_counts(
+    n: int, names: tuple[str, ...], wrt: DyckPath | None
+) -> tuple[dict[int, int], int]:
+    """Number of paths of semilength n by the values of one or two named
+    statistics: a transfer matrix over (height, previous letter, letter).
+
+    The value of the first of two statistics is part of the state; the
+    counts by the last are packed into one int, as its digits in base
+    2**bits, so a step that adds s to the last statistic is a shift by s
+    digits.  Returns the packed counts by the value of the first of two
+    statistics (0 for one statistic), and bits."""
     rules = [(_mark(name, wrt), name in _MAJOR) for name in names]
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
     if wrt is not None and wrt.n != n and {"des_w", "maj_w"} & set(names):
         raise ValueError(f"length mismatch: |w| = {2 * n}, |W| = {2 * wrt.n}")
     length = 2 * n
-    # once w_i is chosen: (height before i, w_{i-1}, w_i) -> Counter of the
-    # value tuples so far; for n = 0 no letter is chosen and all values are 0
-    states = {(0, None, "v"): Counter({(0,) * len(names): 1})}
+    # the prefixes of one length complete to distinct paths, so no digit
+    # exceeds Catalan(n); digits are whole bytes, which _digits reads
+    bits = 8 * -(-_completions(length, 0).bit_length() // 8)
+    (first, first_major), (last, last_major) = [_NEVER, *rules][-2:]
+    # once w_i is chosen: (height before i, w_{i-1}, w_i, value of the first
+    # statistic) -> packed counts; for n = 0 no letter is chosen
+    states = {(0, None, "v", 0): 1}
     for i in range(1, length + 1):
-        following: defaultdict[tuple, Counter] = defaultdict(Counter)
-        for (h, a, b), counts in states.items():
+        following: defaultdict[tuple, int] = defaultdict(int)
+        for (h, a, b, value), packed in states.items():
             after = h + (1 if b == "v" else -1)
             for c in ("v", "h") if i < length else (None,):
                 # w_{i+1} keeps the path at or above 0 and able to return to 0
                 if c == "v" and after + 1 > length - i - 1 or c == "h" and not after:
                     continue
-                step = tuple((i if major else 1) * mark(i, h, a, b, c) for mark, major in rules)
-                target = following[(after, b, c)]
-                if not any(step):
-                    target.update(counts)
-                    continue
-                for values, count in counts.items():
-                    target[tuple(map(add, values, step))] += count
+                moved = value + (i if first_major else 1) * first(i, h, a, b, c)
+                shift = (i if last_major else 1) * last(i, h, a, b, c) * bits
+                following[(after, b, c, moved)] += packed << shift
         states = following
-    return sum(states.values(), Counter())
+    totals: defaultdict[int, int] = defaultdict(int)
+    for (*_, value), packed in states.items():
+        totals[value] += packed
+    return totals, bits
+
+
+def _digits(packed: int, bits: int) -> list[int]:
+    # the base-2**bits digits of packed, lowest first, bits a multiple of 8
+    width = bits // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
 
 
 def distribution(
     n: int, statistic: str, *, wrt: DyckPath | None = None
 ) -> dict[int, int]:
     """Exact counts of a statistic over all paths of semilength n."""
-    counts = _joint_counts(n, (statistic,), wrt)
-    return {key[0]: counts[key] for key in sorted(counts)}
+    totals, bits = _joint_counts(n, (statistic,), wrt)
+    return {k: count for k, count in enumerate(_digits(totals[0], bits)) if count}
 
 
 def joint_q(
@@ -247,7 +271,5 @@ def joint_q(
     sum of q**costatistic over the paths with statistic k."""
     from .qpoly import QPoly
 
-    counts = _joint_counts(n, (statistic, costatistic), wrt)
-    # the sorted pairs leave each k at its largest costatistic value
-    degrees = dict(sorted(counts))
-    return {k: QPoly(counts[k, d] for d in range(top + 1)) for k, top in degrees.items()}
+    totals, bits = _joint_counts(n, (statistic, costatistic), wrt)
+    return {k: QPoly(_digits(totals[k], bits)) for k in sorted(totals)}

@@ -10,12 +10,16 @@ hook-content formula.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .dyck import DyckPath, descent_set, joint_q
-from .qpoly import QPoly, div_q_int, mul_q_int, q_narayana_closed
+from .qpoly import QPoly, div_q_int, mul_q_int, narayana, q_narayana_closed
+
+# dyck is imported by the functions that call it, so that the closed-form
+# and Schur routes do not load it
+if TYPE_CHECKING:
+    from .dyck import DyckPath
 
 Rows = tuple[tuple[int, int], ...]
 
@@ -50,6 +54,8 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> DyckPath:
     down the columns, and the last block tops both columns up to n.  The
     descent set of the result is exactly the set of row sums.
     """
+    from .dyck import DyckPath
+
     if n < 1:
         raise ValueError(f"ssyt_to_dyck needs n >= 1, got {n}")
     word, above = [], (0, 0)
@@ -75,6 +81,8 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> DyckPath:
 def dyck_to_ssyt(w: DyckPath) -> Rows:
     """Inverse of ssyt_to_dyck: row i collects the h and v counts of the
     prefix ending at the i-th descent."""
+    from .dyck import descent_set
+
     word = w.word
     prefixes = [word[:s] for s in sorted(descent_set(word))]
     return tuple((prefix.count("h"), prefix.count("v")) for prefix in prefixes)
@@ -89,34 +97,65 @@ def _rows_fit(route: str, n: int, k: int) -> bool:
     return k < n
 
 
+def _digits(packed: int, bits: int) -> list[int]:
+    # the base-2**bits digits of packed, lowest first, bits a multiple of 8;
+    # a copy of dyck._digits, since the Schur routes do not load dyck
+    width = bits // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+
+
 def q_narayana_ssyt(n: int, k: int) -> QPoly:
     """q-Narayana as the sum of q^(entry sum) over the tableaux of shape
-    2^k with entries below n; zero for k >= n."""
+    2^k with entries below n; zero for k >= n.
+
+    A transfer matrix over the last row (a, b), filled row by row: each
+    state holds the tableaux so far that end in it and still leave room for
+    the rows to come, counted by entry sum as the base-2**bits digits of one
+    int, so adding a row (c, d) is a shift by c + d digits."""
     if not _rows_fit("q_narayana_ssyt", n, k):
         return QPoly()
-    total = Counter(sum(map(sum, rows)) for rows in two_column_fillings(k, n - 1))
-    return QPoly(total[d] for d in range(max(total) + 1))
+    m = n - 1
+    # each tableau so far completes to a distinct one of the N(n, k), so no
+    # digit exceeds it; digits are whole bytes, which _digits reads
+    bits = 8 * -(-narayana(n, k).bit_length() // 8)
+    states = {(0, 0): 1}
+    for room in range(m - k + 1, m + 1):  # the largest entry this row may hold
+        following: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for (a, b), packed in states.items():
+            for c in range(a + 1, room + 1):
+                for d in range(max(c, b + 1), room + 1):
+                    following[c, d] += packed << (c + d) * bits
+        states = following
+    return QPoly(_digits(sum(states.values()), bits))
 
 
 def q_narayana_hook(n: int, k: int) -> QPoly:
     """q-Narayana by the hook-content formula for 2^k in n - 1 variables:
     q^(k^2 + k) times the product of [n - 1 + c(u)] / [h(u)] over the cells.
-    Row i has contents 1 - i and 2 - i, and hooks k - i + 2 and k - i + 1.
 
-    Every [n - 1 + c] multiplies in first, then the hooks divide out one
-    at a time, smallest first; both steps are linear in the degree.  A
-    nonzero remainder raises ArithmeticError and means a bug.  Zero for
-    k >= n.
+    Row by row: row i multiplies in its contents' factors [n - i] and
+    [n + 1 - i], then divides by [i] and by [i + 1].  These divisors are the
+    hooks k - i + 2 and k - i + 1 of all the rows, as a multiset.  After
+    row i the list is the q-Narayana polynomial of (n, i) without its shift,
+    so every division is exact and no degree exceeds the largest of those
+    by 2n or more; each step is linear in the degree.  A nonzero remainder
+    raises ArithmeticError and means a bug.  Zero for k >= n.
     """
     if not _rows_fit("q_narayana_hook", n, k):
         return QPoly()
-    rows = range(1, k + 1)
     cs = [1]
-    for i in rows:
-        cs = mul_q_int(mul_q_int(cs, n - i), n + 1 - i)
-    for h in sorted(h for i in rows for h in (k - i + 2, k - i + 1)):
-        cs = div_q_int(cs, h)  # a loop, so each dividend is freed once divided
+    for i in range(1, k + 1):
+        cs = div_q_int(div_q_int(mul_q_int(mul_q_int(cs, n - i), n + 1 - i), i), i + 1)
     return QPoly([0] * (k * k + k) + cs)
+
+
+def q_narayana_enumerate(n: int, k: int) -> QPoly:
+    """q-Narayana as the sum of q^maj over the paths of semilength n with
+    k descents, read from the (des, maj) table of dyck.joint_q."""
+    from .dyck import joint_q
+
+    return joint_q(n, "des", "maj").get(k, QPoly())
 
 
 # the four routes to the q-Narayana polynomial of (n, k), by name, in the
@@ -125,7 +164,7 @@ Q_NARAYANA_ROUTES = {
     "closed": q_narayana_closed,
     "schur-ssyt": q_narayana_ssyt,
     "schur-hook": q_narayana_hook,
-    "enumerate": lambda n, k: joint_q(n, "des", "maj").get(k, QPoly()),
+    "enumerate": q_narayana_enumerate,
 }
 
 
@@ -152,6 +191,8 @@ def verify_q_identity(n: int) -> list[dict]:
     """The q-identity check: for every k < n the closed form, the sum over
     paths by (des, maj) and both Schur routes give one q-Narayana
     polynomial.  One witness per k where they differ, with every route."""
+    from .dyck import joint_q
+
     # the enumerate route reads one (des, maj) table, built once for every k
     by_des = joint_q(n, "des", "maj")
     routes_of = dict(Q_NARAYANA_ROUTES, enumerate=lambda n, k: by_des.get(k, QPoly()))

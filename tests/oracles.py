@@ -15,6 +15,7 @@ from typing import Hashable, Iterable, Sequence
 from narayana.dyck import DyckPath, _completions, descent_set, label, ls_set
 from narayana.qpoly import QPoly, mul_q_int
 from narayana.shelling import FacetOrder, PureComplex, _bit_indices, _topological_order
+from narayana.tableaux import two_column_fillings
 
 Element = Hashable
 
@@ -685,3 +686,13 @@ def dense_flag_h_table(L: GradedBoundedPoset) -> Counter[frozenset[int]]:
             if mask & bit:
                 data[mask] -= data[mask ^ bit]
     return _by_rank_set(data)
+
+
+# the sum over the tableaux, the oracle of tableaux.q_narayana_ssyt
+def q_narayana_fillings(n: int, k: int) -> QPoly:
+    """The sum of q^(entry sum) over the tableaux of shape 2^k with entries
+    below n, each listed by two_column_fillings.  Zero for k >= n."""
+    if k >= n:
+        return QPoly()
+    total = Counter(sum(map(sum, rows)) for rows in two_column_fillings(k, n - 1))
+    return QPoly(total[d] for d in range(max(total) + 1))

@@ -504,7 +504,11 @@ def test_option_surface_is_frozen():
 
 def test_cli_copies_agree_with_the_library():
     # the parser names routes, checks and guards without importing the library
-    assert cli.ROUTES == tuple(tableaux.Q_NARAYANA_ROUTES)
+    routes = {
+        name: getattr(importlib.import_module(f"narayana.{module}"), function)
+        for name, (module, function) in cli.ROUTES.items()
+    }
+    assert list(routes.items()) == list(tableaux.Q_NARAYANA_ROUTES.items())
     assert set(cli.ENUMERATIVE_ROUTES) < set(cli.ROUTES)
     checks = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
@@ -538,6 +542,15 @@ print(loaded, csv_at_start, "csv" in sys.modules, file=sys.stderr)
 raise SystemExit(code)
 """
 TABLEAUX_MODULES = ["cli", "dyck", "qpoly", "tableaux"]
+# the modules each qnarayana route loads: the closed form needs qpoly alone,
+# the Schur routes tableaux too, and the sum over paths dyck as well
+ROUTE_MODULES = {
+    "closed": ["cli", "qpoly"],
+    "schur-ssyt": ["cli", "qpoly", "tableaux"],
+    "schur-hook": ["cli", "qpoly", "tableaux"],
+    "enumerate": TABLEAUX_MODULES,
+    "all": TABLEAUX_MODULES,
+}
 SHELLING_MODULES = ["cli", "dyck", "shelling"]
 # one request per row of README's start-up table: (argv, whether the dist
 # cache is warmed first, the narayana modules it loads)
@@ -549,7 +562,7 @@ STARTUP_ROWS = [
     (["dist", "--n", "4", "--stat", "da"], False, ["cli", "dyck"]),
     (["narayana", "--n", "5", "--format", "csv"], False, ["cli", "qpoly"]),
     *(
-        (["qnarayana", "--n", "4", "--k", "1", "--route", route], False, TABLEAUX_MODULES)
+        (["qnarayana", "--n", "4", "--k", "1", "--route", route], False, ROUTE_MODULES[route])
         for route in (*cli.ROUTES, "all")
     ),
     (

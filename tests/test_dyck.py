@@ -235,6 +235,31 @@ def test_joint_q_matches_enumeration_oracle():
             assert list(got.items()) == list(expected.items()), (n, name, coname)
 
 
+def test_tables_keyed_by_a_major_index_match_enumeration_oracle():
+    # a major index reaches about n^2, so its values key the most states
+    # and, packed, make the longest ints
+    for n in range(10):
+        zigzag = DyckPath("vh" * n)
+        for name in ("maj", "maj_l", "maj_w"):
+            expected = oracle_distribution(n, name, zigzag)
+            assert list(distribution(n, name, wrt=zigzag).items()) == list(expected.items())
+        for name, coname in (("maj", "des"), ("maj_l", "lnfs"), ("maj_w", "hp")):
+            expected = oracle_joint_q(n, name, coname, zigzag)
+            got = joint_q(n, name, coname, wrt=zigzag)
+            assert list(got.items()) == list(expected.items()), (n, name, coname)
+
+
+def test_every_table_counts_every_path_once():
+    # a packed count that overflowed into the next digit would change the sum
+    for n in range(13):
+        wrt = random_path(n, n)
+        for name in ACCEPTED:
+            assert sum(distribution(n, name, wrt=wrt).values()) == catalan(n), (n, name)
+        for name, coname in (("des", "maj"), ("lnfs", "maj_l"), ("hp", "maj_w"), ("maj", "des")):
+            table = joint_q(n, name, coname, wrt=wrt)
+            assert sum(sum(p.coeffs) for p in table.values()) == catalan(n), (n, name, coname)
+
+
 def test_joint_q_des_w_every_reference_path():
     for n in range(6):
         for w0 in map(DyckPath, enumerate_paths(n)):

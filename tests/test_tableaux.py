@@ -15,7 +15,7 @@ from narayana.tableaux import (
     two_column_fillings,
     verify_q_identity,
 )
-from oracles import chain_product_2xn, des, flag_h, ideal_lattice
+from oracles import chain_product_2xn, des, flag_h, ideal_lattice, q_narayana_fillings
 
 FIGURE = ((1, 2), (3, 5), (5, 6))  # the tableau of the paper's figure, n = 7
 
@@ -151,15 +151,17 @@ def test_counting_form_against_flag_h():
 
 def test_hook_and_content(monkeypatch):
     # the factors the hook route multiplies in and divides out are the
-    # [n - 1 + content] and [hook] of the cells of 2^k, read off the diagram
+    # [n - 1 + content] and [hook] of the cells of 2^k, read off the diagram,
+    # and after row i the list is the unshifted q-Narayana polynomial of (n, i)
     factors = []
 
     def recorded(name):
         kernel = getattr(tableaux, name)
 
         def call(cs, m):
-            factors.append((name, m))
-            return kernel(cs, m)
+            out = kernel(cs, m)
+            factors.append((name, m, out))
+            return out
 
         return call
 
@@ -171,10 +173,14 @@ def test_hook_and_content(monkeypatch):
         for n in range(k + 1, k + 4):
             factors.clear()
             assert q_narayana_hook(n, k) == q_narayana_closed(n, k)
-            assert Counter(m for name, m in factors if name == "mul_q_int") == Counter(
+            assert Counter(m for name, m, _ in factors if name == "mul_q_int") == Counter(
                 n - 1 + j - i for i, j in cells
             )
-            assert [m for name, m in factors if name == "div_q_int"] == sorted(hooks)
+            divisions = [(m, out) for name, m, out in factors if name == "div_q_int"]
+            assert Counter(m for m, _ in divisions) == Counter(hooks)
+            # each row ends with its second division
+            for i, (_, out) in enumerate(divisions[1::2], start=1):
+                assert [0] * (i * i + i) + out == list(q_narayana_closed(n, i).coeffs), (n, k, i)
 
 
 def test_schur_principal_frozen():
@@ -195,10 +201,16 @@ def test_schur_routes_agree():
 
 
 def test_hook_route_matches_closed_form_for_every_k():
-    # every n <= 30, and the closed-form ceiling 60; every n <= 60 takes 30 s
+    # every n <= 30, and the closed-form ceiling 60; every n <= 60 takes 22 s
     for n in [*range(1, 31), 60]:
         for k in range(n + 2):
             assert q_narayana_hook(n, k) == q_narayana_closed(n, k), (n, k)
+
+
+def test_ssyt_transfer_matrix_matches_the_sum_over_fillings():
+    for n in range(1, 11):
+        for k in range(n + 2):
+            assert q_narayana_ssyt(n, k) == q_narayana_fillings(n, k), (n, k)
 
 
 def test_schur_principal_ssyt_matches_tableau_totals():
@@ -212,15 +224,16 @@ def test_schur_principal_ssyt_matches_tableau_totals():
 
 def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(monkeypatch):
     # k rows in n - 1 variables give zero; k = 10**7 rows would take seconds
-    # and k = 10**12 all memory, so filling or multiplying is an error here
-    fillings = tableaux.two_column_fillings
+    # and k = 10**12 forever, so sizing a k-row transfer matrix or
+    # multiplying is an error here
+    narayana = tableaux.narayana
 
-    def fillings_below_5(k, m):
-        if k >= 5:
-            raise AssertionError(f"filled {k} rows for n = 5")
-        return fillings(k, m)
+    def narayana_below_n(n, k):
+        if k >= n:
+            raise AssertionError(f"sized {k} rows for n = {n}")
+        return narayana(n, k)
 
-    monkeypatch.setattr(tableaux, "two_column_fillings", fillings_below_5)
+    monkeypatch.setattr(tableaux, "narayana", narayana_below_n)
     for route in (q_narayana_ssyt, q_narayana_hook):
         assert route(5, 4) == q_narayana_closed(5, 4)
 
