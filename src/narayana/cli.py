@@ -8,19 +8,16 @@ byte identical across runs; wall-clock timing goes to stderr only.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import importlib
-import json
 import os
-import random
 import sys
 import time
-from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import __version__
 
-# Each handler imports the library modules it calls, so that a request
+# Each handler imports the library modules it calls, and the standard
+# library's json, csv and random only where it uses them, so that a request
 # loads, and without bytecode compiles, only those.  Names the parser needs
 # are copied here and pinned to the library by tests/test_cli.py.
 CLOSED_FORM_LIMIT = 60
@@ -87,10 +84,12 @@ def _library(module: str, function: str):
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_narayana(args: argparse.Namespace) -> int:
+def cmd_narayana(args: SimpleNamespace) -> int:
     """Row of N(n, k) for k = 0..n-1 plus the Catalan row sum."""
     n = args.n
     if not 1 <= n <= CLOSED_FORM_LIMIT:
@@ -115,7 +114,7 @@ def cmd_narayana(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_qnarayana(args: argparse.Namespace) -> int:
+def cmd_qnarayana(args: SimpleNamespace) -> int:
     """One q-Narayana polynomial, by a single route or all routes compared."""
     n, k, route = args.n, args.k, args.route
     if n < 1:
@@ -187,6 +186,8 @@ def _load_cached(path: str | None, header: dict) -> dict | None:
     the file is missing, unreadable or holds another request's table."""
     if path is None:
         return None
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -203,6 +204,8 @@ def _store_cached(path: str | None, payload: dict) -> None:
     partial table; a failure leaves no file and is only a warning."""
     if path is None:
         return
+    import json
+
     temp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, "w", encoding="utf-8") as handle:
@@ -210,8 +213,10 @@ def _store_cached(path: str | None, payload: dict) -> None:
             handle.write("\n")
         os.replace(temp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
+        try:
             os.remove(temp)
+        except OSError:
+            pass
         _stderr(f"narayana: warning: cache not written: {exc}\n")
 
 
@@ -224,7 +229,7 @@ def _dist_table(n: int, stat: str, costat: str | None) -> list:
     return [[k, list(p.coeffs)] for k, p in joint_q(n, stat, costat, wrt=wrt).items()]
 
 
-def cmd_dist(args: argparse.Namespace) -> int:
+def cmd_dist(args: SimpleNamespace) -> int:
     """Exact value-to-count table of one statistic, optionally q-refined."""
     n, stat = args.n, args.stat
     if not 1 <= n <= ENUMERATION_LIMIT:
@@ -250,6 +255,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         _emit_json(payload)
     elif args.format == "csv":
         import csv
+        import json
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["value", "coefficients" if payload["q"] else "count"])
@@ -267,7 +273,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     """Run one verification check; exit 1 with witnesses when it fails."""
     check, n = args.check, args.n
     limit = VERIFY_LIMITS[check]
@@ -284,6 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         ref = args.ref_path if args.ref_path is not None else "v" * n + "h" * n
         if ref == "random":
+            import random
+
             parameters.update({"ref_path": "random", "samples": args.samples, "seed": args.seed})
             rng = random.Random(args.seed)
             refs = [random_path(n, rng) for _ in range(args.samples)]
@@ -312,6 +320,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     else:
+        import json
+
         print(f"check {check}")
         for key in sorted(parameters):
             print(f"{key.replace('_', '-')} {parameters[key]}")
@@ -322,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if verdict == "pass" else 1
 
 
-def cmd_omega(args: argparse.Namespace) -> int:
+def cmd_omega(args: SimpleNamespace) -> int:
     """Hasse diagram of the rewriting order, as DOT or JSON."""
     from .dyck import ls_set
     from .shelling import OMEGA_GUARD, omega_n
@@ -355,78 +365,200 @@ def cmd_omega(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse ignores a failed write, and --help and --version exit before
-    # main flushes stdout; so their text is written and flushed here, and a
-    # full or closed stdout reaches main's handler like any other output.
-    # Usage errors go to stderr like every other diagnostic.
-    def _print_message(self, message: str, file=None) -> None:
-        if file is sys.stdout:
-            file.write(message)
-            file.flush()
-        elif message:
-            _stderr(message)
+HELP = ("-h", "--help")
+HELP_COLUMN = 22  # the widest option column that --help keeps on one line
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="narayana",
-        description="Exact Narayana, q-Narayana, and shelling computations on Dyck paths.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("narayana", help="row of Narayana numbers with its Catalan sum")
-    p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 60")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_narayana)
-
-    p = sub.add_parser("qnarayana", help="q-Narayana polynomial by one route or all")
-    p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 60")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--route", choices=(*ROUTES, "all"), default="closed")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_qnarayana)
-
-    p = sub.add_parser("dist", help="distribution table of a path statistic")
-    p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 12")
-    p.add_argument("--stat", choices=("des", "hp", "ea", "lnfs", "da"), required=True)
-    p.add_argument(
-        "--q",
-        action="store_true",
-        help="refine counts by the statistic's paired major-index co-statistic",
-    )
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument(
-        "--cache-dir",
-        help="directory for cached tables; NARAYANA_CACHE_DIR is the fallback",
-    )
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("verify", help="run one verification check and report pass/fail")
-    p.add_argument("--check", choices=VERIFY_CHECKS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--ref-path",
-        help="vh-string or 'random' (main-theorem only); default v^n h^n",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1, help="1 <= samples <= 200")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("omega", help="Hasse diagram of the rewriting order on paths")
-    p.add_argument("--n", type=int, required=True, help="semilength, 1 <= n <= 8")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.set_defaults(func=cmd_omega)
-    return parser
+class UsageError(Exception):
+    """A refused command line; its message follows "narayana: error: "."""
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def build_parser() -> dict:
+    """The command-line surface as one table, which parsing, --help and the
+    tests read: command -> (help line, handler, options), and option ->
+    (converter or choices, default, required, help).  The converter bool
+    marks a flag, which takes no value."""
+    formats = ("text", "json")
+    return {
+        "narayana": ("row of Narayana numbers with its Catalan sum", cmd_narayana, {
+            "--n": (int, None, True, f"semilength, 1 <= n <= {CLOSED_FORM_LIMIT}"),
+            "--format": ((*formats, "csv"), "text", False, "output format"),
+        }),
+        "qnarayana": ("q-Narayana polynomial by one route or all", cmd_qnarayana, {
+            "--n": (int, None, True, f"semilength, 1 <= n <= {CLOSED_FORM_LIMIT}"),
+            "--k": (int, None, True, "number of descents, k >= 0"),
+            "--route": ((*ROUTES, "all"), "closed", False, "one route, or all compared"),
+            "--format": (formats, "text", False, "output format"),
+        }),
+        "dist": ("distribution table of a path statistic", cmd_dist, {
+            "--n": (int, None, True, f"semilength, 1 <= n <= {ENUMERATION_LIMIT}"),
+            "--stat": (("des", "hp", "ea", "lnfs", "da"), None, True, "path statistic"),
+            "--q": (bool, False, False, "refine counts by the statistic's paired "
+                    "major-index co-statistic"),
+            "--format": ((*formats, "csv"), "text", False, "output format"),
+            "--cache-dir": (str, None, False, "directory for cached tables; "
+                            "NARAYANA_CACHE_DIR is the fallback"),
+        }),
+        "verify": ("run one verification check and report pass/fail", cmd_verify, {
+            "--check": (tuple(VERIFY_CHECKS), None, True, "the check to run"),
+            "--n": (int, None, True, "semilength, 1 <= n <= the check's limit"),
+            "--ref-path": (str, None, False, "vh-string or 'random' (main-theorem only); "
+                           "default v^n h^n"),
+            "--seed": (int, 0, False, "seed of the random reference paths"),
+            "--samples": (int, 1, False, f"1 <= samples <= {SAMPLES_LIMIT}"),
+            "--format": (formats, "text", False, "output format"),
+        }),
+        "omega": ("Hasse diagram of the rewriting order on paths", cmd_omega, {
+            "--n": (int, None, True, "semilength, 1 <= n <= 8"),
+            "--format": (("dot", "json"), "dot", False, "output format"),
+        }),
+    }
+
+
+def _is_value(word: str) -> bool:
+    # as argparse reads a word: an option unless it does not start with "-",
+    # is "-" alone, holds a space or reads as a negative number
+    if word[:1] != "-" or word == "-" or " " in word:
+        return True
+    whole, dot, fraction = word[1:].partition(".")  # -\d+ or -\d*\.\d+
+    return fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+
+
+def _option(word: str, names) -> tuple[str | None, str | None]:
+    """The option of names that word spells, in full or as the unique
+    prefix of a long option, with the value given after "=" if any;
+    (None, None) for an unknown option."""
+    if word in names:
+        return word, None
+    name, equals, value = word.partition("=")
+    if equals and name in names:
+        return name, value
+    if word[1:2] != "-" and word[:2] in names:
+        return word[:2], word[2:]  # a short option with its value attached
+    if word.startswith("--"):
+        matches = [option for option in names if option.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if equals else None
+    return None, None
+
+
+def _convert(name: str, kind, value: str):
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        listed = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def _help(commands: dict, command: str | None) -> str:
+    """The --help text of the program, or of one command, from the table."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        usage = "[-h] [--version] command ..."
+        summary = "Exact Narayana, q-Narayana, and shelling computations on Dyck paths."
+        sections = {"commands": [(name, entry[0]) for name, entry in commands.items()]}
+        rows.append(("--version", "show the version and exit"))
+    else:
+        summary, _, options = commands[command]
+        usage, sections = f"{command} [-h]", {}
+        for name, (kind, default, required, text) in options.items():
+            if kind is bool:
+                spelled = name
+            elif isinstance(kind, tuple):
+                spelled = f"{name} {{{','.join(kind)}}}"
+            else:
+                spelled = f"{name} {name[2:].upper().replace('-', '_')}"
+            usage += f" {spelled}" if required else f" [{spelled}]"
+            if default is not None and kind is not bool:
+                text = f"{text} (default {default})"
+            rows.append((spelled, text))
+    sections["options"] = rows
+    blocks = [f"usage: narayana {usage}", summary]
+    for title, block in sections.items():
+        # a left column wider than HELP_COLUMN puts its help on the next line
+        width = min(max(len(left) for left, _ in block), HELP_COLUMN)
+        lines = [f"{title}:"]
+        for left, right in block:
+            if len(left) > width:
+                lines += [f"  {left}", f"  {'':{width}}  {right}"]
+            else:
+                lines.append(f"  {left:{width}}  {right}")
+        blocks.append("\n".join(line.rstrip() for line in lines))
+    return "\n\n".join(blocks)
+
+
+def parse(commands: dict, argv: list[str]) -> tuple | None:
+    """(handler, arguments) of the command that argv asks for, read by the
+    table; None once --help or --version is printed.  Accepts what argparse
+    accepts: --opt value, --opt=value, the unique prefix of a long option,
+    and a negative number as a value.  A refused argv raises UsageError."""
+    # as argparse does, every word up to "--" is read before any is used, so
+    # that an ambiguous option is refused even after --help; the command is
+    # the first word that is not an option
+    end = argv.index("--") if "--" in argv else len(argv)
+    marks = [None if _is_value(w) else _option(w, (*HELP, "--version")) for w in argv[:end]]
+    at = marks.index(None) if None in marks else end
+    unknown = []
+    for word, (name, value) in zip(argv, marks[:at]):
+        if name is None:
+            unknown.append(word)
+            continue
+        if value is not None:
+            raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        print(f"narayana {__version__}" if name == "--version" else _help(commands, None))
+        return None
+    if at == len(argv):
+        raise UsageError("the following arguments are required: command")
+    command = _convert("command", tuple(commands), argv[at])
+    _, handler, options = commands[command]
+    words = argv[at + 1 :]
+    if "--" in words:
+        # every word from "--" on is positional, which no command takes
+        unknown += words[words.index("--") :]
+        words = words[: words.index("--")]
+    marks = [None if _is_value(w) else _option(w, (*HELP, *options)) for w in words]
+    values = {name: spec[1] for name, spec in options.items()}
+    i = 0
+    while i < len(words):
+        name, value = marks[i] or (None, None)
+        i += 1
+        if name is None:
+            unknown.append(words[i - 1])
+        elif name in HELP or options[name][0] is bool:
+            if value is not None:
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if name in HELP:
+                print(_help(commands, command))
+                return None
+            values[name] = True
+        else:
+            if value is None:
+                if i == len(words) or marks[i] is not None:
+                    raise UsageError(f"argument {name}: expected one argument")
+                value, i = words[i], i + 1
+            values[name] = _convert(name, options[name][0], value)
+    # a required option has no default, and a given value is never None
+    missing = [name for name, spec in options.items() if spec[2] and values[name] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return handler, SimpleNamespace(**{n[2:].replace("-", "_"): v for n, v in values.items()})
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        request = parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
+        code = 0 if request is None else request[0](request[1])
         sys.stdout.flush()
+    except UsageError as exc:
+        return _usage(str(exc))
     except OSError as exc:
         # every other OSError is handled where it arises, so this is stdout:
         # a full device or a closed pipe

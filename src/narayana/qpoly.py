@@ -187,7 +187,9 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
 
     Equals ``qbin(n,k) * qbin(n,k+1) * q**(k*k+k) / [n]``; the division is
     always exact for valid inputs, and a failure signals a bug rather than
-    a bad argument.  Zero for k >= n.
+    a bad argument.  Zero for k >= n.  q_binomial builds the cheaper of the
+    two binomials, and one exact step gives the other, since
+    ``qbin(n,k+1) * [k+1] = qbin(n,k) * [n-k]``.
     """
     if n < 1:
         raise ValueError(f"q_narayana_closed needs n >= 1, got {n}")
@@ -195,5 +197,13 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
         raise ValueError(f"q_narayana_closed needs k >= 0, got {k}")
     if k >= n:
         return QPoly()
-    numerator = q_binomial(n, k) * q_binomial(n, k + 1)
+    # q_binomial(n, j) takes min(j, n - j) steps, so qbin(n, k) is no
+    # dearer than qbin(n, k + 1) exactly when 2k < n
+    if 2 * k < n:
+        low = q_binomial(n, k)
+        high = QPoly(div_q_int(mul_q_int(list(low.coeffs), n - k), k + 1))
+    else:
+        high = q_binomial(n, k + 1)
+        low = QPoly(div_q_int(mul_q_int(list(high.coeffs), k + 1), n - k))
+    numerator = low * high
     return QPoly([0] * (k * k + k) + div_q_int(list(numerator.coeffs), n))

@@ -131,21 +131,25 @@ def q_narayana_ssyt(n: int, k: int) -> QPoly:
 
 
 def q_narayana_hook(n: int, k: int) -> QPoly:
-    """q-Narayana by the hook-content formula for 2^k in n - 1 variables:
-    q^(k^2 + k) times the product of [n - 1 + c(u)] / [h(u)] over the cells.
+    """q-Narayana by the hook-content formula for 2^j in n - 1 variables,
+    j = min(k, n - 1 - k): q^(k^2 + k) times the product of
+    [n - 1 + c(u)] / [h(u)] over the cells of 2^j.
 
-    Row by row: row i multiplies in its contents' factors [n - i] and
-    [n + 1 - i], then divides by [i] and by [i + 1].  These divisors are the
-    hooks k - i + 2 and k - i + 1 of all the rows, as a multiset.  After
-    row i the list is the q-Narayana polynomial of (n, i) without its shift,
-    so every division is exact and no degree exceeds the largest of those
-    by 2n or more; each step is linear in the degree.  A nonzero remainder
-    raises ArithmeticError and means a bug.  Zero for k >= n.
+    Without its shift the polynomial of (n, k) is qbin(n, k) qbin(n, k + 1)
+    / [n], which is that of (n, n - 1 - k) since qbin(n, k) = qbin(n, n - k);
+    so j rows give it, and k = 5n/6 costs what k = n/6 does.  Row by row:
+    row i multiplies in its contents' factors [n - i] and [n + 1 - i], then
+    divides by [i] and by [i + 1].  These divisors are the hooks j - i + 2
+    and j - i + 1 of all the rows, as a multiset.  After row i the list is
+    the q-Narayana polynomial of (n, i) without its shift, so every
+    division is exact and no degree exceeds the largest of those by 2n or
+    more; each step is linear in the degree.  A nonzero remainder raises
+    ArithmeticError and means a bug.  Zero for k >= n.
     """
     if not _rows_fit("q_narayana_hook", n, k):
         return QPoly()
     cs = [1]
-    for i in range(1, k + 1):
+    for i in range(1, min(k, n - 1 - k) + 1):
         cs = div_q_int(div_q_int(mul_q_int(mul_q_int(cs, n - i), n + 1 - i), i), i + 1)
     return QPoly([0] * (k * k + k) + cs)
 

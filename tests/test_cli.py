@@ -1,4 +1,4 @@
-import argparse
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -426,30 +426,127 @@ def test_bad_choices_exit_2(capsys):
         ["dist", "--n", "3", "--stat", "peaks"],
         ["nonsense"],
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("narayana: error: ") and err.count("\n") == 1
 
 
 def test_help_and_version_to_a_working_stdout_exit_0(capsys):
-    # the layout of --help varies with the terminal width, its start does not
     for argv, start in (
         (["--help"], "usage: narayana [-h]"),
         (["--version"], f"narayana {__version__}\n"),
         (["dist", "--help"], "usage: narayana dist [-h]"),
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 0
-        out, err = capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code == 0
         assert out.startswith(start) and err == ""
+
+
+def test_help_lists_every_command_and_option_of_the_table(capsys):
+    commands = build_parser()
+    _, out, _ = run(capsys, "--help")
+    listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0].splitlines()]
+    assert listed == list(commands)
+    for command, (summary, _, options) in commands.items():
+        _, out, _ = run(capsys, command, "--help")
+        usage, title = out.split("\n\n")[:2]
+        assert usage.startswith(f"usage: narayana {command} [-h] ")
+        assert title == summary
+        for name, (_, _, required, text) in options.items():
+            assert name in [word.strip("[]") for word in usage.split()]
+            assert (f"[{name}" in usage) == (not required), name
+            assert text in out
+
+
+def test_command_help_is_frozen(capsys):
+    assert run(capsys, "omega", "--help") == (
+        0,
+        "usage: narayana omega [-h] --n N [--format {dot,json}]\n"
+        "\n"
+        "Hasse diagram of the rewriting order on paths\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help and exit\n"
+        "  --n N                semilength, 1 <= n <= 8\n"
+        "  --format {dot,json}  output format (default dot)\n",
+        "",
+    )
+
+
+# one argv per way the parser refuses a command line
+PARSE_REFUSALS = {
+    "missing command": [],
+    "missing option": ["dist", "--n", "3"],
+    "missing value": ["dist", "--stat", "des", "--n"],
+    "option as value": ["dist", "--n", "--stat", "des"],
+    "extra argument": ["narayana", "--n", "3", "extra"],
+    "extra after --": ["narayana", "--n", "3", "--", "--format", "json"],
+    "unknown command": ["nonsense", "--n", "3"],
+    "unknown option": ["narayana", "--n", "3", "--bogus"],
+    "unknown top-level option": ["--bogus", "narayana", "--n", "3"],
+    "ambiguous option": ["verify", "--check", "ssyt", "--n", "3", "--s", "2"],
+    "ambiguous after --help": ["verify", "--help", "--s", "2"],
+    "bad int": ["narayana", "--n", "three"],
+    "bad int after =": ["narayana", "--n="],
+    "bad choice": ["narayana", "--n", "3", "--format", "xml"],
+    "value to a flag": ["dist", "--n", "3", "--stat", "des", "--q=yes"],
+    "value to --help": ["dist", "--help=yes"],
+    "value to --version": ["--version=yes"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS)
+def test_parser_refusals_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("narayana: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# argv in an accepted form -> the same request in full form
+ACCEPTED_FORMS = [
+    (["narayana", "--n=5"], ["narayana", "--n", "5"]),
+    (["narayana", "--n", "5", "--form", "json"], ["narayana", "--n", "5", "--format", "json"]),
+    (["narayana", "--n", "5", "--f=csv"], ["narayana", "--n", "5", "--format", "csv"]),
+    (
+        ["qnarayana", "--route", "all", "--k", "1", "--n", "4"],
+        ["qnarayana", "--n", "4", "--k", "1", "--route", "all"],
+    ),
+    (["dist", "--q", "--stat=hp", "--n", "4"], ["dist", "--n", "4", "--stat", "hp", "--q"]),
+    (
+        ["verify", "--n", "3", "--check", "main-theorem", "--se", "2", "--sa=3", "--ref", "random"],
+        ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random",
+         "--seed", "2", "--samples", "3"],
+    ),
+    (["narayana", "--n", "3", "--n", "5"], ["narayana", "--n", "5"]),  # the last one counts
+    (["dist", "-h"], ["dist", "--help"]),
+    (["dist", "--n", "3", "--he"], ["dist", "--help"]),
+    (["--bogus", "-h"], ["--help"]),  # --help answers before unknown words are refused
+    (["--ver"], ["--version"]),
+]
+
+
+@pytest.mark.parametrize("form, full", ACCEPTED_FORMS, ids=[" ".join(f) for f, _ in ACCEPTED_FORMS])
+def test_accepted_forms_serve_the_full_request(capsys, form, full):
+    # stdout only: verify's stderr holds its wall-clock time
+    code, out, _ = run(capsys, *form)
+    assert (code, out) == run(capsys, *full)[:2]
+    assert code == 0 and out
+
+
+def test_a_negative_value_reaches_the_handler(capsys):
+    # "-1" is a value, not an option, so the handler refuses it
+    for argv, message in (
+        (["qnarayana", "--n", "3", "--k", "-1"], "k must be nonnegative, got -1"),
+        (["narayana", "--n", "-2"], "n out of range: expected 1 <= n <= 60, got -2"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"narayana: error: {message}\n")
 
 
 # subcommand ("" for the top level) -> option -> (choices, default, required);
 # a knob added, removed or changed must show up here as a reviewed diff
 OPTION_SURFACE = {
-    "": {"--version": (None, argparse.SUPPRESS, False)},
+    "": {"--version": (None, None, False)},
     "narayana": {
         "--n": (None, None, True),
         "--format": (("text", "json", "csv"), "text", False),
@@ -482,22 +579,16 @@ OPTION_SURFACE = {
 }
 
 
-def test_option_surface_is_frozen():
-    def options(parser: argparse.ArgumentParser) -> dict:
-        return {
-            "/".join(action.option_strings): (
-                None if action.choices is None else tuple(action.choices),
-                action.default,
-                action.required,
-            )
-            for action in parser._actions
-            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+def test_option_surface_is_frozen(capsys):
+    # the top level takes --help and --version, each command the options of
+    # its row of the table
+    surface = {"": {"--version": (None, None, False)}}
+    assert run(capsys, "--version")[:2] == (0, f"narayana {__version__}\n")
+    for command, (_, _, options) in build_parser().items():
+        surface[command] = {
+            name: (kind if isinstance(kind, tuple) else None, default, required)
+            for name, (kind, default, required, _) in options.items()
         }
-
-    parser = build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    surface = {"": options(parser)}
-    surface.update((name, options(sub)) for name, sub in commands.choices.items())
     assert surface == OPTION_SURFACE
     assert list(surface) == list(OPTION_SURFACE)
 
@@ -523,9 +614,8 @@ def test_cli_copies_agree_with_the_library():
     }
     assert set(cli.VERIFY_LIMITS) == set(cli.VERIFY_CHECKS)
     assert cli.VERIFY_LIMITS["main-theorem"] == posets.THEOREM_GUARD
-    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    (omega_n,) = (a for a in commands.choices["omega"]._actions if a.dest == "n")
-    assert omega_n.help == f"semilength, 1 <= n <= {shelling.OMEGA_GUARD}"
+    omega_n_help = build_parser()["omega"][2]["--n"][3]
+    assert omega_n_help == f"semilength, 1 <= n <= {shelling.OMEGA_GUARD}"
 
 
 # run in a fresh interpreter: build the parser, serve argv if any, and print
@@ -602,6 +692,54 @@ def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_p
         assert csv_at_end == csv_at_start
 
 
+# print the standard-library modules a fresh interpreter holds, after
+# serving argv if any
+STDLIB_PROBE = """
+import sys
+if len(sys.argv) > 1:
+    from narayana.cli import main
+    code = main(sys.argv[1:])
+    sys.stdout.flush()
+print(sorted(sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["narayana", "--n", "5"], ["qnarayana", "--n", "20", "--k", "2"]], ids=" ".join
+)
+def test_text_requests_load_no_parser_locale_or_json_module(argv):
+    # compared with a bare interpreter in the same environment, so that a
+    # site hook which loads one of these modules itself cannot fail the test
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def modules(*args):
+        result = subprocess.run(
+            [sys.executable, "-c", STDLIB_PROBE, *args], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        return set(ast.literal_eval(result.stderr.splitlines()[-1]))
+
+    added = modules(*argv) - modules()
+    assert "narayana.cli" in added
+    assert sorted(added & {"argparse", "gettext", "locale", "json"}) == []
+
+
+def test_the_benchmark_setup_probe_runs():
+    # perfbench/run.py times SETUP_CODE in fresh interpreters as setup_s; it
+    # is read from the file, not imported, and must exit 0 against src/
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "run.py").read_text())
+    (code,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["SETUP_CODE"]
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_request_reproduces_the_benchmark_digests(monkeypatch):
     # perfbench/golden.json holds the sha256 of the stdout of every request
     # the benchmark draws, up to their ceilings; all are checked here
@@ -645,7 +783,7 @@ def run_into(
     )
 
 
-# argparse writes these itself and exits before the command runs
+# the parser writes these itself, before any command runs
 HELP_REQUESTS = (["--help"], ["--version"], ["dist", "--help"])
 
 
@@ -692,7 +830,7 @@ def test_failed_stderr_never_changes_the_exit_code_or_stdout(tmp_path):
         ["omega", "--n", "3", "--format", "json"],
     )
     # each writes to stderr: the elapsed line, the cache warning, and the
-    # usage errors of a handler and of argparse
+    # usage errors of a handler and of the parser
     noisy = (
         ["verify", "--check", "ssyt", "--n", "3"],
         ["dist", "--n", "4", "--stat", "des", "--cache-dir", str(cache)],
@@ -703,10 +841,7 @@ def test_failed_stderr_never_changes_the_exit_code_or_stdout(tmp_path):
     for argv in (*silent, *noisy):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
         assert bool(err.getvalue()) == (argv in noisy), argv
         expected[tuple(argv)] = (code, out.getvalue())
     read_end, closed = os.pipe()

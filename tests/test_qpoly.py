@@ -4,6 +4,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, strategies as st
 
+from narayana import qpoly
 from narayana.qpoly import (
     SCHOOLBOOK_MAX,
     QPoly,
@@ -302,3 +303,25 @@ def test_q_narayana_closed_matches_hook_route_at_large_n(n):
         assert p == q_narayana_hook(n, k)
         assert all(c >= 0 for c in p.coeffs)
         assert sum(p.coeffs) == narayana(n, k)
+
+
+def test_q_narayana_closed_builds_one_gaussian_binomial(monkeypatch):
+    # q_binomial builds the cheaper of qbin(n, k) and qbin(n, k + 1), and one
+    # exact step the other; the result is the closed form with both built,
+    # divided by the oracle's long division
+    built = []
+
+    def recorded(n, k):
+        built.append(k)
+        return q_binomial(n, k)
+
+    monkeypatch.setattr(qpoly, "q_binomial", recorded)
+    for n in [*range(1, 13), 33, 60]:
+        for k in range(n):
+            built.clear()
+            both = q_binomial(n, k) * q_binomial(n, k + 1)
+            expected = QPoly([0] * (k * k + k) + list(exact_div(both, q_int(n)).coeffs))
+            assert q_narayana_closed(n, k) == expected, (n, k)
+            (j,) = built
+            assert j in (k, k + 1), (n, k)
+            assert min(j, n - j) == min(k, n - k, k + 1, n - k - 1), (n, k)

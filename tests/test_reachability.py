@@ -126,10 +126,7 @@ def test_every_function_and_method_serves_a_request(tmp_path):
     try:
         for argv in deck(str(tmp_path)):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    codes.append(main(argv))
-                except SystemExit as exc:  # --help
-                    codes.append(exc.code)
+                codes.append(main(argv))
         with tempfile.TemporaryFile() as scratch:
             full = _Full(scratch.fileno())
             with contextlib.redirect_stdout(full), contextlib.redirect_stderr(full):

@@ -151,8 +151,9 @@ def test_counting_form_against_flag_h():
 
 def test_hook_and_content(monkeypatch):
     # the factors the hook route multiplies in and divides out are the
-    # [n - 1 + content] and [hook] of the cells of 2^k, read off the diagram,
-    # and after row i the list is the unshifted q-Narayana polynomial of (n, i)
+    # [n - 1 + content] and [hook] of the cells of 2^j, j = min(k, n - 1 - k),
+    # read off the diagram, and after row i the list is the unshifted
+    # q-Narayana polynomial of (n, i)
     factors = []
 
     def recorded(name):
@@ -168,9 +169,10 @@ def test_hook_and_content(monkeypatch):
     for name in ("mul_q_int", "div_q_int"):
         monkeypatch.setattr(tableaux, name, recorded(name))
     for k in range(7):
-        cells = [(i, j) for i in range(1, k + 1) for j in (1, 2)]
-        hooks = [(2 - j) + (k - i) + 1 for i, j in cells]  # arm + leg + 1
-        for n in range(k + 1, k + 4):
+        for n in range(k + 1, 2 * k + 4):
+            rows = min(k, n - 1 - k)
+            cells = [(i, j) for i in range(1, rows + 1) for j in (1, 2)]
+            hooks = [(2 - j) + (rows - i) + 1 for i, j in cells]  # arm + leg + 1
             factors.clear()
             assert q_narayana_hook(n, k) == q_narayana_closed(n, k)
             assert Counter(m for name, m, _ in factors if name == "mul_q_int") == Counter(
@@ -181,6 +183,24 @@ def test_hook_and_content(monkeypatch):
             # each row ends with its second division
             for i, (_, out) in enumerate(divisions[1::2], start=1):
                 assert [0] * (i * i + i) + out == list(q_narayana_closed(n, i).coeffs), (n, k, i)
+
+
+def test_hook_route_takes_min_k_n_minus_1_minus_k_rows(monkeypatch):
+    # the unshifted polynomial of (n, k) is that of (n, n - 1 - k), so the
+    # route multiplies in two factors a row for min(k, n - 1 - k) rows:
+    # 18 at (60, 50), not 100
+    factors = []
+    kernel = tableaux.mul_q_int
+
+    def recorded(cs, m):
+        factors.append(m)
+        return kernel(cs, m)
+
+    monkeypatch.setattr(tableaux, "mul_q_int", recorded)
+    for n, k, rows in ((60, 50, 9), (60, 9, 9), (60, 29, 29), (60, 30, 29), (60, 59, 0), (7, 3, 3)):
+        factors.clear()
+        assert q_narayana_hook(n, k) == q_narayana_closed(n, k)
+        assert len(factors) == 2 * rows, (n, k)
 
 
 def test_schur_principal_frozen():
