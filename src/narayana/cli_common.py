@@ -1,0 +1,110 @@
+"""What the command-line parser and the command handlers share: the limits
+that both the --help text and the handlers read, the routes and checks as
+(module, function) pairs, stderr and usage-error output, and a JSON writer.
+
+The parser lives in narayana.cli and each command's handler in a module of
+its own, which main() imports through _library, so that a request compiles
+only the parser and its own command.  No module imports narayana.cli: run as
+``python -m narayana.cli`` it is __main__, and that import would compile it
+a second time.  Names copied from the library are pinned to it by
+tests/test_cli.py.
+"""
+
+import importlib
+import os
+import sys
+
+CLOSED_FORM_LIMIT = 60
+ENUMERATION_LIMIT = 12
+SAMPLES_LIMIT = 200
+OMEGA_GUARD = 8  # shelling.OMEGA_GUARD
+# route -> (module, function) of the library routine that computes it; key
+# order is the order --help lists the routes in
+ROUTES = {
+    "closed": ("qpoly", "q_narayana_closed"),
+    "schur-ssyt": ("tableaux", "q_narayana_ssyt"),
+    "schur-hook": ("tableaux", "q_narayana_hook"),
+    "enumerate": ("tableaux", "q_narayana_enumerate"),
+}
+# check -> (module, function) of the library routine that returns its
+# witnesses; main-theorem also takes the reference paths.  Key order is the
+# order --help lists the checks in.
+VERIFY_CHECKS = {
+    "main-theorem": ("posets", "verify_theorem_main"),
+    "ssyt": ("tableaux", "verify_ssyt"),
+    "preshelling": ("shelling", "verify_preshelling"),
+    "q-identity": ("tableaux", "verify_q_identity"),
+    "parth": ("shelling", "verify_parth"),
+}
+
+
+def _discard(stream) -> None:
+    # point the stream's descriptor at devnull, so that the interpreter's
+    # final flush of what it holds unwritten is quiet and, for stderr, does
+    # not turn the exit code into 120
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
+
+
+def _stderr(text: str) -> None:
+    """Write diagnostics to stderr.  A failed write is dropped: it never
+    changes the exit code that the request's work and its stdout decided."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _usage(message: str) -> int:
+    _stderr(f"narayana: error: {message}\n")
+    return 2
+
+
+def _library(module: str, function: str):
+    """The named function of a package module, imported on first use."""
+    return getattr(importlib.import_module(f".{module}", __package__), function)
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), without importing json,
+    for what payloads hold: dicts with str keys, lists, tuples, ints, bools,
+    None and strs.  newline is the line break followed by the indent of
+    the line that value starts on.  A str that needs escaping, and any
+    other type, is written by json itself."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{json_text(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(v) is int for v in value):  # a coefficient list, in one join
+            items = map(str, value)
+        else:
+            items = [json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    import json
+
+    return json.dumps(value)
+
+
+def _emit_json(payload: dict) -> None:
+    print(json_text(payload))

@@ -1,0 +1,82 @@
+"""The `narayana` and `qnarayana` commands: a row of Narayana numbers, and
+one q-Narayana polynomial by one route or all routes compared."""
+
+import sys
+from types import SimpleNamespace
+
+from .cli_common import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, _emit_json, _library, _usage
+
+ENUMERATIVE_ROUTES = ("enumerate", "schur-ssyt")
+
+
+def cmd_narayana(args: SimpleNamespace) -> int:
+    """Row of N(n, k) for k = 0..n-1 plus the Catalan row sum."""
+    n = args.n
+    if not 1 <= n <= CLOSED_FORM_LIMIT:
+        return _usage(f"n out of range: expected 1 <= n <= {CLOSED_FORM_LIMIT}, got {n}")
+    from .qpoly import catalan, narayana
+
+    row = [narayana(n, k) for k in range(n)]
+    total = catalan(n)
+    if args.format == "json":
+        _emit_json({"command": "narayana", "n": n, "row": row, "sum": total})
+    elif args.format == "csv":
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["k", "narayana"])
+        for k, value in enumerate(row):
+            writer.writerow([k, value])
+        writer.writerow(["sum", total])
+    else:
+        print(", ".join(str(value) for value in row))
+        print(f"sum {total}")
+    return 0
+
+
+def cmd_qnarayana(args: SimpleNamespace) -> int:
+    """One q-Narayana polynomial, by a single route or all routes compared."""
+    n, k, route = args.n, args.k, args.route
+    if n < 1:
+        return _usage(f"n must be positive, got {n}")
+    if k < 0:
+        return _usage(f"k must be nonnegative, got {k}")
+    if route in ENUMERATIVE_ROUTES and n > ENUMERATION_LIMIT:
+        return _usage(f"route {route} enumerates and is limited to n <= {ENUMERATION_LIMIT}")
+    if n > CLOSED_FORM_LIMIT:
+        return _usage(f"route {route} is limited to n <= {CLOSED_FORM_LIMIT}")
+    if route != "all":
+        poly = _library(*ROUTES[route])(n, k)
+        if args.format == "json":
+            _emit_json(
+                {
+                    "coefficients": list(poly.coeffs),
+                    "command": "qnarayana",
+                    "k": k,
+                    "n": n,
+                    "route": route,
+                }
+            )
+        else:
+            print(poly)
+        return 0
+    names = ["closed", "schur-hook"]
+    if n <= ENUMERATION_LIMIT:
+        names += list(ENUMERATIVE_ROUTES)
+    routes = {name: _library(*ROUTES[name])(n, k) for name in names}
+    verdict = "pass" if len({p.coeffs for p in routes.values()}) == 1 else "fail"
+    if args.format == "json":
+        _emit_json(
+            {
+                "command": "qnarayana",
+                "k": k,
+                "n": n,
+                "routes": {name: list(p.coeffs) for name, p in routes.items()},
+                "verdict": verdict,
+            }
+        )
+    else:
+        for name in sorted(routes):
+            print(f"{name}: {routes[name]}")
+        print(f"verdict {verdict}")
+    return 0 if verdict == "pass" else 1

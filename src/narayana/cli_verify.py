@@ -1,0 +1,75 @@
+"""The `verify` command: run one verification check of the library and
+render the witnesses it returns; exit 1 when there are any."""
+
+import time
+from types import SimpleNamespace
+
+from .cli_common import SAMPLES_LIMIT, VERIFY_CHECKS, _emit_json, _library, _stderr, _usage
+
+VERIFY_LIMITS = {
+    "main-theorem": 6,  # posets.THEOREM_GUARD
+    "preshelling": 5,
+    "ssyt": 8,
+    "q-identity": 8,
+    "parth": 8,
+}
+
+
+def cmd_verify(args: SimpleNamespace) -> int:
+    """Run one verification check; exit 1 with witnesses when it fails."""
+    check, n = args.check, args.n
+    limit = VERIFY_LIMITS[check]
+    if not 1 <= n <= limit:
+        return _usage(f"check {check} supports 1 <= n <= {limit}, got {n}")
+    if not 1 <= args.samples <= SAMPLES_LIMIT:
+        return _usage(f"samples must be 1 to {SAMPLES_LIMIT}, got {args.samples}")
+    if args.ref_path is not None and check != "main-theorem":
+        return _usage(f"--ref-path applies to check main-theorem only, not {check}")
+    parameters: dict = {"n": n}
+    refs = None
+    if check == "main-theorem":
+        from .dyck import DyckPath, random_path
+
+        ref = args.ref_path if args.ref_path is not None else "v" * n + "h" * n
+        if ref == "random":
+            import random
+
+            parameters.update({"ref_path": "random", "samples": args.samples, "seed": args.seed})
+            rng = random.Random(args.seed)
+            refs = [random_path(n, rng) for _ in range(args.samples)]
+        else:
+            try:
+                w = DyckPath(ref)
+            except ValueError as exc:
+                return _usage(f"bad ref-path: {exc}")
+            if w.n != n:
+                return _usage(f"ref-path has semilength {w.n}, expected {n}")
+            parameters["ref_path"] = w.word
+            refs = [w]
+    run = _library(*VERIFY_CHECKS[check])
+    started = time.monotonic()
+    witnesses = run(n) if refs is None else run(n, refs)
+    elapsed = time.monotonic() - started
+    verdict = "pass" if not witnesses else "fail"
+    if args.format == "json":
+        _emit_json(
+            {
+                "check": check,
+                "command": "verify",
+                "parameters": parameters,
+                "verdict": verdict,
+                "witnesses": witnesses,
+            }
+        )
+    else:
+        print(f"check {check}")
+        for key in sorted(parameters):
+            print(f"{key.replace('_', '-')} {parameters[key]}")
+        print(f"verdict {verdict}")
+        if witnesses:
+            import json
+
+            for witness in witnesses:
+                print(f"witness {json.dumps(witness, sort_keys=True)}")
+    _stderr(f"elapsed {elapsed:.3f}s\n")
+    return 0 if verdict == "pass" else 1

@@ -16,15 +16,10 @@ that value is a shift by s digits.
 On one path's word, descent_set and ls_set give the des and lnfs positions.
 """
 
-from __future__ import annotations
-
 import random
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from .qpoly import QPoly
 
 Label = tuple[str, int]
 
@@ -266,7 +261,7 @@ def distribution(
 
 def joint_q(
     n: int, statistic: str, costatistic: str, *, wrt: DyckPath | None = None
-) -> dict[int, QPoly]:
+) -> "dict[int, QPoly]":
     """For each value k of the statistic, the generating polynomial
     sum of q**costatistic over the paths with statistic k."""
     from .qpoly import QPoly

@@ -13,10 +13,8 @@ extension as the path of its first coordinates carries the descent sets of
 Jordan-Holder permutations to path statistics.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .dyck import DyckPath, enumerate_paths, label
 

@@ -10,13 +10,10 @@ Long products run as one big-integer product (Kronecker substitution), and
 multiplying or dividing by a q-integer [m] takes time linear in the degree.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import sub
-from typing import Iterable
 
 SCHOOLBOOK_MAX = 8  # products whose shorter factor has at most this many terms
 
@@ -31,7 +28,7 @@ class QPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __init__(self, coeffs: list[int] | tuple[int, ...] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()

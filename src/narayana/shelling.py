@@ -17,12 +17,10 @@ of vvh and hhv factors, and bucketing facets by restriction ranks recovers
 the flag h-vector.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
 
 from .dyck import enumerate_paths, ls_set
 

@@ -8,18 +8,14 @@ q^(n-1)), computed twice: as the plain sum over the tableaux and by the
 hook-content formula.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
+from collections.abc import Iterator, Sequence
 from functools import cache
-from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .qpoly import QPoly, div_q_int, mul_q_int, narayana, q_narayana_closed
 
 # dyck is imported by the functions that call it, so that the closed-form
-# and Schur routes do not load it
-if TYPE_CHECKING:
-    from .dyck import DyckPath
+# and Schur routes do not load it; annotations name its DyckPath as a string
 
 Rows = tuple[tuple[int, int], ...]
 
@@ -46,7 +42,7 @@ def two_column_fillings(k: int, m: int) -> Iterator[Rows]:
     return fill((), (0, 0))
 
 
-def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> DyckPath:
+def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
     """Encode a two-column tableau with entries below n as a Dyck path.
 
     The word is built in k + 1 blocks of v runs followed by h runs: the
@@ -78,7 +74,7 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> DyckPath:
     return DyckPath("".join(word))
 
 
-def dyck_to_ssyt(w: DyckPath) -> Rows:
+def dyck_to_ssyt(w: "DyckPath") -> Rows:
     """Inverse of ssyt_to_dyck: row i collects the h and v counts of the
     prefix ending at the i-th descent."""
     from .dyck import descent_set

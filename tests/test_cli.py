@@ -12,9 +12,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from narayana import __version__, cli, posets, shelling, tableaux
+from narayana import __version__, cli_common, cli_polys, cli_verify, posets, shelling, tableaux
 from narayana.cli import build_parser, main
 from narayana.qpoly import q_narayana_closed
 
@@ -219,6 +219,43 @@ def test_dist_cache_write_and_read(capsys, tmp_path):
     code, third, _ = run(capsys, *argv)
     assert code == 0
     assert third == "0  999\n"
+
+
+# strs with every kind of character json escapes: quotes, backslashes,
+# control characters, DEL and non-ASCII text
+JSON_STRS = st.text(st.sampled_from('ab -~"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters())
+JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_STRS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_STRS, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [[], {}, ()], "b": {"c": (1, [None])}})
+@example([True, False, None, -(2**70), 2**64, 0])
+@example([-(2**70), 2**64, 0])
+@example(['"', "\\", "\x00\n", "\x7f", "é€😀", ""])
+def test_json_writer_matches_json_dumps(value):
+    assert cli_common.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dist_cache_miss_writes_what_json_dump_writes_and_a_hit_reads_it(capsys, tmp_path):
+    argv = ["dist", "--n", "4", "--stat", "hp", "--q", "--format", "json"]
+    argv += ["--cache-dir", str(tmp_path)]
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    written = (tmp_path / "dist-0.1.0-n4-hp-q.json").read_text()
+    payload = json.loads(written)
+    assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n" == first
+    with mock.patch("narayana.cli_dist._dist_table", side_effect=AssertionError("recomputed")):
+        assert run(capsys, *argv)[:2] == (0, first)
 
 
 def test_dist_cache_of_another_request_is_recomputed(capsys, tmp_path):
@@ -594,16 +631,17 @@ def test_option_surface_is_frozen(capsys):
 
 
 def test_cli_copies_agree_with_the_library():
-    # the parser names routes, checks and guards without importing the library
+    # the parser and the handlers name routes, checks and guards without
+    # importing the library
     routes = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
-        for name, (module, function) in cli.ROUTES.items()
+        for name, (module, function) in cli_common.ROUTES.items()
     }
     assert list(routes.items()) == list(tableaux.Q_NARAYANA_ROUTES.items())
-    assert set(cli.ENUMERATIVE_ROUTES) < set(cli.ROUTES)
+    assert set(cli_polys.ENUMERATIVE_ROUTES) < set(cli_common.ROUTES)
     checks = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
-        for name, (module, function) in cli.VERIFY_CHECKS.items()
+        for name, (module, function) in cli_common.VERIFY_CHECKS.items()
     }
     assert checks == {
         "main-theorem": posets.verify_theorem_main,
@@ -612,10 +650,14 @@ def test_cli_copies_agree_with_the_library():
         "q-identity": tableaux.verify_q_identity,
         "parth": shelling.verify_parth,
     }
-    assert set(cli.VERIFY_LIMITS) == set(cli.VERIFY_CHECKS)
-    assert cli.VERIFY_LIMITS["main-theorem"] == posets.THEOREM_GUARD
+    assert set(cli_verify.VERIFY_LIMITS) == set(cli_common.VERIFY_CHECKS)
+    assert cli_verify.VERIFY_LIMITS["main-theorem"] == posets.THEOREM_GUARD
+    assert cli_common.OMEGA_GUARD == shelling.OMEGA_GUARD
     omega_n_help = build_parser()["omega"][2]["--n"][3]
     assert omega_n_help == f"semilength, 1 <= n <= {shelling.OMEGA_GUARD}"
+    # each command's handler is a (module, function) of the package
+    for command, (_, (module, function), _) in build_parser().items():
+        assert callable(getattr(importlib.import_module(f"narayana.{module}"), function)), command
 
 
 # run in a fresh interpreter: build the parser, serve argv if any, and print
@@ -631,41 +673,81 @@ loaded = sorted(m[len("narayana."):] for m in sys.modules if m.startswith("naray
 print(loaded, csv_at_start, "csv" in sys.modules, file=sys.stderr)
 raise SystemExit(code)
 """
-TABLEAUX_MODULES = ["cli", "dyck", "qpoly", "tableaux"]
-# the modules each qnarayana route loads: the closed form needs qpoly alone,
-# the Schur routes tableaux too, and the sum over paths dyck as well
+# every request loads the parser and the helpers it shares with the handlers
+PARSER_MODULES = ["cli", "cli_common"]
+
+
+def loads(handler: str, *library: str) -> list[str]:
+    """The narayana modules of a request: the parser, the module of its
+    command's handler and the library modules that handler calls."""
+    return sorted([*PARSER_MODULES, handler, *library])
+
+
+TABLEAUX_MODULES = ["dyck", "qpoly", "tableaux"]
+# the library modules each qnarayana route loads: the closed form needs qpoly
+# alone, the Schur routes tableaux too, and the sum over paths dyck as well
 ROUTE_MODULES = {
-    "closed": ["cli", "qpoly"],
-    "schur-ssyt": ["cli", "qpoly", "tableaux"],
-    "schur-hook": ["cli", "qpoly", "tableaux"],
+    "closed": ["qpoly"],
+    "schur-ssyt": ["qpoly", "tableaux"],
+    "schur-hook": ["qpoly", "tableaux"],
     "enumerate": TABLEAUX_MODULES,
     "all": TABLEAUX_MODULES,
 }
-SHELLING_MODULES = ["cli", "dyck", "shelling"]
+SHELLING_MODULES = ["dyck", "shelling"]
 # one request per row of README's start-up table: (argv, whether the dist
 # cache is warmed first, the narayana modules it loads)
 STARTUP_ROWS = [
-    ([], False, ["cli"]),
-    (["dist", "--n", "4", "--stat", "des", "--format", "json"], True, ["cli"]),
-    (["dist", "--n", "4", "--stat", "hp", "--q"], True, ["cli", "qpoly"]),
-    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"], False, ["cli", "dyck", "qpoly"]),
-    (["dist", "--n", "4", "--stat", "da"], False, ["cli", "dyck"]),
-    (["narayana", "--n", "5", "--format", "csv"], False, ["cli", "qpoly"]),
+    ([], False, PARSER_MODULES),
+    (["dist", "--n", "4", "--stat", "des", "--format", "json"], True, loads("cli_dist")),
+    (["dist", "--n", "4", "--stat", "hp", "--q"], True, loads("cli_dist", "qpoly")),
+    (
+        ["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"],
+        False,
+        loads("cli_dist", "dyck", "qpoly"),
+    ),
+    (["dist", "--n", "4", "--stat", "da"], False, loads("cli_dist", "dyck")),
+    (["narayana", "--n", "5", "--format", "csv"], False, loads("cli_polys", "qpoly")),
     *(
-        (["qnarayana", "--n", "4", "--k", "1", "--route", route], False, ROUTE_MODULES[route])
-        for route in (*cli.ROUTES, "all")
+        (
+            ["qnarayana", "--n", "4", "--k", "1", "--route", route],
+            False,
+            loads("cli_polys", *ROUTE_MODULES[route]),
+        )
+        for route in (*cli_common.ROUTES, "all")
     ),
     (
         ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random", "--samples", "2"],
         False,
-        ["cli", "dyck", "posets", "qpoly"],
+        loads("cli_verify", "dyck", "posets", "qpoly"),
     ),
-    (["verify", "--check", "main-theorem", "--n", "3"], False, ["cli", "dyck", "posets"]),
-    (["verify", "--check", "ssyt", "--n", "3"], False, sorted([*TABLEAUX_MODULES, "posets"])),
-    (["verify", "--check", "q-identity", "--n", "3"], False, TABLEAUX_MODULES),
-    (["verify", "--check", "preshelling", "--n", "3"], False, SHELLING_MODULES),
-    (["verify", "--check", "parth", "--n", "3"], False, sorted([*SHELLING_MODULES, "posets"])),
-    (["omega", "--n", "3", "--format", "json"], False, SHELLING_MODULES),
+    (
+        ["verify", "--check", "main-theorem", "--n", "3"],
+        False,
+        loads("cli_verify", "dyck", "posets"),
+    ),
+    (
+        ["verify", "--check", "ssyt", "--n", "3"],
+        False,
+        loads("cli_verify", *TABLEAUX_MODULES, "posets"),
+    ),
+    (
+        ["verify", "--check", "q-identity", "--n", "3"],
+        False,
+        loads("cli_verify", *TABLEAUX_MODULES),
+    ),
+    (
+        ["verify", "--check", "preshelling", "--n", "3"],
+        False,
+        loads("cli_verify", *SHELLING_MODULES),
+    ),
+    (
+        ["verify", "--check", "parth", "--n", "3"],
+        False,
+        loads("cli_verify", *SHELLING_MODULES, "posets"),
+    ),
+    (["omega", "--n", "3", "--format", "json"], False, loads("cli_omega", *SHELLING_MODULES)),
+    # refused by the handler's copy of the guard, before the library loads
+    (["omega", "--n", "9"], False, loads("cli_omega")),
 ]
 
 
@@ -704,24 +786,116 @@ print(sorted(sys.modules), file=sys.stderr)
 """
 
 
+def stdlib_modules(*argv: str, flags: tuple = (), cache: str | None = None) -> set:
+    """The modules a fresh interpreter holds after serving argv, if any."""
+    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [cache if word == "CACHE" else word for word in argv]
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", STDLIB_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stderr.splitlines()[-1]))
+
+
+# argv (CACHE stands for a fresh cache directory), whether the cache is
+# warmed first, and whether the request loads json: only to read a cache file
+JSON_ROWS = [
+    (["narayana", "--n", "5"], False, False),
+    (["qnarayana", "--n", "20", "--k", "2"], False, False),
+    (["narayana", "--n", "5", "--format", "json"], False, False),
+    (["qnarayana", "--n", "20", "--k", "2", "--format", "json"], False, False),
+    (["qnarayana", "--n", "5", "--k", "2", "--route", "all", "--format", "json"], False, False),
+    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "json"], False, False),
+    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"], False, False),
+    (["verify", "--check", "ssyt", "--n", "3"], False, False),
+    (["verify", "--check", "ssyt", "--n", "3", "--format", "json"], False, False),
+    (["omega", "--n", "3", "--format", "json"], False, False),
+    (["dist", "--n", "4", "--stat", "des", "--cache-dir", "CACHE"], False, False),
+    (["dist", "--n", "4", "--stat", "des", "--cache-dir", "CACHE"], True, True),
+]
+
+
 @pytest.mark.parametrize(
-    "argv", [["narayana", "--n", "5"], ["qnarayana", "--n", "20", "--k", "2"]], ids=" ".join
+    "argv, warm, reads_json",
+    JSON_ROWS,
+    ids=[" ".join(argv) + (" (hit)" if warm else "") for argv, warm, _ in JSON_ROWS],
 )
-def test_text_requests_load_no_parser_locale_or_json_module(argv):
+def test_requests_load_no_parser_or_locale_module_and_json_only_to_read_a_cache(
+    argv, warm, reads_json, tmp_path
+):
     # compared with a bare interpreter in the same environment, so that a
     # site hook which loads one of these modules itself cannot fail the test
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-
-    def modules(*args):
-        result = subprocess.run(
-            [sys.executable, "-c", STDLIB_PROBE, *args], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == 0, result.stderr
-        return set(ast.literal_eval(result.stderr.splitlines()[-1]))
-
-    added = modules(*argv) - modules()
+    if warm:
+        stdlib_modules(*argv, cache=str(tmp_path))
+    added = stdlib_modules(*argv, cache=str(tmp_path)) - stdlib_modules()
     assert "narayana.cli" in added
-    assert sorted(added & {"argparse", "gettext", "locale", "json"}) == []
+    assert sorted(added & {"argparse", "gettext", "locale"}) == []
+    assert ("json" in added) == reads_json
+    cached = [tmp_path / "dist-0.1.0-n4-des.json"] if "CACHE" in argv else []
+    assert list(tmp_path.iterdir()) == cached
+
+
+# one request per command, route and check, and a cache miss and hit
+SITELESS_REQUESTS = [
+    ["--help"],
+    ["narayana", "--n", "5", "--format", "csv"],
+    *(["qnarayana", "--n", "4", "--k", "1", "--route", route] for route in ROUTE_MODULES),
+    ["dist", "--n", "4", "--stat", "hp", "--q", "--cache-dir", "CACHE"],
+    ["dist", "--n", "4", "--stat", "hp", "--q", "--cache-dir", "CACHE"],
+    *(["verify", "--check", check, "--n", "3"] for check in cli_common.VERIFY_CHECKS),
+    ["omega", "--n", "3"],
+]
+
+
+def test_no_request_loads_typing_or_future_without_site(tmp_path):
+    # with python -S no site hook preloads typing, so a request that imports
+    # it, or __future__, shows here
+    assert not {"typing", "__future__"} & stdlib_modules(flags=("-S",))
+    for argv in SITELESS_REQUESTS:
+        loaded = stdlib_modules(*argv, flags=("-S",), cache=str(tmp_path))
+        assert "narayana.cli" in loaded, argv
+        assert sorted({"typing", "__future__"} & loaded) == [], argv
+
+
+# serve argv as `python -m narayana.cli` does, then print to stderr whether
+# narayana.cli was imported besides __main__
+RUNPY_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+sys.stdout.flush()
+print("narayana.cli" in sys.modules, file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["narayana", "--n", "5", "--format", "json"],
+        ["qnarayana", "--n", "6", "--k", "2", "--route", "all"],
+        ["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"],
+        ["verify", "--check", "ssyt", "--n", "3"],
+        ["omega", "--n", "3"],
+        ["omega", "--n", "9"],
+    ],
+    ids=" ".join,
+)
+def test_cli_compiles_once_per_request(argv, monkeypatch):
+    # run as __main__, cli is compiled once; a module that imported
+    # narayana.cli would compile it a second time
+    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
+    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", RUNPY_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout) == run_in_process(argv), result.stderr
+    assert result.stderr.splitlines()[-1] == "False"
 
 
 def test_the_benchmark_setup_probe_runs():
