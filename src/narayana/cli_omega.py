@@ -18,7 +18,7 @@ def cmd_omega(args: SimpleNamespace) -> int:
     om = omega_n(n)
     words = om.labels
     annotations = {w: sorted(ls_set(w)) for w in words}
-    edges = [(words[a], words[b]) for a, b in sorted(om.covers())]
+    edges = [(words[a], words[b]) for a, b in om.covers()]
     if args.format == "json":
         _emit_json(
             {

@@ -103,14 +103,11 @@ def _completions(steps: int, excess: int) -> int:
 
 def unrank(n: int, index: int) -> DyckPath:
     """The path at the given 0-based position in lexicographic order."""
-    # qpoly is imported by the three functions that call it, so that a
-    # request using only paths and their statistics does not load it
-    from .qpoly import catalan
-
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
-    if not 0 <= index < catalan(n):
-        raise ValueError(f"index out of range: {index} not in [0, {catalan(n)})")
+    count = _completions(2 * n, 0)  # Catalan(n)
+    if not 0 <= index < count:
+        raise ValueError(f"index out of range: {index} not in [0, {count})")
     word = []
     excess = 0
     for remaining in range(2 * n, 0, -1):
@@ -127,10 +124,8 @@ def unrank(n: int, index: int) -> DyckPath:
 
 def random_path(n: int, seed: "int | random.Random | None" = None) -> DyckPath:
     """A uniformly random path, reproducible for a fixed integer seed."""
-    from .qpoly import catalan
-
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return unrank(n, rng.randrange(catalan(n)))
+    return unrank(n, rng.randrange(_completions(2 * n, 0)))
 
 
 def descent_set(word: str) -> frozenset[int]:
@@ -264,6 +259,8 @@ def joint_q(
 ) -> "dict[int, QPoly]":
     """For each value k of the statistic, the generating polynomial
     sum of q**costatistic over the paths with statistic k."""
+    # qpoly is imported here, so that a request using only paths and their
+    # statistics does not load it
     from .qpoly import QPoly
 
     totals, bits = _joint_counts(n, (statistic, costatistic), wrt)

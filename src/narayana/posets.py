@@ -87,6 +87,8 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     if n < 1:
         raise ValueError(f"verify_theorem_main needs n >= 1, got {n}")
     refs = list(refs)
+    if not refs:
+        raise ValueError("verify_theorem_main needs at least one reference path")
     for W in refs:
         if W.n != n:
             raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")

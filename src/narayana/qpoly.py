@@ -6,7 +6,7 @@ q-Narayana numbers,
 together with the plain (q = 1) Narayana and Catalan numbers.
 
 All coefficients are Python ints, so arithmetic is exact at every size.
-Long products run as one big-integer product (Kronecker substitution), and
+Every product runs as one big-integer product (Kronecker substitution), and
 multiplying or dividing by a q-integer [m] takes time linear in the degree.
 """
 
@@ -14,8 +14,6 @@ from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import sub
-
-SCHOOLBOOK_MAX = 8  # products whose shorter factor has at most this many terms
 
 
 class QPoly:
@@ -52,17 +50,11 @@ class QPoly:
         return hash(self._coeffs)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
+        """The product, as one Kronecker product of the coefficients."""
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return QPoly()
-        if min(len(a), len(b)) > SCHOOLBOOK_MAX:
-            return QPoly(_kronecker(a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(out)
+        return QPoly(_kronecker(a, b))
 
     def __repr__(self) -> str:
         return f"QPoly({self._coeffs!r})"
@@ -184,9 +176,10 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
 
     Equals ``qbin(n,k) * qbin(n,k+1) * q**(k*k+k) / [n]``; the division is
     always exact for valid inputs, and a failure signals a bug rather than
-    a bad argument.  Zero for k >= n.  q_binomial builds the cheaper of the
-    two binomials, and one exact step gives the other, since
-    ``qbin(n,k+1) * [k+1] = qbin(n,k) * [n-k]``.
+    a bad argument.  Zero for k >= n.  Without its shift the form is
+    symmetric under k <-> n - 1 - k, since qbin(n,k) = qbin(n,n-k); so
+    q_binomial builds qbin(n,j), j = min(k, n - 1 - k), and one exact step
+    gives qbin(n,j+1) = qbin(n,j) * [n-j] / [j+1], the other binomial.
     """
     if n < 1:
         raise ValueError(f"q_narayana_closed needs n >= 1, got {n}")
@@ -194,13 +187,8 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
         raise ValueError(f"q_narayana_closed needs k >= 0, got {k}")
     if k >= n:
         return QPoly()
-    # q_binomial(n, j) takes min(j, n - j) steps, so qbin(n, k) is no
-    # dearer than qbin(n, k + 1) exactly when 2k < n
-    if 2 * k < n:
-        low = q_binomial(n, k)
-        high = QPoly(div_q_int(mul_q_int(list(low.coeffs), n - k), k + 1))
-    else:
-        high = q_binomial(n, k + 1)
-        low = QPoly(div_q_int(mul_q_int(list(high.coeffs), k + 1), n - k))
+    j = min(k, n - 1 - k)
+    low = q_binomial(n, j)
+    high = QPoly(div_q_int(mul_q_int(list(low.coeffs), n - j), j + 1))
     numerator = low * high
     return QPoly([0] * (k * k + k) + div_q_int(list(numerator.coeffs), n))

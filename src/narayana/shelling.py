@@ -90,7 +90,6 @@ class PureComplex:
                     f"facet contained in another (or duplicated): index {i}"
                 )
         self._masks = tuple(masks)
-        self._face_cache: "set[int] | None" = None
 
     @property
     def m(self) -> int:
@@ -108,20 +107,18 @@ class PureComplex:
 
     def face_masks(self) -> set[int]:
         """Bitmasks of every face, the empty face included."""
-        if self._face_cache is None:
-            if self.m << self.d > FACE_GUARD:
-                raise ValueError(
-                    f"complex too large: {self.m} * 2^{self.d} "
-                    f"candidate faces exceed the guard 2^20"
-                )
-            faces = {0}
-            for mask in self._masks:
-                sub = mask
-                while sub:
-                    faces.add(sub)
-                    sub = (sub - 1) & mask
-            self._face_cache = faces
-        return self._face_cache
+        if self.m << self.d > FACE_GUARD:
+            raise ValueError(
+                f"complex too large: {self.m} * 2^{self.d} "
+                f"candidate faces exceed the guard 2^20"
+            )
+        faces = {0}
+        for mask in self._masks:
+            sub = mask
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & mask
+        return faces
 
     @cached_property
     def vertex_facets(self) -> tuple[int, ...]:
@@ -198,12 +195,11 @@ class FacetOrder:
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) of the closure, i < j with nothing between,
-        ordered by j and then i.  Each is a generating relation, and it
-        covers exactly when no generated successor of i lies below j (j
-        itself never does)."""
+        in relation order, that is by (i, j).  Each is a generating
+        relation, and it covers exactly when no generated successor of i
+        lies below j (j itself never does)."""
         successors, below = self._successors, self._below
-        covers = [(i, j) for i, j in self._relations if not successors[i] & below[j]]
-        return sorted(covers, key=lambda pair: (pair[1], pair[0]))
+        return [(i, j) for i, j in self._relations if not successors[i] & below[j]]
 
 
 @cache
@@ -319,9 +315,10 @@ def check_preshelling(ord: FacetOrder) -> dict:
     could only come from an implementation bug and raises RuntimeError.
     """
     cx = ord.complex
-    cx.face_masks()  # its size guard, before the O(m^2) conditions
     m = cx.m
     r = [_restriction_mask(ord, f) for f in range(m)]
+    # (ii) walks the faces behind their size guard, before the O(m^2) conditions
+    misowned = _first_misowned_face(cx, r)
 
     def fits(f: int, g: int) -> bool:  # r(F) lies inside G
         return not r[f] & ~cx.mask(g)
@@ -331,7 +328,7 @@ def check_preshelling(ord: FacetOrder) -> dict:
 
     found = {
         "i": first(combinations(range(m), 2), lambda f, g: fits(f, g) and fits(g, f)),
-        "ii": _first_misowned_face(cx, r),
+        "ii": misowned,
         "iii": first(permutations(range(m), 2), lambda f, g: fits(f, g) and not ord.less(f, g)),
         "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not ord.leq(g, f)),
     }

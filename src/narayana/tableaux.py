@@ -152,7 +152,10 @@ def q_narayana_hook(n: int, k: int) -> QPoly:
 
 def q_narayana_enumerate(n: int, k: int) -> QPoly:
     """q-Narayana as the sum of q^maj over the paths of semilength n with
-    k descents, read from the (des, maj) table of dyck.joint_q."""
+    k descents, read from the (des, maj) table of dyck.joint_q; zero for
+    k >= n before the table is built."""
+    if not _rows_fit("q_narayana_enumerate", n, k):
+        return QPoly()
     from .dyck import joint_q
 
     return joint_q(n, "des", "maj").get(k, QPoly())
@@ -191,6 +194,8 @@ def verify_q_identity(n: int) -> list[dict]:
     """The q-identity check: for every k < n the closed form, the sum over
     paths by (des, maj) and both Schur routes give one q-Narayana
     polynomial.  One witness per k where they differ, with every route."""
+    if n < 1:
+        raise ValueError(f"verify_q_identity needs n >= 1, got {n}")
     from .dyck import joint_q
 
     # the enumerate route reads one (des, maj) table, built once for every k

@@ -445,7 +445,7 @@ def s_map(w: DyckPath, i: int) -> DyckPath:
 
 
 def closure_covers(om: FacetOrder) -> list[tuple[int, int]]:
-    """Cover pairs (i, j), ordered by j and then i, by walking every pair
+    """Cover pairs (i, j), ordered by i and then j, by walking every pair
     i < j of the closure: the oracle of FacetOrder.covers."""
     below = [om.below_mask(j) for j in range(om.m)]
     above = [0] * om.m
@@ -454,9 +454,9 @@ def closure_covers(om: FacetOrder) -> list[tuple[int, int]]:
             above[i] |= 1 << j
     return [
         (i, j)
-        for j, mask in enumerate(below)
-        for i in _bit_indices(mask)
-        if not above[i] & mask
+        for i, mask in enumerate(above)
+        for j in _bit_indices(mask)
+        if not mask & below[j]
     ]
 
 

@@ -718,7 +718,7 @@ STARTUP_ROWS = [
     (
         ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random", "--samples", "2"],
         False,
-        loads("cli_verify", "dyck", "posets", "qpoly"),
+        loads("cli_verify", "dyck", "posets"),
     ),
     (
         ["verify", "--check", "main-theorem", "--n", "3"],

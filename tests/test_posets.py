@@ -348,6 +348,8 @@ def test_verify_theorem_main_guards():
         verify_theorem_main(3, [DyckPath("vh")])
     with pytest.raises(ValueError):
         verify_theorem_main(0, [DyckPath("")])
+    with pytest.raises(ValueError, match="at least one reference"):
+        verify_theorem_main(3, [])
 
 
 def test_flag_h_mismatches_orders_by_size_then_elements():

@@ -437,6 +437,20 @@ def test_check_preshelling_guard():
         check_preshelling(FacetOrder(cx, []))
 
 
+def test_check_preshelling_guard_precedes_the_pairwise_conditions(monkeypatch):
+    # two facets of 20 vertices: 2 * 2^20 candidate faces exceed the guard
+    cx = PureComplex(range(21), [set(range(20)), set(range(1, 21))])
+    assert cx.m > 1 and cx.m << cx.d > shelling.FACE_GUARD
+
+    def refuse(*args):
+        raise AssertionError("a pairwise condition ran before the face guard")
+
+    monkeypatch.setattr(shelling, "combinations", refuse)
+    monkeypatch.setattr(FacetOrder, "less", refuse)
+    with pytest.raises(ValueError, match="complex too large"):
+        check_preshelling(FacetOrder(cx, [(0, 1)]))
+
+
 def test_upward_closure_preserves_restrictions():
     for n in (3, 4):
         om = omega_n(n)

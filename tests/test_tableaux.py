@@ -9,6 +9,7 @@ from narayana.qpoly import QPoly, q_narayana_closed
 from narayana.tableaux import (
     Q_NARAYANA_ROUTES,
     dyck_to_ssyt,
+    q_narayana_enumerate,
     q_narayana_hook,
     q_narayana_ssyt,
     ssyt_to_dyck,
@@ -265,9 +266,16 @@ def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(mo
         for k in (5, 6, 10**7, 10**12):
             assert route(5, k) == QPoly()
 
+    def no_table(*args, **kwargs):
+        raise AssertionError("built the (des, maj) table for k >= n")
+
+    monkeypatch.setattr(dyck, "joint_q", no_table)
+    for k in (5, 6, 10**12):
+        assert q_narayana_enumerate(5, k) == QPoly()
+
 
 def test_q_narayana_schur_frozen():
-    for route in (q_narayana_ssyt, q_narayana_hook):
+    for route in (q_narayana_ssyt, q_narayana_hook, q_narayana_enumerate):
         assert route(5, 0) == QPoly((1,))
         assert route(3, 1) == QPoly((0, 0, 1, 1, 1))
         assert route(3, 2) == QPoly((0,) * 6 + (1,))
@@ -339,3 +347,9 @@ def test_q_identity_witness_lists_every_route(monkeypatch):
         "routes": {"closed": damaged, "schur-ssyt": true, "schur-hook": true, "enumerate": true},
     }
     assert list(witness["routes"]) == list(Q_NARAYANA_ROUTES)
+
+
+def test_q_identity_refuses_an_empty_row():
+    # for n = 0 no k would be compared, so the check would pass unchecked
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        verify_q_identity(0)
