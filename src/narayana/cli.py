@@ -23,12 +23,11 @@ from .cli_common import (
 )
 
 # The parser reads the table below and main() imports only the module of the
-# command asked for, each handler with the library modules it calls and the
-# standard library's json, csv and random only where it uses them, so that a
-# request loads, and without bytecode compiles, only those.
+# command asked for (cli_help for --help), each handler with the library
+# modules it calls and json, csv and random only where it uses them, so that
+# a request loads, and without bytecode compiles, only those.
 
 HELP = ("-h", "--help")
-HELP_COLUMN = 22  # the widest option column that --help keeps on one line
 
 
 class UsageError(Exception):
@@ -120,43 +119,6 @@ def _convert(name: str, kind, value: str):
         raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
 
 
-def _help(commands: dict, command: str | None) -> str:
-    """The --help text of the program, or of one command, from the table."""
-    rows = [("-h, --help", "show this help and exit")]
-    if command is None:
-        usage = "[-h] [--version] command ..."
-        summary = "Exact Narayana, q-Narayana, and shelling computations on Dyck paths."
-        sections = {"commands": [(name, entry[0]) for name, entry in commands.items()]}
-        rows.append(("--version", "show the version and exit"))
-    else:
-        summary, _, options = commands[command]
-        usage, sections = f"{command} [-h]", {}
-        for name, (kind, default, required, text) in options.items():
-            if kind is bool:
-                spelled = name
-            elif isinstance(kind, tuple):
-                spelled = f"{name} {{{','.join(kind)}}}"
-            else:
-                spelled = f"{name} {name[2:].upper().replace('-', '_')}"
-            usage += f" {spelled}" if required else f" [{spelled}]"
-            if default is not None and kind is not bool:
-                text = f"{text} (default {default})"
-            rows.append((spelled, text))
-    sections["options"] = rows
-    blocks = [f"usage: narayana {usage}", summary]
-    for title, block in sections.items():
-        # a left column wider than HELP_COLUMN puts its help on the next line
-        width = min(max(len(left) for left, _ in block), HELP_COLUMN)
-        lines = [f"{title}:"]
-        for left, right in block:
-            if len(left) > width:
-                lines += [f"  {left}", f"  {'':{width}}  {right}"]
-            else:
-                lines.append(f"  {left:{width}}  {right}")
-        blocks.append("\n".join(line.rstrip() for line in lines))
-    return "\n\n".join(blocks)
-
-
 def parse(commands: dict, argv: list[str]) -> tuple | None:
     """(handler, arguments) of the command that argv asks for, read by the
     table, the handler as its (module, function); None once --help or
@@ -176,7 +138,10 @@ def parse(commands: dict, argv: list[str]) -> tuple | None:
             continue
         if value is not None:
             raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
-        print(f"narayana {__version__}" if name == "--version" else _help(commands, None))
+        if name == "--version":
+            print(f"narayana {__version__}")
+        else:
+            print(_library("cli_help", "help_text")(commands, None))
         return None
     if at == len(argv):
         raise UsageError("the following arguments are required: command")
@@ -199,7 +164,7 @@ def parse(commands: dict, argv: list[str]) -> tuple | None:
             if value is not None:
                 raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
             if name in HELP:
-                print(_help(commands, command))
+                print(_library("cli_help", "help_text")(commands, command))
                 return None
             values[name] = True
         else:

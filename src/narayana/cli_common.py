@@ -98,6 +98,9 @@ def json_text(value, newline: str = "\n") -> str:
         inner = newline + "  "
         if all(type(v) is int for v in value):  # a coefficient list, in one join
             items = map(str, value)
+        elif all(type(v) is str and v.isascii() and v.isalnum() for v in value):
+            # words, which need no escaping, in one join
+            return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]"
         else:
             items = [json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -107,4 +110,4 @@ def json_text(value, newline: str = "\n") -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json_text(payload))
+    sys.stdout.write(json_text(payload) + "\n")

@@ -1,6 +1,7 @@
 """The `omega` command: the Hasse diagram of the rewriting order on Dyck
 paths, as DOT or JSON."""
 
+import sys
 from types import SimpleNamespace
 
 from .cli_common import OMEGA_GUARD, _emit_json, _usage
@@ -29,12 +30,11 @@ def cmd_omega(args: SimpleNamespace) -> int:
             }
         )
     else:
-        print(f"digraph omega_{n} {{")
-        print("  rankdir = BT;")
+        lines = [f"digraph omega_{n} {{", "  rankdir = BT;"]
         for w in words:
             inner = ", ".join(str(i) for i in annotations[w])
-            print(f'  "{w}" [label="{w}\\nLS {{{inner}}}"];')
-        for a, b in edges:
-            print(f'  "{a}" -> "{b}";')
-        print("}")
+            lines.append(f'  "{w}" [label="{w}\\nLS {{{inner}}}"];')
+        lines += [f'  "{a}" -> "{b}";' for a, b in edges]
+        # one write: with PYTHONUNBUFFERED a print per line costs a system call each
+        sys.stdout.write("\n".join(lines) + "\n}\n")
     return 0

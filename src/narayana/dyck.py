@@ -13,7 +13,7 @@ value of joint_q's statistic.  Each state holds its counts by the value of
 distribution's statistic, or of joint_q's costatistic, packed into one int
 as base-2**bits digits wide enough for Catalan(n), so a step that adds s to
 that value is a shift by s digits.
-On one path's word, descent_set and ls_set give the des and lnfs positions.
+On one path's word, ls_set gives the lnfs positions.
 """
 
 import random
@@ -74,17 +74,19 @@ def enumerate_paths(n: int) -> Iterator[str]:
     with v < h.  Each is a Dyck word by construction and is not validated."""
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
-
-    def walk(prefix: str, v_left: int, h_left: int, excess: int) -> Iterator[str]:
-        if not v_left and not h_left:
-            yield prefix
-            return
-        if v_left:
-            yield from walk(prefix + "v", v_left - 1, h_left, excess + 1)
-        if h_left and excess:
-            yield from walk(prefix + "h", v_left, h_left - 1, excess - 1)
-
-    return walk("", n, n, 0)
+    # one length at a time: each prefix's v child before its h child keeps the order
+    words, heights = [""], [0]
+    for room in range(2 * n - 1, -1, -1):  # the letters after the next one
+        longer, raised = [], []
+        for word, height in zip(words, heights):
+            if height < room:
+                longer.append(word + "v")
+                raised.append(height + 1)
+            if height:
+                longer.append(word + "h")
+                raised.append(height - 1)
+        words, heights = longer, raised
+    return (word for word in words)
 
 
 @cache
@@ -128,20 +130,15 @@ def random_path(n: int, seed: "int | random.Random | None" = None) -> DyckPath:
     return unrank(n, rng.randrange(_completions(2 * n, 0)))
 
 
-def descent_set(word: str) -> frozenset[int]:
-    """Positions i with w_i = h and w_{i+1} = v (the valley's h)."""
-    return frozenset(
-        i for i in range(1, len(word)) if word[i - 1] == "h" and word[i] == "v"
-    )
-
-
 def ls_set(word: str) -> frozenset[int]:
     """Centers i in [2, 2n-1] of factors w_{i-1} w_i w_{i+1} = vvh or hhv."""
-    return frozenset(
-        i
-        for i in range(2, len(word))
-        if word[i - 2 : i + 1] in ("vvh", "hhv")
-    )
+    centers = []
+    for factor in ("vvh", "hhv"):
+        i = word.find(factor)
+        while i >= 0:
+            centers.append(i + 2)
+            i = word.find(factor, i + 1)
+    return frozenset(centers)
 
 
 def label(word: str) -> tuple[Label, ...]:

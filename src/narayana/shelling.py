@@ -56,40 +56,33 @@ def _topological_order(up: Sequence[Sequence[int]]) -> list[int]:
 
 
 class PureComplex:
-    """A pure simplicial complex given by its facets.
-
-    Vertices carry arbitrary hashable labels; facets are stored as bitmasks
-    over the vertex indexing.  Faces are implicit (the downward closure) and
-    enumerating them is guarded by an m * 2^d size bound.
+    """A pure simplicial complex given by its facets, each a bitmask over
+    the vertices, which carry arbitrary hashable labels: bit i stands for
+    vertices[i].  Faces are implicit (the downward closure) and enumerating
+    them is guarded by an m * 2^d size bound.
     """
 
-    def __init__(self, vertices: Iterable, facets: Iterable[Iterable]):
+    def __init__(self, vertices: Iterable, masks: Iterable[int]):
         self._vertices = tuple(vertices)
-        self._vindex = {v: i for i, v in enumerate(self._vertices)}
-        if len(self._vindex) != len(self._vertices):
+        if len(set(self._vertices)) != len(self._vertices):
             raise ValueError("duplicate vertex")
-        facet_sets = [frozenset(f) for f in facets]
-        if not facet_sets:
+        masks = tuple(masks)
+        if not masks:
             raise ValueError("at least one facet required")
-        masks = []
-        for f in facet_sets:
-            mask = 0
-            for v in f:
-                if v not in self._vindex:
-                    raise ValueError(f"facet vertex not a vertex: {v!r}")
-                mask |= 1 << self._vindex[v]
-            masks.append(mask)
-        d = len(facet_sets[0])
-        if any(len(f) != d for f in facet_sets):
+        for mask in masks:
+            if type(mask) is not int:
+                raise ValueError(f"facet mask not an int: {mask!r}")
+            if mask < 0 or mask >> len(self._vertices):
+                raise ValueError(f"facet mask outside the vertex range: {mask}")
+        d = masks[0].bit_count()
+        if any(mask.bit_count() != d for mask in masks):
             raise ValueError("not pure: all facets must have the same cardinality")
         # facets share one size, so one lies inside another only when equal
         repeats = Counter(masks)
         for i, a in enumerate(masks):
             if repeats[a] > 1:
-                raise ValueError(
-                    f"facet contained in another (or duplicated): index {i}"
-                )
-        self._masks = tuple(masks)
+                raise ValueError(f"facet contained in another (or duplicated): index {i}")
+        self._masks = masks
 
     @property
     def m(self) -> int:
@@ -101,9 +94,6 @@ class PureComplex:
 
     def mask(self, f: int) -> int:
         return self._masks[f]
-
-    def face_members(self, mask: int) -> frozenset:
-        return frozenset(self._vertices[i] for i in _bit_indices(mask))
 
     def face_masks(self) -> set[int]:
         """Bitmasks of every face, the empty face included."""
@@ -121,18 +111,23 @@ class PureComplex:
         return faces
 
     @cached_property
+    def facet_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """For each facet, the indices of its vertices, lowest first."""
+        return tuple(tuple(_bit_indices(mask)) for mask in self._masks)
+
+    @cached_property
     def vertex_facets(self) -> tuple[int, ...]:
         """For each vertex index, the bitmask of the facets containing it."""
         incidence = [0] * len(self._vertices)
-        for f, mask in enumerate(self._masks):
-            for v in _bit_indices(mask):
+        for f, vertices in enumerate(self.facet_vertices):
+            for v in vertices:
                 incidence[v] |= 1 << f
         return tuple(incidence)
 
 
 class FacetOrder:
     """A strict partial order on the facet indices of a pure complex,
-    generated by relations (a, b) meaning facet a lies below facet b."""
+    generated by relations (a, b) of int indices: facet a lies below facet b."""
 
     def __init__(
         self,
@@ -142,7 +137,12 @@ class FacetOrder:
     ):
         self._complex = complex
         m = complex.m
-        rels = sorted({(int(a), int(b)) for a, b in relations})
+        rels = set()
+        for a, b in relations:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"facet index not an int: ({a!r}, {b!r})")
+            rels.add((a, b))
+        rels = sorted(rels)
         up: list[list[int]] = [[] for _ in range(m)]
         successors = [0] * m
         for a, b in rels:
@@ -218,18 +218,19 @@ def dyck_complex(n: int) -> PureComplex:
     if n < 1:
         raise ValueError(f"dyck_complex needs n >= 1, got {n}")
     points = [(a, r - a) for r in range(1, 2 * n) for a in range((r + 1) // 2, min(r, n) + 1)]
-    facets = []
+    # bits[r - 1][a]: the bit of the point of rank r with a letters v
+    bits = [[0] * (n + 1) for _ in range(2 * n - 1)]
+    for i, (a, b) in enumerate(points):
+        bits[a + b - 1][a] = 1 << i
+    masks = []
     for word in _words(n):
-        a = b = 0
-        chain = []
-        for letter in word[:-1]:
+        a = mask = 0
+        for letter, bit in zip(word, bits):
             if letter == "v":
                 a += 1
-            else:
-                b += 1
-            chain.append((a, b))
-        facets.append(chain)
-    return PureComplex(points, facets)
+            mask |= bit[a]
+        masks.append(mask)
+    return PureComplex(points, masks)
 
 
 # the single rewrites of a three-letter factor
@@ -244,23 +245,17 @@ def omega_n(n: int) -> FacetOrder:
         raise ValueError(f"omega_n needs n >= 1, got {n}")
     if n > OMEGA_GUARD:
         raise ValueError(f"too large: n = {n} exceeds guard {OMEGA_GUARD}")
-    cx = dyck_complex(n)
     words = _words(n)
     # a rewrite that left the paths would raise KeyError here
     index = {word: j for j, word in enumerate(words)}
     relations = []
     for j, word in enumerate(words):
-        for i in range(2 * n - 2):
-            rewrite = _REWRITES.get(word[i : i + 3])
-            if rewrite is not None:
+        for factor, rewrite in _REWRITES.items():
+            i = word.find(factor)
+            while i >= 0:
                 relations.append((index[word[:i] + rewrite + word[i + 3 :]], j))
-    return FacetOrder(cx, relations, labels=words)
-
-
-def restriction(ord: FacetOrder, f: int) -> frozenset:
-    """r(F): the vertices x of F such that some facet below F meets F in
-    exactly F minus x."""
-    return ord.complex.face_members(_restriction_mask(ord, f))
+                i = word.find(factor, i + 1)
+    return FacetOrder(dyck_complex(n), relations, labels=words)
 
 
 def _restriction_mask(ord: FacetOrder, f: int) -> int:
@@ -269,7 +264,7 @@ def _restriction_mask(ord: FacetOrder, f: int) -> int:
     # facets containing F minus x are the AND of the vertex incidences over
     # the vertices of F before x and those after it.
     incidence = ord.complex.vertex_facets
-    vertices = list(_bit_indices(ord.complex.mask(f)))
+    vertices = ord.complex.facet_vertices[f]
     # later[k]: the facets below F that contain every vertex after the k-th
     later = [ord.below_mask(f)]
     for v in reversed(vertices[1:]):
@@ -343,26 +338,22 @@ def check_preshelling(ord: FacetOrder) -> dict:
     }
 
 
-def partition_intervals(ord: FacetOrder) -> tuple[frozenset, ...]:
-    """The restriction r(F) of every facet, in facet order: the lower ends of
-    the intervals [r(F), F] that partition the complex when ord is a
-    pre-shelling."""
-    return tuple(restriction(ord, f) for f in range(ord.m))
-
-
-def flag_h_from_partition(restrictions: Iterable[frozenset]) -> Counter[frozenset[int]]:
-    """Bucket the facets of a dyck_complex by the rank sets of their
-    restrictions, the point (a, b) having rank a + b; for a partitioning
-    this is the flag h-vector.  Only nonzero entries appear."""
-    return Counter(frozenset(a + b for a, b in rset) for rset in restrictions)
-
-
 def verify_preshelling(n: int) -> list[dict]:
     """The preshelling check: omega_n(n) meets the four pre-shelling
     conditions.  One witness per failed condition, tagged with its name;
     empty when the order is a pre-shelling."""
     report = check_preshelling(omega_n(n))
     return [{"condition": name, **w} for name, w in report["witnesses"].items()]
+
+
+def _rank_set_counts(ord: FacetOrder) -> Counter[frozenset[int]]:
+    """The facets of a dyck_complex bucketed by the rank sets of their
+    restrictions, the point (a, b) having rank a + b, read as masks with
+    rank r at bit r; for a partitioning this is the flag h-vector."""
+    rank_bit = [1 << (a + b) for a, b in ord.complex._vertices]
+    by_ranks = Counter(
+        sum(rank_bit[v] for v in _bit_indices(_restriction_mask(ord, f))) for f in range(ord.m))
+    return Counter({frozenset(_bit_indices(ranks)): count for ranks, count in by_ranks.items()})
 
 
 def verify_parth(n: int) -> list[dict]:
@@ -373,6 +364,5 @@ def verify_parth(n: int) -> list[dict]:
     from .posets import flag_h_mismatches, flag_h_table
 
     om = omega_n(n)
-    table = flag_h_from_partition(partition_intervals(om))
     ls_counts = Counter(ls_set(w) for w in om.labels)
-    return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=table)
+    return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=_rank_set_counts(om))

@@ -10,12 +10,9 @@ hook-content formula.
 
 from collections import Counter, defaultdict
 from collections.abc import Iterator, Sequence
-from functools import cache
 
-from .qpoly import QPoly, div_q_int, mul_q_int, narayana, q_narayana_closed
-
-# dyck is imported by the functions that call it, so that the closed-form
-# and Schur routes do not load it; annotations name its DyckPath as a string
+# qpoly and dyck are imported where called, so that the ssyt check loads no
+# qpoly and the Schur routes no dyck; annotations name their classes as strings
 
 Rows = tuple[tuple[int, int], ...]
 
@@ -25,21 +22,16 @@ def two_column_fillings(k: int, m: int) -> Iterator[Rows]:
     lexicographic order of the row-major reading word."""
     if k < 0 or m < 0:
         raise ValueError(f"negative row count or max part: k = {k}, m = {m}")
-
-    @cache
-    def rows_after(last: tuple[int, int]) -> list[tuple[int, int]]:
-        # the rows (c, d) that may follow (a, b): a < c <= d and b < d
-        a, b = last
-        return [(c, d) for c in range(a + 1, m + 1) for d in range(max(c, b + 1), m + 1)]
-
-    def fill(rows: Rows, last: tuple[int, int]) -> Iterator[Rows]:
-        if len(rows) == k:
-            yield rows
-            return
-        for row in rows_after(last):
-            yield from fill((*rows, row), row)
-
-    return fill((), (0, 0))
+    # row by row, in order; each row's entries leave room for the rows below
+    tableaux: list[Rows] = [()]
+    for room in range(m - k + 1, m + 1):
+        longer = []
+        for rows in tableaux:
+            a, b = rows[-1] if rows else (0, 0)
+            for c in range(a + 1, room + 1):
+                longer += [(*rows, (c, d)) for d in range(max(c, b + 1), room + 1)]
+        tableaux = longer
+    return iter(tableaux)
 
 
 def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
@@ -56,18 +48,21 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
         raise ValueError(f"ssyt_to_dyck needs n >= 1, got {n}")
     word, above = [], (0, 0)
     for i, row in enumerate(rows, start=1):
-        if len(row) != 2:
-            raise ValueError(f"not a two-column shape: {tuple(map(len, rows))}")
-        for entry in row:
-            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
-                raise ValueError(f"entries must be positive integers, got {entry!r}")
-            if entry >= n:
-                raise ValueError(f"entry out of range: {entry} >= {n}")
-        if row[0] > row[1]:
-            raise ValueError(f"rows must weakly increase: row {i}")
-        for j in (0, 1):
-            if above[j] >= row[j]:
-                raise ValueError(f"columns must strictly increase: column {j + 1}")
+        # a valid row passes one chained comparison; the checks below name the fault
+        if not (len(row) == 2 and type(row[0]) is type(row[1]) is int
+                and above[0] < row[0] <= row[1] < n and above[1] < row[1]):
+            if len(row) != 2:
+                raise ValueError(f"not a two-column shape: {tuple(map(len, rows))}")
+            for entry in row:
+                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
+                    raise ValueError(f"entries must be positive integers, got {entry!r}")
+                if entry >= n:
+                    raise ValueError(f"entry out of range: {entry} >= {n}")
+            if row[0] > row[1]:
+                raise ValueError(f"rows must weakly increase: row {i}")
+            for j in (0, 1):
+                if above[j] >= row[j]:
+                    raise ValueError(f"columns must strictly increase: column {j + 1}")
         word += ["v" * (row[1] - above[1]), "h" * (row[0] - above[0])]
         above = row
     word += ["v" * (n - above[1]), "h" * (n - above[0])]
@@ -75,13 +70,15 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
 
 
 def dyck_to_ssyt(w: "DyckPath") -> Rows:
-    """Inverse of ssyt_to_dyck: row i collects the h and v counts of the
-    prefix ending at the i-th descent."""
-    from .dyck import descent_set
-
-    word = w.word
-    prefixes = [word[:s] for s in sorted(descent_set(word))]
-    return tuple((prefix.count("h"), prefix.count("v")) for prefix in prefixes)
+    """Inverse of ssyt_to_dyck: row i holds the numbers of h and of v up to
+    the i-th descent.  The word's blocks, a v run and then an h run, end
+    at its descents, so the rows are the running counts over the blocks."""
+    rows, h, v = [], 0, 0
+    for block in w.word.replace("hv", "h v").split()[:-1]:
+        rise = block.index("h")
+        h, v = h + len(block) - rise, v + rise
+        rows.append((h, v))
+    return tuple(rows)
 
 
 def _rows_fit(route: str, n: int, k: int) -> bool:
@@ -101,7 +98,7 @@ def _digits(packed: int, bits: int) -> list[int]:
     return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
 
 
-def q_narayana_ssyt(n: int, k: int) -> QPoly:
+def q_narayana_ssyt(n: int, k: int) -> "QPoly":
     """q-Narayana as the sum of q^(entry sum) over the tableaux of shape
     2^k with entries below n; zero for k >= n.
 
@@ -109,6 +106,8 @@ def q_narayana_ssyt(n: int, k: int) -> QPoly:
     state holds the tableaux so far that end in it and still leave room for
     the rows to come, counted by entry sum as the base-2**bits digits of one
     int, so adding a row (c, d) is a shift by c + d digits."""
+    from .qpoly import QPoly, narayana
+
     if not _rows_fit("q_narayana_ssyt", n, k):
         return QPoly()
     m = n - 1
@@ -126,7 +125,7 @@ def q_narayana_ssyt(n: int, k: int) -> QPoly:
     return QPoly(_digits(sum(states.values()), bits))
 
 
-def q_narayana_hook(n: int, k: int) -> QPoly:
+def q_narayana_hook(n: int, k: int) -> "QPoly":
     """q-Narayana by the hook-content formula for 2^j in n - 1 variables,
     j = min(k, n - 1 - k): q^(k^2 + k) times the product of
     [n - 1 + c(u)] / [h(u)] over the cells of 2^j.
@@ -142,6 +141,8 @@ def q_narayana_hook(n: int, k: int) -> QPoly:
     more; each step is linear in the degree.  A nonzero remainder raises
     ArithmeticError and means a bug.  Zero for k >= n.
     """
+    from .qpoly import QPoly, div_q_int, mul_q_int
+
     if not _rows_fit("q_narayana_hook", n, k):
         return QPoly()
     cs = [1]
@@ -150,25 +151,28 @@ def q_narayana_hook(n: int, k: int) -> QPoly:
     return QPoly([0] * (k * k + k) + cs)
 
 
-def q_narayana_enumerate(n: int, k: int) -> QPoly:
+def q_narayana_enumerate(n: int, k: int) -> "QPoly":
     """q-Narayana as the sum of q^maj over the paths of semilength n with
     k descents, read from the (des, maj) table of dyck.joint_q; zero for
     k >= n before the table is built."""
+    from .dyck import joint_q
+    from .qpoly import QPoly
+
     if not _rows_fit("q_narayana_enumerate", n, k):
         return QPoly()
-    from .dyck import joint_q
-
     return joint_q(n, "des", "maj").get(k, QPoly())
 
 
-# the four routes to the q-Narayana polynomial of (n, k), by name, in the
-# order that qnarayana --help lists them
-Q_NARAYANA_ROUTES = {
-    "closed": q_narayana_closed,
-    "schur-ssyt": q_narayana_ssyt,
-    "schur-hook": q_narayana_hook,
-    "enumerate": q_narayana_enumerate,
-}
+def q_narayana_routes() -> dict:
+    """The four q-Narayana routes by name, in the order qnarayana --help lists."""
+    from .qpoly import q_narayana_closed
+
+    return {
+        "closed": q_narayana_closed,
+        "schur-ssyt": q_narayana_ssyt,
+        "schur-hook": q_narayana_hook,
+        "enumerate": q_narayana_enumerate,
+    }
 
 
 def verify_ssyt(n: int) -> list[dict]:
@@ -197,10 +201,11 @@ def verify_q_identity(n: int) -> list[dict]:
     if n < 1:
         raise ValueError(f"verify_q_identity needs n >= 1, got {n}")
     from .dyck import joint_q
+    from .qpoly import QPoly
 
     # the enumerate route reads one (des, maj) table, built once for every k
     by_des = joint_q(n, "des", "maj")
-    routes_of = dict(Q_NARAYANA_ROUTES, enumerate=lambda n, k: by_des.get(k, QPoly()))
+    routes_of = dict(q_narayana_routes(), enumerate=lambda n, k: by_des.get(k, QPoly()))
     witnesses = []
     for k in range(n):
         routes = {name: route(n, k) for name, route in routes_of.items()}

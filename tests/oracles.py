@@ -10,16 +10,45 @@ import random
 from collections import Counter
 from functools import cache, cached_property, reduce
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
-from narayana.dyck import DyckPath, _completions, descent_set, label, ls_set
+from narayana.dyck import DyckPath, _completions, label, ls_set
 from narayana.qpoly import QPoly, mul_q_int
-from narayana.shelling import FacetOrder, PureComplex, _bit_indices, _topological_order
+from narayana.shelling import (
+    FacetOrder,
+    PureComplex,
+    _bit_indices,
+    _restriction_mask,
+    _topological_order,
+)
 from narayana.tableaux import two_column_fillings
 
 Element = Hashable
 
 LINEAR_EXTENSION_GUARD = 16
+
+
+def walk_paths(n: int) -> Iterator[str]:
+    """The words of semilength n by a depth-first walk, v before h: the
+    oracle of dyck.enumerate_paths, which builds them level by level."""
+
+    def walk(prefix: str, v_left: int, h_left: int, excess: int) -> Iterator[str]:
+        if not v_left and not h_left:
+            yield prefix
+            return
+        if v_left:
+            yield from walk(prefix + "v", v_left - 1, h_left, excess + 1)
+        if h_left and excess:
+            yield from walk(prefix + "h", v_left, h_left - 1, excess - 1)
+
+    return walk("", n, n, 0)
+
+
+def descent_set(word: str) -> frozenset[int]:
+    """Positions i with w_i = h and w_{i+1} = v (the valley's h)."""
+    return frozenset(
+        i for i in range(1, len(word)) if word[i - 1] == "h" and word[i] == "v"
+    )
 
 
 # per-path statistics, the oracle of dyck.distribution and dyck.joint_q
@@ -109,6 +138,64 @@ def rank(w: DyckPath) -> int:
         else:
             excess += 1
     return index
+
+
+# complexes from vertex labels, the shelling layer's restrictions as label
+# sets, and the point-chain dyck_complex
+def pure_complex(vertices: Iterable, facets: Iterable[Iterable]) -> PureComplex:
+    """The PureComplex whose facets are the given sets of vertex labels."""
+    vertices = tuple(vertices)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    masks = []
+    for facet in map(frozenset, facets):
+        for v in facet:
+            if v not in bit:
+                raise ValueError(f"facet vertex not a vertex: {v!r}")
+        masks.append(sum(bit[v] for v in facet))
+    return PureComplex(vertices, masks)
+
+
+def face_members(cx: PureComplex, mask: int) -> frozenset:
+    """The vertex labels of the face with the given bitmask."""
+    return frozenset(cx._vertices[i] for i in _bit_indices(mask))
+
+
+def restriction(ord: FacetOrder, f: int) -> frozenset:
+    """r(F): the vertices x of F such that some facet below F meets F in
+    exactly F minus x."""
+    return face_members(ord.complex, _restriction_mask(ord, f))
+
+
+def partition_intervals(ord: FacetOrder) -> tuple[frozenset, ...]:
+    """The restriction r(F) of every facet, in facet order: the lower ends of
+    the intervals [r(F), F] that partition the complex when ord is a
+    pre-shelling."""
+    return tuple(restriction(ord, f) for f in range(ord.m))
+
+
+def flag_h_from_partition(restrictions: Iterable[frozenset]) -> Counter[frozenset[int]]:
+    """Bucket the facets of a dyck_complex by the rank sets of their
+    restrictions, the point (a, b) having rank a + b: the oracle of the
+    rank-mask buckets of shelling.verify_parth."""
+    return Counter(frozenset(a + b for a, b in rset) for rset in restrictions)
+
+
+def point_chain_complex(n: int) -> PureComplex:
+    """dyck_complex(n) with each facet built as the chain of points that the
+    proper prefixes of its word reach, one set of points per facet."""
+    points = [(a, r - a) for r in range(1, 2 * n) for a in range((r + 1) // 2, min(r, n) + 1)]
+    facets = []
+    for word in walk_paths(n):
+        a = b = 0
+        chain = []
+        for letter in word[:-1]:
+            if letter == "v":
+                a += 1
+            else:
+                b += 1
+            chain.append((a, b))
+        facets.append(chain)
+    return pure_complex(points, facets)
 
 
 # validated finite posets, ideal lattices and order complexes: the
@@ -312,7 +399,7 @@ def order_complex(L: GradedBoundedPoset) -> PureComplex:
     top = L.top_rank
     vertices = [e for r in range(1, top) for e in L.elements_of_rank(r)]
     if top < 2:
-        return PureComplex([], [frozenset()])
+        return pure_complex([], [frozenset()])
     facets: list[frozenset] = []
     chain: list = []
 
@@ -328,7 +415,7 @@ def order_complex(L: GradedBoundedPoset) -> PureComplex:
 
     for e in L.elements_of_rank(1):
         climb(e)
-    return PureComplex(vertices, facets)
+    return pure_complex(vertices, facets)
 
 
 # linear extensions, Jordan-Holder sets and the extension-path bijection
@@ -526,7 +613,7 @@ def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
     violating pair and the restriction of every facet."""
     if sorted(order) != list(range(cx.m)):
         raise ValueError("not a total order on the facets")
-    facets = [cx.face_members(cx.mask(f)) for f in range(cx.m)]
+    facets = [face_members(cx, cx.mask(f)) for f in range(cx.m)]
     violation = None
     restrictions: dict[int, frozenset] = {}
     for position, g in enumerate(order):
@@ -686,6 +773,24 @@ def dense_flag_h_table(L: GradedBoundedPoset) -> Counter[frozenset[int]]:
             if mask & bit:
                 data[mask] -= data[mask ^ bit]
     return _by_rank_set(data)
+
+
+# the tableaux by a depth-first walk, and the sum over them, the oracles of
+# tableaux.two_column_fillings and tableaux.q_narayana_ssyt
+def walk_fillings(k: int, m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The rows of every tableau of shape 2^k with entries in [1, m], by a
+    depth-first walk that extends a prefix by every row that may follow
+    its last: the oracle of tableaux.two_column_fillings."""
+
+    def fill(rows: tuple, last: tuple[int, int]) -> Iterator[tuple]:
+        if len(rows) == k:
+            yield rows
+            return
+        a, b = last
+        for row in [(c, d) for c in range(a + 1, m + 1) for d in range(max(c, b + 1), m + 1)]:
+            yield from fill((*rows, row), row)
+
+    return fill((), (0, 0))
 
 
 # the sum over the tableaux, the oracle of tableaux.q_narayana_ssyt

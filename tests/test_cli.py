@@ -222,11 +222,13 @@ def test_dist_cache_write_and_read(capsys, tmp_path):
 
 
 # strs with every kind of character json escapes: quotes, backslashes,
-# control characters, DEL and non-ASCII text
+# control characters, DEL and non-ASCII text; and words, mostly ASCII
+# letters and digits, which lists of them write in one join
 JSON_STRS = st.text(st.sampled_from('ab -~"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters())
+JSON_WORDS = st.text(st.sampled_from("vhVH09_ é\"\\"), max_size=3) | st.sampled_from(["vh", "A1"])
 JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | JSON_INTS | JSON_STRS,
+    st.none() | st.booleans() | JSON_INTS | JSON_STRS | JSON_WORDS,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
@@ -242,6 +244,15 @@ JSON_VALUES = st.recursive(
 @example([True, False, None, -(2**70), 2**64, 0])
 @example([-(2**70), 2**64, 0])
 @example(['"', "\\", "\x00\n", "\x7f", "é€😀", ""])
+@example(["vh", "vvhh", "A1"])
+@example([["vh", "vhvh"], ("vvhh", "vhvh")])
+@example(["vh", 'v"h'])
+@example(["vh", "v\\h"])
+@example(["vh", "v h"])
+@example(["vh", ""])
+@example(["vh", "vé"])
+@example(["vh", "²"])
+@example(["vh", 1])
 def test_json_writer_matches_json_dumps(value):
     assert cli_common.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -453,6 +464,28 @@ def test_omega_json_n4(capsys):
     assert minimal == ["vhvhvhvh"]
 
 
+class CountedWrites(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_omega_writes_its_stdout_in_one_call(fmt, capsys):
+    # with PYTHONUNBUFFERED set each write is a system call of its own
+    argv = ["omega", "--n", "8", "--format", fmt]
+    expected = run(capsys, *argv)[1]
+    stdout = CountedWrites()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert (stdout.writes, stdout.getvalue()) == (1, expected)
+    assert expected.count("\n") > 5000
+
+
 def test_omega_guard(capsys):
     assert run(capsys, "omega", "--n", "9")[0] == 2
 
@@ -637,7 +670,7 @@ def test_cli_copies_agree_with_the_library():
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
         for name, (module, function) in cli_common.ROUTES.items()
     }
-    assert list(routes.items()) == list(tableaux.Q_NARAYANA_ROUTES.items())
+    assert list(routes.items()) == list(tableaux.q_narayana_routes().items())
     assert set(cli_polys.ENUMERATIVE_ROUTES) < set(cli_common.ROUTES)
     checks = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
@@ -698,6 +731,9 @@ SHELLING_MODULES = ["dyck", "shelling"]
 # cache is warmed first, the narayana modules it loads)
 STARTUP_ROWS = [
     ([], False, PARSER_MODULES),
+    # only --help loads the module that writes it
+    (["--help"], False, sorted([*PARSER_MODULES, "cli_help"])),
+    (["dist", "--help"], False, sorted([*PARSER_MODULES, "cli_help"])),
     (["dist", "--n", "4", "--stat", "des", "--format", "json"], True, loads("cli_dist")),
     (["dist", "--n", "4", "--stat", "hp", "--q"], True, loads("cli_dist", "qpoly")),
     (
@@ -725,11 +761,8 @@ STARTUP_ROWS = [
         False,
         loads("cli_verify", "dyck", "posets"),
     ),
-    (
-        ["verify", "--check", "ssyt", "--n", "3"],
-        False,
-        loads("cli_verify", *TABLEAUX_MODULES, "posets"),
-    ),
+    # tableaux imports qpoly only for the q-Narayana routes
+    (["verify", "--check", "ssyt", "--n", "3"], False, loads("cli_verify", "dyck", "posets", "tableaux")),
     (
         ["verify", "--check", "q-identity", "--n", "3"],
         False,
@@ -768,6 +801,7 @@ def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_p
     assert (result.returncode, result.stdout) == expected, result.stderr
     loaded, csv_at_start, csv_at_end = result.stderr.splitlines()[-1].rsplit(" ", 2)
     assert loaded == repr(modules)
+    assert ("cli_help" in modules) == ("--help" in argv)
     if "csv" in argv:
         assert csv_at_end == "True"
     else:
@@ -973,6 +1007,7 @@ def test_full_stdout_is_a_usage_error():
     requests = (
         ["narayana", "--n", "5"],
         ["omega", "--n", "6", "--format", "json"],
+        ["omega", "--n", "8"],  # one write of the whole diagram
         *HELP_REQUESTS,
     )
     for argv in requests:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from collections import Counter, defaultdict
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from narayana.dyck import (
     DyckPath,
-    descent_set,
     distribution,
     enumerate_paths,
     joint_q,
@@ -20,6 +20,7 @@ from oracles import (
     da,
     des,
     des_wrt,
+    descent_set,
     descent_set_wrt,
     ea,
     high_peak_set,
@@ -30,6 +31,7 @@ from oracles import (
     maj_l,
     maj_wrt,
     rank,
+    walk_paths,
 )
 
 
@@ -97,6 +99,27 @@ def test_enumerate_matches_brute_force():
         # lexicographic with v < h, which is NOT the ascii string order
         keys = [[0 if c == "v" else 1 for c in word] for word in got]
         assert keys == sorted(keys)
+
+
+def test_enumerate_matches_the_depth_first_walk():
+    # level by level against the recursive walk, word for word in order; a
+    # generator, whose items perfbench/tracing.py counts
+    for n in range(11):
+        paths = enumerate_paths(n)
+        assert type(paths) is types.GeneratorType
+        assert list(paths) == list(walk_paths(n)), n
+    with pytest.raises(ValueError, match="negative semilength"):
+        enumerate_paths(-1)
+
+
+def test_ls_set_matches_the_factor_windows():
+    # every center of a vvh or hhv window, found by str.find, against a
+    # slice of every window
+    for n in range(9):
+        for word in enumerate_paths(n):
+            windows = {i for i in range(2, 2 * n) if word[i - 2 : i + 1] in ("vvh", "hhv")}
+            assert ls_set(word) == windows, word
+    assert ls_set("vvhhvvhh") == {2, 4, 6}
 
 
 def test_enumerate_frozen():
@@ -274,7 +297,7 @@ def test_distribution_does_not_enumerate(monkeypatch):
 
     # the per-path code left in the library; the per-path statistics live
     # in the oracles, which the library cannot call
-    for name in ("enumerate_paths", "descent_set", "ls_set"):
+    for name in ("enumerate_paths", "ls_set"):
         monkeypatch.setattr(f"narayana.dyck.{name}", forbidden)
     w0 = DyckPath("vvhvhh")
     for name in ACCEPTED:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from narayana.dyck import DyckPath, descent_set, enumerate_paths, random_path
+from narayana.dyck import DyckPath, enumerate_paths, random_path
 from narayana.posets import (
     flag_h_mismatches,
     flag_h_table,
@@ -17,6 +17,7 @@ from oracles import (
     alpha_table,
     chain_product_2xn,
     dense_flag_h_table,
+    descent_set,
     descent_set_wrt,
     extension_to_path,
     flag_f,

@@ -11,20 +11,20 @@ from narayana.shelling import (
     FacetOrder,
     PureComplex,
     _first_misowned_face,
+    _rank_set_counts,
     _restriction_mask,
     check_preshelling,
     dyck_complex,
-    flag_h_from_partition,
     omega_n,
-    partition_intervals,
-    restriction,
 )
 from oracles import (
     GradedBoundedPoset,
     chain_product_2xn,
     closure_covers,
     dfs_face_masks,
+    face_members,
     facet_to_path,
+    flag_h_from_partition,
     ideal_lattice,
     is_linear_extension,
     is_shelling,
@@ -32,9 +32,13 @@ from oracles import (
     maj_l,
     order_complex,
     pairwise_restriction_mask,
+    partition_intervals,
     path_to_facet,
+    point_chain_complex,
+    pure_complex,
     random_linear_extension,
     rank,
+    restriction,
     s_map,
     sigma_stat,
 )
@@ -60,7 +64,7 @@ OMEGA_4_COVERS = {
 
 
 def triangle_boundary() -> PureComplex:
-    return PureComplex([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
+    return pure_complex([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
 
 
 def minimal_indices(om: FacetOrder) -> list[int]:
@@ -75,35 +79,56 @@ def ideal_point(ideal: frozenset) -> tuple[int, int]:
 
 def restriction_masks(cx: PureComplex, restrictions) -> list[int]:
     # each vertex's bit, read back through face_members
-    bit = {v: 1 << i for i in range(len(cx.vertex_facets)) for v in cx.face_members(1 << i)}
+    bit = {v: 1 << i for i in range(len(cx.vertex_facets)) for v in face_members(cx, 1 << i)}
     return [sum(bit[v] for v in rset) for rset in restrictions]
 
 
 def test_pure_complex_validation():
     with pytest.raises(ValueError, match="duplicate vertex"):
-        PureComplex([1, 1], [{1}])
+        pure_complex([1, 1], [{1}])
     with pytest.raises(ValueError, match="not a vertex"):
-        PureComplex([1], [{2}])
+        pure_complex([1], [{2}])
     with pytest.raises(ValueError, match="not pure"):
-        PureComplex([1, 2, 3], [{1, 2}, {3}])
+        pure_complex([1, 2, 3], [{1, 2}, {3}])
     with pytest.raises(ValueError, match="contained in another"):
-        PureComplex([1, 2, 3], [{1, 2}, {1, 2}])
+        pure_complex([1, 2, 3], [{1, 2}, {1, 2}])
     # the first facet that has a duplicate anywhere is reported
     with pytest.raises(ValueError, match="index 1$"):
-        PureComplex([1, 2, 3], [{2, 3}, {1, 2}, {1, 3}, {1, 2}, {1, 3}])
+        pure_complex([1, 2, 3], [{2, 3}, {1, 2}, {1, 3}, {1, 2}, {1, 3}])
+    with pytest.raises(ValueError, match="at least one facet"):
+        pure_complex([1], [])
+
+
+def test_pure_complex_refuses_masks_outside_its_vertices():
+    # each facet is an int mask over the vertex tuple; a bool, a float or a
+    # str is refused, not read as the int it equals
+    for bad in (True, 1.0, "1", None, frozenset({1})):
+        with pytest.raises(ValueError, match="facet mask not an int"):
+            PureComplex([1, 2], [2, bad])
+    for outside in (-1, 4, 1 << 40):
+        with pytest.raises(ValueError, match="outside the vertex range"):
+            PureComplex([1, 2], [outside])
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        PureComplex([1, 1], [1])
+    with pytest.raises(ValueError, match="not pure"):
+        PureComplex([1, 2, 3], [0b011, 0b100])
+    with pytest.raises(ValueError, match="index 1$"):
+        PureComplex([1, 2, 3], [0b110, 0b011, 0b101, 0b011])
     with pytest.raises(ValueError, match="at least one facet"):
         PureComplex([1], [])
+    cx = PureComplex("abc", iter([0b011, 0b110]))
+    assert (cx.m, cx.d, cx.facet_vertices) == (2, 2, ((0, 1), (1, 2)))
 
 
 def test_pure_complex_faces():
-    cx = PureComplex("ab", [{"a", "b"}])
-    faces = [cx.face_members(mask) for mask in sorted(cx.face_masks())]
+    cx = pure_complex("ab", [{"a", "b"}])
+    faces = [face_members(cx, mask) for mask in sorted(cx.face_masks())]
     assert sorted(map(sorted, faces)) == [[], ["a"], ["a", "b"], ["b"]]
     assert len(triangle_boundary().face_masks()) == 7
 
 
 def test_face_guard():
-    cx = PureComplex(range(21), [set(range(21))])
+    cx = pure_complex(range(21), [set(range(21))])
     with pytest.raises(ValueError, match="complex too large"):
         cx.face_masks()
 
@@ -135,6 +160,15 @@ def test_facet_order_rejects():
         FacetOrder(cx, [(0, 3)])
 
 
+def test_facet_order_refuses_indices_that_are_not_ints():
+    # int() would read (0.9, 1.7) as (0, 1) and ("1", "2") as (1, 2)
+    cx = triangle_boundary()
+    for pair in ((0.9, 1.7), ("1", "2"), (True, 2), (0, False), (0, 1.0), (None, 1)):
+        with pytest.raises(ValueError, match="facet index not an int"):
+            FacetOrder(cx, [(0, 1), pair])
+    assert FacetOrder(cx, [[0, 1], (1, 2)]).relations == ((0, 1), (1, 2))
+
+
 def test_random_linear_extension():
     om = omega_n(4)
     first = random_linear_extension(om, 11)
@@ -149,7 +183,7 @@ def test_random_linear_extension():
 def test_order_complex_shapes():
     three_chain = GradedBoundedPoset("0a1", [("0", "a"), ("a", "1")])
     cx = order_complex(three_chain)
-    assert cx.m == 1 and cx.face_members(cx.mask(0)) == {"a"}
+    assert cx.m == 1 and face_members(cx, cx.mask(0)) == {"a"}
     cx2 = order_complex(ideal_lattice(chain_product_2xn(2)))
     assert cx2.m == 2 and cx2.d == 3
     cx4 = order_complex(ideal_lattice(chain_product_2xn(4)))
@@ -164,9 +198,19 @@ def test_dyck_complex_matches_order_complex_oracle():
         cx, oracle = dyck_complex(n), order_complex(j2xn(n))
         assert len(cx.vertex_facets) == len(oracle.vertex_facets), n
         for i in range(len(oracle.vertex_facets)):
-            (ideal,) = oracle.face_members(1 << i)
-            assert cx.face_members(1 << i) == {ideal_point(ideal)}, (n, i)
+            (ideal,) = face_members(oracle, 1 << i)
+            assert face_members(cx, 1 << i) == {ideal_point(ideal)}, (n, i)
         assert [cx.mask(f) for f in range(cx.m)] == [oracle.mask(f) for f in range(oracle.m)], n
+
+
+def test_dyck_complex_masks_match_the_point_chains():
+    # the masks read through the (rank, a) bit table, against the facets
+    # built as chains of points from the depth-first words
+    for n in range(1, 9):
+        cx, oracle = dyck_complex(n), point_chain_complex(n)
+        assert cx._vertices == oracle._vertices, n
+        assert [cx.mask(f) for f in range(cx.m)] == [oracle.mask(f) for f in range(oracle.m)], n
+        assert cx.facet_vertices == oracle.facet_vertices, n
 
 
 def test_dyck_complex_alignment():
@@ -176,7 +220,7 @@ def test_dyck_complex_alignment():
         assert cx.d == 2 * n - 1
         for i, w in enumerate(enumerate_paths(n)):
             facet = path_to_facet(DyckPath(w))
-            assert cx.face_members(cx.mask(i)) == set(map(ideal_point, facet))
+            assert face_members(cx, cx.mask(i)) == set(map(ideal_point, facet))
     with pytest.raises(ValueError):
         dyck_complex(0)
 
@@ -316,7 +360,7 @@ def random_facet_order(rng: random.Random) -> FacetOrder:
     relations include a few that the closure of the others implies."""
     vertices = rng.randint(3, 8)
     candidates = list(itertools.combinations(range(vertices), rng.randint(1, min(vertices - 1, 4))))
-    cx = PureComplex(range(vertices), rng.sample(candidates, min(len(candidates), rng.randint(2, 14))))
+    cx = pure_complex(range(vertices), rng.sample(candidates, min(len(candidates), rng.randint(2, 14))))
     position = rng.sample(range(cx.m), cx.m)
     pairs = [(a, b) for a, b in itertools.permutations(range(cx.m), 2) if position[a] < position[b]]
     om = FacetOrder(cx, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * cx.m))))
@@ -342,7 +386,7 @@ def test_sparse_queries_match_closure_oracles_on_omega():
 
 def test_sparse_queries_match_closure_oracles_on_random_orders():
     # a single facet, also the empty one, has no cover and no restriction
-    for cx in (PureComplex("ab", [{"a", "b"}]), PureComplex([], [frozenset()])):
+    for cx in (pure_complex("ab", [{"a", "b"}]), pure_complex([], [frozenset()])):
         assert_sparse_queries_match_oracles(FacetOrder(cx, []), faces=True)
     rng = random.Random(29)
     redundant = proper = 0
@@ -389,7 +433,7 @@ def test_check_preshelling_omega():
 
 
 def test_check_preshelling_single_facet():
-    cx = PureComplex("ab", [{"a", "b"}])
+    cx = pure_complex("ab", [{"a", "b"}])
     report = check_preshelling(FacetOrder(cx, []))
     assert report["is_preshelling"] is True
 
@@ -432,14 +476,14 @@ def test_check_preshelling_disagreement_raises(monkeypatch):
 
 
 def test_check_preshelling_guard():
-    cx = PureComplex(range(21), [set(range(21))])
+    cx = pure_complex(range(21), [set(range(21))])
     with pytest.raises(ValueError, match="complex too large"):
         check_preshelling(FacetOrder(cx, []))
 
 
 def test_check_preshelling_guard_precedes_the_pairwise_conditions(monkeypatch):
     # two facets of 20 vertices: 2 * 2^20 candidate faces exceed the guard
-    cx = PureComplex(range(21), [set(range(20)), set(range(1, 21))])
+    cx = pure_complex(range(21), [set(range(20)), set(range(1, 21))])
     assert cx.m > 1 and cx.m << cx.d > shelling.FACE_GUARD
 
     def refuse(*args):
@@ -471,7 +515,7 @@ def test_upward_closure_preserves_restrictions():
 
 
 def test_is_shelling_single_facet():
-    cx = PureComplex("ab", [{"a", "b"}])
+    cx = pure_complex("ab", [{"a", "b"}])
     report = is_shelling(cx, [0])
     assert report["is_shelling"] is True
     assert report["restrictions"] == {0: frozenset()}
@@ -569,7 +613,7 @@ def test_verify_partitioning_matches_brute_force_on_damage():
     for n in (3, 4):
         om = omega_n(n)
         good = partition_intervals(om)
-        facets = [om.complex.face_members(om.complex.mask(f)) for f in range(om.m)]
+        facets = [face_members(om.complex, om.complex.mask(f)) for f in range(om.m)]
         damaged = [good, (frozenset(),) * om.m, tuple(facets)]
         for _ in range(30):
             rs = list(good)
@@ -596,7 +640,7 @@ def test_verify_partitioning_matches_brute_force_on_damage():
 
 
 def test_single_facet_partitioning_covers_everything():
-    cx = PureComplex("abc", [{"a", "b", "c"}])
+    cx = pure_complex("abc", [{"a", "b", "c"}])
     p = partition_intervals(FacetOrder(cx, []))
     assert p == (frozenset(),)
     assert _first_misowned_face(cx, restriction_masks(cx, p)) is None
@@ -615,6 +659,20 @@ def test_flag_h_from_partition_frozen():
         frozenset({4}): 1,
         frozenset({2, 4}): 1,
     }
+
+
+def test_parth_rank_buckets_match_the_partition_oracle():
+    # the restriction masks bucketed by rank mask, against the restrictions
+    # as sets of points bucketed by their ranks
+    for n in range(1, 9):
+        om = omega_n(n)
+        buckets = _rank_set_counts(om)
+        assert buckets == flag_h_from_partition(partition_intervals(om)), n
+        assert buckets == flag_h_table(n), n
+    # a damaged order buckets its own restrictions, not the flag h-vector
+    broken = FacetOrder(dyck_complex(4), [])
+    assert _rank_set_counts(broken) == flag_h_from_partition(partition_intervals(broken))
+    assert _rank_set_counts(broken) == {frozenset(): 14}
 
 
 def test_flag_h_from_partition_matches_inclusion_exclusion():

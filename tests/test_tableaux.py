@@ -1,22 +1,34 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from narayana import dyck, tableaux
-from narayana.dyck import DyckPath, descent_set, enumerate_paths, joint_q
+from narayana import dyck, qpoly
+from narayana.dyck import DyckPath, enumerate_paths, joint_q
 from narayana.qpoly import QPoly, q_narayana_closed
 from narayana.tableaux import (
-    Q_NARAYANA_ROUTES,
     dyck_to_ssyt,
     q_narayana_enumerate,
     q_narayana_hook,
+    q_narayana_routes,
     q_narayana_ssyt,
     ssyt_to_dyck,
     two_column_fillings,
     verify_q_identity,
 )
-from oracles import chain_product_2xn, des, flag_h, ideal_lattice, q_narayana_fillings
+from oracles import (
+    chain_product_2xn,
+    des,
+    descent_set,
+    flag_h,
+    ideal_lattice,
+    q_narayana_fillings,
+    walk_fillings,
+)
 
 FIGURE = ((1, 2), (3, 5), (5, 6))  # the tableau of the paper's figure, n = 7
 
@@ -74,6 +86,14 @@ def test_enumerate_ssyt_matches_brute_force():
             assert len(got) == len(set(got))
 
 
+def test_fillings_match_the_depth_first_walk():
+    # level by level, pruned to the rows that leave room for the rest,
+    # against the recursive walk, tableau for tableau in order
+    for k in range(8):
+        for m in range(10):
+            assert list(two_column_fillings(k, m)) == list(walk_fillings(k, m)), (k, m)
+
+
 def test_enumerate_ssyt_is_lexicographic():
     for k in range(6):
         for m in range(7):
@@ -91,6 +111,68 @@ def test_row_sums():
     ):
         assert {a + b for a, b in rows} == sums
         assert descent_set(ssyt_to_dyck(rows, n).word) == sums
+
+
+# a refused tableau with n = 5, and the message that names its first fault
+SSYT_REFUSALS = [
+    (((1, 2, 3),), "not a two-column shape: (3,)"),
+    (((1, 2), (3,)), "not a two-column shape: (2, 1)"),
+    ((()), "ssyt_to_dyck needs n >= 1, got 0"),
+    (((0, 1),), "entries must be positive integers, got 0"),
+    (((-1, 2),), "entries must be positive integers, got -1"),
+    (((True, 2),), "entries must be positive integers, got True"),
+    (((1, False),), "entries must be positive integers, got False"),
+    (((1.0, 2),), "entries must be positive integers, got 1.0"),
+    (((1, "2"),), "entries must be positive integers, got '2'"),
+    (((5, 5),), "entry out of range: 5 >= 5"),
+    (((1, 7),), "entry out of range: 7 >= 5"),
+    (((2, 1),), "rows must weakly increase: row 1"),
+    (((1, 2), (3, 2)), "rows must weakly increase: row 2"),
+    (((1, 2), (1, 3)), "columns must strictly increase: column 1"),
+    (((1, 3), (2, 3)), "columns must strictly increase: column 2"),
+    (((1, 1), (2, 4), (2, 3)), "columns must strictly increase: column 1"),
+]
+
+
+def ssyt_refusals() -> list[str]:
+    out = []
+    for rows, _ in SSYT_REFUSALS:
+        try:
+            ssyt_to_dyck(rows, 0 if rows == () else 5)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_ssyt_to_dyck_names_each_refusal():
+    assert ssyt_refusals() == [message for _, message in SSYT_REFUSALS]
+    # an int subclass other than bool is an int, as before
+    class Entry(int):
+        pass
+
+    assert ssyt_to_dyck(((Entry(1), Entry(2)),), 3).word == "vvhvhh"
+
+
+def test_ssyt_to_dyck_refusals_survive_optimized_mode():
+    # python -O strips asserts, so every refusal must be a real exception
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = "from test_tableaux import ssyt_refusals; print(repr(ssyt_refusals()))"
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == repr([message for _, message in SSYT_REFUSALS]) + "\n"
+
+
+def test_dyck_to_ssyt_matches_the_prefix_counts():
+    # one pass over the blocks, against counting the letters of the prefix
+    # that ends at each descent
+    for n in range(9):
+        for word in enumerate_paths(n):
+            prefixes = [word[:s] for s in sorted(descent_set(word))]
+            expected = tuple((p.count("h"), p.count("v")) for p in prefixes)
+            assert dyck_to_ssyt(DyckPath(word)) == expected, word
 
 
 def test_ssyt_to_dyck_figure():
@@ -158,7 +240,7 @@ def test_hook_and_content(monkeypatch):
     factors = []
 
     def recorded(name):
-        kernel = getattr(tableaux, name)
+        kernel = getattr(qpoly, name)
 
         def call(cs, m):
             out = kernel(cs, m)
@@ -168,14 +250,16 @@ def test_hook_and_content(monkeypatch):
         return call
 
     for name in ("mul_q_int", "div_q_int"):
-        monkeypatch.setattr(tableaux, name, recorded(name))
+        monkeypatch.setattr(qpoly, name, recorded(name))
     for k in range(7):
         for n in range(k + 1, 2 * k + 4):
             rows = min(k, n - 1 - k)
             cells = [(i, j) for i in range(1, rows + 1) for j in (1, 2)]
             hooks = [(2 - j) + (rows - i) + 1 for i, j in cells]  # arm + leg + 1
+            # the closed form runs the same kernels, so it runs first
+            closed = q_narayana_closed(n, k)
             factors.clear()
-            assert q_narayana_hook(n, k) == q_narayana_closed(n, k)
+            assert q_narayana_hook(n, k) == closed
             assert Counter(m for name, m, _ in factors if name == "mul_q_int") == Counter(
                 n - 1 + j - i for i, j in cells
             )
@@ -191,16 +275,17 @@ def test_hook_route_takes_min_k_n_minus_1_minus_k_rows(monkeypatch):
     # route multiplies in two factors a row for min(k, n - 1 - k) rows:
     # 18 at (60, 50), not 100
     factors = []
-    kernel = tableaux.mul_q_int
+    kernel = qpoly.mul_q_int
 
     def recorded(cs, m):
         factors.append(m)
         return kernel(cs, m)
 
-    monkeypatch.setattr(tableaux, "mul_q_int", recorded)
+    monkeypatch.setattr(qpoly, "mul_q_int", recorded)
     for n, k, rows in ((60, 50, 9), (60, 9, 9), (60, 29, 29), (60, 30, 29), (60, 59, 0), (7, 3, 3)):
+        closed = q_narayana_closed(n, k)  # which runs the same kernel
         factors.clear()
-        assert q_narayana_hook(n, k) == q_narayana_closed(n, k)
+        assert q_narayana_hook(n, k) == closed
         assert len(factors) == 2 * rows, (n, k)
 
 
@@ -247,21 +332,21 @@ def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(mo
     # k rows in n - 1 variables give zero; k = 10**7 rows would take seconds
     # and k = 10**12 forever, so sizing a k-row transfer matrix or
     # multiplying is an error here
-    narayana = tableaux.narayana
+    narayana = qpoly.narayana
 
     def narayana_below_n(n, k):
         if k >= n:
             raise AssertionError(f"sized {k} rows for n = {n}")
         return narayana(n, k)
 
-    monkeypatch.setattr(tableaux, "narayana", narayana_below_n)
+    monkeypatch.setattr(qpoly, "narayana", narayana_below_n)
     for route in (q_narayana_ssyt, q_narayana_hook):
         assert route(5, 4) == q_narayana_closed(5, 4)
 
     def no_factor(cs, m):
         raise AssertionError("multiplied in a factor for k >= n")
 
-    monkeypatch.setattr(tableaux, "mul_q_int", no_factor)
+    monkeypatch.setattr(qpoly, "mul_q_int", no_factor)
     for route in (q_narayana_ssyt, q_narayana_hook):
         for k in (5, 6, 10**7, 10**12):
             assert route(5, k) == QPoly()
@@ -284,8 +369,11 @@ def test_q_narayana_schur_frozen():
             route(0, 0)
         with pytest.raises(ValueError, match="needs k >= 0"):
             route(3, -1)
-    assert Q_NARAYANA_ROUTES["schur-ssyt"] is q_narayana_ssyt
-    assert Q_NARAYANA_ROUTES["schur-hook"] is q_narayana_hook
+    routes = q_narayana_routes()
+    assert routes["closed"] is q_narayana_closed
+    assert routes["schur-ssyt"] is q_narayana_ssyt
+    assert routes["schur-hook"] is q_narayana_hook
+    assert routes["enumerate"] is q_narayana_enumerate
 
 
 def test_three_way_q_narayana_identity():
@@ -335,18 +423,18 @@ def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
 
 
 def test_q_identity_witness_lists_every_route(monkeypatch):
-    closed = Q_NARAYANA_ROUTES["closed"]
+    closed = q_narayana_routes()["closed"]
     true = list(closed(4, 2).coeffs)
     damaged = [1, *true[1:]]  # the constant term of N_q(4, 2) is 0
-    monkeypatch.setitem(
-        Q_NARAYANA_ROUTES, "closed", lambda n, k: QPoly(damaged) if k == 2 else closed(n, k)
+    monkeypatch.setattr(
+        qpoly, "q_narayana_closed", lambda n, k: QPoly(damaged) if k == 2 else closed(n, k)
     )
     (witness,) = verify_q_identity(4)
     assert witness == {
         "k": 2,
         "routes": {"closed": damaged, "schur-ssyt": true, "schur-hook": true, "enumerate": true},
     }
-    assert list(witness["routes"]) == list(Q_NARAYANA_ROUTES)
+    assert list(witness["routes"]) == list(q_narayana_routes())
 
 
 def test_q_identity_refuses_an_empty_row():
