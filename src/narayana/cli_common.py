@@ -1,6 +1,7 @@
 """What the command-line parser and the command handlers share: the limits
 that both the --help text and the handlers read, the routes and checks as
-(module, function) pairs, stderr and usage-error output, and a JSON writer.
+(module, function, largest n) rows, stderr and usage-error output, and a
+JSON writer.
 
 The parser lives in narayana.cli and each command's handler in a module of
 its own, which main() imports through _library, so that a request compiles
@@ -18,23 +19,23 @@ CLOSED_FORM_LIMIT = 60
 ENUMERATION_LIMIT = 12
 SAMPLES_LIMIT = 200
 OMEGA_GUARD = 8  # shelling.OMEGA_GUARD
-# route -> (module, function) of the library routine that computes it; key
-# order is the order --help lists the routes in
+# route -> (module, function, largest n) of the library routine that
+# computes it; key order is the order --help lists the routes in
 ROUTES = {
-    "closed": ("qpoly", "q_narayana_closed"),
-    "schur-ssyt": ("tableaux", "q_narayana_ssyt"),
-    "schur-hook": ("tableaux", "q_narayana_hook"),
-    "enumerate": ("tableaux", "q_narayana_enumerate"),
+    "closed": ("qpoly", "q_narayana_closed", CLOSED_FORM_LIMIT),
+    "schur-ssyt": ("tableaux", "q_narayana_ssyt", ENUMERATION_LIMIT),
+    "schur-hook": ("tableaux", "q_narayana_hook", CLOSED_FORM_LIMIT),
+    "enumerate": ("tableaux", "q_narayana_enumerate", ENUMERATION_LIMIT),
 }
-# check -> (module, function) of the library routine that returns its
-# witnesses; main-theorem also takes the reference paths.  Key order is the
-# order --help lists the checks in.
+# check -> (module, function, largest n) of the library routine that returns
+# its witnesses; main-theorem also takes the reference paths, and its limit
+# is posets.THEOREM_GUARD.  Key order is the order --help lists the checks in.
 VERIFY_CHECKS = {
-    "main-theorem": ("posets", "verify_theorem_main"),
-    "ssyt": ("tableaux", "verify_ssyt"),
-    "preshelling": ("shelling", "verify_preshelling"),
-    "q-identity": ("tableaux", "verify_q_identity"),
-    "parth": ("shelling", "verify_parth"),
+    "main-theorem": ("posets", "verify_theorem_main", 6),
+    "ssyt": ("tableaux", "verify_ssyt", 8),
+    "preshelling": ("shelling", "verify_preshelling", 5),
+    "q-identity": ("tableaux", "verify_q_identity", 8),
+    "parth": ("shelling", "verify_parth", 8),
 }
 
 

@@ -32,7 +32,8 @@ def _is_table(table: object, with_q: bool) -> bool:
 
 def _load_cached(path: str | None, header: dict) -> dict | None:
     """The cached payload of the request that header describes, or None when
-    the file is missing, unreadable or holds another request's table."""
+    the file is missing, unreadable, nested too deep to decode or holds
+    another request's table."""
     if path is None:
         return None
     try:
@@ -40,7 +41,7 @@ def _load_cached(path: str | None, header: dict) -> dict | None:
             import json  # only once a cache file is there to read
 
             payload = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if isinstance(payload, dict) and all(payload.get(k) == v for k, v in header.items()):
         if _is_table(payload.get("table"), header["q"]):

@@ -4,9 +4,7 @@ one q-Narayana polynomial by one route or all routes compared."""
 import sys
 from types import SimpleNamespace
 
-from .cli_common import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, _emit_json, _library, _usage
-
-ENUMERATIVE_ROUTES = ("enumerate", "schur-ssyt")
+from .cli_common import CLOSED_FORM_LIMIT, ROUTES, _emit_json, _library, _usage
 
 
 def cmd_narayana(args: SimpleNamespace) -> int:
@@ -41,12 +39,12 @@ def cmd_qnarayana(args: SimpleNamespace) -> int:
         return _usage(f"n must be positive, got {n}")
     if k < 0:
         return _usage(f"k must be nonnegative, got {k}")
-    if route in ENUMERATIVE_ROUTES and n > ENUMERATION_LIMIT:
-        return _usage(f"route {route} enumerates and is limited to n <= {ENUMERATION_LIMIT}")
-    if n > CLOSED_FORM_LIMIT:
-        return _usage(f"route {route} is limited to n <= {CLOSED_FORM_LIMIT}")
+    limit = CLOSED_FORM_LIMIT if route == "all" else ROUTES[route][2]
+    if n > limit:
+        return _usage(f"route {route} is limited to n <= {limit}")
     if route != "all":
-        poly = _library(*ROUTES[route])(n, k)
+        module, function, _ = ROUTES[route]
+        poly = _library(module, function)(n, k)
         if args.format == "json":
             _emit_json(
                 {
@@ -60,10 +58,11 @@ def cmd_qnarayana(args: SimpleNamespace) -> int:
         else:
             print(poly)
         return 0
-    names = ["closed", "schur-hook"]
-    if n <= ENUMERATION_LIMIT:
-        names += list(ENUMERATIVE_ROUTES)
-    routes = {name: _library(*ROUTES[name])(n, k) for name in names}
+    routes = {
+        name: _library(module, function)(n, k)
+        for name, (module, function, largest) in ROUTES.items()
+        if n <= largest
+    }
     verdict = "pass" if len({p.coeffs for p in routes.values()}) == 1 else "fail"
     if args.format == "json":
         _emit_json(

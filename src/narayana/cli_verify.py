@@ -6,19 +6,11 @@ from types import SimpleNamespace
 
 from .cli_common import SAMPLES_LIMIT, VERIFY_CHECKS, _emit_json, _library, _stderr, _usage
 
-VERIFY_LIMITS = {
-    "main-theorem": 6,  # posets.THEOREM_GUARD
-    "preshelling": 5,
-    "ssyt": 8,
-    "q-identity": 8,
-    "parth": 8,
-}
-
 
 def cmd_verify(args: SimpleNamespace) -> int:
     """Run one verification check; exit 1 with witnesses when it fails."""
     check, n = args.check, args.n
-    limit = VERIFY_LIMITS[check]
+    module, function, limit = VERIFY_CHECKS[check]
     if not 1 <= n <= limit:
         return _usage(f"check {check} supports 1 <= n <= {limit}, got {n}")
     if not 1 <= args.samples <= SAMPLES_LIMIT:
@@ -46,7 +38,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
                 return _usage(f"ref-path has semilength {w.n}, expected {n}")
             parameters["ref_path"] = w.word
             refs = [w]
-    run = _library(*VERIFY_CHECKS[check])
+    run = _library(module, function)
     started = time.monotonic()
     witnesses = run(n) if refs is None else run(n, refs)
     elapsed = time.monotonic() - started

@@ -187,9 +187,6 @@ class FacetOrder:
     def less(self, i: int, j: int) -> bool:
         return bool((self._below[j] >> i) & 1)
 
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or self.less(i, j)
-
     def below_mask(self, j: int) -> int:
         return self._below[j]
 
@@ -325,7 +322,7 @@ def check_preshelling(ord: FacetOrder) -> dict:
         "i": first(combinations(range(m), 2), lambda f, g: fits(f, g) and fits(g, f)),
         "ii": misowned,
         "iii": first(permutations(range(m), 2), lambda f, g: fits(f, g) and not ord.less(f, g)),
-        "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not ord.leq(g, f)),
+        "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not ord.less(g, f)),
     }
     conditions = {name: witness is None for name, witness in found.items()}
     witnesses = {name: witness for name, witness in found.items() if witness is not None}

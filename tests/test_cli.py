@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from narayana import __version__, cli_common, cli_polys, cli_verify, posets, shelling, tableaux
+from narayana import __version__, cli_common, posets, shelling, tableaux
 from narayana.cli import build_parser, main
 from narayana.qpoly import q_narayana_closed
 
@@ -99,28 +99,50 @@ def test_qnarayana_all_json(capsys):
 
 
 def test_qnarayana_large_n_skips_enumerative_routes(capsys):
-    code, out, _ = run(
-        capsys, "qnarayana", "--n", "15", "--k", "2", "--route", "all", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert set(payload["routes"]) == {"closed", "schur-hook"}
-    assert payload["verdict"] == "pass"
+    cases = {
+        12: {"closed", "enumerate", "schur-hook", "schur-ssyt"},
+        15: {"closed", "schur-hook"},
+    }
+    for n, names in cases.items():
+        argv = ["qnarayana", "--n", str(n), "--k", "2", "--route", "all", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["routes"]) == names
+        assert payload["verdict"] == "pass"
+
+
+def assert_limit(capsys, argv, limit):
+    """argv with --n limit is served; with --n limit + 1 it is refused with
+    exit 2, no stdout and one error line that names the limit."""
+    assert run(capsys, *argv, "--n", str(limit))[0] == 0
+    code, out, err = run(capsys, *argv, "--n", str(limit + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("narayana: error:") and err.count("\n") == 1
+    assert f"n <= {limit}" in err
 
 
 def test_qnarayana_enumerative_route_guard(capsys):
-    for route in ("enumerate", "schur-ssyt"):
-        code, _, err = run(capsys, "qnarayana", "--n", "13", "--k", "1", "--route", route)
-        assert code == 2
-        assert "limited to n <= 12" in err
+    enumerative = {
+        route: limit
+        for route, (_, _, limit) in cli_common.ROUTES.items()
+        if limit < cli_common.CLOSED_FORM_LIMIT
+    }
+    assert enumerative
+    for route, limit in enumerative.items():
+        assert_limit(capsys, ["qnarayana", "--k", "1", "--route", route], limit)
 
 
 def test_qnarayana_closed_form_routes_guard(capsys):
-    for route in ("closed", "schur-hook", "all"):
-        code, out, err = run(capsys, "qnarayana", "--n", "61", "--k", "1", "--route", route)
-        assert (code, out) == (2, "")
-        assert err.startswith("narayana: error:") and "limited to n <= 60" in err
-        assert "Traceback" not in err
+    closed = [
+        route
+        for route, (_, _, limit) in cli_common.ROUTES.items()
+        if limit == cli_common.CLOSED_FORM_LIMIT
+    ]
+    assert closed
+    for route in (*closed, "all"):
+        argv = ["qnarayana", "--k", "1", "--route", route]
+        assert_limit(capsys, argv, cli_common.CLOSED_FORM_LIMIT)
     code, out, _ = run(capsys, "qnarayana", "--n", "60", "--k", "1", "--route", "closed")
     assert code == 0 and out.startswith("q^2 + ")
 
@@ -288,6 +310,17 @@ def test_dist_cache_of_another_request_is_recomputed(capsys, tmp_path):
         assert json.loads(n5.read_text())["table"] == [[0, 1], [1, 10], [2, 20], [3, 10], [4, 1]]
 
 
+def test_dist_cache_nested_too_deep_to_decode_is_recomputed(capsys, tmp_path):
+    argv = ["dist", "--n", "4", "--stat", "des"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    cached = tmp_path / "dist-0.1.0-n4-des.json"
+    cached.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, expected, "")
+    assert json.loads(cached.read_text())["table"] == [[0, 1], [1, 6], [2, 6], [3, 1]]
+
+
 def test_dist_cache_write_failure_is_a_warning(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
     argv = ["dist", "--n", "4", "--stat", "lnfs", "--q", "--format", "json"]
@@ -393,17 +426,8 @@ def test_verify_bad_ref_paths(capsys):
 
 
 def test_verify_guards(capsys):
-    cases = [
-        ("main-theorem", "7"),
-        ("preshelling", "6"),
-        ("ssyt", "9"),
-        ("q-identity", "9"),
-        ("parth", "9"),
-    ]
-    for check, n in cases:
-        code, _, err = run(capsys, "verify", "--check", check, "--n", n)
-        assert code == 2
-        assert "supports 1 <= n <=" in err
+    for check, (_, _, limit) in cli_common.VERIFY_CHECKS.items():
+        assert_limit(capsys, ["verify", "--check", check], limit)
 
 
 def test_verify_ref_path_is_main_theorem_only(capsys):
@@ -668,13 +692,12 @@ def test_cli_copies_agree_with_the_library():
     # importing the library
     routes = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
-        for name, (module, function) in cli_common.ROUTES.items()
+        for name, (module, function, _) in cli_common.ROUTES.items()
     }
     assert list(routes.items()) == list(tableaux.q_narayana_routes().items())
-    assert set(cli_polys.ENUMERATIVE_ROUTES) < set(cli_common.ROUTES)
     checks = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
-        for name, (module, function) in cli_common.VERIFY_CHECKS.items()
+        for name, (module, function, _) in cli_common.VERIFY_CHECKS.items()
     }
     assert checks == {
         "main-theorem": posets.verify_theorem_main,
@@ -683,8 +706,7 @@ def test_cli_copies_agree_with_the_library():
         "q-identity": tableaux.verify_q_identity,
         "parth": shelling.verify_parth,
     }
-    assert set(cli_verify.VERIFY_LIMITS) == set(cli_common.VERIFY_CHECKS)
-    assert cli_verify.VERIFY_LIMITS["main-theorem"] == posets.THEOREM_GUARD
+    assert cli_common.VERIFY_CHECKS["main-theorem"][2] == posets.THEOREM_GUARD
     assert cli_common.OMEGA_GUARD == shelling.OMEGA_GUARD
     omega_n_help = build_parser()["omega"][2]["--n"][3]
     assert omega_n_help == f"semilength, 1 <= n <= {shelling.OMEGA_GUARD}"
