@@ -33,7 +33,7 @@ ROUTES = {
 VERIFY_CHECKS = {
     "main-theorem": ("posets", "verify_theorem_main", 6),
     "ssyt": ("tableaux", "verify_ssyt", 8),
-    "preshelling": ("shelling", "verify_preshelling", 5),
+    "preshelling": ("preshelling", "verify_preshelling", 5),
     "q-identity": ("tableaux", "verify_q_identity", 8),
     "parth": ("shelling", "verify_parth", 8),
 }
@@ -99,9 +99,6 @@ def json_text(value, newline: str = "\n") -> str:
         inner = newline + "  "
         if all(type(v) is int for v in value):  # a coefficient list, in one join
             items = map(str, value)
-        elif all(type(v) is str and v.isascii() and v.isalnum() for v in value):
-            # words, which need no escaping, in one join
-            return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]"
         else:
             items = [json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -6,7 +6,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .cli_common import ENUMERATION_LIMIT, _emit_json, _stderr, _usage, json_text
+from .cli_common import ENUMERATION_LIMIT, _emit_json, _library, _stderr, _usage, json_text
 
 Q_PAIRINGS = {"des": "maj", "lnfs": "maj_l", "hp": "maj_w"}
 
@@ -68,11 +68,11 @@ def _store_cached(path: str | None, payload: dict) -> None:
 
 
 def _dist_table(n: int, stat: str, costat: str | None) -> list:
-    from .dyck import DyckPath, distribution, joint_q
+    from .stats import distribution, joint_q
 
     if costat is None:
         return [[k, count] for k, count in distribution(n, stat).items()]
-    wrt = DyckPath("vh" * n) if costat == "maj_w" else None
+    wrt = _library("dyck", "DyckPath")("vh" * n) if costat == "maj_w" else None
     return [[k, list(p.coeffs)] for k, p in joint_q(n, stat, costat, wrt=wrt).items()]
 
 

@@ -4,7 +4,13 @@ paths, as DOT or JSON."""
 import sys
 from types import SimpleNamespace
 
-from .cli_common import OMEGA_GUARD, _emit_json, _usage
+from .cli_common import OMEGA_GUARD, _usage
+
+
+def _listed(items: list[str], indent: int) -> str:
+    # a JSON list of written items that starts on a line indented by indent
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]" if items else "[]"
 
 
 def cmd_omega(args: SimpleNamespace) -> int:
@@ -21,18 +27,17 @@ def cmd_omega(args: SimpleNamespace) -> int:
     annotations = {w: sorted(ls_set(w)) for w in words}
     edges = [(words[a], words[b]) for a, b in om.covers()]
     if args.format == "json":
-        _emit_json(
-            {
-                "command": "omega",
-                "edges": [list(edge) for edge in edges],
-                "n": n,
-                "nodes": [{"ls": annotations[w], "word": w} for w in words],
-            }
-        )
+        # json.dumps(payload, indent=2, sort_keys=True)'s bytes: every node
+        # and every edge has one shape, so each list is written in one join
+        nodes = [f'{{\n      "ls": {_listed(list(map(str, annotations[w])), 6)},\n'
+                 f'      "word": "{w}"\n    }}' for w in words]
+        pairs = [f'[\n      "{a}",\n      "{b}"\n    ]' for a, b in edges]
+        sys.stdout.write(f'{{\n  "command": "omega",\n  "edges": {_listed(pairs, 2)},\n'
+                         f'  "n": {n},\n  "nodes": {_listed(nodes, 2)}\n}}\n')
     else:
         lines = [f"digraph omega_{n} {{", "  rankdir = BT;"]
         for w in words:
-            inner = ", ".join(str(i) for i in annotations[w])
+            inner = ", ".join(map(str, annotations[w]))
             lines.append(f'  "{w}" [label="{w}\\nLS {{{inner}}}"];')
         lines += [f'  "{a}" -> "{b}";' for a, b in edges]
         # one write: with PYTHONUNBUFFERED a print per line costs a system call each

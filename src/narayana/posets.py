@@ -13,17 +13,13 @@ extension as the path of its first coordinates carries the descent sets of
 Jordan-Holder permutations to path statistics.
 """
 
-from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping
+from operator import gt
 
 from .dyck import DyckPath, enumerate_paths, label
 
 THEOREM_GUARD = 6
-
-
-def permutation_descents(pi: Sequence[int]) -> frozenset[int]:
-    """Positions i with pi(i) > pi(i+1), 1-based."""
-    return frozenset(i for i in range(1, len(pi)) if pi[i - 1] > pi[i])
 
 
 def flag_h_table(n: int) -> Counter[frozenset[int]]:
@@ -34,22 +30,22 @@ def flag_h_table(n: int) -> Counter[frozenset[int]]:
     2 x n that reads (1, 1), (2, 1), (1, 2), (2, 2), ...: the cover adding
     (1, a + 1) is labelled 2a and the one adding (2, b + 1) is labelled
     2b + 1.  One pass over the points by rank keeps, for each point and
-    label of its last cover, a Counter of descent masks, rank r being bit
-    r - 1.  Only nonzero entries appear, in bitmask order."""
+    label of its last cover, the chain counts by descent mask, rank r being
+    bit r - 1.  Only nonzero entries appear, in bitmask order."""
     if n < 1:
         raise ValueError(f"flag_h_table needs n >= 1, got {n}")
-    states = {(0, 0, -1): Counter({0: 1})}
+    states = {(0, 0, -1): {0: 1}}
     for r in range(2 * n):
-        following: defaultdict[tuple[int, int, int], Counter[int]] = defaultdict(Counter)
+        following: dict[tuple[int, int, int], dict[int, int]] = {}
         for (a, b, last), counts in states.items():
             for x, y, new in ((a + 1, b, 2 * a), (a, b + 1, 2 * b + 1)):
                 if y <= x <= n:
                     descent = 1 << (r - 1) if last > new else 0
-                    masks = following[x, y, new]
+                    masks = following.setdefault((x, y, new), {})
                     for mask, count in counts.items():
-                        masks[mask | descent] += count
+                        masks[mask | descent] = masks.get(mask | descent, 0) + count
         states = following
-    top = sum(states.values(), Counter())
+    top = sum(map(Counter, states.values()), Counter())
     return Counter(
         {frozenset(r for r in range(1, 2 * n) if m >> (r - 1) & 1): top[m] for m in sorted(top)}
     )
@@ -63,6 +59,9 @@ def flag_h_mismatches(
     per rank set S, ordered by size and then elements, on which some table
     differs from beta(S); the witness holds beta(S) as flag_h, S as s, and
     each table's count by name."""
+    # equal Counters agree on every key, a missing one counting as zero
+    if all(Counter(table) == Counter(betas) for table in tables.values()):
+        return []
     witnesses = []
     for S in sorted(set(betas).union(*tables.values()), key=lambda s: (len(s), sorted(s))):
         beta = betas.get(S, 0)
@@ -94,10 +93,16 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
             raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
     betas = flag_h_table(n)
     labeled = [label(w) for w in enumerate_paths(n)]
+    # a descent set is keyed by its bytes, a flag per position, and built
+    # as a set only for the witnesses
+    expected = Counter({bytes(r in S for r in range(1, 2 * n)): b for S, b in betas.items()})
     witnesses = []
     for W in refs:
         order = {lab: pos for pos, lab in enumerate(label(W.word))}
-        buckets = Counter(permutation_descents([order[x] for x in lab]) for lab in labeled)
-        mismatches = flag_h_mismatches(betas, paths=buckets)
-        witnesses += [dict(w, ref_path=W.word) for w in mismatches]
+        positions = [list(map(order.__getitem__, lab)) for lab in labeled]
+        counts = Counter(bytes(map(gt, pi, pi[1:])) for pi in positions)
+        if counts != expected:
+            sets = (frozenset(r for r, d in enumerate(key, 1) if d) for key in counts)
+            buckets = dict(zip(sets, counts.values()))
+            witnesses += [dict(w, ref_path=W.word) for w in flag_h_mismatches(betas, paths=buckets)]
     return witnesses

@@ -1,30 +1,23 @@
-"""Pure complexes, pre-shellings, and the rewriting order on Dyck paths.
+"""Pure complexes, orders on their facets, and the rewriting order on Dyck
+paths.
 
-A partial order on the facets of a pure complex is a pre-shelling when any
-of four equivalent conditions holds: (i) mutual containment of restrictions
-forces equality, (ii) the intervals [r(F), F] partition the complex,
-(iii) r(F) fitting inside G forces F below G, (iv) every pair F not above G
-admits a shelling step into G.  Every linear extension of a pre-shelling is
-a shelling with the same restriction function.
-
-The concrete pre-shelling here lives on the order complex of the proper
-part of J(2 x n).  Its vertices are the points (a, b), 0 <= b <= a <= n, of
-ranks 1 to 2n - 1, the ideal with a elements in the first row and b in the
-second having rank a + b, and its facets are the Dyck paths, each the chain
-of points that its proper prefixes reach.  The order is generated by the
+The concrete order here lives on the order complex of the proper part of
+J(2 x n).  Its vertices are the points (a, b), 0 <= b <= a <= n, of ranks 1
+to 2n - 1, the ideal with a elements in the first row and b in the second
+having rank a + b, and its facets are the Dyck paths, each the chain of
+points that its proper prefixes reach.  The order is generated by the
 rewrites vvh -> vhv and hhv -> hvh; its restriction sets sit at the centers
 of vvh and hhv factors, and bucketing facets by restriction ranks recovers
-the flag h-vector.
+the flag h-vector (the parth check).  That the order is a pre-shelling is
+decided in narayana.preshelling.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, cached_property
-from itertools import combinations, permutations
 
 from .dyck import enumerate_paths, ls_set
 
-FACE_GUARD = 1 << 20
 OMEGA_GUARD = 8
 
 
@@ -58,8 +51,7 @@ def _topological_order(up: Sequence[Sequence[int]]) -> list[int]:
 class PureComplex:
     """A pure simplicial complex given by its facets, each a bitmask over
     the vertices, which carry arbitrary hashable labels: bit i stands for
-    vertices[i].  Faces are implicit (the downward closure) and enumerating
-    them is guarded by an m * 2^d size bound.
+    vertices[i].  Faces are implicit: the downward closure.
     """
 
     def __init__(self, vertices: Iterable, masks: Iterable[int]):
@@ -78,10 +70,10 @@ class PureComplex:
         if any(mask.bit_count() != d for mask in masks):
             raise ValueError("not pure: all facets must have the same cardinality")
         # facets share one size, so one lies inside another only when equal
-        repeats = Counter(masks)
-        for i, a in enumerate(masks):
-            if repeats[a] > 1:
-                raise ValueError(f"facet contained in another (or duplicated): index {i}")
+        if len(set(masks)) != len(masks):
+            repeats = Counter(masks)
+            i = next(i for i, a in enumerate(masks) if repeats[a] > 1)
+            raise ValueError(f"facet contained in another (or duplicated): index {i}")
         self._masks = masks
 
     @property
@@ -95,21 +87,6 @@ class PureComplex:
     def mask(self, f: int) -> int:
         return self._masks[f]
 
-    def face_masks(self) -> set[int]:
-        """Bitmasks of every face, the empty face included."""
-        if self.m << self.d > FACE_GUARD:
-            raise ValueError(
-                f"complex too large: {self.m} * 2^{self.d} "
-                f"candidate faces exceed the guard 2^20"
-            )
-        faces = {0}
-        for mask in self._masks:
-            sub = mask
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & mask
-        return faces
-
     @cached_property
     def facet_vertices(self) -> tuple[tuple[int, ...], ...]:
         """For each facet, the indices of its vertices, lowest first."""
@@ -120,8 +97,9 @@ class PureComplex:
         """For each vertex index, the bitmask of the facets containing it."""
         incidence = [0] * len(self._vertices)
         for f, vertices in enumerate(self.facet_vertices):
+            bit = 1 << f
             for v in vertices:
-                incidence[v] |= 1 << f
+                incidence[v] |= bit
         return tuple(incidence)
 
 
@@ -137,30 +115,27 @@ class FacetOrder:
     ):
         self._complex = complex
         m = complex.m
-        rels = set()
-        for a, b in relations:
+        pairs = [(a, b) for a, b in relations]
+        for a, b in pairs:
             if type(a) is not int or type(b) is not int:
                 raise ValueError(f"facet index not an int: ({a!r}, {b!r})")
-            rels.add((a, b))
-        rels = sorted(rels)
+        rels = sorted(set(pairs))
         up: list[list[int]] = [[] for _ in range(m)]
-        successors = [0] * m
         for a, b in rels:
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"facet index out of range: ({a}, {b})")
             if a == b:
                 raise ValueError("order contains a cycle")
             up[a].append(b)
-            successors[a] |= 1 << b
         order = _topological_order(up)
         if len(order) != m:
             raise ValueError("order contains a cycle")
         below = [0] * m
         for i in order:
+            reach = below[i] | 1 << i
             for j in up[i]:
-                below[j] |= (1 << i) | below[i]
+                below[j] |= reach
         self._below = below
-        self._successors = successors
         self._relations = tuple(rels)
         if labels is not None:
             labels = tuple(labels)
@@ -184,9 +159,6 @@ class FacetOrder:
     def labels(self) -> "tuple[str, ...] | None":
         return self._labels
 
-    def less(self, i: int, j: int) -> bool:
-        return bool((self._below[j] >> i) & 1)
-
     def below_mask(self, j: int) -> int:
         return self._below[j]
 
@@ -195,7 +167,9 @@ class FacetOrder:
         in relation order, that is by (i, j).  Each is a generating
         relation, and it covers exactly when no generated successor of i
         lies below j (j itself never does)."""
-        successors, below = self._successors, self._below
+        successors, below = [0] * self.m, self._below
+        for i, j in self._relations:
+            successors[i] |= 1 << j
         return [(i, j) for i, j in self._relations if not successors[i] & below[j]]
 
 
@@ -273,74 +247,6 @@ def _restriction_mask(ord: FacetOrder, f: int) -> int:
             out |= 1 << v
         earlier &= incidence[v]
     return out
-
-
-def _first_misowned_face(cx: PureComplex, r: Sequence[int]) -> "dict | None":
-    """Walk each interval [r(F), F] once, recording its facet as an owner
-    of every face in it.  Returns the first face in sorted mask order
-    whose owner count is not one, with its owners ascending, or None when
-    the intervals partition the complex."""
-    faces = cx.face_masks()
-    owners: defaultdict[int, list[int]] = defaultdict(list)
-    for f in range(cx.m):
-        free = cx.mask(f) & ~r[f]
-        sub = free
-        while True:
-            owners[r[f] | sub].append(f)
-            if not sub:
-                break
-            sub = (sub - 1) & free
-    for face in sorted(faces):
-        if len(owners[face]) != 1:
-            return {
-                "face": list(_bit_indices(face)),
-                "covered_by": owners[face],
-            }
-    return None
-
-
-def check_preshelling(ord: FacetOrder) -> dict:
-    """Evaluate the four equivalent pre-shelling conditions literally and
-    independently, with a witness for each failure.
-
-    The verdicts must agree by the equivalence theorem; a disagreement
-    could only come from an implementation bug and raises RuntimeError.
-    """
-    cx = ord.complex
-    m = cx.m
-    r = [_restriction_mask(ord, f) for f in range(m)]
-    # (ii) walks the faces behind their size guard, before the O(m^2) conditions
-    misowned = _first_misowned_face(cx, r)
-
-    def fits(f: int, g: int) -> bool:  # r(F) lies inside G
-        return not r[f] & ~cx.mask(g)
-
-    def first(pairs: Iterable[tuple[int, int]], holds) -> "dict | None":
-        return next(({"f": f, "g": g} for f, g in pairs if holds(f, g)), None)
-
-    found = {
-        "i": first(combinations(range(m), 2), lambda f, g: fits(f, g) and fits(g, f)),
-        "ii": misowned,
-        "iii": first(permutations(range(m), 2), lambda f, g: fits(f, g) and not ord.less(f, g)),
-        "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not ord.less(g, f)),
-    }
-    conditions = {name: witness is None for name, witness in found.items()}
-    witnesses = {name: witness for name, witness in found.items() if witness is not None}
-    if len(set(conditions.values())) != 1:
-        raise RuntimeError(f"equivalence broken: {conditions}")
-    return {
-        "is_preshelling": conditions["i"],
-        "conditions": conditions,
-        "witnesses": witnesses,
-    }
-
-
-def verify_preshelling(n: int) -> list[dict]:
-    """The preshelling check: omega_n(n) meets the four pre-shelling
-    conditions.  One witness per failed condition, tagged with its name;
-    empty when the order is a pre-shelling."""
-    report = check_preshelling(omega_n(n))
-    return [{"condition": name, **w} for name, w in report["witnesses"].items()]
 
 
 def _rank_set_counts(ord: FacetOrder) -> Counter[frozenset[int]]:

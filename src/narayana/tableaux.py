@@ -11,8 +11,8 @@ hook-content formula.
 from collections import Counter, defaultdict
 from collections.abc import Iterator, Sequence
 
-# qpoly and dyck are imported where called, so that the ssyt check loads no
-# qpoly and the Schur routes no dyck; annotations name their classes as strings
+# qpoly, dyck and stats are imported where called: the ssyt check loads no
+# qpoly or stats, the hook route no dyck or stats; annotations are strings
 
 Rows = tuple[tuple[int, int], ...]
 
@@ -90,14 +90,6 @@ def _rows_fit(route: str, n: int, k: int) -> bool:
     return k < n
 
 
-def _digits(packed: int, bits: int) -> list[int]:
-    # the base-2**bits digits of packed, lowest first, bits a multiple of 8;
-    # a copy of dyck._digits, since the Schur routes do not load dyck
-    width = bits // 8
-    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, "little")
-    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
-
-
 def q_narayana_ssyt(n: int, k: int) -> "QPoly":
     """q-Narayana as the sum of q^(entry sum) over the tableaux of shape
     2^k with entries below n; zero for k >= n.
@@ -107,6 +99,7 @@ def q_narayana_ssyt(n: int, k: int) -> "QPoly":
     the rows to come, counted by entry sum as the base-2**bits digits of one
     int, so adding a row (c, d) is a shift by c + d digits."""
     from .qpoly import QPoly, narayana
+    from .stats import _digits
 
     if not _rows_fit("q_narayana_ssyt", n, k):
         return QPoly()
@@ -153,10 +146,10 @@ def q_narayana_hook(n: int, k: int) -> "QPoly":
 
 def q_narayana_enumerate(n: int, k: int) -> "QPoly":
     """q-Narayana as the sum of q^maj over the paths of semilength n with
-    k descents, read from the (des, maj) table of dyck.joint_q; zero for
+    k descents, read from the (des, maj) table of stats.joint_q; zero for
     k >= n before the table is built."""
-    from .dyck import joint_q
     from .qpoly import QPoly
+    from .stats import joint_q
 
     if not _rows_fit("q_narayana_enumerate", n, k):
         return QPoly()
@@ -200,8 +193,8 @@ def verify_q_identity(n: int) -> list[dict]:
     polynomial.  One witness per k where they differ, with every route."""
     if n < 1:
         raise ValueError(f"verify_q_identity needs n >= 1, got {n}")
-    from .dyck import joint_q
     from .qpoly import QPoly
+    from .stats import joint_q
 
     # the enumerate route reads one (des, maj) table, built once for every k
     by_des = joint_q(n, "des", "maj")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cache, cached_property, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from narayana.dyck import DyckPath, _completions, label, ls_set
@@ -26,6 +26,11 @@ from narayana.tableaux import two_column_fillings
 Element = Hashable
 
 LINEAR_EXTENSION_GUARD = 16
+
+
+def permutation_descents(pi: Sequence[int]) -> frozenset[int]:
+    """Positions i with pi(i) > pi(i+1), 1-based."""
+    return frozenset(i for i in range(1, len(pi)) if pi[i - 1] > pi[i])
 
 
 def walk_paths(n: int) -> Iterator[str]:
@@ -51,7 +56,7 @@ def descent_set(word: str) -> frozenset[int]:
     )
 
 
-# per-path statistics, the oracle of dyck.distribution and dyck.joint_q
+# per-path statistics, the oracle of stats.distribution and stats.joint_q
 def des(w: DyckPath) -> int:
     return len(descent_set(w.word))
 
@@ -547,6 +552,11 @@ def closure_covers(om: FacetOrder) -> list[tuple[int, int]]:
     ]
 
 
+def less(om: FacetOrder, i: int, j: int) -> bool:
+    """Whether facet i lies below facet j, read off j's below mask."""
+    return bool(om.below_mask(j) >> i & 1)
+
+
 def pairwise_restriction_mask(om: FacetOrder, f: int) -> int:
     """The mask of r(F) as the union of F minus E over the facets E below F
     that miss exactly one vertex of F: the oracle of the restriction
@@ -562,7 +572,7 @@ def pairwise_restriction_mask(om: FacetOrder, f: int) -> int:
 
 def dfs_face_masks(cx: PureComplex) -> set[int]:
     """Every face of the complex by removing one vertex at a time from the
-    facets, depth first: the oracle of PureComplex.face_masks."""
+    facets, depth first: the oracle of preshelling.face_masks."""
     seen = {cx.mask(f) for f in range(cx.m)}
     stack = list(seen)
     while stack:
@@ -573,6 +583,52 @@ def dfs_face_masks(cx: PureComplex) -> set[int]:
                 seen.add(sub)
                 stack.append(sub)
     return seen
+
+
+def pairwise_preshelling(ord: FacetOrder) -> dict:
+    """The four pre-shelling conditions evaluated literally: (i), (iii) and
+    (iv) over every pair of facets, in the order of combinations and of
+    permutations, and (ii) by walking every interval [r(F), F] over the
+    faces found depth first: the oracle of preshelling.check_preshelling,
+    with its report."""
+    cx = ord.complex
+    m = cx.m
+    r = [pairwise_restriction_mask(ord, f) for f in range(m)]
+
+    def fits(f: int, g: int) -> bool:  # r(F) lies inside G
+        return not r[f] & ~cx.mask(g)
+
+    def first(pairs: Iterable[tuple[int, int]], holds) -> dict | None:
+        return next(({"f": f, "g": g} for f, g in pairs if holds(f, g)), None)
+
+    owners: dict[int, list[int]] = {face: [] for face in dfs_face_masks(cx)}
+    for f in range(m):
+        free = sub = cx.mask(f) & ~r[f]
+        while True:
+            owners[r[f] | sub].append(f)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    misowned = next(
+        (
+            {"face": list(_bit_indices(face)), "covered_by": owners[face]}
+            for face in sorted(owners)
+            if len(owners[face]) != 1
+        ),
+        None,
+    )
+    found = {
+        "i": first(combinations(range(m), 2), lambda f, g: fits(f, g) and fits(g, f)),
+        "ii": misowned,
+        "iii": first(permutations(range(m), 2), lambda f, g: fits(f, g) and not less(ord, f, g)),
+        "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not less(ord, g, f)),
+    }
+    conditions = {name: witness is None for name, witness in found.items()}
+    return {
+        "is_preshelling": conditions["i"],
+        "conditions": conditions,
+        "witnesses": {name: w for name, w in found.items() if w is not None},
+    }
 
 
 def sigma_stat(w: DyckPath) -> tuple[int, int]:

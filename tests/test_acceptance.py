@@ -7,17 +7,12 @@ so a log scan shows the state of the whole gate at a glance.
 import random
 from collections import Counter
 
-from narayana.dyck import (
-    DyckPath,
-    distribution,
-    enumerate_paths,
-    joint_q,
-    ls_set,
-    random_path,
-)
+from narayana.dyck import DyckPath, enumerate_paths, ls_set, random_path
 from narayana.posets import flag_h_table, verify_theorem_main
+from narayana.preshelling import check_preshelling
 from narayana.qpoly import QPoly, narayana, q_narayana_closed
-from narayana.shelling import FacetOrder, _rank_set_counts, check_preshelling, omega_n
+from narayana.shelling import FacetOrder, _rank_set_counts, omega_n
+from narayana.stats import distribution, joint_q
 from narayana.tableaux import (
     dyck_to_ssyt,
     q_narayana_hook,

@@ -14,8 +14,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from narayana import __version__, cli_common, posets, shelling, tableaux
+from narayana import __version__, cli_common, posets, preshelling, shelling, tableaux
 from narayana.cli import build_parser, main
+from narayana.dyck import ls_set
 from narayana.qpoly import q_narayana_closed
 
 
@@ -488,6 +489,21 @@ def test_omega_json_n4(capsys):
     assert minimal == ["vhvhvhvh"]
 
 
+def test_omega_json_is_the_bytes_of_json_dumps(capsys):
+    # the handler writes the nodes and edges by their fixed shape
+    for n in range(1, shelling.OMEGA_GUARD + 1):
+        om = shelling.omega_n(n)
+        words = om.labels
+        payload = {
+            "command": "omega",
+            "edges": [[words[a], words[b]] for a, b in om.covers()],
+            "n": n,
+            "nodes": [{"ls": sorted(ls_set(w)), "word": w} for w in words],
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, "omega", "--n", str(n), "--format", "json")[:2] == (0, expected), n
+
+
 class CountedWrites(io.StringIO):
     """A stdout that counts its write calls."""
 
@@ -702,7 +718,7 @@ def test_cli_copies_agree_with_the_library():
     assert checks == {
         "main-theorem": posets.verify_theorem_main,
         "ssyt": tableaux.verify_ssyt,
-        "preshelling": shelling.verify_preshelling,
+        "preshelling": preshelling.verify_preshelling,
         "q-identity": tableaux.verify_q_identity,
         "parth": shelling.verify_parth,
     }
@@ -738,12 +754,13 @@ def loads(handler: str, *library: str) -> list[str]:
     return sorted([*PARSER_MODULES, handler, *library])
 
 
-TABLEAUX_MODULES = ["dyck", "qpoly", "tableaux"]
+TABLEAUX_MODULES = ["qpoly", "stats", "tableaux"]
 # the library modules each qnarayana route loads: the closed form needs qpoly
-# alone, the Schur routes tableaux too, and the sum over paths dyck as well
+# alone, the hook route tableaux too, and the tableau sum and the sum over
+# paths the transfer matrices of stats as well; no route loads dyck
 ROUTE_MODULES = {
     "closed": ["qpoly"],
-    "schur-ssyt": ["qpoly", "tableaux"],
+    "schur-ssyt": TABLEAUX_MODULES,
     "schur-hook": ["qpoly", "tableaux"],
     "enumerate": TABLEAUX_MODULES,
     "all": TABLEAUX_MODULES,
@@ -761,9 +778,10 @@ STARTUP_ROWS = [
     (
         ["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"],
         False,
-        loads("cli_dist", "dyck", "qpoly"),
+        loads("cli_dist", "dyck", "qpoly", "stats"),
     ),
-    (["dist", "--n", "4", "--stat", "da"], False, loads("cli_dist", "dyck")),
+    # without --q on hp no path is read, so dist loads no dyck
+    (["dist", "--n", "4", "--stat", "da"], False, loads("cli_dist", "stats")),
     (["narayana", "--n", "5", "--format", "csv"], False, loads("cli_polys", "qpoly")),
     *(
         (
@@ -793,8 +811,10 @@ STARTUP_ROWS = [
     (
         ["verify", "--check", "preshelling", "--n", "3"],
         False,
-        loads("cli_verify", *SHELLING_MODULES),
+        loads("cli_verify", *SHELLING_MODULES, "preshelling"),
     ),
+    # parth and omega load no pre-shelling code, and no check but
+    # q-identity the transfer matrices of stats
     (
         ["verify", "--check", "parth", "--n", "3"],
         False,

@@ -6,16 +6,9 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.dyck import (
-    DyckPath,
-    distribution,
-    enumerate_paths,
-    joint_q,
-    ls_set,
-    random_path,
-    unrank,
-)
+from narayana.dyck import DyckPath, enumerate_paths, ls_set, random_path, unrank
 from narayana.qpoly import QPoly, catalan, narayana
+from narayana.stats import distribution, joint_q
 from oracles import (
     da,
     des,

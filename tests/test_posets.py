@@ -4,12 +4,7 @@ from collections import Counter
 import pytest
 
 from narayana.dyck import DyckPath, enumerate_paths, random_path
-from narayana.posets import (
-    flag_h_mismatches,
-    flag_h_table,
-    permutation_descents,
-    verify_theorem_main,
-)
+from narayana.posets import flag_h_mismatches, flag_h_table, verify_theorem_main
 from narayana.qpoly import catalan, narayana
 from oracles import (
     FinitePoset,
@@ -26,6 +21,7 @@ from oracles import (
     is_linear_extension,
     j2xn,
     jordan_holder,
+    permutation_descents,
     linear_extensions,
     path_to_extension,
 )
@@ -298,14 +294,14 @@ def test_extension_to_path_rejects():
 def test_verify_theorem_main_small(monkeypatch):
     assert verify_theorem_main(1, [DyckPath("vh")]) == []
     assert verify_theorem_main(3, [DyckPath("vvvhhh"), DyckPath("vhvhvh")]) == []
-    # with every descent set read as empty, all catalan(2) paths land on the
-    # empty set, so beta({}) = 1 and beta({2}) = 1 both mismatch
-    monkeypatch.setattr("narayana.posets.permutation_descents", lambda pi: frozenset())
+    # against a table that puts both catalan(2) paths on the empty set, each
+    # reference's one path on the empty set and one on {2} both mismatch
+    monkeypatch.setattr("narayana.posets.flag_h_table", lambda n: Counter({frozenset(): 2}))
     assert verify_theorem_main(2, [DyckPath("vhvh"), DyckPath("vvhh")]) == [
-        {"flag_h": 1, "paths": 2, "ref_path": "vhvh", "s": []},
-        {"flag_h": 1, "paths": 0, "ref_path": "vhvh", "s": [2]},
-        {"flag_h": 1, "paths": 2, "ref_path": "vvhh", "s": []},
-        {"flag_h": 1, "paths": 0, "ref_path": "vvhh", "s": [2]},
+        {"flag_h": 2, "paths": 1, "ref_path": "vhvh", "s": []},
+        {"flag_h": 0, "paths": 1, "ref_path": "vhvh", "s": [2]},
+        {"flag_h": 2, "paths": 1, "ref_path": "vvhh", "s": []},
+        {"flag_h": 0, "paths": 1, "ref_path": "vvhh", "s": [2]},
     ]
 
 

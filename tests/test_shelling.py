@@ -1,19 +1,23 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from narayana import shelling
+from narayana import preshelling, shelling
 from narayana.dyck import DyckPath, enumerate_paths, ls_set
 from narayana.posets import flag_h_table
+from narayana.preshelling import _first_misowned_face, chain_count, check_preshelling, face_masks
 from narayana.qpoly import catalan
 from narayana.shelling import (
     FacetOrder,
     PureComplex,
-    _first_misowned_face,
     _rank_set_counts,
     _restriction_mask,
-    check_preshelling,
     dyck_complex,
     omega_n,
 )
@@ -29,8 +33,10 @@ from oracles import (
     is_linear_extension,
     is_shelling,
     j2xn,
+    less,
     maj_l,
     order_complex,
+    pairwise_preshelling,
     pairwise_restriction_mask,
     partition_intervals,
     path_to_facet,
@@ -122,22 +128,22 @@ def test_pure_complex_refuses_masks_outside_its_vertices():
 
 def test_pure_complex_faces():
     cx = pure_complex("ab", [{"a", "b"}])
-    faces = [face_members(cx, mask) for mask in sorted(cx.face_masks())]
+    faces = [face_members(cx, mask) for mask in sorted(face_masks(cx))]
     assert sorted(map(sorted, faces)) == [[], ["a"], ["a", "b"], ["b"]]
-    assert len(triangle_boundary().face_masks()) == 7
+    assert len(face_masks(triangle_boundary())) == 7
 
 
 def test_face_guard():
     cx = pure_complex(range(21), [set(range(21))])
     with pytest.raises(ValueError, match="complex too large"):
-        cx.face_masks()
+        face_masks(cx)
 
 
 def test_facet_order_basics():
     cx = triangle_boundary()
     om = FacetOrder(cx, [(0, 1), (1, 2)])
-    assert om.less(0, 1) and om.less(1, 2) and om.less(0, 2)
-    assert not om.less(2, 0) and not om.less(0, 0)
+    assert less(om, 0, 1) and less(om, 1, 2) and less(om, 0, 2)
+    assert not less(om, 2, 0) and not less(om, 0, 0)
     assert minimal_indices(om) == [0]
     assert om.covers() == [(0, 1), (1, 2)]
     assert is_linear_extension([0, 1, 2], range(om.m), om.relations)
@@ -146,7 +152,7 @@ def test_facet_order_basics():
     # a relation the closure implies changes no comparison and adds no cover
     bigger = FacetOrder(cx, [*om.relations, (0, 2)])
     assert bigger.relations == ((0, 1), (0, 2), (1, 2))
-    assert bigger.less(0, 2) and bigger.covers() == om.covers()
+    assert less(bigger, 0, 2) and bigger.covers() == om.covers()
 
 
 def test_facet_order_rejects():
@@ -363,7 +369,7 @@ def random_facet_order(rng: random.Random) -> FacetOrder:
     position = rng.sample(range(cx.m), cx.m)
     pairs = [(a, b) for a, b in itertools.permutations(range(cx.m), 2) if position[a] < position[b]]
     om = FacetOrder(cx, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * cx.m))))
-    implied = [(a, b) for a, b in pairs if om.less(a, b) and (a, b) not in om.relations]
+    implied = [(a, b) for a, b in pairs if less(om, a, b) and (a, b) not in om.relations]
     return FacetOrder(cx, [*om.relations, *rng.sample(implied, min(len(implied), 3))])
 
 
@@ -372,7 +378,7 @@ def assert_sparse_queries_match_oracles(om: FacetOrder, faces: bool) -> None:
     for f in range(om.m):
         assert _restriction_mask(om, f) == pairwise_restriction_mask(om, f), f
     if faces:
-        assert om.complex.face_masks() == dfs_face_masks(om.complex)
+        assert face_masks(om.complex) == dfs_face_masks(om.complex)
 
 
 def test_sparse_queries_match_closure_oracles_on_omega():
@@ -444,11 +450,11 @@ def test_check_preshelling_empty_order_fails():
     assert report["witnesses"]["ii"]["covered_by"] == [0, 1, 2, 3, 4]
 
 
-def test_check_preshelling_broken_orders_verdicts_agree():
-    # orders that are not pre-shellings still get four matching verdicts
+def broken_orders() -> list[FacetOrder]:
+    # orders on dyck complexes that are not pre-shellings
     cx3, cx4 = dyck_complex(3), dyck_complex(4)
     om3 = omega_n(3)
-    broken = [
+    return [
         FacetOrder(cx3, []),
         FacetOrder(cx4, []),
         FacetOrder(cx3, [(b, a) for a, b in om3.relations]),
@@ -456,22 +462,91 @@ def test_check_preshelling_broken_orders_verdicts_agree():
         FacetOrder(cx3, [(0, 4)]),
         FacetOrder(cx4, [(0, 1), (2, 3), (5, 7)]),
     ]
-    verdicts = []
-    for om in broken:
-        report = check_preshelling(om)
-        assert len(set(report["conditions"].values())) == 1
-        verdicts.append(report["is_preshelling"])
-    assert verdicts == [False] * len(broken)
+
+
+def test_check_preshelling_broken_orders_verdicts_agree():
+    # orders that are not pre-shellings still get four matching verdicts,
+    # with the face count and without it
+    for om in broken_orders():
+        for faces in (None, chain_count(om.complex.d // 2 + 1)):
+            report = check_preshelling(om, faces)
+            assert set(report["conditions"].values()) == {False}
+            assert report["is_preshelling"] is False
+
+
+def assert_matches_the_pairwise_oracle(order: FacetOrder, n: int) -> None:
+    expected = pairwise_preshelling(order)
+    # with the face count (ii) walks the faces only on a failure
+    assert check_preshelling(order) == expected
+    assert check_preshelling(order, chain_count(n)) == expected
+
+
+def test_check_preshelling_matches_the_pairwise_oracle():
+    for n in range(1, 7):
+        assert_matches_the_pairwise_oracle(omega_n(n), n)
+    for order in broken_orders():
+        assert_matches_the_pairwise_oracle(order, order.complex.d // 2 + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.randoms(use_true_random=False))
+def test_check_preshelling_matches_the_oracle_on_sub_orders(n, rng):
+    om = omega_n(n)
+    keep = rng.random()
+    relations = [rel for rel in om.relations if rng.random() < keep]
+    assert_matches_the_pairwise_oracle(FacetOrder(om.complex, relations), n)
+
+
+def test_chain_count_counts_the_faces():
+    for n in range(1, 7):
+        cx = dyck_complex(n)
+        assert chain_count(n) == len(face_masks(cx)) == len(dfs_face_masks(cx))
+    assert [chain_count(n) for n in range(1, 9)] == [2, 12, 88, 720, 6304, 57792, 547712, 5323008]
+
+
+# run under python -O, which strips asserts: the broken orders' reports,
+# and whether a forced disagreement raises
+OPTIMIZED_PROBE = """
+from narayana import preshelling
+from narayana.preshelling import chain_count, check_preshelling
+from narayana.shelling import FacetOrder, dyck_complex
+from test_shelling import broken_orders
+orders = broken_orders()
+reports = [check_preshelling(order, chain_count(order.complex.d // 2 + 1)) for order in orders]
+preshelling._first_misowned_face = lambda cx, r: None
+try:
+    check_preshelling(FacetOrder(dyck_complex(3), []), chain_count(3))
+    raised = False
+except RuntimeError:
+    raised = True
+print(repr((reports, raised)))
+"""
+
+
+def test_check_preshelling_survives_optimized_mode():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_PROBE], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    reports = [pairwise_preshelling(order) for order in broken_orders()]
+    assert all(set(report["conditions"].values()) == {False} for report in reports)
+    assert result.stdout == repr((reports, True)) + "\n"
 
 
 def test_check_preshelling_disagreement_raises(monkeypatch):
-    # a real exception, so the equivalence check survives python -O
-    monkeypatch.setattr(
-        "narayana.shelling._first_misowned_face",
-        lambda cx, r: {"face": [], "covered_by": []},
-    )
+    # a real exception, so the equivalence check survives python -O.
+    # Without a face count (ii) walks the faces on every order ...
+    misowned = {"face": [], "covered_by": []}
+    monkeypatch.setattr(preshelling, "_first_misowned_face", lambda cx, r: misowned)
     with pytest.raises(RuntimeError, match="equivalence broken"):
         check_preshelling(omega_n(3))
+    # ... and with one, on an order that fails (i), where a walk that
+    # finds no misowned face disagrees with it
+    monkeypatch.setattr(preshelling, "_first_misowned_face", lambda cx, r: None)
+    with pytest.raises(RuntimeError, match="equivalence broken"):
+        check_preshelling(FacetOrder(dyck_complex(3), []), chain_count(3))
 
 
 def test_check_preshelling_guard():
@@ -480,18 +555,18 @@ def test_check_preshelling_guard():
         check_preshelling(FacetOrder(cx, []))
 
 
-def test_check_preshelling_guard_precedes_the_pairwise_conditions(monkeypatch):
+def test_check_preshelling_guard_bounds_only_the_face_walk():
     # two facets of 20 vertices: 2 * 2^20 candidate faces exceed the guard
     cx = pure_complex(range(21), [set(range(20)), set(range(1, 21))])
-    assert cx.m > 1 and cx.m << cx.d > shelling.FACE_GUARD
-
-    def refuse(*args):
-        raise AssertionError("a pairwise condition ran before the face guard")
-
-    monkeypatch.setattr(shelling, "combinations", refuse)
-    monkeypatch.setattr(FacetOrder, "less", refuse)
-    with pytest.raises(ValueError, match="complex too large"):
-        check_preshelling(FacetOrder(cx, [(0, 1)]))
+    assert cx.m > 1 and cx.m << cx.d > preshelling.FACE_GUARD
+    order = FacetOrder(cx, [(0, 1)])
+    # the faces of the first facet, and those of the second holding vertex 20
+    faces = (1 << 20) + (1 << 19)
+    for count in (None, faces + 1):
+        with pytest.raises(ValueError, match="complex too large"):
+            check_preshelling(order, count)
+    report = check_preshelling(order, faces)
+    assert report["is_preshelling"] is True and report["witnesses"] == {}
 
 
 def test_upward_closure_preserves_restrictions():
@@ -506,7 +581,7 @@ def test_upward_closure_preserves_restrictions():
             a, b = rng.sample(range(om.m), 2)
             if position[a] > position[b]:
                 a, b = b, a
-            if not om.less(a, b):
+            if not less(om, a, b):
                 extra.append((a, b))
         bigger = FacetOrder(om.complex, om.relations + tuple(extra), om.labels)
         assert check_preshelling(bigger)["is_preshelling"] is True
@@ -569,7 +644,7 @@ def test_partition_intervals_omega():
     p = partition_intervals(om)
     assert len(p) == 5
     assert _first_misowned_face(om.complex, restriction_masks(om.complex, p)) is None
-    total_faces = len(om.complex.face_masks())
+    total_faces = len(face_masks(om.complex))
     covered = sum(
         1 << (om.complex.d - len(r)) for r in p
     )
@@ -580,7 +655,7 @@ def test_partition_intervals_omega():
         assert _first_misowned_face(om.complex, restriction_masks(om.complex, p)) is None
         assert sum(
             1 << (om.complex.d - len(r)) for r in p
-        ) == len(om.complex.face_masks())
+        ) == len(face_masks(om.complex))
 
 
 def test_verify_partitioning_catches_damage():
@@ -597,7 +672,7 @@ def brute_force_owner_witness(cx: PureComplex, restrictions) -> "dict | None":
     """Scan every interval for every face: the first face in sorted mask
     order not owned exactly once, with its owners."""
     r = restriction_masks(cx, restrictions)
-    for face in sorted(cx.face_masks()):
+    for face in sorted(face_masks(cx)):
         owners = [
             f for f in range(cx.m) if not r[f] & ~face and not face & ~cx.mask(f)
         ]
@@ -643,7 +718,7 @@ def test_single_facet_partitioning_covers_everything():
     p = partition_intervals(FacetOrder(cx, []))
     assert p == (frozenset(),)
     assert _first_misowned_face(cx, restriction_masks(cx, p)) is None
-    assert len(cx.face_masks()) == 8
+    assert len(face_masks(cx)) == 8
 
 
 def test_flag_h_from_partition_frozen():

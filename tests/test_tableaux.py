@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from narayana import dyck, qpoly
-from narayana.dyck import DyckPath, enumerate_paths, joint_q
+from narayana import qpoly, stats
+from narayana.dyck import DyckPath, enumerate_paths
 from narayana.qpoly import QPoly, q_narayana_closed
+from narayana.stats import joint_q
 from narayana.tableaux import (
     dyck_to_ssyt,
     q_narayana_enumerate,
@@ -354,7 +355,7 @@ def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(mo
     def no_table(*args, **kwargs):
         raise AssertionError("built the (des, maj) table for k >= n")
 
-    monkeypatch.setattr(dyck, "joint_q", no_table)
+    monkeypatch.setattr(stats, "joint_q", no_table)
     for k in (5, 6, 10**12):
         assert q_narayana_enumerate(5, k) == QPoly()
 
@@ -408,13 +409,13 @@ def test_schur_sum_counts_paths_by_descents():
 
 def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
     calls = []
-    joint_counts = dyck._joint_counts
+    joint_counts = stats._joint_counts
 
     def counted(n, names, wrt):
         calls.append((n, names))
         return joint_counts(n, names, wrt)
 
-    monkeypatch.setattr(dyck, "_joint_counts", counted)
+    monkeypatch.setattr(stats, "_joint_counts", counted)
     assert verify_q_identity(8) == []
     assert calls == [(8, ("des", "maj"))]
     # nothing is shared between calls: the next one builds its own table
