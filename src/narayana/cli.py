@@ -197,5 +197,13 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """main() as the process: its heap frozen, so that the exit's collections skip it."""
+    import gc
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -13,8 +13,8 @@ decided in narayana.preshelling.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
-from functools import cache, cached_property
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import cache, cached_property, partial
 
 from .dyck import enumerate_paths, ls_set
 
@@ -105,16 +105,18 @@ class PureComplex:
 
 class FacetOrder:
     """A strict partial order on the facet indices of a pure complex,
-    generated by relations (a, b) of int indices: facet a lies below facet b."""
+    generated by relations (a, b) of int indices: facet a lies below facet b.
+    The complex may be a function that builds it when read; labels then count the facets."""
 
     def __init__(
         self,
-        complex: PureComplex,
+        complex: "PureComplex | Callable[[], PureComplex]",
         relations: Iterable[tuple[int, int]],
         labels: "tuple[str, ...] | None" = None,
     ):
         self._complex = complex
-        m = complex.m
+        labels = None if labels is None else tuple(labels)
+        m = len(labels) if callable(complex) else complex.m
         pairs = [(a, b) for a, b in relations]
         for a, b in pairs:
             if type(a) is not int or type(b) is not int:
@@ -137,19 +139,17 @@ class FacetOrder:
                 below[j] |= reach
         self._below = below
         self._relations = tuple(rels)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != m:
-                raise ValueError("labels length mismatch")
+        if labels is not None and len(labels) != m:
+            raise ValueError("labels length mismatch")
         self._labels = labels
 
-    @property
+    @cached_property
     def complex(self) -> PureComplex:
-        return self._complex
+        return self._complex() if callable(self._complex) else self._complex
 
     @property
     def m(self) -> int:
-        return self._complex.m
+        return len(self._below)
 
     @property
     def relations(self) -> tuple[tuple[int, int], ...]:
@@ -211,7 +211,7 @@ _REWRITES = {"vvh": "vhv", "hhv": "hvh"}
 @cache
 def omega_n(n: int) -> FacetOrder:
     """The transitive closure of single rewrites on the facets of
-    dyck_complex(n), labeled by path words."""
+    dyck_complex(n), labeled by path words; the complex is built when read."""
     if n < 1:
         raise ValueError(f"omega_n needs n >= 1, got {n}")
     if n > OMEGA_GUARD:
@@ -226,7 +226,7 @@ def omega_n(n: int) -> FacetOrder:
             while i >= 0:
                 relations.append((index[word[:i] + rewrite + word[i + 3 :]], j))
                 i = word.find(factor, i + 1)
-    return FacetOrder(dyck_complex(n), relations, labels=words)
+    return FacetOrder(partial(dyck_complex, n), relations, labels=words)
 
 
 def _restriction_mask(ord: FacetOrder, f: int) -> int:

@@ -15,6 +15,7 @@ from collections.abc import Iterator, Sequence
 # qpoly or stats, the hook route no dyck or stats; annotations are strings
 
 Rows = tuple[tuple[int, int], ...]
+DyckPath = None  # bound by the first ssyt_to_dyck call, not imported by each
 
 
 def two_column_fillings(k: int, m: int) -> Iterator[Rows]:
@@ -42,8 +43,9 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
     down the columns, and the last block tops both columns up to n.  The
     descent set of the result is exactly the set of row sums.
     """
-    from .dyck import DyckPath
-
+    global DyckPath
+    if DyckPath is None:
+        from .dyck import DyckPath
     if n < 1:
         raise ValueError(f"ssyt_to_dyck needs n >= 1, got {n}")
     word, above = [], (0, 0)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -504,6 +505,21 @@ def test_omega_json_is_the_bytes_of_json_dumps(capsys):
         assert run(capsys, "omega", "--n", str(n), "--format", "json")[:2] == (0, expected), n
 
 
+def test_omega_builds_no_facet_masks(capsys, monkeypatch):
+    # omega reads the order's covers alone; its complex is built only when
+    # read, as parth and preshelling do
+    built = []
+    monkeypatch.setattr(shelling, "dyck_complex", built.append)
+    shelling.omega_n.cache_clear()
+    try:
+        assert run(capsys, "omega", "--n", "8")[0] == 0
+        assert built == []
+        shelling.omega_n(8).complex  # the spy sees a read
+        assert built == [8]
+    finally:
+        shelling.omega_n.cache_clear()
+
+
 class CountedWrites(io.StringIO):
     """A stdout that counts its write calls."""
 
@@ -972,6 +988,53 @@ def test_cli_compiles_once_per_request(argv, monkeypatch):
     )
     assert (result.returncode, result.stdout) == run_in_process(argv), result.stderr
     assert result.stderr.splitlines()[-1] == "False"
+
+
+# serve argv as python -m narayana.cli does, then print whether the heap
+# was frozen before the request's exit
+FREEZE_PROBE = """
+import gc, runpy, sys
+try:
+    runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+sys.stdout.flush()
+print(gc.get_freeze_count() > 0, file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+# exit 0, a refusal with exit 2, and --help
+@pytest.mark.parametrize(
+    "argv", [["narayana", "--n", "5"], ["narayana", "--n", "0"], ["--help"]], ids=" ".join
+)
+def test_the_process_exit_freezes_the_heap(argv):
+    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout) == run_in_process(argv), result.stderr
+    assert result.stderr.splitlines()[-1] == "True"
+
+
+def test_main_in_process_never_freezes_the_heap():
+    # tests, perfbench/tracing.py and library callers serve requests in-process
+    before = gc.get_freeze_count()
+    for argv in (["narayana", "--n", "5"], ["narayana", "--n", "0"], ["--help"]):
+        run_in_process(argv)
+    assert gc.get_freeze_count() == before
+
+
+def test_the_installed_script_takes_the_process_exit():
+    # pyproject.toml names the function that the __main__ block of cli calls
+    root = Path(__file__).resolve().parent.parent
+    (target,) = re.findall(r'(?m)^narayana = "(.+)"$', (root / "pyproject.toml").read_text())
+    tree = ast.parse((root / "src" / "narayana" / "cli.py").read_text())
+    (block,) = (node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(statement) for statement in block.body] == ["run()"]
+    assert target == "narayana.cli:run"
 
 
 def test_the_benchmark_setup_probe_runs():

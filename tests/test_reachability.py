@@ -4,7 +4,9 @@ One deck of CLI requests runs in-process under sys.setprofile and records
 the code object of every Python frame it enters.  The deck covers every
 subcommand, check, route and format, --help, a random reference path, a
 cache miss and a hit, a closed-form request long enough for the Kronecker
-product, one refused request and one whose stdout and stderr are full.
+product, one refused request and one whose stdout and stderr are full; the
+process entry run() serves --version first, and the heap it freezes is
+thawed again.
 A function or method that no request
 reaches belongs in tests/oracles.py or nowhere, unless ALLOWED names it
 with its reason.  No module under src/narayana holds an assert statement,
@@ -15,15 +17,17 @@ import ast
 import contextlib
 import errno
 import functools
+import gc
 import importlib
 import io
 import pkgutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import narayana
-from narayana.cli import main
+from narayana.cli import main, run
 
 _VALUE = "value protocol: tests compare, hash and print instances"
 _TRACER = "perfbench/tracing.py reads it for a per-layer metric"
@@ -129,6 +133,14 @@ def test_every_function_and_method_serves_a_request(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
+        with mock.patch.object(sys, "argv", ["narayana", "--version"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    run()
+                except SystemExit as exit:
+                    codes.append(exit.code)
+                finally:
+                    gc.unfreeze()
         for argv in deck(str(tmp_path)):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
