@@ -39,6 +39,10 @@ VERIFY_CHECKS = {
 }
 
 
+class UsageError(Exception):
+    """A refused command line; its message follows "narayana: error: "."""
+
+
 def _discard(stream) -> None:
     # point the stream's descriptor at devnull, so that the interpreter's
     # final flush of what it holds unwritten is quiet and, for stderr, does

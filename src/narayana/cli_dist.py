@@ -2,6 +2,7 @@
 optionally q-refined, kept in an optional cache directory."""
 
 import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -30,23 +31,39 @@ def _is_table(table: object, with_q: bool) -> bool:
     )
 
 
+def _int_lists(text: str):
+    """The first value of a JSON text of ints and lists; commas are not checked."""
+    stack = [[]]
+    for word in text.replace("[", " [ ").replace("]", " ] ").replace(",", " ").split():
+        if word == "[":
+            stack.append([])
+        elif word == "]":
+            stack[-2].append(stack.pop())
+        else:
+            stack[-1].append(int(word))
+    return stack[0][0]
+
+
 def _load_cached(path: str | None, header: dict) -> dict | None:
-    """The cached payload of the request that header describes, or None when
-    the file is missing, unreadable, nested too deep to decode or holds
-    another request's table."""
+    """The cached payload of the request that header describes, or None
+    unless the file is a regular one that holds exactly the bytes that
+    _store_cached writes for it, around a table that _is_table accepts."""
     if path is None:
         return None
     try:
-        with open(path, encoding="utf-8") as handle:
-            import json  # only once a cache file is there to read
-
-            payload = json.load(handle)
-    except (OSError, ValueError, RecursionError):
+        # not blocking: a FIFO at path is found irregular and replaced, not waited on
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with open(fd, encoding="utf-8", newline="") as handle:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                return None
+            text = handle.read()
+        # the table is the last key, followed by "\n}\n"
+        table = _int_lists(text.partition('"table": ')[2][:-3])
+    except (OSError, ValueError, IndexError):
         return None
-    if isinstance(payload, dict) and all(payload.get(k) == v for k, v in header.items()):
-        if _is_table(payload.get("table"), header["q"]):
-            return dict(header, table=payload["table"])
-    return None
+    # a table nested too deep for json_text fails _is_table first
+    payload = dict(header, table=table)
+    return payload if _is_table(table, header["q"]) and text == json_text(payload) + "\n" else None
 
 
 def _store_cached(path: str | None, payload: dict) -> None:
@@ -68,12 +85,12 @@ def _store_cached(path: str | None, payload: dict) -> None:
 
 
 def _dist_table(n: int, stat: str, costat: str | None) -> list:
-    from .stats import distribution, joint_q
+    from .stats import distribution, joint_coefficients
 
     if costat is None:
         return [[k, count] for k, count in distribution(n, stat).items()]
     wrt = _library("dyck", "DyckPath")("vh" * n) if costat == "maj_w" else None
-    return [[k, list(p.coeffs)] for k, p in joint_q(n, stat, costat, wrt=wrt).items()]
+    return [[k, coeffs] for k, coeffs in joint_coefficients(n, stat, costat, wrt=wrt).items()]
 
 
 def cmd_dist(args: SimpleNamespace) -> int:

@@ -1,6 +1,6 @@
 """Dyck path statistics summed over all paths of one semilength.
 
-Statistics, by the names that distribution and joint_q accept: des / maj
+Statistics, by the names that the three tables below accept: des / maj
 (valleys, reported at the h), hp (peaks with prefix v-excess at least 2), ea
 (v in even position), lnfs / maj_l (vvh and hhv factors, reported at the
 center), da (vv factors), and des_w / maj_w, read against the labeling v_i,
@@ -109,14 +109,19 @@ def distribution(
     return {k: count for k, count in enumerate(_digits(totals[0], bits)) if count}
 
 
+def joint_coefficients(
+    n: int, statistic: str, costatistic: str, *, wrt: "DyckPath | None" = None
+) -> dict[int, list[int]]:
+    """For each value k of the statistic, the coefficients of the sum of
+    q**costatistic over the paths with statistic k."""
+    totals, bits = _joint_counts(n, (statistic, costatistic), wrt)
+    return {k: _digits(totals[k], bits) for k in sorted(totals)}
+
+
 def joint_q(
     n: int, statistic: str, costatistic: str, *, wrt: "DyckPath | None" = None
 ) -> "dict[int, QPoly]":
-    """For each value k of the statistic, the generating polynomial
-    sum of q**costatistic over the paths with statistic k."""
-    # qpoly is imported here, so that a request using only paths and their
-    # statistics does not load it
-    from .qpoly import QPoly
+    """joint_coefficients, each list as its QPoly."""
+    from .qpoly import QPoly  # here, so that the coefficient lists do not load it
 
-    totals, bits = _joint_counts(n, (statistic, costatistic), wrt)
-    return {k: QPoly(_digits(totals[k], bits)) for k in sorted(totals)}
+    return {k: QPoly(c) for k, c in joint_coefficients(n, statistic, costatistic, wrt=wrt).items()}

@@ -15,7 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from narayana import __version__, cli_common, posets, preshelling, shelling, tableaux
+from narayana import __version__, cli, cli_common, cli_dist, cli_parse, posets, preshelling, shelling
+from narayana import tableaux
 from narayana.cli import build_parser, main
 from narayana.dyck import ls_set
 from narayana.qpoly import q_narayana_closed
@@ -227,6 +228,11 @@ def test_dist_guard(capsys):
     assert run(capsys, "dist", "--n", "13", "--stat", "des")[0] == 2
 
 
+def canonical(payload) -> str:
+    """A cache file's text as the writer writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_dist_cache_write_and_read(capsys, tmp_path):
     argv = ["dist", "--n", "4", "--stat", "des", "--cache-dir", str(tmp_path)]
     code, first, _ = run(capsys, *argv)
@@ -236,10 +242,11 @@ def test_dist_cache_write_and_read(capsys, tmp_path):
     assert json.loads(cached.read_text())["table"] == [[0, 1], [1, 6], [2, 6], [3, 1]]
     code, second, _ = run(capsys, *argv)
     assert code == 0 and second == first
-    # a poisoned cache is believed, which proves the read path is live
+    # a poisoned cache in the bytes the writer writes is believed, which
+    # proves the read path is live
     payload = json.loads(cached.read_text())
     payload["table"] = [[0, 999]]
-    cached.write_text(json.dumps(payload))
+    cached.write_text(canonical(payload))
     code, third, _ = run(capsys, *argv)
     assert code == 0
     assert third == "0  999\n"
@@ -306,10 +313,61 @@ def test_dist_cache_of_another_request_is_recomputed(capsys, tmp_path):
     for table in ("junk", [[0, 1, 2]], [[0, [1]]], [["0", 1]]):
         payload = json.loads(n5.read_text())
         payload["table"] = table
-        n5.write_text(json.dumps(payload))
+        n5.write_text(canonical(payload))
         code, again, _ = run(capsys, *argv)
         assert (code, again) == (0, out)
         assert json.loads(n5.read_text())["table"] == [[0, 1], [1, 10], [2, 20], [3, 10], [4, 1]]
+
+
+def test_dist_cache_in_other_bytes_is_recomputed_and_rewritten(capsys, tmp_path):
+    argv = ["dist", "--n", "4", "--stat", "hp", "--q", "--cache-dir", str(tmp_path)]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    cached = tmp_path / "dist-0.1.0-n4-hp-q.json"
+    written = cached.read_bytes()
+    payload = json.loads(written)
+    # the same payload, valid JSON each, but not the bytes the writer writes
+    for text in (
+        json.dumps(payload),
+        json.dumps(payload, indent=2, sort_keys=True),
+        canonical(payload).replace("\n", "\r\n"),
+        canonical(payload) + "\n",
+        canonical(payload).replace(" ", "\t"),
+    ):
+        cached.write_bytes(text.encode())
+        with mock.patch("narayana.cli_dist._dist_table", wraps=cli_dist._dist_table) as compute:
+            assert run(capsys, *argv) == (0, expected, "")
+        assert compute.call_count == 1, text
+        assert cached.read_bytes() == written
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_dist_cache_fifo_is_a_miss_and_replaced(tmp_path):
+    cached = tmp_path / "dist-0.1.0-n4-des.json"
+    argv = ["dist", "--n", "4", "--stat", "des", "--cache-dir", str(tmp_path)]
+    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    expected = (0, "0  1\n1  6\n2  6\n3  1\n", "")
+    # a FIFO with no writer must not block the reader, and one that holds a
+    # table in the bytes the writer writes must not be believed
+    poisoned = {"command": "dist", "costat": None, "n": 4, "q": False, "stat": "des"}
+    for held in (None, canonical(dict(poisoned, table=[[0, 999]]))):
+        os.mkfifo(cached)
+        reader = os.open(cached, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            if held is not None:
+                writer = os.open(cached, os.O_WRONLY)
+                os.write(writer, held.encode())
+                os.close(writer)
+            result = subprocess.run(
+                [sys.executable, "-m", "narayana.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(reader)
+        assert (result.returncode, result.stdout, result.stderr) == expected
+        assert cached.is_file() and json.loads(cached.read_text())["table"][0] == [0, 1]
+        cached.unlink()
 
 
 def test_dist_cache_nested_too_deep_to_decode_is_recomputed(capsys, tmp_path):
@@ -660,7 +718,71 @@ def test_accepted_forms_serve_the_full_request(capsys, form, full):
     assert code == 0 and out
 
 
+def _words(commands: dict) -> st.SearchStrategy:
+    """A word of an argv: a command, an option of the table in full, as a
+    prefix or with "=", --, -h, --help, --version, a value of one of its
+    choices, a number, negative ones too, or a bad value."""
+    names = sorted({name for _, _, options in commands.values() for name in options})
+    choices = sorted({c for _, _, opts in commands.values() for k, *_ in opts.values()
+                      if isinstance(k, tuple) for c in k})
+    name = st.sampled_from(names)
+    return st.one_of(
+        st.sampled_from([*commands, "--", "-h", "--help", "--version", "--ver", "-", "", "x"]),
+        name,
+        name,
+        st.builds(lambda n, cut: n[: max(2, len(n) - cut)], name, st.integers(1, 8)),
+        st.builds(lambda n, v: f"{n}={v}", name, st.sampled_from(["3", "json", "-1", ""])),
+        st.sampled_from(choices),
+        st.integers(-3, 9).map(str),
+        st.sampled_from(["-1", "-0.5", " 3", "3 ", "+4", "1_0", "three", "٣", "json "]),
+        st.text("vh-= ", max_size=4),
+    )
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """Most often a full-form argv: a command, its required options and
+    some others in any order, each with one of its choices or a number;
+    then a value, or up to two words, drawn from _words."""
+    commands = build_parser()
+    command = draw(st.sampled_from(list(commands)))
+    options = commands[command][2]
+    words = _words(commands)
+    names = [name for name, spec in options.items() if spec[2] and draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(list(options)), max_size=4))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv.append(name)
+        kind = options[name][0]
+        if kind is not bool:
+            values = kind if isinstance(kind, tuple) else ("3", "0", "12")
+            argv.append(draw(st.sampled_from(values) if draw(st.integers(0, 7)) else words))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at : at + draw(st.integers(0, 1))] = [draw(words)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+@example(["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv", "--cache-dir", "d"])
+@example(["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random",
+          "--seed", "2", "--samples", "3", "--format", "json"])
+@example(["narayana", "--n", "3", "--n", "5"])
+@example(["dist", "--n", "4", "--stat", "des", "--cache-dir", "--q"])
+@example(["dist", "--stat", "des", "--q"])
+@example(["qnarayana", "--n", "4", "--k", "0", "--route", "all"])
+def test_the_full_form_reader_agrees_with_the_general_reader(argv):
+    # the full-form reader serves an argv only as the general one does, and
+    # the general reader serves every full-form argv
+    commands = build_parser()
+    request = cli._full_form(commands, argv)
+    if request is not None:
+        assert cli_parse.parse(commands, argv) == request
+
+
 def test_a_negative_value_reaches_the_handler(capsys):
+
     # "-1" is a value, not an option, so the handler refuses it
     for argv, message in (
         (["qnarayana", "--n", "3", "--k", "-1"], "k must be nonnegative, got -1"),
@@ -762,6 +884,8 @@ raise SystemExit(code)
 """
 # every request loads the parser and the helpers it shares with the handlers
 PARSER_MODULES = ["cli", "cli_common"]
+# and an argv not in full form the general reader too
+GENERAL_MODULES = sorted([*PARSER_MODULES, "cli_parse"])
 
 
 def loads(handler: str, *library: str) -> list[str]:
@@ -787,14 +911,18 @@ SHELLING_MODULES = ["dyck", "shelling"]
 STARTUP_ROWS = [
     ([], False, PARSER_MODULES),
     # only --help loads the module that writes it
-    (["--help"], False, sorted([*PARSER_MODULES, "cli_help"])),
-    (["dist", "--help"], False, sorted([*PARSER_MODULES, "cli_help"])),
+    (["--help"], False, sorted([*GENERAL_MODULES, "cli_help"])),
+    (["dist", "--help"], False, sorted([*GENERAL_MODULES, "cli_help"])),
+    (["--version"], False, GENERAL_MODULES),
+    # an abbreviated option, and a refused argv, take the general reader
+    (["dist", "--n", "4", "--st", "da"], False, sorted([*loads("cli_dist", "stats"), "cli_parse"])),
+    (["dist", "--n", "4"], False, GENERAL_MODULES),
     (["dist", "--n", "4", "--stat", "des", "--format", "json"], True, loads("cli_dist")),
     (["dist", "--n", "4", "--stat", "hp", "--q"], True, loads("cli_dist", "qpoly")),
     (
         ["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"],
         False,
-        loads("cli_dist", "dyck", "qpoly", "stats"),
+        loads("cli_dist", "dyck", "stats"),
     ),
     # without --q on hp no path is read, so dist loads no dyck
     (["dist", "--n", "4", "--stat", "da"], False, loads("cli_dist", "stats")),
@@ -890,42 +1018,40 @@ def stdlib_modules(*argv: str, flags: tuple = (), cache: str | None = None) -> s
     return set(ast.literal_eval(result.stderr.splitlines()[-1]))
 
 
-# argv (CACHE stands for a fresh cache directory), whether the cache is
-# warmed first, and whether the request loads json: only to read a cache file
+# argv (CACHE stands for a fresh cache directory) and whether the cache is
+# warmed first: a cache hit reads its file without json too
 JSON_ROWS = [
-    (["narayana", "--n", "5"], False, False),
-    (["qnarayana", "--n", "20", "--k", "2"], False, False),
-    (["narayana", "--n", "5", "--format", "json"], False, False),
-    (["qnarayana", "--n", "20", "--k", "2", "--format", "json"], False, False),
-    (["qnarayana", "--n", "5", "--k", "2", "--route", "all", "--format", "json"], False, False),
-    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "json"], False, False),
-    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"], False, False),
-    (["verify", "--check", "ssyt", "--n", "3"], False, False),
-    (["verify", "--check", "ssyt", "--n", "3", "--format", "json"], False, False),
-    (["omega", "--n", "3", "--format", "json"], False, False),
-    (["dist", "--n", "4", "--stat", "des", "--cache-dir", "CACHE"], False, False),
-    (["dist", "--n", "4", "--stat", "des", "--cache-dir", "CACHE"], True, True),
+    (["narayana", "--n", "5"], False),
+    (["qnarayana", "--n", "20", "--k", "2"], False),
+    (["narayana", "--n", "5", "--format", "json"], False),
+    (["qnarayana", "--n", "20", "--k", "2", "--format", "json"], False),
+    (["qnarayana", "--n", "5", "--k", "2", "--route", "all", "--format", "json"], False),
+    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "json"], False),
+    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"], False),
+    (["verify", "--check", "ssyt", "--n", "3"], False),
+    (["verify", "--check", "ssyt", "--n", "3", "--format", "json"], False),
+    (["omega", "--n", "3", "--format", "json"], False),
+    (["dist", "--n", "4", "--stat", "des", "--cache-dir", "CACHE"], False),
+    (["dist", "--n", "4", "--stat", "des", "--cache-dir", "CACHE"], True),
+    (["dist", "--n", "4", "--stat", "hp", "--q", "--format", "json", "--cache-dir", "CACHE"], True),
+    (["dist", "--n", "4", "--stat", "lnfs", "--q", "--format", "csv", "--cache-dir", "CACHE"], True),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, warm, reads_json",
-    JSON_ROWS,
-    ids=[" ".join(argv) + (" (hit)" if warm else "") for argv, warm, _ in JSON_ROWS],
+    "argv, warm", JSON_ROWS, ids=[" ".join(argv) + (" (hit)" if warm else "") for argv, warm in JSON_ROWS]
 )
-def test_requests_load_no_parser_or_locale_module_and_json_only_to_read_a_cache(
-    argv, warm, reads_json, tmp_path
-):
+def test_requests_load_no_parser_locale_or_json_module(argv, warm, tmp_path):
     # compared with a bare interpreter in the same environment, so that a
     # site hook which loads one of these modules itself cannot fail the test
     if warm:
         stdlib_modules(*argv, cache=str(tmp_path))
     added = stdlib_modules(*argv, cache=str(tmp_path)) - stdlib_modules()
     assert "narayana.cli" in added
-    assert sorted(added & {"argparse", "gettext", "locale"}) == []
-    assert ("json" in added) == reads_json
-    cached = [tmp_path / "dist-0.1.0-n4-des.json"] if "CACHE" in argv else []
-    assert list(tmp_path.iterdir()) == cached
+    assert sorted(added & {"argparse", "gettext", "json", "locale"}) == []
+    assert len(list(tmp_path.iterdir())) == ("CACHE" in argv)
+    if warm:
+        assert "narayana.stats" not in added  # a hit computes no table
 
 
 # one request per command, route and check, and a cache miss and hit

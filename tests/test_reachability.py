@@ -4,9 +4,9 @@ One deck of CLI requests runs in-process under sys.setprofile and records
 the code object of every Python frame it enters.  The deck covers every
 subcommand, check, route and format, --help, a random reference path, a
 cache miss and a hit, a closed-form request long enough for the Kronecker
-product, one refused request and one whose stdout and stderr are full; the
-process entry run() serves --version first, and the heap it freezes is
-thawed again.
+product, one request in abbreviated form, one refused request and one whose
+stdout and stderr are full; the process entry run() serves --version first,
+and the heap it freezes is thawed again.
 A function or method that no request
 reaches belongs in tests/oracles.py or nowhere, unless ALLOWED names it
 with its reason.  No module under src/narayana holds an assert statement,
@@ -65,6 +65,7 @@ def deck(cache_dir: str) -> list[list[str]]:
     )
     requests += [["omega", "--n", "3", "--format", fmt] for fmt in ("dot", "json")]
     requests.append(["--help"])
+    requests.append(["dist", "--n=4", "--st", "da"])  # abbreviated: the general reader
     requests.append(["narayana", "--n", "0"])  # refused: exit 2
     return requests
 
