@@ -25,8 +25,8 @@ from .cli_common import (
 # main() reads a full-form command line by the table below, and any other
 # by cli_parse; then it imports only the module of the command asked for
 # (cli_help for --help), each handler with the library modules it calls and
-# json, csv and random only where it uses them, so that a request loads,
-# and without bytecode compiles, only those.
+# json and random only where it uses them, so that a request loads, and
+# without bytecode compiles, only those.
 
 
 def build_parser() -> dict:
@@ -118,11 +118,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """main() as the process: its heap frozen, so that the exit's collections skip it."""
-    import gc
+    """main() as the process.  It ends without tearing the interpreter down:
+    it runs the exit handlers and flushes stdout and stderr, as finalization
+    would, then calls os._exit.  If a flush fails, finalization takes the
+    exit as before, and its own flush of a failed stream exits 120."""
+    import atexit
+    import os
     code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a stream None, failed or closed
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

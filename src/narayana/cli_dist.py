@@ -3,7 +3,6 @@ optionally q-refined, kept in an optional cache directory."""
 
 import os
 import stat
-import sys
 from types import SimpleNamespace
 
 from . import __version__
@@ -118,14 +117,14 @@ def cmd_dist(args: SimpleNamespace) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["value", "coefficients" if payload["q"] else "count"])
+        print("value,coefficients" if payload["q"] else "value,count")
         for k, entry in payload["table"]:
-            # a count prints as itself, coefficients as a compact JSON array
-            compact = f"[{','.join(map(str, entry))}]" if payload["q"] else entry
-            writer.writerow([k, compact])
+            # a count prints as itself, coefficients as a compact JSON array,
+            # quoted as csv.writer quotes a field only when it holds a comma
+            if payload["q"]:
+                compact = ",".join(map(str, entry))
+                entry = f'"[{compact}]"' if "," in compact else f"[{compact}]"
+            print(f"{k},{entry}")
     elif payload["q"]:
         from .qpoly import QPoly
 

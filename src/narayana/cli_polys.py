@@ -1,7 +1,6 @@
 """The `narayana` and `qnarayana` commands: a row of Narayana numbers, and
 one q-Narayana polynomial by one route or all routes compared."""
 
-import sys
 from types import SimpleNamespace
 
 from .cli_common import CLOSED_FORM_LIMIT, ROUTES, _emit_json, _library, _usage
@@ -19,13 +18,10 @@ def cmd_narayana(args: SimpleNamespace) -> int:
     if args.format == "json":
         _emit_json({"command": "narayana", "n": n, "row": row, "sum": total})
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["k", "narayana"])
+        print("k,narayana")
         for k, value in enumerate(row):
-            writer.writerow([k, value])
-        writer.writerow(["sum", total])
+            print(f"{k},{value}")
+        print(f"sum,{total}")
     else:
         print(", ".join(str(value) for value in row))
         print(f"sum {total}")

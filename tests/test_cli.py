@@ -1,6 +1,7 @@
 import ast
+import atexit
 import contextlib
-import gc
+import csv
 import hashlib
 import importlib
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -222,6 +224,31 @@ def test_dist_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[2] == '1,"[0,0,1,1,1]"'
+
+
+def csv_rows(rows) -> str:
+    """The bytes csv.writer writes for rows, as the csv format once did."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def test_csv_rows_are_the_rows_of_csv_writer(capsys):
+    # csv.writer quotes a compact coefficient array only when it holds a comma
+    stats = build_parser()["dist"][2]["--stat"][0]
+    kinds = [(stat, False) for stat in stats] + [(stat, True) for stat in cli_dist.Q_PAIRINGS]
+    for n in range(1, 9):
+        for stat, with_q in kinds:
+            argv = ["dist", "--n", str(n), "--stat", stat] + ["--q"] * with_q
+            table = json.loads(run(capsys, *argv, "--format", "json")[1])["table"]
+            if with_q:
+                table = [[k, json.dumps(entry, separators=(",", ":"))] for k, entry in table]
+            header = ["value", "coefficients" if with_q else "count"]
+            assert run(capsys, *argv, "--format", "csv") == (0, csv_rows([header, *table]), "")
+    for n in range(1, 61):
+        payload = json.loads(run(capsys, "narayana", "--n", str(n), "--format", "json")[1])
+        rows = [["k", "narayana"], *enumerate(payload["row"]), ["sum", payload["sum"]]]
+        assert run(capsys, "narayana", "--n", str(n), "--format", "csv") == (0, csv_rows(rows), "")
 
 
 def test_dist_guard(capsys):
@@ -988,10 +1015,7 @@ def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_p
     loaded, csv_at_start, csv_at_end = result.stderr.splitlines()[-1].rsplit(" ", 2)
     assert loaded == repr(modules)
     assert ("cli_help" in modules) == ("--help" in argv)
-    if "csv" in argv:
-        assert csv_at_end == "True"
-    else:
-        assert csv_at_end == csv_at_start
+    assert csv_at_end == csv_at_start  # no request loads csv, --format csv included
 
 
 # print the standard-library modules a fresh interpreter holds, after
@@ -1076,17 +1100,13 @@ def test_no_request_loads_typing_or_future_without_site(tmp_path):
         assert sorted({"typing", "__future__"} & loaded) == [], argv
 
 
-# serve argv as `python -m narayana.cli` does, then print to stderr whether
-# narayana.cli was imported besides __main__
+# serve argv as `python -m narayana.cli` does; an exit handler registered
+# first prints to stderr whether narayana.cli was imported besides __main__,
+# so the report also shows that the process exit runs the exit handlers
 RUNPY_PROBE = """
-import runpy, sys
-try:
-    runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exit:
-    code = exit.code
-sys.stdout.flush()
-print("narayana.cli" in sys.modules, file=sys.stderr)
-raise SystemExit(code)
+import atexit, runpy, sys
+atexit.register(lambda: print("narayana.cli" in sys.modules, file=sys.stderr))
+runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -1116,40 +1136,100 @@ def test_cli_compiles_once_per_request(argv, monkeypatch):
     assert result.stderr.splitlines()[-1] == "False"
 
 
-# serve argv as python -m narayana.cli does, then print whether the heap
-# was frozen before the request's exit
-FREEZE_PROBE = """
-import gc, runpy, sys
-try:
-    runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exit:
-    code = exit.code
-sys.stdout.flush()
-print(gc.get_freeze_count() > 0, file=sys.stderr)
-raise SystemExit(code)
+# serve argv as python -m narayana.cli does, with an exit handler registered
+# first that prints one line to stdout; "disagree" before argv puts the
+# schur-hook route one descent off, so that --route all fails with exit 1
+EXIT_PROBE = """
+import atexit, runpy, sys
+if sys.argv[1] == "disagree":
+    from narayana import qpoly, tableaux
+    tableaux.q_narayana_hook = lambda n, k: qpoly.q_narayana_closed(n, k + 1)
+    del sys.argv[1]
+atexit.register(print, "exit handler")
+runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
 """
 
 
-# exit 0, a refusal with exit 2, and --help
-@pytest.mark.parametrize(
-    "argv", [["narayana", "--n", "5"], ["narayana", "--n", "0"], ["--help"]], ids=" ".join
-)
-def test_the_process_exit_freezes_the_heap(argv):
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+# argv and main's exit code: success, a failed verdict, a refusal, --help,
+# and one write of a whole diagram
+EXIT_ROWS = [
+    (["narayana", "--n", "5"], 0),
+    (["disagree", "qnarayana", "--n", "4", "--k", "1", "--route", "all"], 1),
+    (["narayana", "--n", "0"], 2),
+    (["--help"], 0),
+    (["omega", "--n", "8"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_ROWS, ids=[" ".join(row[0]) for row in EXIT_ROWS])
+def test_the_process_exits_with_mains_code_after_the_exit_handlers(argv, code):
+    # the handler runs once, after all of stdout, and the exit code is main's
+    with mock.patch.object(
+        tableaux, "q_narayana_hook", lambda n, k: q_narayana_closed(n, k + 1)
+    ):
+        expected = run_in_process([word for word in argv if word != "disagree"])
+    assert expected[0] == code
+    # buffered, so that the handler's line is written by run()'s own flush
+    unset = ("NARAYANA_CACHE_DIR", "PYTHONUNBUFFERED")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     result = subprocess.run(
-        [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True, text=True, env=env
     )
-    assert (result.returncode, result.stdout) == run_in_process(argv), result.stderr
-    assert result.stderr.splitlines()[-1] == "True"
+    got = (result.returncode, result.stdout)
+    assert got == (code, expected[1] + "exit handler\n"), result.stderr
 
 
-def test_main_in_process_never_freezes_the_heap():
-    # tests, perfbench/tracing.py and library callers serve requests in-process
-    before = gc.get_freeze_count()
-    for argv in (["narayana", "--n", "5"], ["narayana", "--n", "0"], ["--help"]):
-        run_in_process(argv)
-    assert gc.get_freeze_count() == before
+def test_main_in_process_neither_exits_nor_runs_exit_handlers():
+    # tests, perfbench/tracing.py and library callers serve requests in-process;
+    # the tests' conftest makes os._exit and atexit._run_exitfuncs raise here
+    handled = []
+    atexit.register(handled.append, "ran")
+    try:
+        codes = [
+            run_in_process(argv)[0]
+            for argv in (["narayana", "--n", "5"], ["narayana", "--n", "0"], ["--help"])
+        ]
+    finally:
+        atexit.unregister(handled.append)
+    assert (codes, handled) == ([0, 2, 0], [])
+
+
+def test_a_final_flush_that_fails_still_exits_120():
+    # output that main leaves unflushed on a closed pipe makes run()'s flush
+    # fail, and the exit falls to the interpreter, as a bare SystemExit does
+    probes = [
+        'import narayana.cli as cli\ncli.main = lambda: print("unflushed") or 0\ncli.run()',
+        'print("unflushed")\nraise SystemExit(0)',
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run_probe, bare = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for probe in probes
+        ]
+    finally:
+        os.close(write_end)
+    assert (run_probe.returncode, run_probe.stderr) == (bare.returncode, bare.stderr)
+    assert run_probe.returncode == 120
+    assert "BrokenPipeError" in run_probe.stderr
+
+
+def test_no_request_starts_a_thread(tmp_path):
+    # run() ends the process by os._exit, which would not wait for a thread
+    for argv in SITELESS_REQUESTS:
+        before = threading.active_count()
+        run_in_process([str(tmp_path) if word == "CACHE" else word for word in argv])
+        assert threading.active_count() == before, argv
 
 
 def test_the_installed_script_takes_the_process_exit():

@@ -6,25 +6,28 @@ subcommand, check, route and format, --help, a random reference path, a
 cache miss and a hit, a closed-form request long enough for the Kronecker
 product, one request in abbreviated form, one refused request and one whose
 stdout and stderr are full; the process entry run() serves --version first,
-and the heap it freezes is thawed again.
-A function or method that no request
-reaches belongs in tests/oracles.py or nowhere, unless ALLOWED names it
-with its reason.  No module under src/narayana holds an assert statement,
-since python -O strips them.
+with its exit handlers and os._exit replaced, so that the test process
+goes on.  A function or method that no request reaches belongs in
+tests/oracles.py or nowhere, unless ALLOWED names it with its reason.
+No module under src/narayana holds an assert statement, since python -O
+strips them.
 """
 
 import ast
+import atexit
 import contextlib
 import errno
 import functools
-import gc
 import importlib
 import io
+import os
 import pkgutil
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+
+import pytest
 
 import narayana
 from narayana.cli import main, run
@@ -84,6 +87,10 @@ class _Full(io.StringIO):
         return self._fd
 
 
+def _raise_exit(code: int):
+    raise SystemExit(code)
+
+
 def _code_of(value):
     """The code object behind a function, a cache wrapper, a static or class
     method, a property or a cached_property; None for anything else."""
@@ -134,14 +141,15 @@ def test_every_function_and_method_serves_a_request(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        with mock.patch.object(sys, "argv", ["narayana", "--version"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    run()
-                except SystemExit as exit:
-                    codes.append(exit.code)
-                finally:
-                    gc.unfreeze()
+        with (
+            mock.patch.object(sys, "argv", ["narayana", "--version"]),
+            mock.patch.object(atexit, "_run_exitfuncs"),
+            mock.patch.object(os, "_exit", _raise_exit),
+            contextlib.redirect_stdout(io.StringIO()),
+            pytest.raises(SystemExit) as exit,
+        ):
+            run()
+        codes.append(exit.value.code)
         for argv in deck(str(tmp_path)):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
