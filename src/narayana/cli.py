@@ -101,6 +101,8 @@ def _full_form(commands: dict, argv: list[str]) -> tuple | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # descriptor 1 was closed when the process started
+        return _usage("cannot write output: stdout is closed")
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         commands = build_parser()

@@ -1,5 +1,6 @@
 """What the command-line parser and the command handlers share: the limits
-that both the --help text and the handlers read, the routes and checks as
+that both the --help text and the handlers read, the routes (from the
+package root, which the q-identity check reads too) and the checks as
 (module, function, largest n) rows, stderr and usage-error output, and a
 JSON writer.
 
@@ -7,29 +8,19 @@ The parser lives in narayana.cli and each command's handler in a module of
 its own, which main() imports through _library, so that a request compiles
 only the parser and its own command.  No module imports narayana.cli: run as
 ``python -m narayana.cli`` it is __main__, and that import would compile it
-a second time.  Names copied from the library are pinned to it by
-tests/test_cli.py.
+a second time.  No library module is imported here.
 """
 
-import importlib
 import os
 import sys
 
-CLOSED_FORM_LIMIT = 60
-ENUMERATION_LIMIT = 12
+from . import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, _library
+
 SAMPLES_LIMIT = 200
-OMEGA_GUARD = 8  # shelling.OMEGA_GUARD
-# route -> (module, function, largest n) of the library routine that
-# computes it; key order is the order --help lists the routes in
-ROUTES = {
-    "closed": ("qpoly", "q_narayana_closed", CLOSED_FORM_LIMIT),
-    "schur-ssyt": ("tableaux", "q_narayana_ssyt", ENUMERATION_LIMIT),
-    "schur-hook": ("tableaux", "q_narayana_hook", CLOSED_FORM_LIMIT),
-    "enumerate": ("tableaux", "q_narayana_enumerate", ENUMERATION_LIMIT),
-}
+OMEGA_GUARD = 8  # the largest n of omega; the library's omega_n takes any n
 # check -> (module, function, largest n) of the library routine that returns
-# its witnesses; main-theorem also takes the reference paths, and its limit
-# is posets.THEOREM_GUARD.  Key order is the order --help lists the checks in.
+# its witnesses; main-theorem also takes the reference paths.  Key order is
+# the order --help lists the checks in.
 VERIFY_CHECKS = {
     "main-theorem": ("posets", "verify_theorem_main", 6),
     "ssyt": ("tableaux", "verify_ssyt", 8),
@@ -57,6 +48,8 @@ def _discard(stream) -> None:
 def _stderr(text: str) -> None:
     """Write diagnostics to stderr.  A failed write is dropped: it never
     changes the exit code that the request's work and its stdout decided."""
+    if sys.stderr is None:  # descriptor 2 was closed when the process started
+        return
     try:
         sys.stderr.write(text)
         sys.stderr.flush()
@@ -67,11 +60,6 @@ def _stderr(text: str) -> None:
 def _usage(message: str) -> int:
     _stderr(f"narayana: error: {message}\n")
     return 2
-
-
-def _library(module: str, function: str):
-    """The named function of a package module, imported on first use."""
-    return getattr(importlib.import_module(f".{module}", __package__), function)
 
 
 def json_text(value, newline: str = "\n") -> str:

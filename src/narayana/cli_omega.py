@@ -16,7 +16,7 @@ def _listed(items: list[str], indent: int) -> str:
 def cmd_omega(args: SimpleNamespace) -> int:
     """Hasse diagram of the rewriting order, as DOT or JSON."""
     n = args.n
-    # refused against the copy of the guard, before any library module loads
+    # refused against the guard, before any library module loads
     if not 1 <= n <= OMEGA_GUARD:
         return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
     from .dyck import ls_set

@@ -19,8 +19,6 @@ from operator import gt
 
 from .dyck import DyckPath, enumerate_paths, label
 
-THEOREM_GUARD = 6
-
 
 def flag_h_table(n: int) -> Counter[frozenset[int]]:
     """beta(S) for every subset S of the interior ranks [2n - 1] of J(2 x n).
@@ -81,8 +79,6 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     reference in turn, each with keys flag_h, paths, ref_path and s; the
     list is empty when the theorem holds.
     """
-    if n > THEOREM_GUARD:
-        raise ValueError(f"too large: n = {n} exceeds guard {THEOREM_GUARD}")
     if n < 1:
         raise ValueError(f"verify_theorem_main needs n >= 1, got {n}")
     refs = list(refs)

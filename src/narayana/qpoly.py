@@ -1,13 +1,14 @@
 """Exact polynomials in the variable q over the integers.
 
-Provides the q-analogues used everywhere else in the package: products and
-quotients by q-integers, Gaussian binomial coefficients and the closed-form
-q-Narayana numbers,
-together with the plain (q = 1) Narayana and Catalan numbers.
+Provides the q-analogues used everywhere else in the package: ratios of
+q-integers, Gaussian binomial coefficients and the two closed routes to the
+q-Narayana numbers, the closed form and the hook-content formula, together
+with the plain (q = 1) Narayana and Catalan numbers.
 
 All coefficients are Python ints, so arithmetic is exact at every size.
 Every product runs as one big-integer product (Kronecker substitution), and
-multiplying or dividing by a q-integer [m] takes time linear in the degree.
+multiplying by a ratio of q-integers [a] / [b] takes time linear in the
+degree.
 """
 
 from functools import cache
@@ -104,29 +105,22 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     ]
 
 
-def mul_q_int(cs: list[int], m: int) -> list[int]:
-    """The coefficients of p * [m] from those of p, for m >= 1, in linear
-    time: p * (1 - q**m) / (1 - q), so each is a window sum of m of p's."""
-    if m < 1:
-        raise ValueError(f"mul_q_int needs m >= 1, got {m}")
-    padded = cs + [0] * (m - 1) if cs else []
-    return list(accumulate(map(sub, padded, [0] * m + padded)))
-
-
-def div_q_int(cs: list[int], m: int) -> list[int]:
-    """The coefficients of p / [m] from those of p, for m >= 1, in linear
-    time: p * (1 - q) / (1 - q**m), running sums over each residue class
-    mod m.  Exact when the last m sums vanish; otherwise ArithmeticError."""
-    if m < 1:
-        raise ValueError(f"div_q_int needs m >= 1, got {m}")
-    ext, prev = cs + [0], [0] + cs
+def ratio_q_int(cs: list[int], a: int, b: int) -> list[int]:
+    """The coefficients of p * [a] / [b] from those of p, for a, b >= 1, in
+    linear time: p * (1 - q**a) / (1 - q**b), one difference and then
+    running sums over each residue class mod b.  Exact when the last b sums
+    vanish; otherwise ArithmeticError."""
+    if a < 1 or b < 1:
+        raise ValueError(f"ratio_q_int needs a, b >= 1, got a = {a}, b = {b}")
+    pad = [0] * a if cs else []
+    ext, prev = cs + pad, pad + cs
     quot = [0] * len(ext)
-    for r in range(m):
+    for r in range(b):
         # the differences are summed as they are made, never stored
-        quot[r::m] = accumulate(map(sub, ext[r::m], prev[r::m]))
-    cut = max(len(quot) - m, 0)
+        quot[r::b] = accumulate(map(sub, ext[r::b], prev[r::b]))
+    cut = max(len(quot) - b, 0)
     if any(quot[cut:]):
-        raise ArithmeticError(f"inexact division: {QPoly(cs)} by [{m}]")
+        raise ArithmeticError(f"inexact division: {QPoly(cs)} * [{a}] by [{b}]")
     return quot[:cut]
 
 
@@ -144,7 +138,7 @@ def q_binomial(n: int, k: int) -> QPoly:
     k = min(k, n - k)
     cs = [1]
     for i in range(1, k + 1):
-        cs = div_q_int(mul_q_int(cs, n - k + i), i)
+        cs = ratio_q_int(cs, n - k + i, i)
     return QPoly(cs)
 
 
@@ -171,6 +165,16 @@ def catalan(n: int) -> int:
     return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
 
 
+def _nonzero(route: str, n: int, k: int) -> bool:
+    """Refuse n < 1 and k < 0 in the name of a q-Narayana route; whether
+    k < n, below which its polynomial is nonzero."""
+    if n < 1:
+        raise ValueError(f"{route} needs n >= 1, got {n}")
+    if k < 0:
+        raise ValueError(f"{route} needs k >= 0, got {k}")
+    return k < n
+
+
 def q_narayana_closed(n: int, k: int) -> QPoly:
     """The q-Narayana polynomial from its closed form.
 
@@ -181,14 +185,36 @@ def q_narayana_closed(n: int, k: int) -> QPoly:
     q_binomial builds qbin(n,j), j = min(k, n - 1 - k), and one exact step
     gives qbin(n,j+1) = qbin(n,j) * [n-j] / [j+1], the other binomial.
     """
-    if n < 1:
-        raise ValueError(f"q_narayana_closed needs n >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"q_narayana_closed needs k >= 0, got {k}")
-    if k >= n:
+    if not _nonzero("q_narayana_closed", n, k):
         return QPoly()
     j = min(k, n - 1 - k)
     low = q_binomial(n, j)
-    high = QPoly(div_q_int(mul_q_int(list(low.coeffs), n - j), j + 1))
+    high = QPoly(ratio_q_int(list(low.coeffs), n - j, j + 1))
     numerator = low * high
-    return QPoly([0] * (k * k + k) + div_q_int(list(numerator.coeffs), n))
+    return QPoly([0] * (k * k + k) + ratio_q_int(list(numerator.coeffs), 1, n))
+
+
+def q_narayana_hook(n: int, k: int) -> QPoly:
+    """q-Narayana by the hook-content formula for 2^j in n - 1 variables,
+    j = min(k, n - 1 - k): q^(k^2 + k) times the product of
+    [n - 1 + c(u)] / [h(u)] over the cells u of 2^j.
+
+    Without its shift the polynomial of (n, k) is that of (n, n - 1 - k),
+    since qbin(n, k) = qbin(n, n - k); so j rows give it, and k = 5n/6
+    costs what k = n/6 does.  Row i has contents 1 - i and 2 - i and hooks
+    j + 2 - i and j + 1 - i, so its factors are [n - i] and [n + 1 - i],
+    and the hooks of all the rows are [1], ..., [j] and [2], ..., [j + 1].
+    Row by row the list takes [n + 1 - i] / [i], then [n - i] / [i], and
+    holds qbin(n, i) qbin(n - 1, i - 1) after the first step and
+    qbin(n, i) qbin(n - 1, i) after the second, so every division is
+    exact; a last step by [1] / [j + 1] makes the divisors the hooks.  Each step is linear in the
+    degree.  A nonzero remainder raises ArithmeticError and means a bug.
+    Zero for k >= n.
+    """
+    if not _nonzero("q_narayana_hook", n, k):
+        return QPoly()
+    j = min(k, n - 1 - k)
+    cs = [1]
+    for i in range(1, j + 1):
+        cs = ratio_q_int(ratio_q_int(cs, n + 1 - i, i), n - i, i)
+    return QPoly([0] * (k * k + k) + ratio_q_int(cs, 1, j + 1))

@@ -18,8 +18,6 @@ from functools import cache, cached_property, partial
 
 from .dyck import enumerate_paths, ls_set
 
-OMEGA_GUARD = 8
-
 
 def _bit_indices(mask: int) -> Iterator[int]:
     """The indices of the set bits of mask, lowest first."""
@@ -214,8 +212,6 @@ def omega_n(n: int) -> FacetOrder:
     dyck_complex(n), labeled by path words; the complex is built when read."""
     if n < 1:
         raise ValueError(f"omega_n needs n >= 1, got {n}")
-    if n > OMEGA_GUARD:
-        raise ValueError(f"too large: n = {n} exceeds guard {OMEGA_GUARD}")
     words = _words(n)
     # a rewrite that left the paths would raise KeyError here
     index = {word: j for j, word in enumerate(words)}

@@ -5,7 +5,8 @@ Statistics, by the names that the three tables below accept: des / maj
 (v in even position), lnfs / maj_l (vvh and hhv factors, reported at the
 center), da (vv factors), and des_w / maj_w, read against the labeling v_i,
 h_j of a reference path, the only statistics that load narayana.dyck.  See
-_joint_counts for the transfer matrix that sums them over all paths.
+_joint_counts for the transfer matrix that sums them over all paths.  The
+enumerate route to the q-Narayana numbers reads the (des, maj) table.
 """
 
 from collections import defaultdict
@@ -125,3 +126,14 @@ def joint_q(
     from .qpoly import QPoly  # here, so that the coefficient lists do not load it
 
     return {k: QPoly(c) for k, c in joint_coefficients(n, statistic, costatistic, wrt=wrt).items()}
+
+
+def q_narayana_enumerate(n: int, k: int) -> "QPoly":
+    """q-Narayana as the sum of q^maj over the paths of semilength n with
+    k descents, read from the (des, maj) table of joint_q; zero for k >= n
+    before the table is built."""
+    from .qpoly import QPoly, _nonzero
+
+    if not _nonzero("q_narayana_enumerate", n, k):
+        return QPoly()
+    return joint_q(n, "des", "maj").get(k, QPoly())

@@ -1,18 +1,19 @@
-"""Two-column semistandard tableaux and the Schur routes to q-Narayana numbers.
+"""Two-column semistandard tableaux and the tableau sum route to q-Narayana
+numbers.
 
 A tableau of shape 2^k is its rows: a tuple of k pairs (a, b) with a <= b,
 both columns strictly increasing.  With entries below n it encodes a Dyck
 path block by block, and its row sums become the descent set.  The
 q-Narayana polynomial is the Schur polynomial of 2^k at (q, q^2, ...,
-q^(n-1)), computed twice: as the plain sum over the tableaux and by the
-hook-content formula.
+q^(n-1)), here the plain sum over the tableaux; qpoly holds its
+hook-content form.
 """
 
 from collections import Counter, defaultdict
 from collections.abc import Iterator, Sequence
 
 # qpoly, dyck and stats are imported where called: the ssyt check loads no
-# qpoly or stats, the hook route no dyck or stats; annotations are strings
+# qpoly or stats, the schur-ssyt route no dyck; annotations are strings
 
 Rows = tuple[tuple[int, int], ...]
 DyckPath = None  # bound by the first ssyt_to_dyck call, not imported by each
@@ -83,15 +84,6 @@ def dyck_to_ssyt(w: "DyckPath") -> Rows:
     return tuple(rows)
 
 
-def _rows_fit(route: str, n: int, k: int) -> bool:
-    # k rows fit in n - 1 variables; otherwise the polynomial is zero
-    if n < 1:
-        raise ValueError(f"{route} needs n >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"{route} needs k >= 0, got {k}")
-    return k < n
-
-
 def q_narayana_ssyt(n: int, k: int) -> "QPoly":
     """q-Narayana as the sum of q^(entry sum) over the tableaux of shape
     2^k with entries below n; zero for k >= n.
@@ -100,10 +92,10 @@ def q_narayana_ssyt(n: int, k: int) -> "QPoly":
     state holds the tableaux so far that end in it and still leave room for
     the rows to come, counted by entry sum as the base-2**bits digits of one
     int, so adding a row (c, d) is a shift by c + d digits."""
-    from .qpoly import QPoly, narayana
+    from .qpoly import QPoly, _nonzero, narayana
     from .stats import _digits
 
-    if not _rows_fit("q_narayana_ssyt", n, k):
+    if not _nonzero("q_narayana_ssyt", n, k):
         return QPoly()
     m = n - 1
     # each tableau so far completes to a distinct one of the N(n, k), so no
@@ -118,56 +110,6 @@ def q_narayana_ssyt(n: int, k: int) -> "QPoly":
                     following[c, d] += packed << (c + d) * bits
         states = following
     return QPoly(_digits(sum(states.values()), bits))
-
-
-def q_narayana_hook(n: int, k: int) -> "QPoly":
-    """q-Narayana by the hook-content formula for 2^j in n - 1 variables,
-    j = min(k, n - 1 - k): q^(k^2 + k) times the product of
-    [n - 1 + c(u)] / [h(u)] over the cells of 2^j.
-
-    Without its shift the polynomial of (n, k) is qbin(n, k) qbin(n, k + 1)
-    / [n], which is that of (n, n - 1 - k) since qbin(n, k) = qbin(n, n - k);
-    so j rows give it, and k = 5n/6 costs what k = n/6 does.  Row by row:
-    row i multiplies in its contents' factors [n - i] and [n + 1 - i], then
-    divides by [i] and by [i + 1].  These divisors are the hooks j - i + 2
-    and j - i + 1 of all the rows, as a multiset.  After row i the list is
-    the q-Narayana polynomial of (n, i) without its shift, so every
-    division is exact and no degree exceeds the largest of those by 2n or
-    more; each step is linear in the degree.  A nonzero remainder raises
-    ArithmeticError and means a bug.  Zero for k >= n.
-    """
-    from .qpoly import QPoly, div_q_int, mul_q_int
-
-    if not _rows_fit("q_narayana_hook", n, k):
-        return QPoly()
-    cs = [1]
-    for i in range(1, min(k, n - 1 - k) + 1):
-        cs = div_q_int(div_q_int(mul_q_int(mul_q_int(cs, n - i), n + 1 - i), i), i + 1)
-    return QPoly([0] * (k * k + k) + cs)
-
-
-def q_narayana_enumerate(n: int, k: int) -> "QPoly":
-    """q-Narayana as the sum of q^maj over the paths of semilength n with
-    k descents, read from the (des, maj) table of stats.joint_q; zero for
-    k >= n before the table is built."""
-    from .qpoly import QPoly
-    from .stats import joint_q
-
-    if not _rows_fit("q_narayana_enumerate", n, k):
-        return QPoly()
-    return joint_q(n, "des", "maj").get(k, QPoly())
-
-
-def q_narayana_routes() -> dict:
-    """The four q-Narayana routes by name, in the order qnarayana --help lists."""
-    from .qpoly import q_narayana_closed
-
-    return {
-        "closed": q_narayana_closed,
-        "schur-ssyt": q_narayana_ssyt,
-        "schur-hook": q_narayana_hook,
-        "enumerate": q_narayana_enumerate,
-    }
 
 
 def verify_ssyt(n: int) -> list[dict]:
@@ -190,17 +132,20 @@ def verify_ssyt(n: int) -> list[dict]:
 
 
 def verify_q_identity(n: int) -> list[dict]:
-    """The q-identity check: for every k < n the closed form, the sum over
-    paths by (des, maj) and both Schur routes give one q-Narayana
-    polynomial.  One witness per k where they differ, with every route."""
+    """The q-identity check: for every k < n the routes of narayana.ROUTES,
+    the closed form, both Schur routes and the sum over paths by (des, maj),
+    give one q-Narayana polynomial.  One witness per k where they differ,
+    with every route."""
     if n < 1:
         raise ValueError(f"verify_q_identity needs n >= 1, got {n}")
+    from . import ROUTES, _library
     from .qpoly import QPoly
     from .stats import joint_q
 
+    routes_of = {name: _library(*row[:2]) for name, row in ROUTES.items()}
     # the enumerate route reads one (des, maj) table, built once for every k
     by_des = joint_q(n, "des", "maj")
-    routes_of = dict(q_narayana_routes(), enumerate=lambda n, k: by_des.get(k, QPoly()))
+    routes_of["enumerate"] = lambda n, k: by_des.get(k, QPoly())
     witnesses = []
     for k in range(n):
         routes = {name: route(n, k) for name, route in routes_of.items()}

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from narayana.dyck import DyckPath, _completions, label, ls_set
-from narayana.qpoly import QPoly, mul_q_int
+from narayana.qpoly import QPoly
 from narayana.shelling import (
     FacetOrder,
     PureComplex,
@@ -686,7 +686,19 @@ def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
     }
 
 
-# q-analogues, and long division, the oracle of qpoly.div_q_int
+# q-analogues, the schoolbook product and long division, the oracles of
+# qpoly.ratio_q_int
+def schoolbook_mul(a: QPoly, b: QPoly) -> QPoly:
+    """The product by convolution, dict-based rather than list-based."""
+    out: dict[int, int] = {}
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = out.get(i + j, 0) + ca * cb
+    if not out:
+        return QPoly()
+    return QPoly([out.get(d, 0) for d in range(max(out) + 1)])
+
+
 class InexactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder.
 
@@ -740,7 +752,7 @@ def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1 through n; the empty product is 1."""
     if n < 0:
         raise ValueError(f"q_factorial of negative {n}")
-    return QPoly(reduce(mul_q_int, range(2, n + 1), [1]))
+    return reduce(schoolbook_mul, map(q_int, range(2, n + 1)), QPoly((1,)))
 
 
 # flag f- and h-vectors by definition, the oracle of posets.flag_h_table

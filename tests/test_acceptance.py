@@ -10,12 +10,11 @@ from collections import Counter
 from narayana.dyck import DyckPath, enumerate_paths, ls_set, random_path
 from narayana.posets import flag_h_table, verify_theorem_main
 from narayana.preshelling import check_preshelling
-from narayana.qpoly import QPoly, narayana, q_narayana_closed
+from narayana.qpoly import QPoly, narayana, q_narayana_closed, q_narayana_hook
 from narayana.shelling import FacetOrder, _rank_set_counts, omega_n
 from narayana.stats import distribution, joint_q
 from narayana.tableaux import (
     dyck_to_ssyt,
-    q_narayana_hook,
     q_narayana_ssyt,
     ssyt_to_dyck,
     two_column_fillings,

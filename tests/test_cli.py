@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from narayana import __version__, cli, cli_common, cli_dist, cli_parse, posets, preshelling, shelling
-from narayana import tableaux
+from narayana import qpoly, stats, tableaux
 from narayana.cli import build_parser, main
 from narayana.dyck import ls_set
 from narayana.qpoly import q_narayana_closed
@@ -577,7 +577,7 @@ def test_omega_json_n4(capsys):
 
 def test_omega_json_is_the_bytes_of_json_dumps(capsys):
     # the handler writes the nodes and edges by their fixed shape
-    for n in range(1, shelling.OMEGA_GUARD + 1):
+    for n in range(1, cli_common.OMEGA_GUARD + 1):
         om = shelling.omega_n(n)
         words = om.labels
         payload = {
@@ -869,13 +869,18 @@ def test_option_surface_is_frozen(capsys):
 
 
 def test_cli_copies_agree_with_the_library():
-    # the parser and the handlers name routes, checks and guards without
-    # importing the library
+    # the parser and the handlers name routes and checks without importing
+    # the library
     routes = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
         for name, (module, function, _) in cli_common.ROUTES.items()
     }
-    assert list(routes.items()) == list(tableaux.q_narayana_routes().items())
+    assert routes == {
+        "closed": qpoly.q_narayana_closed,
+        "schur-ssyt": tableaux.q_narayana_ssyt,
+        "schur-hook": qpoly.q_narayana_hook,
+        "enumerate": stats.q_narayana_enumerate,
+    }
     checks = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
         for name, (module, function, _) in cli_common.VERIFY_CHECKS.items()
@@ -887,10 +892,6 @@ def test_cli_copies_agree_with_the_library():
         "q-identity": tableaux.verify_q_identity,
         "parth": shelling.verify_parth,
     }
-    assert cli_common.VERIFY_CHECKS["main-theorem"][2] == posets.THEOREM_GUARD
-    assert cli_common.OMEGA_GUARD == shelling.OMEGA_GUARD
-    omega_n_help = build_parser()["omega"][2]["--n"][3]
-    assert omega_n_help == f"semilength, 1 <= n <= {shelling.OMEGA_GUARD}"
     # each command's handler is a (module, function) of the package
     for command, (_, (module, function), _) in build_parser().items():
         assert callable(getattr(importlib.import_module(f"narayana.{module}"), function)), command
@@ -922,14 +923,14 @@ def loads(handler: str, *library: str) -> list[str]:
 
 
 TABLEAUX_MODULES = ["qpoly", "stats", "tableaux"]
-# the library modules each qnarayana route loads: the closed form needs qpoly
-# alone, the hook route tableaux too, and the tableau sum and the sum over
-# paths the transfer matrices of stats as well; no route loads dyck
+# the library modules each qnarayana route loads: both closed routes need
+# qpoly alone, the sum over paths the transfer matrices of stats too, and
+# the tableau sum tableaux as well, for its fillings; no route loads dyck
 ROUTE_MODULES = {
     "closed": ["qpoly"],
     "schur-ssyt": TABLEAUX_MODULES,
-    "schur-hook": ["qpoly", "tableaux"],
-    "enumerate": TABLEAUX_MODULES,
+    "schur-hook": ["qpoly"],
+    "enumerate": ["qpoly", "stats"],
     "all": TABLEAUX_MODULES,
 }
 SHELLING_MODULES = ["dyck", "shelling"]
@@ -1142,8 +1143,8 @@ def test_cli_compiles_once_per_request(argv, monkeypatch):
 EXIT_PROBE = """
 import atexit, runpy, sys
 if sys.argv[1] == "disagree":
-    from narayana import qpoly, tableaux
-    tableaux.q_narayana_hook = lambda n, k: qpoly.q_narayana_closed(n, k + 1)
+    from narayana import qpoly
+    qpoly.q_narayana_hook = lambda n, k: qpoly.q_narayana_closed(n, k + 1)
     del sys.argv[1]
 atexit.register(print, "exit handler")
 runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
@@ -1164,9 +1165,7 @@ EXIT_ROWS = [
 @pytest.mark.parametrize("argv, code", EXIT_ROWS, ids=[" ".join(row[0]) for row in EXIT_ROWS])
 def test_the_process_exits_with_mains_code_after_the_exit_handlers(argv, code):
     # the handler runs once, after all of stdout, and the exit code is main's
-    with mock.patch.object(
-        tableaux, "q_narayana_hook", lambda n, k: q_narayana_closed(n, k + 1)
-    ):
+    with mock.patch.object(qpoly, "q_narayana_hook", lambda n, k: q_narayana_closed(n, k + 1)):
         expected = run_in_process([word for word in argv if word != "disagree"])
     assert expected[0] == code
     # buffered, so that the handler's line is written by run()'s own flush
@@ -1337,6 +1336,46 @@ def test_closed_stdout_pipe_is_a_usage_error():
                 assert_cannot_write(run_into(write_end, *argv, unbuffered=unbuffered))
     finally:
         os.close(write_end)
+
+
+def run_closed(redirect: str, *argv: str) -> subprocess.CompletedProcess:
+    # the shell closes the descriptors that redirect names, as `>&-` does,
+    # before the interpreter starts, so its sys.stdout or sys.stderr is None
+    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    script = f'exec "$0" -m narayana.cli "$@" {redirect}'
+    return subprocess.run(
+        ["sh", "-c", script, sys.executable, *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_closed_stdout_descriptor_is_a_usage_error():
+    requests = (
+        ["narayana", "--n", "3"],
+        ["qnarayana", "--n", "4", "--k", "1", "--format", "json"],
+        ["omega", "--n", "3"],
+        *HELP_REQUESTS,
+    )
+    for argv in requests:
+        result = run_closed(">&-", *argv)
+        assert_cannot_write(result)
+        assert result.stderr == "narayana: error: cannot write output: stdout is closed\n"
+        # with stderr closed too the line is dropped, and the exit code stays
+        both = run_closed(">&- 2>&-", *argv)
+        assert (both.returncode, both.stdout, both.stderr) == (2, "", "")
+
+
+def test_closed_stderr_descriptor_never_changes_the_exit_code_or_stdout():
+    # the elapsed line, a usage error and a refused argv each write to
+    # stderr, and the last request writes none
+    for argv in (
+        ["verify", "--check", "ssyt", "--n", "3"],
+        ["narayana", "--n", "0"],
+        ["dist", "--n", "4", "--stat", "nope"],
+        ["narayana", "--n", "4"],
+    ):
+        result = run_closed("2>&-", *argv)
+        assert (result.returncode, result.stdout) == run_in_process(argv), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

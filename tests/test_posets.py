@@ -339,8 +339,6 @@ def test_verify_theorem_main_matches_per_pair_oracle(n, monkeypatch):
 
 
 def test_verify_theorem_main_guards():
-    with pytest.raises(ValueError, match="too large"):
-        verify_theorem_main(7, [DyckPath("vh" * 7)])
     with pytest.raises(ValueError, match="length mismatch"):
         verify_theorem_main(3, [DyckPath("vh")])
     with pytest.raises(ValueError):

@@ -2,20 +2,20 @@ import math
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from narayana import qpoly
 from narayana.qpoly import (
     QPoly,
     catalan,
-    div_q_int,
-    mul_q_int,
     narayana,
     q_binomial,
     q_narayana_closed,
+    q_narayana_hook,
+    ratio_q_int,
 )
-from narayana.tableaux import q_narayana_hook
 from oracles import InexactDivisionError, exact_div, q_factorial, q_int
+from oracles import schoolbook_mul as ref_mul
 
 ONE = QPoly((1,))
 
@@ -26,17 +26,6 @@ signed = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-(2**80)
 long_coeff_lists = st.tuples(
     st.lists(signed, max_size=40), signed.filter(bool)
 ).map(lambda parts: parts[0] + [parts[1]])
-
-
-def ref_mul(a: QPoly, b: QPoly) -> QPoly:
-    # independent convolution, dict-based rather than list-based
-    out: dict[int, int] = {}
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] = out.get(i + j, 0) + ca * cb
-    if not out:
-        return QPoly()
-    return QPoly([out.get(d, 0) for d in range(max(out) + 1)])
 
 
 def test_canonical_form_trims_trailing_zeros():
@@ -100,53 +89,66 @@ def test_kronecker_mul_at_its_digit_bound():
                 assert pa * pb == ref_mul(pa, pb)
 
 
-@given(st.lists(signed, max_size=12), st.integers(min_value=1, max_value=12))
-def test_mul_q_int_matches_schoolbook(cs, m):
-    p = QPoly(cs)
-    assert mul_q_int(list(p.coeffs), m) == list(ref_mul(p, q_int(m)).coeffs)
+q_ints = st.integers(min_value=1, max_value=12)
 
 
-def test_mul_q_int_rejects_m_below_1():
-    # refused as div_q_int refuses it: [m] for m < 0 is no polynomial
-    for m in (0, -1, -2):
-        with pytest.raises(ValueError, match=f"mul_q_int needs m >= 1, got {m}"):
-            mul_q_int([1, 2], m)
-    assert mul_q_int([], 1) == []
+@given(st.lists(signed, max_size=12), q_ints, q_ints)
+@example([3], 4, 1)  # [1] = 1: a product by [a] alone
+@example([-1, 2], 1, 5)  # a quotient by [b] alone
+def test_ratio_q_int_matches_schoolbook(cs, a, b):
+    # p = s * [b] is a multiple of [b], so p * [a] / [b] = s * [a] exactly
+    s = QPoly(cs)
+    p = ref_mul(s, q_int(b))
+    assert ratio_q_int(list(p.coeffs), a, b) == list(ref_mul(s, q_int(a)).coeffs)
+
+
+def test_ratio_q_int_rejects_a_or_b_below_1():
+    # [m] for m < 0 is no polynomial, and [0] is zero
+    for a, b in ((0, 1), (-1, 3), (2, 0), (1, -2), (0, 0)):
+        with pytest.raises(ValueError, match=f"ratio_q_int needs a, b >= 1, got a = {a}, b = {b}"):
+            ratio_q_int([1, 2], a, b)
+    assert ratio_q_int([], 1, 1) == ratio_q_int([], 5, 2) == []
 
 
 @given(
     st.lists(signed, max_size=12),
-    st.integers(min_value=1, max_value=12),
+    q_ints,
+    q_ints,
     st.lists(st.integers(min_value=-2, max_value=2), max_size=3),
 )
-def test_div_q_int_matches_exact_div(cs, m, bump):
-    # a multiple of [m], sometimes disturbed, so exact and inexact inputs both occur
-    multiple = ref_mul(QPoly(cs), q_int(m)).coeffs
+def test_ratio_q_int_matches_long_division(cs, a, b, bump):
+    # a multiple of [b], sometimes disturbed, so exact and inexact inputs both
+    # occur; the oracle multiplies by [a] by convolution, then divides by [b]
+    multiple = ref_mul(QPoly(cs), q_int(b)).coeffs
     p = QPoly(x + y for x, y in zip_longest(multiple, bump, fillvalue=0))
     try:
-        expected = exact_div(p, q_int(m))
+        expected = exact_div(ref_mul(p, q_int(a)), q_int(b))
     except InexactDivisionError:
         with pytest.raises(ArithmeticError) as info:
-            div_q_int(list(p.coeffs), m)
-        assert str(info.value) == f"inexact division: {p} by [{m}]"
+            ratio_q_int(list(p.coeffs), a, b)
+        assert str(info.value) == f"inexact division: {p} * [{a}] by [{b}]"
     else:
-        assert div_q_int(list(p.coeffs), m) == list(expected.coeffs)
+        assert ratio_q_int(list(p.coeffs), a, b) == list(expected.coeffs)
         if not any(bump):
-            assert expected == QPoly(cs)
+            assert expected == ref_mul(QPoly(cs), q_int(a))
 
 
-def test_div_q_int_errors_match_exact_div():
-    for m in (0, -1):
-        with pytest.raises(ValueError, match="needs m >= 1"):
-            div_q_int([1, 1], m)
-    # the second is nonzero and shorter than the divisor, so not a multiple of it
-    for cs, m, text in (([1, 0, 1], 2, "1 + q^2 by [2]"), ([1, 1], 5, "1 + q by [5]")):
+def test_ratio_q_int_errors_match_exact_div():
+    # the last is nonzero and shorter than the divisor, so not a multiple of it
+    for cs, a, b, text in (
+        ([1, 0, 1], 1, 2, "1 + q^2 * [1] by [2]"),
+        ([1], 2, 3, "1 * [2] by [3]"),
+        ([1, -1], 3, 2, "1 - q * [3] by [2]"),
+        ([1, 1], 1, 5, "1 + q * [1] by [5]"),
+    ):
         with pytest.raises(InexactDivisionError):
-            exact_div(QPoly(cs), q_int(m))
+            exact_div(ref_mul(QPoly(cs), q_int(a)), q_int(b))
         with pytest.raises(ArithmeticError) as info:
-            div_q_int(cs, m)
+            ratio_q_int(cs, a, b)
         assert str(info.value) == f"inexact division: {text}"
-    assert div_q_int([], 3) == []
+    # [4] / [2] = 1 + q^2 and [6] / [3] = 1 + q^3
+    assert ratio_q_int([1], 4, 2) == [1, 0, 1]
+    assert ratio_q_int([1, 1], 6, 3) == list(ref_mul(QPoly((1, 1)), QPoly((1, 0, 0, 1))).coeffs)
 
 
 def test_q_int_values():
@@ -296,9 +298,15 @@ def test_q_narayana_closed_specializes_to_narayana():
 
 @pytest.mark.parametrize("n", [20, 40, 60])
 def test_q_narayana_closed_matches_hook_route_at_large_n(n):
-    for k in (0, 1, n // 6, n // 2, n // 2 + 1, 5 * n // 6, n - 2, n - 1):
+    # both routes run ratio_q_int, so each is also checked against binomials
+    # by the q-Pascal recurrence and products alone, with no division:
+    # [n] * N_q(n, k) = q^(k^2 + k) * qbin(n, k) * qbin(n, k + 1)
+    *_, row = q_pascal_rows(n)
+    for k in range(n):
         p = q_narayana_closed(n, k)
         assert p == q_narayana_hook(n, k)
+        shifted = QPoly([0] * (k * k + k) + list((row[k] * row[k + 1]).coeffs))
+        assert p * q_int(n) == shifted, (n, k)
         assert all(c >= 0 for c in p.coeffs)
         assert sum(p.coeffs) == narayana(n, k)
 

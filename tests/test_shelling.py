@@ -324,8 +324,6 @@ def test_sigma_strictly_decreases():
 
 
 def test_omega_guard():
-    with pytest.raises(ValueError, match="too large"):
-        omega_n(9)
     with pytest.raises(ValueError):
         omega_n(0)
 

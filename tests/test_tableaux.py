@@ -7,15 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from narayana import qpoly, stats
+from narayana import ROUTES, qpoly, stats
 from narayana.dyck import DyckPath, enumerate_paths
-from narayana.qpoly import QPoly, q_narayana_closed
-from narayana.stats import joint_q
+from narayana.qpoly import QPoly, q_narayana_closed, q_narayana_hook
+from narayana.stats import joint_q, q_narayana_enumerate
 from narayana.tableaux import (
     dyck_to_ssyt,
-    q_narayana_enumerate,
-    q_narayana_hook,
-    q_narayana_routes,
     q_narayana_ssyt,
     ssyt_to_dyck,
     two_column_fillings,
@@ -236,58 +233,52 @@ def test_counting_form_against_flag_h():
 def test_hook_and_content(monkeypatch):
     # the factors the hook route multiplies in and divides out are the
     # [n - 1 + content] and [hook] of the cells of 2^j, j = min(k, n - 1 - k),
-    # read off the diagram, and after row i the list is the unshifted
-    # q-Narayana polynomial of (n, i)
+    # read off the diagram, each with one [1] besides; after row i the list
+    # is [i + 1] times the unshifted q-Narayana polynomial of (n, i)
     factors = []
+    kernel = qpoly.ratio_q_int
 
-    def recorded(name):
-        kernel = getattr(qpoly, name)
+    def recorded(cs, a, b):
+        out = kernel(cs, a, b)
+        factors.append((a, b, out))
+        return out
 
-        def call(cs, m):
-            out = kernel(cs, m)
-            factors.append((name, m, out))
-            return out
-
-        return call
-
-    for name in ("mul_q_int", "div_q_int"):
-        monkeypatch.setattr(qpoly, name, recorded(name))
+    monkeypatch.setattr(qpoly, "ratio_q_int", recorded)
     for k in range(7):
         for n in range(k + 1, 2 * k + 4):
             rows = min(k, n - 1 - k)
             cells = [(i, j) for i in range(1, rows + 1) for j in (1, 2)]
             hooks = [(2 - j) + (rows - i) + 1 for i, j in cells]  # arm + leg + 1
-            # the closed form runs the same kernels, so it runs first
+            # the closed form runs the same kernel, so it runs first
             closed = q_narayana_closed(n, k)
             factors.clear()
             assert q_narayana_hook(n, k) == closed
-            assert Counter(m for name, m, _ in factors if name == "mul_q_int") == Counter(
-                n - 1 + j - i for i, j in cells
-            )
-            divisions = [(m, out) for name, m, out in factors if name == "div_q_int"]
-            assert Counter(m for m, _ in divisions) == Counter(hooks)
-            # each row ends with its second division
-            for i, (_, out) in enumerate(divisions[1::2], start=1):
-                assert [0] * (i * i + i) + out == list(q_narayana_closed(n, i).coeffs), (n, k, i)
+            contents = [n - 1 + j - i for i, j in cells]
+            assert Counter(a for a, _, _ in factors) == Counter([1, *contents])
+            assert Counter(b for _, b, _ in factors) == Counter([1, *hooks])
+            # each row ends with its second step
+            for i, (_, _, out) in enumerate(factors[1:-1:2], start=1):
+                unshifted = list(q_narayana_closed(n, i).coeffs)[i * i + i :]
+                assert out == list((QPoly(unshifted) * QPoly([1] * (i + 1))).coeffs), (n, k, i)
 
 
 def test_hook_route_takes_min_k_n_minus_1_minus_k_rows(monkeypatch):
     # the unshifted polynomial of (n, k) is that of (n, n - 1 - k), so the
-    # route multiplies in two factors a row for min(k, n - 1 - k) rows:
-    # 18 at (60, 50), not 100
+    # route takes two steps a row for min(k, n - 1 - k) rows and one more:
+    # 19 at (60, 50), not 101
     factors = []
-    kernel = qpoly.mul_q_int
+    kernel = qpoly.ratio_q_int
 
-    def recorded(cs, m):
-        factors.append(m)
-        return kernel(cs, m)
+    def recorded(cs, a, b):
+        factors.append((a, b))
+        return kernel(cs, a, b)
 
-    monkeypatch.setattr(qpoly, "mul_q_int", recorded)
+    monkeypatch.setattr(qpoly, "ratio_q_int", recorded)
     for n, k, rows in ((60, 50, 9), (60, 9, 9), (60, 29, 29), (60, 30, 29), (60, 59, 0), (7, 3, 3)):
         closed = q_narayana_closed(n, k)  # which runs the same kernel
         factors.clear()
         assert q_narayana_hook(n, k) == closed
-        assert len(factors) == 2 * rows, (n, k)
+        assert len(factors) == 2 * rows + 1, (n, k)
 
 
 def test_schur_principal_frozen():
@@ -344,10 +335,10 @@ def test_q_narayana_schur_is_zero_for_k_at_least_n_without_building_the_shape(mo
     for route in (q_narayana_ssyt, q_narayana_hook):
         assert route(5, 4) == q_narayana_closed(5, 4)
 
-    def no_factor(cs, m):
+    def no_factor(cs, a, b):
         raise AssertionError("multiplied in a factor for k >= n")
 
-    monkeypatch.setattr(qpoly, "mul_q_int", no_factor)
+    monkeypatch.setattr(qpoly, "ratio_q_int", no_factor)
     for route in (q_narayana_ssyt, q_narayana_hook):
         for k in (5, 6, 10**7, 10**12):
             assert route(5, k) == QPoly()
@@ -370,11 +361,6 @@ def test_q_narayana_schur_frozen():
             route(0, 0)
         with pytest.raises(ValueError, match="needs k >= 0"):
             route(3, -1)
-    routes = q_narayana_routes()
-    assert routes["closed"] is q_narayana_closed
-    assert routes["schur-ssyt"] is q_narayana_ssyt
-    assert routes["schur-hook"] is q_narayana_hook
-    assert routes["enumerate"] is q_narayana_enumerate
 
 
 def test_three_way_q_narayana_identity():
@@ -424,7 +410,7 @@ def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
 
 
 def test_q_identity_witness_lists_every_route(monkeypatch):
-    closed = q_narayana_routes()["closed"]
+    closed = q_narayana_closed
     true = list(closed(4, 2).coeffs)
     damaged = [1, *true[1:]]  # the constant term of N_q(4, 2) is 0
     monkeypatch.setattr(
@@ -435,7 +421,7 @@ def test_q_identity_witness_lists_every_route(monkeypatch):
         "k": 2,
         "routes": {"closed": damaged, "schur-ssyt": true, "schur-hook": true, "enumerate": true},
     }
-    assert list(witness["routes"]) == list(q_narayana_routes())
+    assert list(witness["routes"]) == list(ROUTES)
 
 
 def test_q_identity_refuses_an_empty_row():
