@@ -1,8 +1,6 @@
 """What the command-line parser and the command handlers share: the limits
-that both the --help text and the handlers read, the routes (from the
-package root, which the q-identity check reads too) and the checks as
-(module, function, largest n) rows, stderr and usage-error output, and a
-JSON writer.
+that both the --help text and the handlers read, the checks as (module,
+function, largest n) rows, stderr and usage-error output, and a JSON writer.
 
 The parser lives in narayana.cli and each command's handler in a module of
 its own, which main() imports through _library, so that a request compiles
@@ -13,8 +11,6 @@ a second time.  No library module is imported here.
 
 import os
 import sys
-
-from . import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, _library
 
 SAMPLES_LIMIT = 200
 OMEGA_GUARD = 8  # the largest n of omega; the library's omega_n takes any n

@@ -5,8 +5,8 @@ import os
 import stat
 from types import SimpleNamespace
 
-from . import __version__
-from .cli_common import ENUMERATION_LIMIT, _emit_json, _library, _stderr, _usage, json_text
+from . import ENUMERATION_LIMIT, __version__
+from .cli_common import _emit_json, _stderr, _usage, json_text
 
 Q_PAIRINGS = {"des": "maj", "lnfs": "maj_l", "hp": "maj_w"}
 
@@ -88,8 +88,7 @@ def _dist_table(n: int, stat: str, costat: str | None) -> list:
 
     if costat is None:
         return [[k, count] for k, count in distribution(n, stat).items()]
-    wrt = _library("dyck", "DyckPath")("vh" * n) if costat == "maj_w" else None
-    return [[k, coeffs] for k, coeffs in joint_coefficients(n, stat, costat, wrt=wrt).items()]
+    return [[k, coeffs] for k, coeffs in joint_coefficients(n, stat, costat).items()]
 
 
 def cmd_dist(args: SimpleNamespace) -> int:

@@ -1,13 +1,15 @@
-"""The general command-line reader: every form that argparse accepts, and
-every refusal.  narayana.cli reads a full-form command line itself and
-imports this module for any other, --help and --version among them."""
+"""The general command-line reader: every form that argparse accepts, every
+refusal, and the --help text, written from the parser's table.  narayana.cli
+reads a full-form command line itself and imports this module for any other,
+--help and --version among them."""
 
 from types import SimpleNamespace
 
 from . import __version__
-from .cli_common import UsageError, _library
+from .cli_common import UsageError
 
 HELP = ("-h", "--help")
+HELP_COLUMN = 22  # the widest option column that --help keeps on one line
 
 
 def _is_value(word: str) -> bool:
@@ -51,6 +53,43 @@ def _convert(name: str, kind, value: str):
         raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
 
 
+def help_text(commands: dict, command: str | None) -> str:
+    """The --help text of the program, or of one command, from the table."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        usage = "[-h] [--version] command ..."
+        summary = "Exact Narayana, q-Narayana, and shelling computations on Dyck paths."
+        sections = {"commands": [(name, entry[0]) for name, entry in commands.items()]}
+        rows.append(("--version", "show the version and exit"))
+    else:
+        summary, _, options = commands[command]
+        usage, sections = f"{command} [-h]", {}
+        for name, (kind, default, required, text) in options.items():
+            if kind is bool:
+                spelled = name
+            elif isinstance(kind, tuple):
+                spelled = f"{name} {{{','.join(kind)}}}"
+            else:
+                spelled = f"{name} {name[2:].upper().replace('-', '_')}"
+            usage += f" {spelled}" if required else f" [{spelled}]"
+            if default is not None and kind is not bool:
+                text = f"{text} (default {default})"
+            rows.append((spelled, text))
+    sections["options"] = rows
+    blocks = [f"usage: narayana {usage}", summary]
+    for title, block in sections.items():
+        # a left column wider than HELP_COLUMN puts its help on the next line
+        width = min(max(len(left) for left, _ in block), HELP_COLUMN)
+        lines = [f"{title}:"]
+        for left, right in block:
+            if len(left) > width:
+                lines += [f"  {left}", f"  {'':{width}}  {right}"]
+            else:
+                lines.append(f"  {left:{width}}  {right}")
+        blocks.append("\n".join(line.rstrip() for line in lines))
+    return "\n\n".join(blocks)
+
+
 def parse(commands: dict, argv: list[str]) -> tuple | None:
     """(handler, arguments) of the command that argv asks for, read by the
     table, the handler as its (module, function); None once --help or
@@ -73,7 +112,7 @@ def parse(commands: dict, argv: list[str]) -> tuple | None:
         if name == "--version":
             print(f"narayana {__version__}")
         else:
-            print(_library("cli_help", "help_text")(commands, None))
+            print(help_text(commands, None))
         return None
     if at == len(argv):
         raise UsageError("the following arguments are required: command")
@@ -96,7 +135,7 @@ def parse(commands: dict, argv: list[str]) -> tuple | None:
             if value is not None:
                 raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
             if name in HELP:
-                print(_library("cli_help", "help_text")(commands, command))
+                print(help_text(commands, command))
                 return None
             values[name] = True
         else:

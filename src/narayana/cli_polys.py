@@ -3,7 +3,8 @@ one q-Narayana polynomial by one route or all routes compared."""
 
 from types import SimpleNamespace
 
-from .cli_common import CLOSED_FORM_LIMIT, ROUTES, _emit_json, _library, _usage
+from . import CLOSED_FORM_LIMIT, ROUTES, _library
+from .cli_common import _emit_json, _usage
 
 
 def cmd_narayana(args: SimpleNamespace) -> int:

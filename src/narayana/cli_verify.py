@@ -4,7 +4,8 @@ render the witnesses it returns; exit 1 when there are any."""
 import time
 from types import SimpleNamespace
 
-from .cli_common import SAMPLES_LIMIT, VERIFY_CHECKS, _emit_json, _library, _stderr, _usage
+from . import _library
+from .cli_common import SAMPLES_LIMIT, VERIFY_CHECKS, _emit_json, _stderr, _usage
 
 
 def cmd_verify(args: SimpleNamespace) -> int:

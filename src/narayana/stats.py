@@ -1,10 +1,9 @@
 """Dyck path statistics summed over all paths of one semilength.
 
 Statistics, by the names that the three tables below accept: des / maj
-(valleys, reported at the h), hp (peaks with prefix v-excess at least 2), ea
-(v in even position), lnfs / maj_l (vvh and hhv factors, reported at the
-center), da (vv factors), and des_w / maj_w, read against the labeling v_i,
-h_j of a reference path, the only statistics that load narayana.dyck.  See
+(valleys, reported at the h), hp / maj_w (peaks with prefix v-excess at least
+2, the descents read against W = (vh)^n), ea (v in even position), lnfs /
+maj_l (vvh and hhv factors, reported at the center) and da (vv factors).  See
 _joint_counts for the transfer matrix that sums them over all paths.  The
 enumerate route to the q-Narayana numbers reads the (des, maj) table.
 """
@@ -22,40 +21,20 @@ _MARKS = {
     "lnfs": lambda i, h, a, b, c: (a, b, c) in (("v", "v", "h"), ("h", "h", "v")),
     "da": lambda i, h, a, b, c: b == "v" and c == "v",
 }
-_MAJOR = {"maj": "des", "maj_l": "lnfs", "maj_w": "des_w"}
+_MAJOR = {"maj": "des", "maj_l": "lnfs", "maj_w": "hp"}
 # the rule of a statistic that is 0 on every path: the first of
 # distribution's two, so that its states all carry the value 0
 _NEVER = (lambda i, h, a, b, c: False, False)
 
 
-def _mark(name: str, wrt: "DyckPath | None"):
-    base = _MAJOR.get(name, name)
-    if base in _MARKS:
-        return _MARKS[base]
-    if base != "des_w":
-        raise ValueError(f"unknown statistic: {name}")
-    if wrt is None:
-        raise ValueError(f"statistic {name} needs a reference path")
-    from .dyck import label
-
-    order = {lab: pos for pos, lab in enumerate(label(wrt.word))}
-
-    def position_in_wrt(i: int, h: int, letter: str) -> int:
-        # the i - 1 letters before position i, ending at height h, hold
-        # (i - 1 + h) / 2 letters v
-        seen_v = (i - 1 + h) // 2
-        return order[("v", seen_v + 1) if letter == "v" else ("h", i - seen_v)]
-
-    def descent_wrt(i, h, a, b, c):
-        after = h + (1 if b == "v" else -1)
-        return c is not None and position_in_wrt(i + 1, after, c) < position_in_wrt(i, h, b)
-
-    return descent_wrt
+def _mark(name: str):
+    try:
+        return _MARKS[_MAJOR.get(name, name)]
+    except KeyError:
+        raise ValueError(f"unknown statistic: {name}") from None
 
 
-def _joint_counts(
-    n: int, names: tuple[str, ...], wrt: "DyckPath | None"
-) -> tuple[dict[int, int], int]:
+def _joint_counts(n: int, names: tuple[str, ...]) -> tuple[dict[int, int], int]:
     """Number of paths of semilength n by the values of one or two named
     statistics: a transfer matrix over (height, previous letter, letter).
 
@@ -64,11 +43,9 @@ def _joint_counts(
     2**bits, so a step that adds s to the last statistic is a shift by s
     digits.  Returns the packed counts by the value of the first of two
     statistics (0 for one statistic), and bits."""
-    rules = [(_mark(name, wrt), name in _MAJOR) for name in names]
+    rules = [(_mark(name), name in _MAJOR) for name in names]
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
-    if wrt is not None and wrt.n != n and {"des_w", "maj_w"} & set(names):
-        raise ValueError(f"length mismatch: |w| = {2 * n}, |W| = {2 * wrt.n}")
     length = 2 * n
     # the prefixes of one length complete to distinct paths, so no digit
     # exceeds Catalan(n); digits are whole bytes, which _digits reads
@@ -102,30 +79,24 @@ def _digits(packed: int, bits: int) -> list[int]:
     return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
 
 
-def distribution(
-    n: int, statistic: str, *, wrt: "DyckPath | None" = None
-) -> dict[int, int]:
+def distribution(n: int, statistic: str) -> dict[int, int]:
     """Exact counts of a statistic over all paths of semilength n."""
-    totals, bits = _joint_counts(n, (statistic,), wrt)
+    totals, bits = _joint_counts(n, (statistic,))
     return {k: count for k, count in enumerate(_digits(totals[0], bits)) if count}
 
 
-def joint_coefficients(
-    n: int, statistic: str, costatistic: str, *, wrt: "DyckPath | None" = None
-) -> dict[int, list[int]]:
+def joint_coefficients(n: int, statistic: str, costatistic: str) -> dict[int, list[int]]:
     """For each value k of the statistic, the coefficients of the sum of
     q**costatistic over the paths with statistic k."""
-    totals, bits = _joint_counts(n, (statistic, costatistic), wrt)
+    totals, bits = _joint_counts(n, (statistic, costatistic))
     return {k: _digits(totals[k], bits) for k in sorted(totals)}
 
 
-def joint_q(
-    n: int, statistic: str, costatistic: str, *, wrt: "DyckPath | None" = None
-) -> "dict[int, QPoly]":
+def joint_q(n: int, statistic: str, costatistic: str) -> "dict[int, QPoly]":
     """joint_coefficients, each list as its QPoly."""
     from .qpoly import QPoly  # here, so that the coefficient lists do not load it
 
-    return {k: QPoly(c) for k, c in joint_coefficients(n, statistic, costatistic, wrt=wrt).items()}
+    return {k: QPoly(c) for k, c in joint_coefficients(n, statistic, costatistic).items()}
 
 
 def q_narayana_enumerate(n: int, k: int) -> "QPoly":

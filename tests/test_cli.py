@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import narayana
 from narayana import __version__, cli, cli_common, cli_dist, cli_parse, posets, preshelling, shelling
 from narayana import qpoly, stats, tableaux
 from narayana.cli import build_parser, main
@@ -130,8 +131,8 @@ def assert_limit(capsys, argv, limit):
 def test_qnarayana_enumerative_route_guard(capsys):
     enumerative = {
         route: limit
-        for route, (_, _, limit) in cli_common.ROUTES.items()
-        if limit < cli_common.CLOSED_FORM_LIMIT
+        for route, (_, _, limit) in narayana.ROUTES.items()
+        if limit < narayana.CLOSED_FORM_LIMIT
     }
     assert enumerative
     for route, limit in enumerative.items():
@@ -141,13 +142,13 @@ def test_qnarayana_enumerative_route_guard(capsys):
 def test_qnarayana_closed_form_routes_guard(capsys):
     closed = [
         route
-        for route, (_, _, limit) in cli_common.ROUTES.items()
-        if limit == cli_common.CLOSED_FORM_LIMIT
+        for route, (_, _, limit) in narayana.ROUTES.items()
+        if limit == narayana.CLOSED_FORM_LIMIT
     ]
     assert closed
     for route in (*closed, "all"):
         argv = ["qnarayana", "--k", "1", "--route", route]
-        assert_limit(capsys, argv, cli_common.CLOSED_FORM_LIMIT)
+        assert_limit(capsys, argv, narayana.CLOSED_FORM_LIMIT)
     code, out, _ = run(capsys, "qnarayana", "--n", "60", "--k", "1", "--route", "closed")
     assert code == 0 and out.startswith("q^2 + ")
 
@@ -873,7 +874,7 @@ def test_cli_copies_agree_with_the_library():
     # the library
     routes = {
         name: getattr(importlib.import_module(f"narayana.{module}"), function)
-        for name, (module, function, _) in cli_common.ROUTES.items()
+        for name, (module, function, _) in narayana.ROUTES.items()
     }
     assert routes == {
         "closed": qpoly.q_narayana_closed,
@@ -938,21 +939,21 @@ SHELLING_MODULES = ["dyck", "shelling"]
 # cache is warmed first, the narayana modules it loads)
 STARTUP_ROWS = [
     ([], False, PARSER_MODULES),
-    # only --help loads the module that writes it
-    (["--help"], False, sorted([*GENERAL_MODULES, "cli_help"])),
-    (["dist", "--help"], False, sorted([*GENERAL_MODULES, "cli_help"])),
+    # the general reader writes --help itself
+    (["--help"], False, GENERAL_MODULES),
+    (["dist", "--help"], False, GENERAL_MODULES),
     (["--version"], False, GENERAL_MODULES),
     # an abbreviated option, and a refused argv, take the general reader
     (["dist", "--n", "4", "--st", "da"], False, sorted([*loads("cli_dist", "stats"), "cli_parse"])),
     (["dist", "--n", "4"], False, GENERAL_MODULES),
     (["dist", "--n", "4", "--stat", "des", "--format", "json"], True, loads("cli_dist")),
     (["dist", "--n", "4", "--stat", "hp", "--q"], True, loads("cli_dist", "qpoly")),
+    # no statistic reads a path, so dist loads no dyck
     (
         ["dist", "--n", "4", "--stat", "hp", "--q", "--format", "csv"],
         False,
-        loads("cli_dist", "dyck", "stats"),
+        loads("cli_dist", "stats"),
     ),
-    # without --q on hp no path is read, so dist loads no dyck
     (["dist", "--n", "4", "--stat", "da"], False, loads("cli_dist", "stats")),
     (["narayana", "--n", "5", "--format", "csv"], False, loads("cli_polys", "qpoly")),
     *(
@@ -961,7 +962,7 @@ STARTUP_ROWS = [
             False,
             loads("cli_polys", *ROUTE_MODULES[route]),
         )
-        for route in (*cli_common.ROUTES, "all")
+        for route in (*narayana.ROUTES, "all")
     ),
     (
         ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random", "--samples", "2"],
@@ -1015,7 +1016,7 @@ def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_p
     assert (result.returncode, result.stdout) == expected, result.stderr
     loaded, csv_at_start, csv_at_end = result.stderr.splitlines()[-1].rsplit(" ", 2)
     assert loaded == repr(modules)
-    assert ("cli_help" in modules) == ("--help" in argv)
+    assert "cli_help" not in loaded
     assert csv_at_end == csv_at_start  # no request loads csv, --format csv included
 
 

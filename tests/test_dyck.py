@@ -12,7 +12,6 @@ from narayana.stats import distribution, joint_q
 from oracles import (
     da,
     des,
-    des_wrt,
     descent_set,
     descent_set_wrt,
     ea,
@@ -207,26 +206,28 @@ def test_descent_set_wrt_length_mismatch():
 
 
 # Per-path oracle for the transfer matrix behind distribution and joint_q:
-# every accepted statistic name read off each enumerated path.
-PER_PATH = {"des": des, "maj": maj, "hp": hp, "ea": ea, "lnfs": lnfs, "maj_l": maj_l, "da": da}
-ACCEPTED = (*PER_PATH, "des_w", "maj_w")
+# every accepted statistic name read off each enumerated path.  maj_w is
+# maj read against the reference path W = (vh)^n, relabeling both paths.
+PER_PATH = {
+    "des": des,
+    "maj": maj,
+    "hp": hp,
+    "ea": ea,
+    "lnfs": lnfs,
+    "maj_l": maj_l,
+    "da": da,
+    "maj_w": lambda w: maj_wrt(w, DyckPath("vh" * w.n)),
+}
+ACCEPTED = tuple(PER_PATH)
 
 
-def per_path(name, wrt):
-    if name == "des_w":
-        return lambda w: des_wrt(w, wrt)
-    if name == "maj_w":
-        return lambda w: maj_wrt(w, wrt)
-    return PER_PATH[name]
-
-
-def oracle_distribution(n, name, wrt=None):
+def oracle_distribution(n, name):
     paths = map(DyckPath, enumerate_paths(n))
-    return dict(sorted(Counter(map(per_path(name, wrt), paths)).items()))
+    return dict(sorted(Counter(map(PER_PATH[name], paths)).items()))
 
 
-def oracle_joint_q(n, name, coname, wrt=None):
-    stat, costat = per_path(name, wrt), per_path(coname, wrt)
+def oracle_joint_q(n, name, coname):
+    stat, costat = PER_PATH[name], PER_PATH[coname]
     raw = defaultdict(Counter)
     for w in map(DyckPath, enumerate_paths(n)):
         raw[stat(w)][costat(w)] += 1
@@ -235,19 +236,17 @@ def oracle_joint_q(n, name, coname, wrt=None):
 
 def test_distribution_matches_enumeration_oracle():
     for n in range(10):
-        wrt = random_path(n, n)
         for name in ACCEPTED:
-            expected = oracle_distribution(n, name, wrt)
+            expected = oracle_distribution(n, name)
             # same counts in the same key order
-            assert list(distribution(n, name, wrt=wrt).items()) == list(expected.items()), (n, name)
+            assert list(distribution(n, name).items()) == list(expected.items()), (n, name)
 
 
 def test_joint_q_matches_enumeration_oracle():
     for n in range(10):
-        zigzag = DyckPath("vh" * n)
         for name, coname in (("des", "maj"), ("lnfs", "maj_l"), ("hp", "maj_w"), ("ea", "maj")):
-            expected = oracle_joint_q(n, name, coname, zigzag)
-            got = joint_q(n, name, coname, wrt=zigzag)
+            expected = oracle_joint_q(n, name, coname)
+            got = joint_q(n, name, coname)
             assert list(got.items()) == list(expected.items()), (n, name, coname)
 
 
@@ -255,33 +254,23 @@ def test_tables_keyed_by_a_major_index_match_enumeration_oracle():
     # a major index reaches about n^2, so its values key the most states
     # and, packed, make the longest ints
     for n in range(10):
-        zigzag = DyckPath("vh" * n)
         for name in ("maj", "maj_l", "maj_w"):
-            expected = oracle_distribution(n, name, zigzag)
-            assert list(distribution(n, name, wrt=zigzag).items()) == list(expected.items())
+            expected = oracle_distribution(n, name)
+            assert list(distribution(n, name).items()) == list(expected.items())
         for name, coname in (("maj", "des"), ("maj_l", "lnfs"), ("maj_w", "hp")):
-            expected = oracle_joint_q(n, name, coname, zigzag)
-            got = joint_q(n, name, coname, wrt=zigzag)
+            expected = oracle_joint_q(n, name, coname)
+            got = joint_q(n, name, coname)
             assert list(got.items()) == list(expected.items()), (n, name, coname)
 
 
 def test_every_table_counts_every_path_once():
     # a packed count that overflowed into the next digit would change the sum
     for n in range(13):
-        wrt = random_path(n, n)
         for name in ACCEPTED:
-            assert sum(distribution(n, name, wrt=wrt).values()) == catalan(n), (n, name)
+            assert sum(distribution(n, name).values()) == catalan(n), (n, name)
         for name, coname in (("des", "maj"), ("lnfs", "maj_l"), ("hp", "maj_w"), ("maj", "des")):
-            table = joint_q(n, name, coname, wrt=wrt)
+            table = joint_q(n, name, coname)
             assert sum(sum(p.coeffs) for p in table.values()) == catalan(n), (n, name, coname)
-
-
-def test_joint_q_des_w_every_reference_path():
-    for n in range(6):
-        for w0 in map(DyckPath, enumerate_paths(n)):
-            expected = oracle_joint_q(n, "des_w", "maj_w", w0)
-            assert list(joint_q(n, "des_w", "maj_w", wrt=w0).items()) == list(expected.items())
-            assert distribution(n, "maj_w", wrt=w0) == oracle_distribution(n, "maj_w", w0)
 
 
 def test_distribution_does_not_enumerate(monkeypatch):
@@ -292,19 +281,14 @@ def test_distribution_does_not_enumerate(monkeypatch):
     # in the oracles, which the library cannot call
     for name in ("enumerate_paths", "ls_set"):
         monkeypatch.setattr(f"narayana.dyck.{name}", forbidden)
-    w0 = DyckPath("vvhvhh")
     for name in ACCEPTED:
-        assert sum(distribution(3, name, wrt=w0).values()) == 5
-    assert sum(sum(p.coeffs) for p in joint_q(3, "des_w", "maj_w", wrt=w0).values()) == 5
+        assert sum(distribution(3, name).values()) == 5
+    assert sum(sum(p.coeffs) for p in joint_q(3, "hp", "maj_w").values()) == 5
 
 
 def test_distribution_errors():
-    assert all(distribution(0, name, wrt=DyckPath("")) == {0: 1} for name in ACCEPTED)
+    assert all(distribution(0, name) == {0: 1} for name in ACCEPTED)
     assert joint_q(0, "des", "maj") == {0: QPoly((1,))}
-    with pytest.raises(ValueError, match="length mismatch"):
-        distribution(3, "des_w", wrt=DyckPath("vh"))
-    with pytest.raises(ValueError, match="length mismatch"):
-        joint_q(3, "hp", "maj_w", wrt=DyckPath("vvhh"))
     with pytest.raises(ValueError, match="negative semilength"):
         distribution(-1, "des")
     with pytest.raises(ValueError, match="negative semilength"):
@@ -314,7 +298,7 @@ def test_distribution_errors():
 def test_distribution_frozen():
     assert distribution(3, "des") == {0: 1, 1: 3, 2: 1}
     assert distribution(3, "hp") == {0: 1, 1: 3, 2: 1}
-    assert distribution(3, "des_w", wrt=DyckPath("vhvhvh")) == {0: 1, 1: 3, 2: 1}
+    assert distribution(3, "maj_w") == {0: 1, 2: 1, 3: 1, 4: 1, 6: 1}
 
 
 def test_distribution_unknown_statistic():
@@ -322,7 +306,7 @@ def test_distribution_unknown_statistic():
         distribution(3, "peaks")
     with pytest.raises(ValueError, match="unknown statistic"):
         joint_q(3, "des", "charge")
-    with pytest.raises(ValueError, match="needs a reference path"):
+    with pytest.raises(ValueError, match="unknown statistic"):
         distribution(3, "des_w")
 
 
@@ -345,12 +329,6 @@ def test_joint_q_frozen():
         1: QPoly((0, 0, 1, 1, 1)),
         2: QPoly((0,) * 6 + (1,)),
     }
-
-
-def test_joint_q_des_w():
-    w0 = DyckPath("vhvvhvhh")
-    table = joint_q(4, "des_w", "maj_w", wrt=w0)
-    assert sum(sum(p.coeffs) for p in table.values()) == catalan(4)
 
 
 def test_unrank_frozen():

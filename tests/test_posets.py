@@ -309,6 +309,11 @@ def test_verify_theorem_main_random_reference_paths():
     assert verify_theorem_main(4, [random_path(4, seed) for seed in range(5)]) == []
 
 
+def test_verify_theorem_main_every_reference_path():
+    for n in range(1, 6):
+        assert verify_theorem_main(n, map(DyckPath, enumerate_paths(n))) == [], n
+
+
 def theorem_witnesses_per_pair(n, refs, beta):
     # the oracle: descent_set_wrt relabels both paths for every pair; within
     # a reference, witnesses come by size and then elements of s

@@ -397,9 +397,9 @@ def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
     calls = []
     joint_counts = stats._joint_counts
 
-    def counted(n, names, wrt):
+    def counted(n, names):
         calls.append((n, names))
-        return joint_counts(n, names, wrt)
+        return joint_counts(n, names)
 
     monkeypatch.setattr(stats, "_joint_counts", counted)
     assert verify_q_identity(8) == []
