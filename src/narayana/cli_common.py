@@ -2,11 +2,13 @@
 that both the --help text and the handlers read, the checks as (module,
 function, largest n) rows, stderr and usage-error output, and a JSON writer.
 
-The parser lives in narayana.cli and each command's handler in a module of
-its own, which main() imports through _library, so that a request compiles
-only the parser and its own command.  No module imports narayana.cli: run as
-``python -m narayana.cli`` it is __main__, and that import would compile it
-a second time.  No library module is imported here.
+The parser's table and the full-form reader live in narayana.cli, the
+general reader and --help in narayana.cli_parse, and _library, which
+imports each command's handler module, in the package root, so that a
+request compiles only the reader it needs and its own command.  No module
+imports narayana.cli: run as ``python -m narayana.cli`` it is __main__,
+and that import would compile it a second time.  No library module is
+imported here.
 """
 
 import os

@@ -21,7 +21,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     parameters: dict = {"n": n}
     refs = None
     if check == "main-theorem":
-        from .dyck import DyckPath, random_path
+        from .dyck import dyck_word, random_path
 
         ref = args.ref_path if args.ref_path is not None else "v" * n + "h" * n
         if ref == "random":
@@ -32,12 +32,12 @@ def cmd_verify(args: SimpleNamespace) -> int:
             refs = [random_path(n, rng) for _ in range(args.samples)]
         else:
             try:
-                w = DyckPath(ref)
+                w = dyck_word(ref)
             except ValueError as exc:
                 return _usage(f"bad ref-path: {exc}")
-            if w.n != n:
-                return _usage(f"ref-path has semilength {w.n}, expected {n}")
-            parameters["ref_path"] = w.word
+            if len(w) // 2 != n:
+                return _usage(f"ref-path has semilength {len(w) // 2}, expected {n}")
+            parameters["ref_path"] = w
             refs = [w]
     run = _library(module, function)
     started = time.monotonic()

@@ -12,49 +12,23 @@ from functools import cache
 Label = tuple[str, int]
 
 
-class DyckPath:
-    """An immutable Dyck path of semilength n, held as its lowercase word.
-
-    It validates words that come from outside; the readers below take a
-    word, since the library's own words are Dyck words by construction."""
-
-    __slots__ = ("_word",)
-
-    def __init__(self, steps: "Iterable[str] | str"):
-        word = "".join(steps).lower()
-        excess = 0
-        for position, letter in enumerate(word, start=1):
-            if letter == "v":
-                excess += 1
-            elif letter == "h":
-                excess -= 1
-                if excess < 0:
-                    raise ValueError(f"prefix condition violated at position {position}")
-            else:
-                raise ValueError(f"invalid character {letter!r} in path word")
-        if excess != 0:
-            raise ValueError("unbalanced word: needs equal numbers of v and h")
-        self._word = word
-
-    @property
-    def n(self) -> int:
-        """Semilength; the word has 2n letters."""
-        return len(self._word) // 2
-
-    @property
-    def word(self) -> str:
-        return self._word
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DyckPath):
-            return self._word == other._word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._word)
-
-    def __repr__(self) -> str:
-        return f"DyckPath({self._word!r})"
+def dyck_word(steps: "Iterable[str] | str") -> str:
+    """A path's word from outside, lowercased and validated: the one guard
+    on words, as the library's own are Dyck words by construction."""
+    word = "".join(steps).lower()
+    excess = 0
+    for position, letter in enumerate(word, start=1):
+        if letter == "v":
+            excess += 1
+        elif letter == "h":
+            excess -= 1
+            if excess < 0:
+                raise ValueError(f"prefix condition violated at position {position}")
+        else:
+            raise ValueError(f"invalid character {letter!r} in path word")
+    if excess != 0:
+        raise ValueError("unbalanced word: needs equal numbers of v and h")
+    return word
 
 
 def enumerate_paths(n: int) -> Iterator[str]:
@@ -91,7 +65,7 @@ def _completions(steps: int, excess: int) -> int:
     return total
 
 
-def unrank(n: int, index: int) -> DyckPath:
+def unrank(n: int, index: int) -> str:
     """The path at the given 0-based position in lexicographic order."""
     if n < 0:
         raise ValueError(f"negative semilength: {n}")
@@ -109,10 +83,10 @@ def unrank(n: int, index: int) -> DyckPath:
             index -= with_v
             word.append("h")
             excess -= 1
-    return DyckPath(word)
+    return "".join(word)
 
 
-def random_path(n: int, seed: "int | random.Random | None" = None) -> DyckPath:
+def random_path(n: int, seed: "int | random.Random | None" = None) -> str:
     """A uniformly random path, reproducible for a fixed integer seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return unrank(n, rng.randrange(_completions(2 * n, 0)))

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from operator import gt
 
-from .dyck import DyckPath, enumerate_paths, label
+from .dyck import dyck_word, enumerate_paths, label
 
 
 def flag_h_table(n: int) -> Counter[frozenset[int]]:
@@ -69,10 +69,10 @@ def flag_h_mismatches(
     return witnesses
 
 
-def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
+def verify_theorem_main(n: int, refs: Iterable[str]) -> list[dict]:
     """Check beta(S) of J(2 x n) against the number of paths whose descent
     set read against W equals S, for every S in [2n-1] and every reference
-    path W in refs.
+    path W in refs, each a word that is validated here.
 
     The flag h-vector is computed once and every path and reference is
     labeled once.  Returns the flag_h_mismatches witnesses of each
@@ -81,12 +81,12 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     """
     if n < 1:
         raise ValueError(f"verify_theorem_main needs n >= 1, got {n}")
-    refs = list(refs)
+    refs = list(map(dyck_word, refs))
     if not refs:
         raise ValueError("verify_theorem_main needs at least one reference path")
     for W in refs:
-        if W.n != n:
-            raise ValueError(f"length mismatch: |W| = {2 * W.n}, expected {2 * n}")
+        if len(W) != 2 * n:
+            raise ValueError(f"length mismatch: |W| = {len(W)}, expected {2 * n}")
     betas = flag_h_table(n)
     labeled = [label(w) for w in enumerate_paths(n)]
     # a descent set is keyed by its bytes, a flag per position, and built
@@ -94,11 +94,11 @@ def verify_theorem_main(n: int, refs: Iterable[DyckPath]) -> list[dict]:
     expected = Counter({bytes(r in S for r in range(1, 2 * n)): b for S, b in betas.items()})
     witnesses = []
     for W in refs:
-        order = {lab: pos for pos, lab in enumerate(label(W.word))}
+        order = {lab: pos for pos, lab in enumerate(label(W))}
         positions = [list(map(order.__getitem__, lab)) for lab in labeled]
         counts = Counter(bytes(map(gt, pi, pi[1:])) for pi in positions)
         if counts != expected:
             sets = (frozenset(r for r, d in enumerate(key, 1) if d) for key in counts)
             buckets = dict(zip(sets, counts.values()))
-            witnesses += [dict(w, ref_path=W.word) for w in flag_h_mismatches(betas, paths=buckets)]
+            witnesses += [dict(w, ref_path=W) for w in flag_h_mismatches(betas, paths=buckets)]
     return witnesses

@@ -16,7 +16,6 @@ from collections.abc import Iterator, Sequence
 # qpoly or stats, the schur-ssyt route no dyck; annotations are strings
 
 Rows = tuple[tuple[int, int], ...]
-DyckPath = None  # bound by the first ssyt_to_dyck call, not imported by each
 
 
 def two_column_fillings(k: int, m: int) -> Iterator[Rows]:
@@ -36,17 +35,15 @@ def two_column_fillings(k: int, m: int) -> Iterator[Rows]:
     return iter(tableaux)
 
 
-def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
-    """Encode a two-column tableau with entries below n as a Dyck path.
+def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> str:
+    """Encode a two-column tableau with entries below n as a Dyck word.
 
     The word is built in k + 1 blocks of v runs followed by h runs: the
     first block has T_12 v and T_11 h, block i the successive differences
     down the columns, and the last block tops both columns up to n.  The
-    descent set of the result is exactly the set of row sums.
+    descent set of the result is exactly the set of row sums, and the
+    validated rows make it a Dyck word by construction.
     """
-    global DyckPath
-    if DyckPath is None:
-        from .dyck import DyckPath
     if n < 1:
         raise ValueError(f"ssyt_to_dyck needs n >= 1, got {n}")
     word, above = [], (0, 0)
@@ -69,15 +66,15 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> "DyckPath":
         word += ["v" * (row[1] - above[1]), "h" * (row[0] - above[0])]
         above = row
     word += ["v" * (n - above[1]), "h" * (n - above[0])]
-    return DyckPath("".join(word))
+    return "".join(word)
 
 
-def dyck_to_ssyt(w: "DyckPath") -> Rows:
+def dyck_to_ssyt(word: str) -> Rows:
     """Inverse of ssyt_to_dyck: row i holds the numbers of h and of v up to
     the i-th descent.  The word's blocks, a v run and then an h run, end
     at its descents, so the rows are the running counts over the blocks."""
     rows, h, v = [], 0, 0
-    for block in w.word.replace("hv", "h v").split()[:-1]:
+    for block in word.replace("hv", "h v").split()[:-1]:
         rise = block.index("h")
         h, v = h + len(block) - rise, v + rise
         rows.append((h, v))
@@ -116,8 +113,10 @@ def verify_ssyt(n: int) -> list[dict]:
     """The ssyt check: two-column tableaux with entries below n, counted by
     row-sum set, reproduce the flag h-vector of J(2 x n), and every one
     round-trips through ssyt_to_dyck and dyck_to_ssyt.  Witnesses of
-    failed round-trips come first, then one per mismatched rank set."""
-    # imported here, so that the q-Narayana routes do not load posets
+    images that are no Dyck word or fail the round-trip come first, then
+    one per mismatched rank set."""
+    # imported here, so that the q-Narayana routes load neither
+    from .dyck import dyck_word
     from .posets import flag_h_mismatches, flag_h_table
 
     counts: Counter[frozenset[int]] = Counter()
@@ -125,9 +124,13 @@ def verify_ssyt(n: int) -> list[dict]:
     for k in range(n):
         for rows in two_column_fillings(k, n - 1):
             counts[frozenset(map(sum, rows))] += 1
-            w = ssyt_to_dyck(rows, n)
-            if dyck_to_ssyt(w) != rows:
-                witnesses.append({"path": w.word, "tableau": [list(r) for r in rows]})
+            word = ssyt_to_dyck(rows, n)
+            try:
+                inverted = dyck_to_ssyt(dyck_word(word)) == rows
+            except ValueError:
+                inverted = False
+            if not inverted:
+                witnesses.append({"path": word, "tableau": [list(r) for r in rows]})
     return witnesses + flag_h_mismatches(flag_h_table(n), ssyt_count=counts)
 
 

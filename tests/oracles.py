@@ -12,7 +12,7 @@ from functools import cache, cached_property, reduce
 from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from narayana.dyck import DyckPath, _completions, label, ls_set
+from narayana.dyck import _completions, dyck_word, label, ls_set
 from narayana.qpoly import QPoly
 from narayana.shelling import (
     FacetOrder,
@@ -57,17 +57,16 @@ def descent_set(word: str) -> frozenset[int]:
 
 
 # per-path statistics, the oracle of stats.distribution and stats.joint_q
-def des(w: DyckPath) -> int:
-    return len(descent_set(w.word))
+def des(word: str) -> int:
+    return len(descent_set(word))
 
 
-def maj(w: DyckPath) -> int:
-    return sum(descent_set(w.word))
+def maj(word: str) -> int:
+    return sum(descent_set(word))
 
 
-def high_peak_set(w: DyckPath) -> frozenset[int]:
+def high_peak_set(word: str) -> frozenset[int]:
     """Positions i of peaks vh whose prefix v-excess through the v is >= 2."""
-    word = w.word
     high = []
     excess = 0
     for i, letter in enumerate(word, start=1):
@@ -80,64 +79,62 @@ def high_peak_set(w: DyckPath) -> frozenset[int]:
     return frozenset(high)
 
 
-def hp(w: DyckPath) -> int:
-    return len(high_peak_set(w))
+def hp(word: str) -> int:
+    return len(high_peak_set(word))
 
 
-def ea(w: DyckPath) -> int:
+def ea(word: str) -> int:
     """Number of v in even positions."""
-    word = w.word
-    return sum(1 for i in range(2, 2 * w.n + 1, 2) if word[i - 1] == "v")
+    return sum(1 for i in range(2, len(word) + 1, 2) if word[i - 1] == "v")
 
 
-def lnfs(w: DyckPath) -> int:
-    return len(ls_set(w.word))
+def lnfs(word: str) -> int:
+    return len(ls_set(word))
 
 
-def maj_l(w: DyckPath) -> int:
-    return sum(ls_set(w.word))
+def maj_l(word: str) -> int:
+    return sum(ls_set(word))
 
 
-def da(w: DyckPath) -> int:
+def da(word: str) -> int:
     """Number of double ascents, i.e. factors vv."""
-    word = w.word
-    return sum(1 for i in range(2 * w.n - 1) if word[i] == "v" and word[i + 1] == "v")
+    return sum(1 for i in range(len(word) - 1) if word[i] == "v" and word[i + 1] == "v")
 
 
-def label_string(w: DyckPath) -> str:
+def label_string(word: str) -> str:
     """The labeling rendered like ``v1v2h1v3h2h3``."""
-    return "".join(f"{letter}{index}" for letter, index in label(w.word))
+    return "".join(f"{letter}{index}" for letter, index in label(word))
 
 
-def descent_set_wrt(w: DyckPath, w0: DyckPath) -> frozenset[int]:
+def descent_set_wrt(w: str, w0: str) -> frozenset[int]:
     """Positions i where the labeled letter w_{i+1} occurs before w_i in w0."""
-    if w.n != w0.n:
-        raise ValueError(f"length mismatch: |w| = {2 * w.n}, |W| = {2 * w0.n}")
-    order = {lab: pos for pos, lab in enumerate(label(w0.word))}
-    labeled = label(w.word)
+    if len(w) != len(w0):
+        raise ValueError(f"length mismatch: |w| = {len(w)}, |W| = {len(w0)}")
+    order = {lab: pos for pos, lab in enumerate(label(w0))}
+    labeled = label(w)
     return frozenset(
         i
-        for i in range(1, 2 * w.n)
+        for i in range(1, len(w))
         if order[labeled[i]] < order[labeled[i - 1]]
     )
 
 
-def des_wrt(w: DyckPath, w0: DyckPath) -> int:
+def des_wrt(w: str, w0: str) -> int:
     return len(descent_set_wrt(w, w0))
 
 
-def maj_wrt(w: DyckPath, w0: DyckPath) -> int:
+def maj_wrt(w: str, w0: str) -> int:
     return sum(descent_set_wrt(w, w0))
 
 
-def rank(w: DyckPath) -> int:
-    """Position of w in lexicographic order with v < h; inverse of
-    dyck.unrank, counting the paths that branch off w with an h."""
+def rank(word: str) -> int:
+    """Position of the word in lexicographic order with v < h; inverse of
+    dyck.unrank, counting the paths that branch off it with an h."""
     index = 0
     excess = 0
-    length = 2 * w.n
+    length = len(word)
     for i in range(1, length + 1):
-        if w.word[i - 1] == "h":
+        if word[i - 1] == "h":
             index += _completions(length - i, excess + 1)
             excess -= 1
         else:
@@ -481,7 +478,7 @@ def jordan_holder(
     ]
 
 
-def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
+def extension_to_path(sigma: Sequence[tuple[int, int]]) -> str:
     """Read a linear extension of 2 x n as a word: first-row elements
     become v, second-row elements become h."""
     n, remainder = divmod(len(sigma), 2)
@@ -489,26 +486,26 @@ def extension_to_path(sigma: Sequence[tuple[int, int]]) -> DyckPath:
     covers = [] if P is None else [(a, b) for a in P.elements for b in P.upper_covers(a)]
     if P is None or not is_linear_extension(sigma, P.elements, covers):
         raise ValueError("not a linear extension")
-    return DyckPath("v" if e[0] == 1 else "h" for e in sigma)
+    return "".join("v" if e[0] == 1 else "h" for e in sigma)
 
 
-def path_to_extension(w: DyckPath) -> tuple[tuple[int, int], ...]:
+def path_to_extension(word: str) -> tuple[tuple[int, int], ...]:
     """Inverse of extension_to_path: the label ("v", i) becomes (1, i) and
     ("h", j) becomes (2, j)."""
-    return tuple((1 if letter == "v" else 2, i) for letter, i in label(w.word))
+    return tuple((1 if letter == "v" else 2, i) for letter, i in label(word))
 
 
 # the path-facet bijection, shellings and the rewrite potential
-def path_to_facet(w: DyckPath) -> frozenset[frozenset]:
+def path_to_facet(word: str) -> frozenset[frozenset]:
     """The maximal interior chain of J(2 x n) traced by the proper
     prefixes of the path: a prefix with a letters v and b letters h
     becomes the ideal with a elements in the first row and b in the
-    second, the same prefix of the linear extension path_to_extension(w)."""
-    sigma = path_to_extension(w)
-    return frozenset(frozenset(sigma[:i]) for i in range(1, 2 * w.n))
+    second, the same prefix of the linear extension path_to_extension(word)."""
+    sigma = path_to_extension(word)
+    return frozenset(frozenset(sigma[:i]) for i in range(1, len(word)))
 
 
-def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
+def facet_to_path(chain: Iterable[frozenset]) -> str:
     """Inverse of path_to_facet; rejects anything that is not a maximal
     interior chain of some J(2 x n)."""
     try:
@@ -517,7 +514,7 @@ def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
         firsts = [sum(e[0] == 1 for e in ideal) for ideal in sorted(ideals, key=len)]
         n = (len(firsts) + 1) // 2
         word = "".join("v" if b > a else "h" for a, b in zip([0, *firsts], firsts))
-        w = DyckPath(word + ("v" if firsts[-1] < n else "h"))
+        w = dyck_word(word + ("v" if firsts[-1] < n else "h"))
     except (ValueError, TypeError, IndexError):
         raise ValueError("not a maximal chain") from None
     if path_to_facet(w) != ideals:
@@ -525,15 +522,14 @@ def facet_to_path(chain: Iterable[frozenset]) -> DyckPath:
     return w
 
 
-def s_map(w: DyckPath, i: int) -> DyckPath:
+def s_map(word: str, i: int) -> str:
     """Rewrite the factor at positions i, i+1, i+2: vvh -> vhv and
     hhv -> hvh; anything else is left alone.  The oracle of the rewrites
     in shelling.omega_n."""
-    if not 1 <= i <= 2 * w.n - 2:
-        raise ValueError(f"position out of range: {i} not in [1, {2 * w.n - 2}]")
-    word = w.word
+    if not 1 <= i <= len(word) - 2:
+        raise ValueError(f"position out of range: {i} not in [1, {len(word) - 2}]")
     rewrite = {"vvh": "vhv", "hhv": "hvh"}.get(word[i - 1 : i + 2])
-    return w if rewrite is None else DyckPath(word[: i - 1] + rewrite + word[i + 2 :])
+    return word if rewrite is None else word[: i - 1] + rewrite + word[i + 2 :]
 
 
 def closure_covers(om: FacetOrder) -> list[tuple[int, int]]:
@@ -631,10 +627,10 @@ def pairwise_preshelling(ord: FacetOrder) -> dict:
     }
 
 
-def sigma_stat(w: DyckPath) -> tuple[int, int]:
+def sigma_stat(word: str) -> tuple[int, int]:
     """The potential (da, maj); strictly lexicographically smaller after
     every nontrivial rewrite, which makes the rewriting relation acyclic."""
-    return (da(w), maj(w))
+    return (da(word), maj(word))
 
 
 def random_linear_extension(

@@ -7,7 +7,7 @@ so a log scan shows the state of the whole gate at a glance.
 import random
 from collections import Counter
 
-from narayana.dyck import DyckPath, enumerate_paths, ls_set, random_path
+from narayana.dyck import enumerate_paths, ls_set, random_path
 from narayana.posets import flag_h_table, verify_theorem_main
 from narayana.preshelling import check_preshelling
 from narayana.qpoly import QPoly, narayana, q_narayana_closed, q_narayana_hook
@@ -80,7 +80,7 @@ def test_criterion_02_q_narayana_three_way(capsys):
 def test_criterion_03_main_theorem_all_reference_paths(capsys):
     def body():
         for n in range(1, 5):
-            if verify_theorem_main(n, map(DyckPath, enumerate_paths(n))):
+            if verify_theorem_main(n, enumerate_paths(n)):
                 return False
         for n in (5, 6):
             rng = random.Random(40 + n)
@@ -202,7 +202,7 @@ def test_criterion_08_partition_flag_h(capsys):
 def test_criterion_09_sigma_strictly_decreases(capsys):
     def body():
         for n in range(2, 8):
-            for w in map(DyckPath, enumerate_paths(n)):
+            for w in enumerate_paths(n):
                 before = sigma_stat(w)
                 for i in range(1, 2 * n - 1):
                     u = s_map(w, i)
@@ -217,16 +217,16 @@ def test_criterion_09_sigma_strictly_decreases(capsys):
 
 def test_criterion_10_figure_regressions(capsys):
     def body():
-        W, w = DyckPath("vvhvhh"), DyckPath("vhvvhh")
+        W, w = "vvhvhh", "vhvvhh"
         if label_string(W) != "v1v2h1v3h2h3" or label_string(w) != "v1h1v2v3h2h3":
             return False
         if descent_set_wrt(w, W) != frozenset({2}):
             return False
         rows = ((1, 2), (3, 5), (5, 6))
         path = ssyt_to_dyck(rows, 7)
-        if path != DyckPath("vvhvvvhhvhhvhh"):
+        if path != "vvhvvvhhvhhvhh":
             return False
-        if descent_set(path.word) != frozenset({3, 8, 11}):
+        if descent_set(path) != frozenset({3, 8, 11}):
             return False
         if dyck_to_ssyt(path) != rows:
             return False

@@ -503,14 +503,50 @@ def test_verify_main_theorem_random_is_deterministic(capsys):
 
 
 def test_verify_bad_ref_paths(capsys):
+    # refused before the check runs: the one error line and no elapsed line
     base = ["verify", "--check", "main-theorem", "--n", "3", "--ref-path"]
-    for ref in ("vvhv", "hhvv", "xxxxxx"):
-        code, _, err = run(capsys, *base, ref)
-        assert code == 2
-        assert "bad ref-path" in err
-    code, _, err = run(capsys, *base, "vvhh")
-    assert code == 2
-    assert "semilength" in err
+    for ref, message in (
+        ("vvhv", "bad ref-path: unbalanced word: needs equal numbers of v and h"),
+        ("hhvv", "bad ref-path: prefix condition violated at position 1"),
+        ("xxxxxx", "bad ref-path: invalid character 'x' in path word"),
+        ("vvhh", "ref-path has semilength 2, expected 3"),
+    ):
+        code, out, err = run(capsys, *base, ref)
+        assert (code, out, err) == (2, "", f"narayana: error: {message}\n"), ref
+
+
+def test_verify_ref_path_is_echoed_lowercase(capsys):
+    argv = ["verify", "--check", "main-theorem", "--n", "3", "--ref-path", "VVVHHH"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "check main-theorem\nn 3\nref-path vvvhhh\nverdict pass\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"n": 3, "ref_path": "vvvhhh"}
+    assert '"ref_path": "vvvhhh"' in out
+
+
+def swap_first_block(word: str) -> str:
+    """The word with its first v run and the h run after it swapped: a
+    word that starts with h, which is no Dyck word."""
+    rise = word.index("h")
+    fall = len(word) - rise - len(word[rise:].lstrip("h"))
+    return word[rise : rise + fall] + word[:rise] + word[rise + fall :]
+
+
+def test_verify_ssyt_names_a_faulty_image(capsys, monkeypatch):
+    # a fault in ssyt_to_dyck is a witness of the check, not a crash
+    real = tableaux.ssyt_to_dyck
+    monkeypatch.setattr(tableaux, "ssyt_to_dyck", lambda rows, n: swap_first_block(real(rows, n)))
+    witnesses = tableaux.verify_ssyt(4)
+    assert witnesses[0] == {"path": "hhhhvvvv", "tableau": []}
+    assert len(witnesses) == 14  # Catalan(4): every tableau, and no rank set
+    assert all(set(w) == {"path", "tableau"} and w["path"][0] == "h" for w in witnesses)
+    code, out, err = run(capsys, "verify", "--check", "ssyt", "--n", "4")
+    assert code == 1
+    assert out.splitlines()[:3] == ["check ssyt", "n 4", "verdict fail"]
+    assert 'witness {"path": "hhhhvvvv", "tableau": []}' in out.splitlines()
+    assert "Traceback" not in err and err.startswith("elapsed ")
 
 
 def test_verify_guards(capsys):

@@ -6,7 +6,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.dyck import DyckPath, enumerate_paths, ls_set, random_path, unrank
+from narayana.dyck import dyck_word, enumerate_paths, ls_set, random_path, unrank
 from narayana.qpoly import QPoly, catalan, narayana
 from narayana.stats import distribution, joint_q
 from oracles import (
@@ -55,30 +55,35 @@ small_paths = st.builds(
 )
 
 
-def test_construction_and_rendering():
-    w = DyckPath("vvhvhh")
-    assert w.n == 3
-    assert w.word == "vvhvhh"
-    assert repr(w) == "DyckPath('vvhvhh')"
-    assert DyckPath("VVHVHH") == w
-    assert DyckPath(["v", "v", "h", "v", "h", "h"]) == w
+def test_dyck_word_lowercases_strings_and_letter_iterables():
+    for steps in ("vvhvhh", "VVHVHH", "vVhVhH", ["v", "v", "h", "v", "h", "h"], iter("vvhvhh")):
+        w = dyck_word(steps)
+        assert type(w) is str and w == "vvhvhh", steps
 
 
-def test_construction_rejects_bad_words():
-    with pytest.raises(ValueError, match="invalid character"):
-        DyckPath("vxvh")
-    with pytest.raises(ValueError, match="unbalanced"):
-        DyckPath("vvh")
-    with pytest.raises(ValueError, match="unbalanced"):
-        DyckPath("vvhh" + "vv")
-    with pytest.raises(ValueError, match="prefix condition violated at position 3"):
-        DyckPath("vhhv")
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ("vxvh", "invalid character 'x' in path word"),
+        ("vvh", "unbalanced word: needs equal numbers of v and h"),
+        ("vvhh" + "vv", "unbalanced word: needs equal numbers of v and h"),
+        ("vhhv", "prefix condition violated at position 3"),
+        ("VHHV", "prefix condition violated at position 3"),
+        ("h", "prefix condition violated at position 1"),
+        ("v h", "invalid character ' ' in path word"),
+    ],
+    ids=["invalid", "short", "long", "prefix", "prefix-upper", "h-first", "space"],
+)
+def test_dyck_word_rejects_bad_words(steps, message):
+    with pytest.raises(ValueError) as refused:
+        dyck_word(steps)
+    assert str(refused.value) == message
 
 
 def test_empty_path():
-    w = DyckPath("")
-    assert w.n == 0
-    assert list(enumerate_paths(0)) == [w.word]
+    w = dyck_word("")
+    assert w == ""
+    assert list(enumerate_paths(0)) == [w]
     assert des(w) == hp(w) == ea(w) == lnfs(w) == da(w) == 0
 
 
@@ -123,34 +128,33 @@ def test_descent_set_frozen():
     assert descent_set("vh") == frozenset()
     assert descent_set("vvhvhh") == {3}
     assert descent_set("vhvhvh") == {2, 4}
-    assert (des(DyckPath("vvvhhh")), maj(DyckPath("vvvhhh"))) == (0, 0)
-    assert (des(DyckPath("vvhhvh")), maj(DyckPath("vvhhvh"))) == (1, 4)
-    assert (des(DyckPath("vhvhvh")), maj(DyckPath("vhvhvh"))) == (2, 6)
+    assert (des("vvvhhh"), maj("vvvhhh")) == (0, 0)
+    assert (des("vvhhvh"), maj("vvhhvh")) == (1, 4)
+    assert (des("vhvhvh"), maj("vhvhvh")) == (2, 6)
 
 
 def test_high_peak_frozen():
-    assert high_peak_set(DyckPath("vhvhvh")) == frozenset()
-    assert high_peak_set(DyckPath("vvvhhh")) == {3}
-    assert high_peak_set(DyckPath("vvhvhh")) == {2, 4}
-    assert hp(DyckPath("vvhvhh")) == 2
+    assert high_peak_set("vhvhvh") == frozenset()
+    assert high_peak_set("vvvhhh") == {3}
+    assert high_peak_set("vvhvhh") == {2, 4}
+    assert hp("vvhvhh") == 2
 
 
 @given(small_paths)
-def test_high_peaks_match_geometric_oracle(w):
-    word = w.word
+def test_high_peaks_match_geometric_oracle(word):
     hs = heights(word)
     expected = {
         i
         for i in range(1, len(word))
         if word[i - 1] == "v" and word[i] == "h" and hs[i] >= 2
     }
-    assert high_peak_set(w) == expected
+    assert high_peak_set(word) == expected
 
 
 def test_ea_frozen():
-    assert ea(DyckPath("vh")) == 0
-    assert ea(DyckPath("vvhvhh")) == 2
-    assert ea(DyckPath("vhvhvh")) == 0
+    assert ea("vh") == 0
+    assert ea("vvhvhh") == 2
+    assert ea("vhvhvh") == 0
 
 
 def test_ls_frozen():
@@ -158,51 +162,50 @@ def test_ls_frozen():
     assert ls_set("vvvhhh") == {3}
     assert ls_set("vvhhvh") == {2, 4}
     assert ls_set("vvvhhhvh") == {3, 6}
-    assert (lnfs(DyckPath("vvhhvh")), maj_l(DyckPath("vvhhvh"))) == (2, 6)
+    assert (lnfs("vvhhvh"), maj_l("vvhhvh")) == (2, 6)
 
 
 @given(small_paths)
-def test_ls_members_in_range(w):
-    s = ls_set(w.word)
-    assert all(2 <= i <= 2 * w.n - 1 for i in s)
-    word = w.word
+def test_ls_members_in_range(word):
+    s = ls_set(word)
+    assert all(2 <= i <= len(word) - 1 for i in s)
     for i in s:
         assert word[i - 2 : i + 1] in ("vvh", "hhv")
 
 
 def test_da_frozen():
-    assert da(DyckPath("vhvhvh")) == 0
-    assert da(DyckPath("vvvhhh")) == 2
-    assert da(DyckPath("vvhvhh")) == 1
+    assert da("vhvhvh") == 0
+    assert da("vvvhhh") == 2
+    assert da("vvhvhh") == 1
 
 
 def test_labeling():
-    assert label_string(DyckPath("vvhvhh")) == "v1v2h1v3h2h3"
-    assert label_string(DyckPath("vh")) == "v1h1"
-    assert label_string(DyckPath("vvhhvh")) == "v1v2h1h2v3h3"
+    assert label_string("vvhvhh") == "v1v2h1v3h2h3"
+    assert label_string("vh") == "v1h1"
+    assert label_string("vvhhvh") == "v1v2h1h2v3h3"
 
 
 def test_descent_set_wrt_worked_example():
     # w = v1 h1 v2 v3 h2 h3 read against W = v1 v2 h1 v3 h2 h3
-    assert descent_set_wrt(DyckPath("vhvvhh"), DyckPath("vvhvhh")) == {2}
+    assert descent_set_wrt("vhvvhh", "vvhvhh") == {2}
 
 
 def test_descent_set_wrt_identity_and_classical():
-    for w in map(DyckPath, enumerate_paths(4)):
+    for w in enumerate_paths(4):
         assert descent_set_wrt(w, w) == frozenset()
     for n in range(6):
-        staircase = DyckPath("v" * n + "h" * n)
-        zigzag = DyckPath("vh" * n)
-        for w in map(DyckPath, enumerate_paths(n)):
-            assert descent_set_wrt(w, staircase) == descent_set(w.word)
+        staircase = "v" * n + "h" * n
+        zigzag = "vh" * n
+        for w in enumerate_paths(n):
+            assert descent_set_wrt(w, staircase) == descent_set(w)
             assert descent_set_wrt(w, zigzag) == high_peak_set(w)
 
 
 def test_descent_set_wrt_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        descent_set_wrt(DyckPath("vh"), DyckPath("vvhh"))
+        descent_set_wrt("vh", "vvhh")
     with pytest.raises(ValueError, match="length mismatch"):
-        maj_wrt(DyckPath("vvhh"), DyckPath("vh"))
+        maj_wrt("vvhh", "vh")
 
 
 # Per-path oracle for the transfer matrix behind distribution and joint_q:
@@ -216,20 +219,19 @@ PER_PATH = {
     "lnfs": lnfs,
     "maj_l": maj_l,
     "da": da,
-    "maj_w": lambda w: maj_wrt(w, DyckPath("vh" * w.n)),
+    "maj_w": lambda w: maj_wrt(w, "vh" * (len(w) // 2)),
 }
 ACCEPTED = tuple(PER_PATH)
 
 
 def oracle_distribution(n, name):
-    paths = map(DyckPath, enumerate_paths(n))
-    return dict(sorted(Counter(map(PER_PATH[name], paths)).items()))
+    return dict(sorted(Counter(map(PER_PATH[name], enumerate_paths(n))).items()))
 
 
 def oracle_joint_q(n, name, coname):
     stat, costat = PER_PATH[name], PER_PATH[coname]
     raw = defaultdict(Counter)
-    for w in map(DyckPath, enumerate_paths(n)):
+    for w in enumerate_paths(n):
         raw[stat(w)][costat(w)] += 1
     return {k: QPoly([raw[k][d] for d in range(max(raw[k]) + 1)]) for k in sorted(raw)}
 
@@ -332,9 +334,9 @@ def test_joint_q_frozen():
 
 
 def test_unrank_frozen():
-    assert unrank(1, 0).word == "vh"
-    assert unrank(3, 0).word == "vvvhhh"
-    assert unrank(3, 4).word == "vhvhvh"
+    assert unrank(1, 0) == "vh"
+    assert unrank(3, 0) == "vvvhhh"
+    assert unrank(3, 4) == "vhvhvh"
 
 
 def test_unrank_errors():
@@ -346,19 +348,9 @@ def test_unrank_errors():
 
 def test_unrank_agrees_with_enumerate():
     for n in range(7):
-        for i, w in enumerate(map(DyckPath, enumerate_paths(n))):
+        for i, w in enumerate(enumerate_paths(n)):
             assert unrank(n, i) == w
             assert rank(w) == i
-
-
-def test_paths_from_every_constructor_are_one_value():
-    # a path built by enumeration, by unranking or from an uppercase word
-    # is one value and one dict key
-    for n in range(7):
-        for i, w in enumerate(map(DyckPath, enumerate_paths(n))):
-            twins = (w, unrank(n, i), DyckPath(w.word.upper()))
-            assert all(t == w for t in twins) and {hash(t) for t in twins} == {hash(w)}
-            assert {t: i for t in twins} == {w: i}
 
 
 def test_random_path_deterministic():
@@ -372,5 +364,5 @@ def test_random_path_deterministic():
 @given(st.integers(min_value=0, max_value=8), st.integers(0, 10**9))
 def test_random_path_is_valid(n, seed):
     w = random_path(n, seed)
-    assert w.n == n
-    DyckPath(w.word)
+    assert type(w) is str and len(w) == 2 * n
+    assert dyck_word(w) == w

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from narayana.dyck import DyckPath, enumerate_paths, random_path
+from narayana.dyck import enumerate_paths, random_path
 from narayana.posets import flag_h_mismatches, flag_h_table, verify_theorem_main
 from narayana.qpoly import catalan, narayana
 from oracles import (
@@ -155,7 +155,7 @@ def test_jordan_holder_small():
 
 def test_jordan_holder_descent_counts():
     P = chain_product_2xn(3)
-    omega = path_to_extension(DyckPath("vvvhhh"))
+    omega = path_to_extension("vvvhhh")
     pis = jordan_holder(P, omega)
     counts = Counter(len(permutation_descents(pi)) for pi in pis)
     assert counts == {0: 1, 1: 3, 2: 1}
@@ -268,19 +268,19 @@ def test_narayana_from_flag_h():
 
 def test_extension_path_bijection_figure():
     sigma = ((1, 1), (1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4))
-    assert extension_to_path(sigma).word == "vvhvvhhh"
-    assert path_to_extension(DyckPath("vvhvvhhh")) == sigma
+    assert extension_to_path(sigma) == "vvhvvhhh"
+    assert path_to_extension("vvhvvhhh") == sigma
 
 
 def test_extension_path_bijection_small():
-    assert extension_to_path(((1, 1), (2, 1))).word == "vh"
+    assert extension_to_path(((1, 1), (2, 1))) == "vh"
     assert extension_to_path(
         ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
-    ).word == "vvvhhh"
+    ) == "vvvhhh"
     for n in range(1, 6):
         for sigma in linear_extensions(chain_product_2xn(n)):
             assert path_to_extension(extension_to_path(sigma)) == sigma
-        for w in map(DyckPath, enumerate_paths(n)):
+        for w in enumerate_paths(n):
             assert extension_to_path(path_to_extension(w)) == w
 
 
@@ -292,12 +292,13 @@ def test_extension_to_path_rejects():
 
 
 def test_verify_theorem_main_small(monkeypatch):
-    assert verify_theorem_main(1, [DyckPath("vh")]) == []
-    assert verify_theorem_main(3, [DyckPath("vvvhhh"), DyckPath("vhvhvh")]) == []
+    assert verify_theorem_main(1, ["vh"]) == []
+    assert verify_theorem_main(3, ["vvvhhh", "vhvhvh"]) == []
     # against a table that puts both catalan(2) paths on the empty set, each
     # reference's one path on the empty set and one on {2} both mismatch
     monkeypatch.setattr("narayana.posets.flag_h_table", lambda n: Counter({frozenset(): 2}))
-    assert verify_theorem_main(2, [DyckPath("vhvh"), DyckPath("vvhh")]) == [
+    # a reference is validated and lowercased, so it is reported as its word
+    assert verify_theorem_main(2, ["VHVH", iter("vvhh")]) == [
         {"flag_h": 2, "paths": 1, "ref_path": "vhvh", "s": []},
         {"flag_h": 0, "paths": 1, "ref_path": "vhvh", "s": [2]},
         {"flag_h": 2, "paths": 1, "ref_path": "vvhh", "s": []},
@@ -311,7 +312,7 @@ def test_verify_theorem_main_random_reference_paths():
 
 def test_verify_theorem_main_every_reference_path():
     for n in range(1, 6):
-        assert verify_theorem_main(n, map(DyckPath, enumerate_paths(n))) == [], n
+        assert verify_theorem_main(n, enumerate_paths(n)) == [], n
 
 
 def theorem_witnesses_per_pair(n, refs, beta):
@@ -319,12 +320,12 @@ def theorem_witnesses_per_pair(n, refs, beta):
     # a reference, witnesses come by size and then elements of s
     witnesses = []
     for W in refs:
-        buckets = Counter(descent_set_wrt(DyckPath(w), W) for w in enumerate_paths(n))
+        buckets = Counter(descent_set_wrt(w, W) for w in enumerate_paths(n))
         for s in sorted(set(beta) | set(buckets), key=lambda s: (len(s), sorted(s))):
             value = beta.get(s, 0)
             if buckets[s] != value:
                 witnesses.append(
-                    {"flag_h": value, "paths": buckets[s], "ref_path": W.word, "s": sorted(s)}
+                    {"flag_h": value, "paths": buckets[s], "ref_path": W, "s": sorted(s)}
                 )
     return witnesses
 
@@ -344,12 +345,17 @@ def test_verify_theorem_main_matches_per_pair_oracle(n, monkeypatch):
 
 
 def test_verify_theorem_main_guards():
-    with pytest.raises(ValueError, match="length mismatch"):
-        verify_theorem_main(3, [DyckPath("vh")])
+    with pytest.raises(ValueError, match=r"^length mismatch: \|W\| = 2, expected 6$"):
+        verify_theorem_main(3, ["vh"])
     with pytest.raises(ValueError):
-        verify_theorem_main(0, [DyckPath("")])
+        verify_theorem_main(0, [""])
     with pytest.raises(ValueError, match="at least one reference"):
         verify_theorem_main(3, [])
+    # every reference passes the one guard on words from outside
+    with pytest.raises(ValueError, match="^prefix condition violated at position 3$"):
+        verify_theorem_main(2, ["vvhh", "vhhv"])
+    with pytest.raises(ValueError, match="^invalid character 'x' in path word$"):
+        verify_theorem_main(2, ["vxhh"])
 
 
 def test_flag_h_mismatches_orders_by_size_then_elements():

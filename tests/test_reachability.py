@@ -10,7 +10,7 @@ with its exit handlers and os._exit replaced, so that the test process
 goes on.  A function or method that no request reaches belongs in
 tests/oracles.py or nowhere, unless ALLOWED names it with its reason.
 No module under src/narayana holds an assert statement, since python -O
-strips them.
+strips them, or a global statement, since a module binds its names once.
 """
 
 import ast
@@ -37,9 +37,6 @@ _TRACER = "perfbench/tracing.py reads it for a per-layer metric"
 _FAILURE = "names the misowned face of an order that fails; every order a request checks passes"
 # what no request enters and yet stays, each with its reason
 ALLOWED = {
-    "narayana.dyck.DyckPath.__eq__": _VALUE,
-    "narayana.dyck.DyckPath.__hash__": _VALUE,
-    "narayana.dyck.DyckPath.__repr__": _VALUE,
     "narayana.qpoly.QPoly.__eq__": _VALUE,
     "narayana.qpoly.QPoly.__hash__": _VALUE,
     "narayana.qpoly.QPoly.__repr__": _VALUE,
@@ -169,12 +166,21 @@ def test_every_function_and_method_serves_a_request(tmp_path):
     assert unreached == sorted(ALLOWED), unreached
 
 
-def test_no_assert_statement_under_src():
-    # a check in an assert would vanish under python -O
-    found = [
+def statements_under_src(kind: type) -> list[str]:
+    """file:line of every statement of the given ast type under src/narayana."""
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(narayana.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, kind)
     ]
-    assert found == []
+
+
+def test_no_assert_statement_under_src():
+    # a check in an assert would vanish under python -O
+    assert statements_under_src(ast.Assert) == []
+
+
+def test_no_global_statement_under_src():
+    # a module binds its names once, at import; no call rebinds one
+    assert statements_under_src(ast.Global) == []

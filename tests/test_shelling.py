@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from narayana import preshelling, shelling
-from narayana.dyck import DyckPath, enumerate_paths, ls_set
+from narayana.dyck import dyck_word, enumerate_paths, ls_set
 from narayana.posets import flag_h_table
 from narayana.preshelling import _first_misowned_face, chain_count, check_preshelling, face_masks
 from narayana.qpoly import catalan
@@ -224,7 +224,7 @@ def test_dyck_complex_alignment():
         assert cx.m == catalan(n)
         assert cx.d == 2 * n - 1
         for i, w in enumerate(enumerate_paths(n)):
-            facet = path_to_facet(DyckPath(w))
+            facet = path_to_facet(w)
             assert face_members(cx, cx.mask(i)) == set(map(ideal_point, facet))
     with pytest.raises(ValueError):
         dyck_complex(0)
@@ -250,15 +250,15 @@ def test_omega_n_enumerates_the_words_once(monkeypatch):
 
 
 def test_path_facet_round_trip():
-    assert facet_to_path(path_to_facet(DyckPath("vh"))) == DyckPath("vh")
+    assert facet_to_path(path_to_facet("vh")) == "vh"
     chain = [
         frozenset({(1, 1)}),
         frozenset({(1, 1), (1, 2)}),
         frozenset({(1, 1), (1, 2), (2, 1)}),
     ]
-    assert facet_to_path(chain) == DyckPath("vvhh")
+    assert facet_to_path(chain) == "vvhh"
     for n in range(1, 7):
-        for w in map(DyckPath, enumerate_paths(n)):
+        for w in enumerate_paths(n):
             assert facet_to_path(path_to_facet(w)) == w
 
 
@@ -283,44 +283,45 @@ def test_facet_to_path_rejects():
 
 
 def test_s_map_frozen():
-    w = DyckPath("vhvhvh")
+    w = "vhvhvh"
     for i in range(1, 5):
         assert s_map(w, i) == w
-    assert s_map(DyckPath("vvhvhh"), 1) == DyckPath("vhvvhh")
-    assert s_map(DyckPath("vvhhvh"), 3) == DyckPath("vvhvhh")
-    assert s_map(DyckPath("vvhhvh"), 1) == DyckPath("vhvhvh")
+    assert s_map("vvhvhh", 1) == "vhvvhh"
+    assert s_map("vvhhvh", 3) == "vvhvhh"
+    assert s_map("vvhhvh", 1) == "vhvhvh"
 
 
 def test_s_map_bounds():
     with pytest.raises(ValueError, match="position out of range"):
-        s_map(DyckPath("vvhh"), 3)
+        s_map("vvhh", 3)
     with pytest.raises(ValueError, match="position out of range"):
-        s_map(DyckPath("vvhh"), 0)
+        s_map("vvhh", 0)
     with pytest.raises(ValueError, match="position out of range"):
-        s_map(DyckPath("vh"), 1)
+        s_map("vh", 1)
 
 
 def test_s_map_preserves_dyck():
     for n in range(2, 6):
-        for w in map(DyckPath, enumerate_paths(n)):
+        for w in enumerate_paths(n):
             for i in range(1, 2 * n - 1):
-                DyckPath(s_map(w, i).word)
+                u = s_map(w, i)
+                assert dyck_word(u) == u
 
 
 def test_sigma_stat():
-    assert sigma_stat(DyckPath("vhvhvh")) == (0, 6)
-    assert sigma_stat(DyckPath("vvvhhh")) == (2, 0)
-    assert sigma_stat(DyckPath("vvhvhh")) == (1, 3)
-    assert sigma_stat(DyckPath("vhvvhh")) == (1, 2)
+    assert sigma_stat("vhvhvh") == (0, 6)
+    assert sigma_stat("vvvhhh") == (2, 0)
+    assert sigma_stat("vvhvhh") == (1, 3)
+    assert sigma_stat("vhvvhh") == (1, 2)
 
 
 def test_sigma_strictly_decreases():
     for n in range(2, 6):
-        for w in map(DyckPath, enumerate_paths(n)):
+        for w in enumerate_paths(n):
             for i in range(1, 2 * n - 1):
                 u = s_map(w, i)
                 if u != w:
-                    assert sigma_stat(u) < sigma_stat(w), (w.word, i)
+                    assert sigma_stat(u) < sigma_stat(w), (w, i)
 
 
 def test_omega_guard():
@@ -346,7 +347,7 @@ def test_omega_relations_match_rank_oracle():
     # the oracle ranks the rewritten path by counting
     for n in range(1, 8):
         om = omega_n(n)
-        paths = list(map(DyckPath, enumerate_paths(n)))
+        paths = list(enumerate_paths(n))
         expected = {
             (rank(s_map(w, i)), j)
             for j, w in enumerate(paths)
@@ -354,7 +355,7 @@ def test_omega_relations_match_rank_oracle():
             if s_map(w, i) != w
         }
         assert om.relations == tuple(sorted(expected)), n
-        assert om.labels == tuple(w.word for w in paths), n
+        assert om.labels == tuple(paths), n
 
 
 def random_facet_order(rng: random.Random) -> FacetOrder:
@@ -416,7 +417,7 @@ def test_restriction_matches_ls():
         for i, w in enumerate(enumerate_paths(n)):
             ranks = frozenset(a + b for a, b in restriction(om, i))
             assert ranks == ls_set(w), w
-            assert sum(ranks) == maj_l(DyckPath(w))
+            assert sum(ranks) == maj_l(w)
 
 
 def test_restriction_examples():

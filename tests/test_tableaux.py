@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from narayana import ROUTES, qpoly, stats
-from narayana.dyck import DyckPath, enumerate_paths
+from narayana.dyck import enumerate_paths
 from narayana.qpoly import QPoly, q_narayana_closed, q_narayana_hook
 from narayana.stats import joint_q, q_narayana_enumerate
 from narayana.tableaux import (
@@ -108,7 +108,7 @@ def test_row_sums():
         ((), 4, set()),
     ):
         assert {a + b for a, b in rows} == sums
-        assert descent_set(ssyt_to_dyck(rows, n).word) == sums
+        assert descent_set(ssyt_to_dyck(rows, n)) == sums
 
 
 # a refused tableau with n = 5, and the message that names its first fault
@@ -148,7 +148,7 @@ def test_ssyt_to_dyck_names_each_refusal():
     class Entry(int):
         pass
 
-    assert ssyt_to_dyck(((Entry(1), Entry(2)),), 3).word == "vvhvhh"
+    assert ssyt_to_dyck(((Entry(1), Entry(2)),), 3) == "vvhvhh"
 
 
 def test_ssyt_to_dyck_refusals_survive_optimized_mode():
@@ -170,18 +170,18 @@ def test_dyck_to_ssyt_matches_the_prefix_counts():
         for word in enumerate_paths(n):
             prefixes = [word[:s] for s in sorted(descent_set(word))]
             expected = tuple((p.count("h"), p.count("v")) for p in prefixes)
-            assert dyck_to_ssyt(DyckPath(word)) == expected, word
+            assert dyck_to_ssyt(word) == expected, word
 
 
 def test_ssyt_to_dyck_figure():
     w = ssyt_to_dyck(FIGURE, 7)
-    assert w.word == "vvhvvvhhvhhvhh"
-    assert descent_set(w.word) == {3, 8, 11}
+    assert type(w) is str and w == "vvhvvvhhvhhvhh"
+    assert descent_set(w) == {3, 8, 11}
 
 
 def test_ssyt_to_dyck_small():
-    assert ssyt_to_dyck((), 4).word == "vvvvhhhh"
-    assert ssyt_to_dyck(((1, 1),), 2).word == "vhvh"
+    assert ssyt_to_dyck((), 4) == "vvvvhhhh"
+    assert ssyt_to_dyck(((1, 1),), 2) == "vhvh"
 
 
 def test_ssyt_to_dyck_errors():
@@ -194,17 +194,17 @@ def test_ssyt_to_dyck_errors():
 
 
 def test_dyck_to_ssyt_figure():
-    assert dyck_to_ssyt(DyckPath("vvhvvvhhvhhvhh")) == FIGURE
-    assert dyck_to_ssyt(DyckPath("vvvhhh")) == ()
-    assert dyck_to_ssyt(DyckPath("vhvh")) == ((1, 1),)
+    assert dyck_to_ssyt("vvhvvvhhvhhvhh") == FIGURE
+    assert dyck_to_ssyt("vvvhhh") == ()
+    assert dyck_to_ssyt("vhvh") == ((1, 1),)
 
 
 def test_bijection_round_trips():
     for n in range(1, 8):
-        for w in map(DyckPath, enumerate_paths(n)):
+        for w in enumerate_paths(n):
             rows = dyck_to_ssyt(w)
             assert ssyt_to_dyck(rows, n) == w
-            assert descent_set(w.word) == {a + b for a, b in rows}
+            assert descent_set(w) == {a + b for a, b in rows}
         for k in range(n):
             for rows in two_column_fillings(k, n - 1):
                 assert dyck_to_ssyt(ssyt_to_dyck(rows, n)) == rows
@@ -389,7 +389,7 @@ def test_lowest_degree_is_k_squared_plus_k():
 def test_schur_sum_counts_paths_by_descents():
     for n in range(1, 7):
         for k in range(n):
-            count = sum(1 for w in enumerate_paths(n) if des(DyckPath(w)) == k)
+            count = sum(1 for w in enumerate_paths(n) if des(w) == k)
             assert sum(q_narayana_ssyt(n, k).coeffs) == count
 
 

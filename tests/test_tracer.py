@@ -17,16 +17,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracing.py"
-REQUESTS = [
-    ["narayana", "--n", "5"],
-    ["qnarayana", "--n", "6", "--k", "2", "--route", "all"],
-    ["dist", "--n", "4", "--stat", "hp", "--q"],
-    ["verify", "--check", "ssyt", "--n", "4"],
-    ["omega", "--n", "3"],
-]
+# by test id; the random reference paths put unrank, random_path and
+# verify_theorem_main under the tracer
+REQUESTS = {
+    "narayana": ["narayana", "--n", "5"],
+    "qnarayana": ["qnarayana", "--n", "6", "--k", "2", "--route", "all"],
+    "dist": ["dist", "--n", "4", "--stat", "hp", "--q"],
+    "verify": ["verify", "--check", "ssyt", "--n", "4"],
+    "verify-random": [
+        "verify", "--check", "main-theorem", "--n", "3", "--ref-path", "random", "--samples", "2"
+    ],
+    "omega": ["omega", "--n", "3"],
+}
 
 
-@pytest.mark.parametrize("argv", REQUESTS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(REQUESTS.values()), ids=list(REQUESTS))
 def test_traced_request_writes_its_spans(argv, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
     env["PYTHONPATH"] = str(ROOT / "src")
