@@ -7,7 +7,7 @@ over all paths.
 
 import random
 from collections.abc import Iterable, Iterator
-from functools import cache
+from math import comb
 
 Label = tuple[str, int]
 
@@ -51,18 +51,14 @@ def enumerate_paths(n: int) -> Iterator[str]:
     return (word for word in words)
 
 
-@cache
 def _completions(steps: int, excess: int) -> int:
     # lattice walks of the given length from height `excess` down to 0,
-    # never dipping below 0
+    # never dipping below 0: by reflection, all walks with u = (steps -
+    # excess) / 2 up steps minus those that touch -1, which have u - 1
     if excess < 0 or excess > steps or (steps - excess) % 2:
         return 0
-    if steps == 0:
-        return 1
-    total = _completions(steps - 1, excess + 1)
-    if excess:
-        total += _completions(steps - 1, excess - 1)
-    return total
+    up = (steps - excess) // 2
+    return comb(steps, up) - (comb(steps, up - 1) if up else 0)
 
 
 def unrank(n: int, index: int) -> str:
@@ -88,6 +84,8 @@ def unrank(n: int, index: int) -> str:
 
 def random_path(n: int, seed: "int | random.Random | None" = None) -> str:
     """A uniformly random path, reproducible for a fixed integer seed."""
+    if n < 0:
+        raise ValueError(f"negative semilength: {n}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return unrank(n, rng.randrange(_completions(2 * n, 0)))
 

@@ -11,7 +11,6 @@ multiplying by a ratio of q-integers [a] / [b] takes time linear in the
 degree.
 """
 
-from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import sub
@@ -155,14 +154,14 @@ def narayana(n: int, k: int) -> int:
     return quotient
 
 
-@cache
 def catalan(n: int) -> int:
     """Catalan number by the convolution recurrence (independent of narayana)."""
     if n < 0:
         raise ValueError(f"catalan of negative {n}")
-    if n == 0:
-        return 1
-    return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
+    c = [1]
+    for k in range(n):
+        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
+    return c[n]
 
 
 def _nonzero(route: str, n: int, k: int) -> bool:

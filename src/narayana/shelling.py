@@ -13,8 +13,8 @@ decided in narayana.preshelling.
 """
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cache, cached_property, partial
+from collections.abc import Iterable, Iterator, Sequence
+from functools import cache, cached_property
 
 from .dyck import enumerate_paths, ls_set
 
@@ -53,8 +53,8 @@ class PureComplex:
     """
 
     def __init__(self, vertices: Iterable, masks: Iterable[int]):
-        self._vertices = tuple(vertices)
-        if len(set(self._vertices)) != len(self._vertices):
+        self.vertices = tuple(vertices)
+        if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex")
         masks = tuple(masks)
         if not masks:
@@ -62,7 +62,7 @@ class PureComplex:
         for mask in masks:
             if type(mask) is not int:
                 raise ValueError(f"facet mask not an int: {mask!r}")
-            if mask < 0 or mask >> len(self._vertices):
+            if mask < 0 or mask >> len(self.vertices):
                 raise ValueError(f"facet mask outside the vertex range: {mask}")
         d = masks[0].bit_count()
         if any(mask.bit_count() != d for mask in masks):
@@ -93,7 +93,7 @@ class PureComplex:
     @cached_property
     def vertex_facets(self) -> tuple[int, ...]:
         """For each vertex index, the bitmask of the facets containing it."""
-        incidence = [0] * len(self._vertices)
+        incidence = [0] * len(self.vertices)
         for f, vertices in enumerate(self.facet_vertices):
             bit = 1 << f
             for v in vertices:
@@ -102,19 +102,17 @@ class PureComplex:
 
 
 class FacetOrder:
-    """A strict partial order on the facet indices of a pure complex,
-    generated by relations (a, b) of int indices: facet a lies below facet b.
-    The complex may be a function that builds it when read; labels then count the facets."""
+    """A strict partial order on the indices 0..m - 1 of the facets of a
+    pure complex, generated by relations (a, b) of int indices: facet a
+    lies below facet b."""
 
     def __init__(
         self,
-        complex: "PureComplex | Callable[[], PureComplex]",
+        m: int,
         relations: Iterable[tuple[int, int]],
         labels: "tuple[str, ...] | None" = None,
     ):
-        self._complex = complex
         labels = None if labels is None else tuple(labels)
-        m = len(labels) if callable(complex) else complex.m
         pairs = [(a, b) for a, b in relations]
         for a, b in pairs:
             if type(a) is not int or type(b) is not int:
@@ -140,10 +138,6 @@ class FacetOrder:
         if labels is not None and len(labels) != m:
             raise ValueError("labels length mismatch")
         self._labels = labels
-
-    @cached_property
-    def complex(self) -> PureComplex:
-        return self._complex() if callable(self._complex) else self._complex
 
     @property
     def m(self) -> int:
@@ -209,7 +203,7 @@ _REWRITES = {"vvh": "vhv", "hhv": "hvh"}
 @cache
 def omega_n(n: int) -> FacetOrder:
     """The transitive closure of single rewrites on the facets of
-    dyck_complex(n), labeled by path words; the complex is built when read."""
+    dyck_complex(n), labeled by path words; no complex is built."""
     if n < 1:
         raise ValueError(f"omega_n needs n >= 1, got {n}")
     words = _words(n)
@@ -222,16 +216,16 @@ def omega_n(n: int) -> FacetOrder:
             while i >= 0:
                 relations.append((index[word[:i] + rewrite + word[i + 3 :]], j))
                 i = word.find(factor, i + 1)
-    return FacetOrder(partial(dyck_complex, n), relations, labels=words)
+    return FacetOrder(len(words), relations, labels=words)
 
 
-def _restriction_mask(ord: FacetOrder, f: int) -> int:
+def _restriction_mask(cx: PureComplex, ord: FacetOrder, f: int) -> int:
     # x is in r(F) when some facet below F contains F minus x: all facets
     # have |F| vertices, so such a facet meets F in exactly F minus x.  The
     # facets containing F minus x are the AND of the vertex incidences over
     # the vertices of F before x and those after it.
-    incidence = ord.complex.vertex_facets
-    vertices = ord.complex.facet_vertices[f]
+    incidence = cx.vertex_facets
+    vertices = cx.facet_vertices[f]
     # later[k]: the facets below F that contain every vertex after the k-th
     later = [ord.below_mask(f)]
     for v in reversed(vertices[1:]):
@@ -245,13 +239,13 @@ def _restriction_mask(ord: FacetOrder, f: int) -> int:
     return out
 
 
-def _rank_set_counts(ord: FacetOrder) -> Counter[frozenset[int]]:
+def _rank_set_counts(cx: PureComplex, ord: FacetOrder) -> Counter[frozenset[int]]:
     """The facets of a dyck_complex bucketed by the rank sets of their
     restrictions, the point (a, b) having rank a + b, read as masks with
     rank r at bit r; for a partitioning this is the flag h-vector."""
-    rank_bit = [1 << (a + b) for a, b in ord.complex._vertices]
+    rank_bit = [1 << (a + b) for a, b in cx.vertices]
     by_ranks = Counter(
-        sum(rank_bit[v] for v in _bit_indices(_restriction_mask(ord, f))) for f in range(ord.m))
+        sum(rank_bit[v] for v in _bit_indices(_restriction_mask(cx, ord, f))) for f in range(ord.m))
     return Counter({frozenset(_bit_indices(ranks)): count for ranks, count in by_ranks.items()})
 
 
@@ -264,4 +258,5 @@ def verify_parth(n: int) -> list[dict]:
 
     om = omega_n(n)
     ls_counts = Counter(ls_set(w) for w in om.labels)
-    return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=_rank_set_counts(om))
+    partition = _rank_set_counts(dyck_complex(n), om)
+    return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=partition)

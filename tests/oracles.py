@@ -12,7 +12,7 @@ from functools import cache, cached_property, reduce
 from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from narayana.dyck import _completions, dyck_word, label, ls_set
+from narayana.dyck import dyck_word, label, ls_set
 from narayana.qpoly import QPoly
 from narayana.shelling import (
     FacetOrder,
@@ -127,6 +127,18 @@ def maj_wrt(w: str, w0: str) -> int:
     return sum(descent_set_wrt(w, w0))
 
 
+@cache
+def completions(steps: int, excess: int) -> int:
+    """Lattice walks of the given length from height excess down to 0,
+    never dipping below 0, by their first step: the oracle of
+    dyck._completions."""
+    if excess < 0 or excess > steps or (steps - excess) % 2:
+        return 0
+    if steps == 0:
+        return 1
+    return completions(steps - 1, excess + 1) + (completions(steps - 1, excess - 1) if excess else 0)
+
+
 def rank(word: str) -> int:
     """Position of the word in lexicographic order with v < h; inverse of
     dyck.unrank, counting the paths that branch off it with an h."""
@@ -135,7 +147,7 @@ def rank(word: str) -> int:
     length = len(word)
     for i in range(1, length + 1):
         if word[i - 1] == "h":
-            index += _completions(length - i, excess + 1)
+            index += completions(length - i, excess + 1)
             excess -= 1
         else:
             excess += 1
@@ -159,20 +171,20 @@ def pure_complex(vertices: Iterable, facets: Iterable[Iterable]) -> PureComplex:
 
 def face_members(cx: PureComplex, mask: int) -> frozenset:
     """The vertex labels of the face with the given bitmask."""
-    return frozenset(cx._vertices[i] for i in _bit_indices(mask))
+    return frozenset(cx.vertices[i] for i in _bit_indices(mask))
 
 
-def restriction(ord: FacetOrder, f: int) -> frozenset:
+def restriction(cx: PureComplex, ord: FacetOrder, f: int) -> frozenset:
     """r(F): the vertices x of F such that some facet below F meets F in
     exactly F minus x."""
-    return face_members(ord.complex, _restriction_mask(ord, f))
+    return face_members(cx, _restriction_mask(cx, ord, f))
 
 
-def partition_intervals(ord: FacetOrder) -> tuple[frozenset, ...]:
+def partition_intervals(cx: PureComplex, ord: FacetOrder) -> tuple[frozenset, ...]:
     """The restriction r(F) of every facet, in facet order: the lower ends of
     the intervals [r(F), F] that partition the complex when ord is a
     pre-shelling."""
-    return tuple(restriction(ord, f) for f in range(ord.m))
+    return tuple(restriction(cx, ord, f) for f in range(ord.m))
 
 
 def flag_h_from_partition(restrictions: Iterable[frozenset]) -> Counter[frozenset[int]]:
@@ -553,11 +565,10 @@ def less(om: FacetOrder, i: int, j: int) -> bool:
     return bool(om.below_mask(j) >> i & 1)
 
 
-def pairwise_restriction_mask(om: FacetOrder, f: int) -> int:
+def pairwise_restriction_mask(cx: PureComplex, om: FacetOrder, f: int) -> int:
     """The mask of r(F) as the union of F minus E over the facets E below F
     that miss exactly one vertex of F: the oracle of the restriction
     masks in shelling."""
-    cx = om.complex
     fm, out = cx.mask(f), 0
     for e in _bit_indices(om.below_mask(f)):
         missing = fm & ~cx.mask(e)
@@ -568,7 +579,7 @@ def pairwise_restriction_mask(om: FacetOrder, f: int) -> int:
 
 def dfs_face_masks(cx: PureComplex) -> set[int]:
     """Every face of the complex by removing one vertex at a time from the
-    facets, depth first: the oracle of preshelling.face_masks."""
+    facets, depth first."""
     seen = {cx.mask(f) for f in range(cx.m)}
     stack = list(seen)
     while stack:
@@ -581,31 +592,25 @@ def dfs_face_masks(cx: PureComplex) -> set[int]:
     return seen
 
 
-def pairwise_preshelling(ord: FacetOrder) -> dict:
-    """The four pre-shelling conditions evaluated literally: (i), (iii) and
-    (iv) over every pair of facets, in the order of combinations and of
-    permutations, and (ii) by walking every interval [r(F), F] over the
-    faces found depth first: the oracle of preshelling.check_preshelling,
-    with its report."""
-    cx = ord.complex
-    m = cx.m
-    r = [pairwise_restriction_mask(ord, f) for f in range(m)]
-
-    def fits(f: int, g: int) -> bool:  # r(F) lies inside G
-        return not r[f] & ~cx.mask(g)
-
-    def first(pairs: Iterable[tuple[int, int]], holds) -> dict | None:
-        return next(({"f": f, "g": g} for f, g in pairs if holds(f, g)), None)
-
+def interval_owners(cx: PureComplex, r: Sequence[int]) -> dict[int, list[int]]:
+    """Every face of the complex, found depth first, with the facets F whose
+    interval [r(F), F] holds it, ascending: each interval walked once."""
     owners: dict[int, list[int]] = {face: [] for face in dfs_face_masks(cx)}
-    for f in range(m):
+    for f in range(cx.m):
         free = sub = cx.mask(f) & ~r[f]
         while True:
             owners[r[f] | sub].append(f)
             if not sub:
                 break
             sub = (sub - 1) & free
-    misowned = next(
+    return owners
+
+
+def first_misowned_face(cx: PureComplex, r: Sequence[int]) -> dict | None:
+    """The first face in sorted mask order whose owner count is not one,
+    with its owners, or None when the intervals partition the complex."""
+    owners = interval_owners(cx, r)
+    return next(
         (
             {"face": list(_bit_indices(face)), "covered_by": owners[face]}
             for face in sorted(owners)
@@ -613,9 +618,26 @@ def pairwise_preshelling(ord: FacetOrder) -> dict:
         ),
         None,
     )
+
+
+def pairwise_preshelling(cx: PureComplex, ord: FacetOrder) -> dict:
+    """The four pre-shelling conditions evaluated literally: (i), (iii) and
+    (iv) over every pair of facets, in the order of combinations and of
+    permutations, and (ii) by walking every interval [r(F), F] over the
+    faces found depth first, its witness the first misowned face: the
+    oracle of preshelling.check_preshelling, with its report."""
+    m = cx.m
+    r = [pairwise_restriction_mask(cx, ord, f) for f in range(m)]
+
+    def fits(f: int, g: int) -> bool:  # r(F) lies inside G
+        return not r[f] & ~cx.mask(g)
+
+    def first(pairs: Iterable[tuple[int, int]], holds) -> dict | None:
+        return next(({"f": f, "g": g} for f, g in pairs if holds(f, g)), None)
+
     found = {
         "i": first(combinations(range(m), 2), lambda f, g: fits(f, g) and fits(g, f)),
-        "ii": misowned,
+        "ii": first_misowned_face(cx, r),
         "iii": first(permutations(range(m), 2), lambda f, g: fits(f, g) and not less(ord, f, g)),
         "iv": first(permutations(range(m), 2), lambda f, g: fits(g, f) and not less(ord, g, f)),
     }

@@ -9,9 +9,9 @@ from collections import Counter
 
 from narayana.dyck import enumerate_paths, ls_set, random_path
 from narayana.posets import flag_h_table, verify_theorem_main
-from narayana.preshelling import check_preshelling
+from narayana.preshelling import chain_count, check_preshelling
 from narayana.qpoly import QPoly, narayana, q_narayana_closed, q_narayana_hook
-from narayana.shelling import FacetOrder, _rank_set_counts, omega_n
+from narayana.shelling import FacetOrder, _rank_set_counts, dyck_complex, omega_n
 from narayana.stats import distribution, joint_q
 from narayana.tableaux import (
     dyck_to_ssyt,
@@ -131,29 +131,28 @@ def test_criterion_05_lnfs_maj_l_distribution(capsys):
 def test_criterion_06_preshelling_and_equivalence(capsys):
     def body():
         for n in range(1, 6):
-            report = check_preshelling(omega_n(n))
+            report = check_preshelling(dyck_complex(n), omega_n(n), chain_count(n))
             if not report["is_preshelling"]:
                 return False
             if set(report["conditions"].values()) != {True}:
                 return False
         om3 = omega_n(3)
-        cx3, cx4 = om3.complex, omega_n(4).complex
         broken = [
-            FacetOrder(cx3, []),
-            FacetOrder(cx4, []),
-            FacetOrder(cx3, [(b, a) for a, b in om3.relations]),
-            FacetOrder(cx3, list(om3.relations)[:2]),
-            FacetOrder(cx3, [(0, 4)]),
+            (3, FacetOrder(5, [])),
+            (4, FacetOrder(14, [])),
+            (3, FacetOrder(5, [(b, a) for a, b in om3.relations])),
+            (3, FacetOrder(5, list(om3.relations)[:2])),
+            (3, FacetOrder(5, [(0, 4)])),
         ]
         rng = random.Random(6)
         for _ in range(5):
             rels = set()
             while len(rels) < 6:
-                a, b = rng.sample(range(cx4.m), 2)
+                a, b = rng.sample(range(14), 2)
                 rels.add((min(a, b), max(a, b)))
-            broken.append(FacetOrder(cx4, sorted(rels)))
-        for order in broken:
-            conditions = check_preshelling(order)["conditions"]
+            broken.append((4, FacetOrder(14, sorted(rels))))
+        for n, order in broken:
+            conditions = check_preshelling(dyck_complex(n), order, chain_count(n))["conditions"]
             if len(set(conditions.values())) != 1:
                 return False
         return True
@@ -169,10 +168,10 @@ def test_criterion_06_preshelling_and_equivalence(capsys):
 def test_criterion_07_linear_extensions_shell(capsys):
     def body():
         for n in range(1, 6):
-            om = omega_n(n)
-            expected = {f: restriction(om, f) for f in range(om.m)}
+            cx, om = dyck_complex(n), omega_n(n)
+            expected = {f: restriction(cx, om, f) for f in range(om.m)}
             for seed in range(10):
-                report = is_shelling(om.complex, random_linear_extension(om, seed))
+                report = is_shelling(cx, random_linear_extension(om, seed))
                 if not report["is_shelling"]:
                     return False
                 if report["restrictions"] != expected:
@@ -187,10 +186,10 @@ def test_criterion_07_linear_extensions_shell(capsys):
 def test_criterion_08_partition_flag_h(capsys):
     def body():
         for n in range(1, 6):
-            om = omega_n(n)
-            table = flag_h_from_partition(partition_intervals(om))
+            cx, om = dyck_complex(n), omega_n(n)
+            table = flag_h_from_partition(partition_intervals(cx, om))
             ls_counts = Counter(map(ls_set, enumerate_paths(n)))
-            if not table == _rank_set_counts(om) == flag_h_table(n) == ls_counts:
+            if not table == _rank_set_counts(cx, om) == flag_h_table(n) == ls_counts:
                 return False
         return True
 

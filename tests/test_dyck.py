@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 from collections import Counter, defaultdict
@@ -6,10 +7,11 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.dyck import dyck_word, enumerate_paths, ls_set, random_path, unrank
+from narayana.dyck import _completions, dyck_word, enumerate_paths, ls_set, random_path, unrank
 from narayana.qpoly import QPoly, catalan, narayana
 from narayana.stats import distribution, joint_q
 from oracles import (
+    completions,
     da,
     des,
     descent_set,
@@ -344,6 +346,32 @@ def test_unrank_errors():
         unrank(3, 5)
     with pytest.raises(ValueError, match="index out of range"):
         unrank(3, -1)
+
+
+def test_completions_is_the_ballot_difference():
+    # the closed form against the recursion on the first step, including
+    # the heights out of range and of the wrong parity
+    for steps in range(40):
+        for excess in range(-2, steps + 3):
+            assert _completions(steps, excess) == completions(steps, excess), (steps, excess)
+    # a length far past the interpreter's recursion limit
+    assert _completions(2400, 0) == math.comb(2400, 1200) // 1201
+    assert _completions(2401, 1) == _completions(2402, 0)
+
+
+def test_unrank_past_the_recursion_limit():
+    assert unrank(600, 0) == "v" * 600 + "h" * 600
+    assert unrank(600, math.comb(1200, 600) // 601 - 1) == "vh" * 600
+    w = random_path(600, 3)
+    assert len(w) == 1200 and dyck_word(w) == w
+
+
+def test_random_path_refuses_a_negative_semilength():
+    for seed in (0, random.Random(1)):
+        with pytest.raises(ValueError, match="^negative semilength: -1$"):
+            random_path(-1, seed)
+    with pytest.raises(ValueError, match="^negative semilength: -1$"):
+        unrank(-1, 0)
 
 
 def test_unrank_agrees_with_enumerate():

@@ -272,6 +272,10 @@ def test_catalan_matches_closed_form():
         assert catalan(n) == math.comb(2 * n, n) // (n + 1)
 
 
+def test_catalan_past_the_recursion_limit():
+    assert catalan(1200) == math.comb(2400, 1200) // 1201
+
+
 def test_narayana_rows_sum_to_catalan():
     for n in range(1, 13):
         assert sum(narayana(n, k) for k in range(n)) == catalan(n)

@@ -10,7 +10,10 @@ with its exit handlers and os._exit replaced, so that the test process
 goes on.  A function or method that no request reaches belongs in
 tests/oracles.py or nowhere, unless ALLOWED names it with its reason.
 No module under src/narayana holds an assert statement, since python -O
-strips them, or a global statement, since a module binds its names once.
+strips them, or a global statement, since a module binds its names once,
+and no function there calls itself, since a recursion's depth is bounded
+by the interpreter's limit and not by a guard, unless SELF_CALLS names it
+with its reason.
 """
 
 import ast
@@ -34,16 +37,15 @@ from narayana.cli import main, run
 
 _VALUE = "value protocol: tests compare, hash and print instances"
 _TRACER = "perfbench/tracing.py reads it for a per-layer metric"
-_FAILURE = "names the misowned face of an order that fails; every order a request checks passes"
 # what no request enters and yet stays, each with its reason
 ALLOWED = {
     "narayana.qpoly.QPoly.__eq__": _VALUE,
     "narayana.qpoly.QPoly.__hash__": _VALUE,
     "narayana.qpoly.QPoly.__repr__": _VALUE,
     "narayana.qpoly.QPoly.degree": _TRACER,
-    "narayana.preshelling.face_masks": _FAILURE,
-    "narayana.preshelling._first_misowned_face": _FAILURE,
 }
+# the functions that call themselves, each with its reason
+SELF_CALLS = {"cli_common.json_text": "its depth is the payload's"}
 
 
 def deck(cache_dir: str) -> list[list[str]]:
@@ -184,3 +186,29 @@ def test_no_assert_statement_under_src():
 def test_no_global_statement_under_src():
     # a module binds its names once, at import; no call rebinds one
     assert statements_under_src(ast.Global) == []
+
+
+def self_calls_under_src() -> list[str]:
+    """module.function of every function under src/narayana whose body, its
+    nested functions included, calls it by name, or as a method on self."""
+    out = []
+    for path in sorted(Path(narayana.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call)
+                and (
+                    isinstance(call.func, ast.Name) and call.func.id == node.name
+                    or isinstance(call.func, ast.Attribute)
+                    and call.func.attr == node.name
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "self"
+                )
+                for call in ast.walk(node)
+            ):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_no_function_under_src_calls_itself():
+    # a recursion fails with RecursionError at a depth no guard names
+    assert self_calls_under_src() == sorted(SELF_CALLS)

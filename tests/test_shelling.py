@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from narayana import preshelling, shelling
+from narayana import shelling
 from narayana.dyck import dyck_word, enumerate_paths, ls_set
 from narayana.posets import flag_h_table
-from narayana.preshelling import _first_misowned_face, chain_count, check_preshelling, face_masks
+from narayana.preshelling import chain_count, check_preshelling
 from narayana.qpoly import catalan
 from narayana.shelling import (
     FacetOrder,
@@ -28,8 +28,10 @@ from oracles import (
     dfs_face_masks,
     face_members,
     facet_to_path,
+    first_misowned_face,
     flag_h_from_partition,
     ideal_lattice,
+    interval_owners,
     is_linear_extension,
     is_shelling,
     j2xn,
@@ -128,20 +130,14 @@ def test_pure_complex_refuses_masks_outside_its_vertices():
 
 def test_pure_complex_faces():
     cx = pure_complex("ab", [{"a", "b"}])
-    faces = [face_members(cx, mask) for mask in sorted(face_masks(cx))]
+    faces = [face_members(cx, mask) for mask in sorted(dfs_face_masks(cx))]
     assert sorted(map(sorted, faces)) == [[], ["a"], ["a", "b"], ["b"]]
-    assert len(face_masks(triangle_boundary())) == 7
-
-
-def test_face_guard():
-    cx = pure_complex(range(21), [set(range(21))])
-    with pytest.raises(ValueError, match="complex too large"):
-        face_masks(cx)
+    assert len(dfs_face_masks(triangle_boundary())) == 7
 
 
 def test_facet_order_basics():
     cx = triangle_boundary()
-    om = FacetOrder(cx, [(0, 1), (1, 2)])
+    om = FacetOrder(cx.m, [(0, 1), (1, 2)])
     assert less(om, 0, 1) and less(om, 1, 2) and less(om, 0, 2)
     assert not less(om, 2, 0) and not less(om, 0, 0)
     assert minimal_indices(om) == [0]
@@ -150,7 +146,7 @@ def test_facet_order_basics():
     assert not is_linear_extension([1, 0, 2], range(om.m), om.relations)
     assert not is_linear_extension([0, 1], range(om.m), om.relations)
     # a relation the closure implies changes no comparison and adds no cover
-    bigger = FacetOrder(cx, [*om.relations, (0, 2)])
+    bigger = FacetOrder(cx.m, [*om.relations, (0, 2)])
     assert bigger.relations == ((0, 1), (0, 2), (1, 2))
     assert less(bigger, 0, 2) and bigger.covers() == om.covers()
 
@@ -158,11 +154,13 @@ def test_facet_order_basics():
 def test_facet_order_rejects():
     cx = triangle_boundary()
     with pytest.raises(ValueError, match="cycle"):
-        FacetOrder(cx, [(0, 1), (1, 0)])
+        FacetOrder(cx.m, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="cycle"):
-        FacetOrder(cx, [(1, 1)])
+        FacetOrder(cx.m, [(1, 1)])
     with pytest.raises(ValueError, match="index out of range"):
-        FacetOrder(cx, [(0, 3)])
+        FacetOrder(cx.m, [(0, 3)])
+    with pytest.raises(ValueError, match="labels length mismatch"):
+        FacetOrder(cx.m, [], labels=("a", "b"))
 
 
 def test_facet_order_refuses_indices_that_are_not_ints():
@@ -170,8 +168,8 @@ def test_facet_order_refuses_indices_that_are_not_ints():
     cx = triangle_boundary()
     for pair in ((0.9, 1.7), ("1", "2"), (True, 2), (0, False), (0, 1.0), (None, 1)):
         with pytest.raises(ValueError, match="facet index not an int"):
-            FacetOrder(cx, [(0, 1), pair])
-    assert FacetOrder(cx, [[0, 1], (1, 2)]).relations == ((0, 1), (1, 2))
+            FacetOrder(cx.m, [(0, 1), pair])
+    assert FacetOrder(cx.m, [[0, 1], (1, 2)]).relations == ((0, 1), (1, 2))
 
 
 def test_random_linear_extension():
@@ -213,7 +211,7 @@ def test_dyck_complex_masks_match_the_point_chains():
     # built as chains of points from the depth-first words
     for n in range(1, 9):
         cx, oracle = dyck_complex(n), point_chain_complex(n)
-        assert cx._vertices == oracle._vertices, n
+        assert cx.vertices == oracle.vertices, n
         assert [cx.mask(f) for f in range(cx.m)] == [oracle.mask(f) for f in range(oracle.m)], n
         assert cx.facet_vertices == oracle.facet_vertices, n
 
@@ -245,7 +243,7 @@ def test_omega_n_enumerates_the_words_once(monkeypatch):
     om = omega_n(5)
     assert calls == [5]
     assert om.labels == tuple(enumerate_paths(5))
-    assert dyck_complex(5) is om.complex
+    dyck_complex(5)
     assert calls == [5]
 
 
@@ -358,7 +356,7 @@ def test_omega_relations_match_rank_oracle():
         assert om.labels == tuple(paths), n
 
 
-def random_facet_order(rng: random.Random) -> FacetOrder:
+def random_facet_order(rng: random.Random) -> tuple[PureComplex, FacetOrder]:
     """A random pure complex of 3 to 8 vertices, up to 14 facets and facets
     of 1 to 4 vertices, and a random acyclic order on its facets whose
     relations include a few that the closure of the others implies."""
@@ -367,38 +365,35 @@ def random_facet_order(rng: random.Random) -> FacetOrder:
     cx = pure_complex(range(vertices), rng.sample(candidates, min(len(candidates), rng.randint(2, 14))))
     position = rng.sample(range(cx.m), cx.m)
     pairs = [(a, b) for a, b in itertools.permutations(range(cx.m), 2) if position[a] < position[b]]
-    om = FacetOrder(cx, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * cx.m))))
+    om = FacetOrder(cx.m, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * cx.m))))
     implied = [(a, b) for a, b in pairs if less(om, a, b) and (a, b) not in om.relations]
-    return FacetOrder(cx, [*om.relations, *rng.sample(implied, min(len(implied), 3))])
+    return cx, FacetOrder(cx.m, [*om.relations, *rng.sample(implied, min(len(implied), 3))])
 
 
-def assert_sparse_queries_match_oracles(om: FacetOrder, faces: bool) -> None:
+def assert_sparse_queries_match_oracles(cx: PureComplex, om: FacetOrder) -> None:
     assert om.covers() == closure_covers(om)
     for f in range(om.m):
-        assert _restriction_mask(om, f) == pairwise_restriction_mask(om, f), f
-    if faces:
-        assert face_masks(om.complex) == dfs_face_masks(om.complex)
+        assert _restriction_mask(cx, om, f) == pairwise_restriction_mask(cx, om, f), f
 
 
 def test_sparse_queries_match_closure_oracles_on_omega():
-    # covers from the generators, restrictions from the vertex incidences
-    # and faces by submask enumeration, against walks of the closure; the
-    # face guard admits omega_n(6) but not omega_n(7)
+    # covers from the generators and restrictions from the vertex
+    # incidences, against walks of the closure
     for n in range(1, 9):
-        assert_sparse_queries_match_oracles(omega_n(n), faces=n <= 6)
+        assert_sparse_queries_match_oracles(dyck_complex(n), omega_n(n))
 
 
 def test_sparse_queries_match_closure_oracles_on_random_orders():
     # a single facet, also the empty one, has no cover and no restriction
     for cx in (pure_complex("ab", [{"a", "b"}]), pure_complex([], [frozenset()])):
-        assert_sparse_queries_match_oracles(FacetOrder(cx, []), faces=True)
+        assert_sparse_queries_match_oracles(cx, FacetOrder(cx.m, []))
     rng = random.Random(29)
     redundant = proper = 0
     for _ in range(400):
-        om = random_facet_order(rng)
-        assert_sparse_queries_match_oracles(om, faces=True)
+        cx, om = random_facet_order(rng)
+        assert_sparse_queries_match_oracles(cx, om)
         redundant += len(om.relations) > len(om.covers())
-        proper += any(0 < _restriction_mask(om, f).bit_count() < om.complex.d for f in range(om.m))
+        proper += any(0 < _restriction_mask(cx, om, f).bit_count() < cx.d for f in range(om.m))
     # over half the draws hold a relation that is not a cover, and a facet
     # whose restriction is neither empty nor the whole facet
     assert redundant > 200 and proper > 200
@@ -413,24 +408,24 @@ def test_omega_unique_minimum():
 
 def test_restriction_matches_ls():
     for n in range(1, 6):
-        om = omega_n(n)
+        cx, om = dyck_complex(n), omega_n(n)
         for i, w in enumerate(enumerate_paths(n)):
-            ranks = frozenset(a + b for a, b in restriction(om, i))
+            ranks = frozenset(a + b for a, b in restriction(cx, om, i))
             assert ranks == ls_set(w), w
             assert sum(ranks) == maj_l(w)
 
 
 def test_restriction_examples():
-    om = omega_n(3)
+    cx, om = dyck_complex(3), omega_n(3)
     words = list(om.labels)
-    assert restriction(om, words.index("vhvhvh")) == frozenset()
-    assert restriction(om, words.index("vvvhhh")) == {(3, 0)}
-    assert restriction(om, words.index("vvhhvh")) == {(2, 0), (2, 2)}
+    assert restriction(cx, om, words.index("vhvhvh")) == frozenset()
+    assert restriction(cx, om, words.index("vvvhhh")) == {(3, 0)}
+    assert restriction(cx, om, words.index("vvhhvh")) == {(2, 0), (2, 2)}
 
 
 def test_check_preshelling_omega():
     for n in range(1, 5):
-        report = check_preshelling(omega_n(n))
+        report = check_preshelling(dyck_complex(n), omega_n(n), chain_count(n))
         assert report["is_preshelling"] is True
         assert set(report["conditions"].values()) == {True}
         assert report["witnesses"] == {}
@@ -438,53 +433,66 @@ def test_check_preshelling_omega():
 
 def test_check_preshelling_single_facet():
     cx = pure_complex("ab", [{"a", "b"}])
-    report = check_preshelling(FacetOrder(cx, []))
+    report = check_preshelling(cx, FacetOrder(cx.m, []), 4)
     assert report["is_preshelling"] is True
 
 
 def test_check_preshelling_empty_order_fails():
-    report = check_preshelling(FacetOrder(dyck_complex(3), []))
+    report = check_preshelling(dyck_complex(3), FacetOrder(5, []), chain_count(3))
     assert report["is_preshelling"] is False
     assert set(report["conditions"].values()) == {False}
-    assert report["witnesses"]["ii"]["covered_by"] == [0, 1, 2, 3, 4]
+    assert report["witnesses"]["ii"] == {"face": [], "covered_by": [0, 1, 2, 3, 4]}
 
 
-def broken_orders() -> list[FacetOrder]:
-    # orders on dyck complexes that are not pre-shellings
-    cx3, cx4 = dyck_complex(3), dyck_complex(4)
+def test_check_preshelling_refuses_an_order_on_other_facets():
+    for m in (4, 6):
+        with pytest.raises(ValueError, match=f"order on {m} facets, complex of 5"):
+            check_preshelling(dyck_complex(3), FacetOrder(m, []), chain_count(3))
+
+
+def broken_orders() -> list[tuple[int, FacetOrder]]:
+    # orders on dyck_complex(n) that are not pre-shellings, each with its n
     om3 = omega_n(3)
     return [
-        FacetOrder(cx3, []),
-        FacetOrder(cx4, []),
-        FacetOrder(cx3, [(b, a) for a, b in om3.relations]),
-        FacetOrder(cx3, list(om3.relations)[:3]),
-        FacetOrder(cx3, [(0, 4)]),
-        FacetOrder(cx4, [(0, 1), (2, 3), (5, 7)]),
+        (3, FacetOrder(5, [])),
+        (4, FacetOrder(14, [])),
+        (3, FacetOrder(5, [(b, a) for a, b in om3.relations])),
+        (3, FacetOrder(5, list(om3.relations)[:3])),
+        (3, FacetOrder(5, [(0, 4)])),
+        (4, FacetOrder(14, [(0, 1), (2, 3), (5, 7)])),
     ]
 
 
 def test_check_preshelling_broken_orders_verdicts_agree():
-    # orders that are not pre-shellings still get four matching verdicts,
-    # with the face count and without it
-    for om in broken_orders():
-        for faces in (None, chain_count(om.complex.d // 2 + 1)):
-            report = check_preshelling(om, faces)
-            assert set(report["conditions"].values()) == {False}
-            assert report["is_preshelling"] is False
+    # orders that are not pre-shellings still get four matching verdicts
+    for n, om in broken_orders():
+        report = check_preshelling(dyck_complex(n), om, chain_count(n))
+        assert set(report["conditions"].values()) == {False}
+        assert report["is_preshelling"] is False
 
 
-def assert_matches_the_pairwise_oracle(order: FacetOrder, n: int) -> None:
-    expected = pairwise_preshelling(order)
-    # with the face count (ii) walks the faces only on a failure
-    assert check_preshelling(order) == expected
-    assert check_preshelling(order, chain_count(n)) == expected
+def assert_matches_the_pairwise_oracle(cx: PureComplex, order: FacetOrder, faces: int) -> None:
+    """The verdicts and the witnesses of (i), (iii) and (iv) are the
+    oracle's.  (ii)'s face is one the oracle's walk finds misowned, and its
+    owners are all those the walk finds."""
+    expected = pairwise_preshelling(cx, order)
+    report = check_preshelling(cx, order, faces)
+    shared = report["witnesses"].pop("ii", None)
+    misowned = expected["witnesses"].pop("ii", None)
+    assert report == expected
+    assert (shared is None) == (misowned is None)
+    if shared is not None:
+        r = [pairwise_restriction_mask(cx, order, f) for f in range(cx.m)]
+        owners = interval_owners(cx, r)[sum(1 << v for v in shared["face"])]
+        assert len(owners) >= 2
+        assert shared["covered_by"] == owners
 
 
 def test_check_preshelling_matches_the_pairwise_oracle():
     for n in range(1, 7):
-        assert_matches_the_pairwise_oracle(omega_n(n), n)
-    for order in broken_orders():
-        assert_matches_the_pairwise_oracle(order, order.complex.d // 2 + 1)
+        assert_matches_the_pairwise_oracle(dyck_complex(n), omega_n(n), chain_count(n))
+    for n, order in broken_orders():
+        assert_matches_the_pairwise_oracle(dyck_complex(n), order, chain_count(n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,28 +501,24 @@ def test_check_preshelling_matches_the_oracle_on_sub_orders(n, rng):
     om = omega_n(n)
     keep = rng.random()
     relations = [rel for rel in om.relations if rng.random() < keep]
-    assert_matches_the_pairwise_oracle(FacetOrder(om.complex, relations), n)
+    assert_matches_the_pairwise_oracle(dyck_complex(n), FacetOrder(om.m, relations), chain_count(n))
 
 
 def test_chain_count_counts_the_faces():
     for n in range(1, 7):
-        cx = dyck_complex(n)
-        assert chain_count(n) == len(face_masks(cx)) == len(dfs_face_masks(cx))
+        assert chain_count(n) == len(dfs_face_masks(dyck_complex(n)))
     assert [chain_count(n) for n in range(1, 9)] == [2, 12, 88, 720, 6304, 57792, 547712, 5323008]
 
 
 # run under python -O, which strips asserts: the broken orders' reports,
-# and whether a forced disagreement raises
+# and whether a forced disagreement, a wrong face count, raises
 OPTIMIZED_PROBE = """
-from narayana import preshelling
 from narayana.preshelling import chain_count, check_preshelling
-from narayana.shelling import FacetOrder, dyck_complex
+from narayana.shelling import dyck_complex, omega_n
 from test_shelling import broken_orders
-orders = broken_orders()
-reports = [check_preshelling(order, chain_count(order.complex.d // 2 + 1)) for order in orders]
-preshelling._first_misowned_face = lambda cx, r: None
+reports = [check_preshelling(dyck_complex(n), order, chain_count(n)) for n, order in broken_orders()]
 try:
-    check_preshelling(FacetOrder(dyck_complex(3), []), chain_count(3))
+    check_preshelling(dyck_complex(3), omega_n(3), chain_count(3) + 1)
     raised = False
 except RuntimeError:
     raised = True
@@ -529,49 +533,23 @@ def test_check_preshelling_survives_optimized_mode():
         [sys.executable, "-O", "-c", OPTIMIZED_PROBE], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    reports = [pairwise_preshelling(order) for order in broken_orders()]
+    reports = [check_preshelling(dyck_complex(n), order, chain_count(n)) for n, order in broken_orders()]
     assert all(set(report["conditions"].values()) == {False} for report in reports)
     assert result.stdout == repr((reports, True)) + "\n"
 
 
-def test_check_preshelling_disagreement_raises(monkeypatch):
-    # a real exception, so the equivalence check survives python -O.
-    # Without a face count (ii) walks the faces on every order ...
-    misowned = {"face": [], "covered_by": []}
-    monkeypatch.setattr(preshelling, "_first_misowned_face", lambda cx, r: misowned)
-    with pytest.raises(RuntimeError, match="equivalence broken"):
-        check_preshelling(omega_n(3))
-    # ... and with one, on an order that fails (i), where a walk that
-    # finds no misowned face disagrees with it
-    monkeypatch.setattr(preshelling, "_first_misowned_face", lambda cx, r: None)
-    with pytest.raises(RuntimeError, match="equivalence broken"):
-        check_preshelling(FacetOrder(dyck_complex(3), []), chain_count(3))
-
-
-def test_check_preshelling_guard():
-    cx = pure_complex(range(21), [set(range(21))])
-    with pytest.raises(ValueError, match="complex too large"):
-        check_preshelling(FacetOrder(cx, []))
-
-
-def test_check_preshelling_guard_bounds_only_the_face_walk():
-    # two facets of 20 vertices: 2 * 2^20 candidate faces exceed the guard
-    cx = pure_complex(range(21), [set(range(20)), set(range(1, 21))])
-    assert cx.m > 1 and cx.m << cx.d > preshelling.FACE_GUARD
-    order = FacetOrder(cx, [(0, 1)])
-    # the faces of the first facet, and those of the second holding vertex 20
-    faces = (1 << 20) + (1 << 19)
-    for count in (None, faces + 1):
-        with pytest.raises(ValueError, match="complex too large"):
-            check_preshelling(order, count)
-    report = check_preshelling(order, faces)
-    assert report["is_preshelling"] is True and report["witnesses"] == {}
+def test_check_preshelling_disagreement_raises():
+    # a real exception, so the equivalence check survives python -O: with a
+    # wrong face count (ii) alone fails on a pre-shelling
+    for faces in (chain_count(3) - 1, chain_count(3) + 1, 0):
+        with pytest.raises(RuntimeError, match="equivalence broken"):
+            check_preshelling(dyck_complex(3), omega_n(3), faces)
 
 
 def test_upward_closure_preserves_restrictions():
     for n in (3, 4):
-        om = omega_n(n)
-        base = [restriction(om, f) for f in range(om.m)]
+        cx, om = dyck_complex(n), omega_n(n)
+        base = [restriction(cx, om, f) for f in range(om.m)]
         le = random_linear_extension(om, 5)
         position = {f: i for i, f in enumerate(le)}
         rng = random.Random(n)
@@ -582,9 +560,9 @@ def test_upward_closure_preserves_restrictions():
                 a, b = b, a
             if not less(om, a, b):
                 extra.append((a, b))
-        bigger = FacetOrder(om.complex, om.relations + tuple(extra), om.labels)
-        assert check_preshelling(bigger)["is_preshelling"] is True
-        assert [restriction(bigger, f) for f in range(om.m)] == base
+        bigger = FacetOrder(om.m, om.relations + tuple(extra), om.labels)
+        assert check_preshelling(cx, bigger, chain_count(n))["is_preshelling"] is True
+        assert [restriction(cx, bigger, f) for f in range(om.m)] == base
 
 
 def test_is_shelling_single_facet():
@@ -604,11 +582,11 @@ def test_is_shelling_validates_order():
 
 def test_linear_extensions_of_omega_shell():
     for n in range(1, 5):
-        om = omega_n(n)
-        expected = {f: restriction(om, f) for f in range(om.m)}
+        cx, om = dyck_complex(n), omega_n(n)
+        expected = {f: restriction(cx, om, f) for f in range(om.m)}
         for seed in range(5):
             order = random_linear_extension(om, seed)
-            report = is_shelling(om.complex, order)
+            report = is_shelling(cx, order)
             assert report["is_shelling"] is True
             assert report["violation"] is None
             assert report["restrictions"] == expected
@@ -617,7 +595,7 @@ def test_linear_extensions_of_omega_shell():
 def test_violating_order_found():
     om = omega_n(3)
     order = list(reversed(random_linear_extension(om, 0)))
-    report = is_shelling(om.complex, order)
+    report = is_shelling(dyck_complex(3), order)
     assert report["is_shelling"] is False
     assert report["violation"] is not None
 
@@ -634,34 +612,24 @@ def test_every_shelling_is_a_preshelling():
                 for i in range(cx.m)
                 for j in range(i + 1, cx.m)
             ]
-            assert check_preshelling(FacetOrder(cx, rels))["is_preshelling"]
+            assert check_preshelling(cx, FacetOrder(cx.m, rels), chain_count(3))["is_preshelling"]
     assert accepted == 44
 
 
 def test_partition_intervals_omega():
-    om = omega_n(3)
-    p = partition_intervals(om)
-    assert len(p) == 5
-    assert _first_misowned_face(om.complex, restriction_masks(om.complex, p)) is None
-    total_faces = len(face_masks(om.complex))
-    covered = sum(
-        1 << (om.complex.d - len(r)) for r in p
-    )
-    assert covered == total_faces
-    for n in (2, 4, 5):
-        om = omega_n(n)
-        p = partition_intervals(om)
-        assert _first_misowned_face(om.complex, restriction_masks(om.complex, p)) is None
-        assert sum(
-            1 << (om.complex.d - len(r)) for r in p
-        ) == len(face_masks(om.complex))
+    for n in (2, 3, 4, 5):
+        cx = dyck_complex(n)
+        p = partition_intervals(cx, omega_n(n))
+        assert len(p) == cx.m
+        assert first_misowned_face(cx, restriction_masks(cx, p)) is None
+        assert sum(1 << (cx.d - len(r)) for r in p) == len(dfs_face_masks(cx))
 
 
 def test_verify_partitioning_catches_damage():
-    om = omega_n(3)
-    good = partition_intervals(om)
-    bad = (frozenset(),) * om.m
-    witness = _first_misowned_face(om.complex, restriction_masks(om.complex, bad))
+    cx = dyck_complex(3)
+    good = partition_intervals(cx, omega_n(3))
+    bad = (frozenset(),) * cx.m
+    witness = first_misowned_face(cx, restriction_masks(cx, bad))
     assert witness is not None
     assert len(witness["covered_by"]) != 1
     assert good != bad
@@ -671,7 +639,7 @@ def brute_force_owner_witness(cx: PureComplex, restrictions) -> "dict | None":
     """Scan every interval for every face: the first face in sorted mask
     order not owned exactly once, with its owners."""
     r = restriction_masks(cx, restrictions)
-    for face in sorted(face_masks(cx)):
+    for face in sorted(dfs_face_masks(cx)):
         owners = [
             f for f in range(cx.m) if not r[f] & ~face and not face & ~cx.mask(f)
         ]
@@ -684,46 +652,41 @@ def brute_force_owner_witness(cx: PureComplex, restrictions) -> "dict | None":
 def test_verify_partitioning_matches_brute_force_on_damage():
     rng = random.Random(7)
     for n in (3, 4):
-        om = omega_n(n)
-        good = partition_intervals(om)
-        facets = [face_members(om.complex, om.complex.mask(f)) for f in range(om.m)]
-        damaged = [good, (frozenset(),) * om.m, tuple(facets)]
+        cx = dyck_complex(n)
+        good = partition_intervals(cx, omega_n(n))
+        facets = [face_members(cx, cx.mask(f)) for f in range(cx.m)]
+        damaged = [good, (frozenset(),) * cx.m, tuple(facets)]
         for _ in range(30):
             rs = list(good)
-            for f in rng.sample(range(om.m), rng.randint(1, 3)):
+            for f in rng.sample(range(cx.m), rng.randint(1, 3)):
                 facet = sorted(facets[f])
                 rs[f] = frozenset(rng.sample(facet, rng.randint(0, len(facet))))
             damaged.append(tuple(rs))
         owner_counts = set()
         for rs in damaged:
-            witness = brute_force_owner_witness(om.complex, rs)
-            assert _first_misowned_face(om.complex, restriction_masks(om.complex, rs)) == witness
+            witness = brute_force_owner_witness(cx, rs)
+            assert first_misowned_face(cx, restriction_masks(cx, rs)) == witness
             owner_counts.add(None if witness is None else len(witness["covered_by"]))
         # valid, uncovered and multiply covered faces all occur
         assert {None, 0} < owner_counts and max(owner_counts - {None}) >= 2
-    cx3, cx4 = dyck_complex(3), dyck_complex(4)
-    for order in (
-        omega_n(4),
-        FacetOrder(cx3, []),
-        FacetOrder(cx3, [(b, a) for a, b in omega_n(3).relations]),
-        FacetOrder(cx4, [(0, 1), (2, 3), (5, 7)]),
-    ):
-        witness = brute_force_owner_witness(order.complex, partition_intervals(order))
-        assert check_preshelling(order)["witnesses"].get("ii") == witness
+    for n, order in [(4, omega_n(4)), *broken_orders()]:
+        cx = dyck_complex(n)
+        witness = brute_force_owner_witness(cx, partition_intervals(cx, order))
+        assert pairwise_preshelling(cx, order)["witnesses"].get("ii") == witness
 
 
 def test_single_facet_partitioning_covers_everything():
     cx = pure_complex("abc", [{"a", "b", "c"}])
-    p = partition_intervals(FacetOrder(cx, []))
+    p = partition_intervals(cx, FacetOrder(cx.m, []))
     assert p == (frozenset(),)
-    assert _first_misowned_face(cx, restriction_masks(cx, p)) is None
-    assert len(face_masks(cx)) == 8
+    assert first_misowned_face(cx, restriction_masks(cx, p)) is None
+    assert len(dfs_face_masks(cx)) == 8
 
 
 def test_flag_h_from_partition_frozen():
-    p1 = partition_intervals(omega_n(1))
+    p1 = partition_intervals(dyck_complex(1), omega_n(1))
     assert flag_h_from_partition(p1) == {frozenset(): 1}
-    p3 = partition_intervals(omega_n(3))
+    p3 = partition_intervals(dyck_complex(3), omega_n(3))
     table = flag_h_from_partition(p3)
     assert table == {
         frozenset(): 1,
@@ -738,19 +701,19 @@ def test_parth_rank_buckets_match_the_partition_oracle():
     # the restriction masks bucketed by rank mask, against the restrictions
     # as sets of points bucketed by their ranks
     for n in range(1, 9):
-        om = omega_n(n)
-        buckets = _rank_set_counts(om)
-        assert buckets == flag_h_from_partition(partition_intervals(om)), n
+        cx = dyck_complex(n)
+        buckets = _rank_set_counts(cx, omega_n(n))
+        assert buckets == flag_h_from_partition(partition_intervals(cx, omega_n(n))), n
         assert buckets == flag_h_table(n), n
     # a damaged order buckets its own restrictions, not the flag h-vector
-    broken = FacetOrder(dyck_complex(4), [])
-    assert _rank_set_counts(broken) == flag_h_from_partition(partition_intervals(broken))
-    assert _rank_set_counts(broken) == {frozenset(): 14}
+    cx, broken = dyck_complex(4), FacetOrder(14, [])
+    assert _rank_set_counts(cx, broken) == flag_h_from_partition(partition_intervals(cx, broken))
+    assert _rank_set_counts(cx, broken) == {frozenset(): 14}
 
 
 def test_flag_h_from_partition_matches_inclusion_exclusion():
     for n in range(1, 6):
-        table = flag_h_from_partition(partition_intervals(omega_n(n)))
+        table = flag_h_from_partition(partition_intervals(dyck_complex(n), omega_n(n)))
         assert table == flag_h_table(n), n
         ls_counts: dict[frozenset[int], int] = {}
         for w in enumerate_paths(n):
