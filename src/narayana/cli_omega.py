@@ -19,12 +19,12 @@ def cmd_omega(args: SimpleNamespace) -> int:
     # refused against the guard, before any library module loads
     if not 1 <= n <= OMEGA_GUARD:
         return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
-    from .dyck import ls_set
+    from .dyck import _bit_indices, ls_set
     from .shelling import omega_n
 
     om = omega_n(n)
     words = om.labels
-    annotations = {w: sorted(ls_set(w)) for w in words}
+    annotations = {w: list(_bit_indices(ls_set(w))) for w in words}
     edges = [(words[a], words[b]) for a, b in om.covers()]
     if args.format == "json":
         # json.dumps(payload, indent=2, sort_keys=True)'s bytes: every node

@@ -90,15 +90,23 @@ def random_path(n: int, seed: "int | random.Random | None" = None) -> str:
     return unrank(n, rng.randrange(_completions(2 * n, 0)))
 
 
-def ls_set(word: str) -> frozenset[int]:
-    """Centers i in [2, 2n-1] of factors w_{i-1} w_i w_{i+1} = vvh or hhv."""
-    centers = []
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first: the ranks of a rank set."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def ls_set(word: str) -> int:
+    """Centers r in [2, 2n-1] of factors vvh or hhv, as a mask with rank r at bit r."""
+    centers = 0
     for factor in ("vvh", "hhv"):
         i = word.find(factor)
         while i >= 0:
-            centers.append(i + 2)
+            centers |= 1 << i + 2
             i = word.find(factor, i + 1)
-    return frozenset(centers)
+    return centers
 
 
 def label(word: str) -> tuple[Label, ...]:

@@ -17,19 +17,20 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from operator import gt
 
-from .dyck import dyck_word, enumerate_paths, label
+from .dyck import _bit_indices, dyck_word, enumerate_paths, label
 
 
-def flag_h_table(n: int) -> Counter[frozenset[int]]:
-    """beta(S) for every subset S of the interior ranks [2n - 1] of J(2 x n).
+def flag_h_table(n: int) -> Counter[int]:
+    """beta(S) for every subset S of the interior ranks [2n - 1] of J(2 x n),
+    keyed by the mask of S with rank r at bit r.
 
     By Stanley's theorem (EC1 3.13), beta(S) counts the maximal chains
     whose label word has descent set S under the natural labelling of
     2 x n that reads (1, 1), (2, 1), (1, 2), (2, 2), ...: the cover adding
     (1, a + 1) is labelled 2a and the one adding (2, b + 1) is labelled
     2b + 1.  One pass over the points by rank keeps, for each point and
-    label of its last cover, the chain counts by descent mask, rank r being
-    bit r - 1.  Only nonzero entries appear, in bitmask order."""
+    label of its last cover, the chain counts by descent mask.  Only
+    nonzero entries appear, in mask order."""
     if n < 1:
         raise ValueError(f"flag_h_table needs n >= 1, got {n}")
     states = {(0, 0, -1): {0: 1}}
@@ -38,34 +39,31 @@ def flag_h_table(n: int) -> Counter[frozenset[int]]:
         for (a, b, last), counts in states.items():
             for x, y, new in ((a + 1, b, 2 * a), (a, b + 1, 2 * b + 1)):
                 if y <= x <= n:
-                    descent = 1 << (r - 1) if last > new else 0
+                    descent = 1 << r if last > new else 0
                     masks = following.setdefault((x, y, new), {})
                     for mask, count in counts.items():
                         masks[mask | descent] = masks.get(mask | descent, 0) + count
         states = following
     top = sum(map(Counter, states.values()), Counter())
-    return Counter(
-        {frozenset(r for r in range(1, 2 * n) if m >> (r - 1) & 1): top[m] for m in sorted(top)}
-    )
+    return Counter({mask: top[mask] for mask in sorted(top)})
 
 
-def flag_h_mismatches(
-    betas: Mapping[frozenset[int], int], **tables: Mapping[frozenset[int], int]
-) -> list[dict]:
+def flag_h_mismatches(betas: Mapping[int, int], **tables: Mapping[int, int]) -> list[dict]:
     """Compare a flag h-table, as flag_h_table gives it, with each named
-    table of counts by rank set; a missing key counts as zero.  One witness
-    per rank set S, ordered by size and then elements, on which some table
-    differs from beta(S); the witness holds beta(S) as flag_h, S as s, and
-    each table's count by name."""
+    table of counts by rank set, a mask with rank r at bit r; a missing key
+    counts as zero.  One witness per rank set S, ordered by size and then
+    elements, on which some table differs from beta(S); it holds beta(S)
+    as flag_h, the ranks of S in order as s, and each table's count."""
     # equal Counters agree on every key, a missing one counting as zero
     if all(Counter(table) == Counter(betas) for table in tables.values()):
         return []
+    ranks = {S: list(_bit_indices(S)) for S in set(betas).union(*tables.values())}
     witnesses = []
-    for S in sorted(set(betas).union(*tables.values()), key=lambda s: (len(s), sorted(s))):
+    for S in sorted(ranks, key=lambda S: (len(ranks[S]), ranks[S])):
         beta = betas.get(S, 0)
         counts = {name: table.get(S, 0) for name, table in tables.items()}
         if any(count != beta for count in counts.values()):
-            witnesses.append({"flag_h": beta, "s": sorted(S), **counts})
+            witnesses.append({"flag_h": beta, "s": ranks[S], **counts})
     return witnesses
 
 
@@ -88,17 +86,19 @@ def verify_theorem_main(n: int, refs: Iterable[str]) -> list[dict]:
         if len(W) != 2 * n:
             raise ValueError(f"length mismatch: |W| = {len(W)}, expected {2 * n}")
     betas = flag_h_table(n)
-    labeled = [label(w) for w in enumerate_paths(n)]
-    # a descent set is keyed by its bytes, a flag per position, and built
-    # as a set only for the witnesses
-    expected = Counter({bytes(r in S for r in range(1, 2 * n)): b for S, b in betas.items()})
+    # each label coded by its position in v^n h^n, which indexes a list of
+    # a reference's label positions; a descent set is counted by its bytes,
+    # a flag per rank, and each distinct one read back to front in binary
+    staircase = label("v" * n + "h" * n)
+    code = {lab: k for k, lab in enumerate(staircase)}
+    coded = [list(map(code.__getitem__, label(w))) for w in enumerate_paths(n)]
+    digits = bytes.maketrans(b"\0\1", b"01")
     witnesses = []
     for W in refs:
-        order = {lab: pos for pos, lab in enumerate(label(W))}
-        positions = [list(map(order.__getitem__, lab)) for lab in labeled]
+        where = list(map(label(W).index, staircase))
+        positions = [list(map(where.__getitem__, c)) for c in coded]
         counts = Counter(bytes(map(gt, pi, pi[1:])) for pi in positions)
-        if counts != expected:
-            sets = (frozenset(r for r, d in enumerate(key, 1) if d) for key in counts)
-            buckets = dict(zip(sets, counts.values()))
-            witnesses += [dict(w, ref_path=W) for w in flag_h_mismatches(betas, paths=buckets)]
+        masks = Counter({int(key[::-1].translate(digits), 2) << 1: c for key, c in counts.items()})
+        if masks != betas:
+            witnesses += [dict(w, ref_path=W) for w in flag_h_mismatches(betas, paths=masks)]
     return witnesses

@@ -17,8 +17,8 @@ an independent walk over every face.
 from functools import reduce
 from operator import and_, or_
 
-from .shelling import FacetOrder, PureComplex, _bit_indices, _restriction_mask
-from .shelling import dyck_complex, omega_n
+from .dyck import _bit_indices
+from .shelling import FacetOrder, PureComplex, _restriction_mask, dyck_complex, omega_n
 
 
 def chain_count(n: int) -> int:

@@ -13,18 +13,10 @@ decided in narayana.preshelling.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cache, cached_property
 
-from .dyck import enumerate_paths, ls_set
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+from .dyck import _bit_indices, enumerate_paths, ls_set
 
 
 def _topological_order(up: Sequence[Sequence[int]]) -> list[int]:
@@ -239,14 +231,13 @@ def _restriction_mask(cx: PureComplex, ord: FacetOrder, f: int) -> int:
     return out
 
 
-def _rank_set_counts(cx: PureComplex, ord: FacetOrder) -> Counter[frozenset[int]]:
+def _rank_set_counts(cx: PureComplex, ord: FacetOrder) -> Counter[int]:
     """The facets of a dyck_complex bucketed by the rank sets of their
-    restrictions, the point (a, b) having rank a + b, read as masks with
+    restrictions, the point (a, b) having rank a + b, each set a mask with
     rank r at bit r; for a partitioning this is the flag h-vector."""
     rank_bit = [1 << (a + b) for a, b in cx.vertices]
-    by_ranks = Counter(
+    return Counter(
         sum(rank_bit[v] for v in _bit_indices(_restriction_mask(cx, ord, f))) for f in range(ord.m))
-    return Counter({frozenset(_bit_indices(ranks)): count for ranks, count in by_ranks.items()})
 
 
 def verify_parth(n: int) -> list[dict]:

@@ -111,19 +111,19 @@ def q_narayana_ssyt(n: int, k: int) -> "QPoly":
 
 def verify_ssyt(n: int) -> list[dict]:
     """The ssyt check: two-column tableaux with entries below n, counted by
-    row-sum set, reproduce the flag h-vector of J(2 x n), and every one
-    round-trips through ssyt_to_dyck and dyck_to_ssyt.  Witnesses of
-    images that are no Dyck word or fail the round-trip come first, then
-    one per mismatched rank set."""
+    the sum of 1 << r over their row sums r, which increase down the rows,
+    reproduce the flag h-vector of J(2 x n), and each round-trips through
+    ssyt_to_dyck and dyck_to_ssyt.  Witnesses of images that are no Dyck
+    word or fail the round-trip come first, then one per mismatched set."""
     # imported here, so that the q-Narayana routes load neither
     from .dyck import dyck_word
     from .posets import flag_h_mismatches, flag_h_table
 
-    counts: Counter[frozenset[int]] = Counter()
+    counts: Counter[int] = Counter()
     witnesses = []
     for k in range(n):
         for rows in two_column_fillings(k, n - 1):
-            counts[frozenset(map(sum, rows))] += 1
+            counts[sum(1 << a + b for a, b in rows)] += 1
             word = ssyt_to_dyck(rows, n)
             try:
                 inverted = dyck_to_ssyt(dyck_word(word)) == rows

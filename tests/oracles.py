@@ -12,20 +12,20 @@ from functools import cache, cached_property, reduce
 from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from narayana.dyck import dyck_word, label, ls_set
+from narayana.dyck import _bit_indices, dyck_word, label
 from narayana.qpoly import QPoly
-from narayana.shelling import (
-    FacetOrder,
-    PureComplex,
-    _bit_indices,
-    _restriction_mask,
-    _topological_order,
-)
+from narayana.shelling import FacetOrder, PureComplex, _restriction_mask, _topological_order
 from narayana.tableaux import two_column_fillings
 
 Element = Hashable
 
 LINEAR_EXTENSION_GUARD = 16
+
+
+def rank_mask(ranks: Iterable[int]) -> int:
+    """The mask of a set of ranks, rank r at bit r, as the library keys a
+    rank set; the oracles below keep rank sets as frozensets."""
+    return sum(1 << r for r in set(ranks))
 
 
 def permutation_descents(pi: Sequence[int]) -> frozenset[int]:
@@ -88,12 +88,18 @@ def ea(word: str) -> int:
     return sum(1 for i in range(2, len(word) + 1, 2) if word[i - 1] == "v")
 
 
+def ls_centers(word: str) -> frozenset[int]:
+    """Centers i of the windows w_{i-1} w_i w_{i+1} that read vvh or hhv, by
+    a slice of every window: the oracle of dyck.ls_set."""
+    return frozenset(i for i in range(2, len(word)) if word[i - 2 : i + 1] in ("vvh", "hhv"))
+
+
 def lnfs(word: str) -> int:
-    return len(ls_set(word))
+    return len(ls_centers(word))
 
 
 def maj_l(word: str) -> int:
-    return sum(ls_set(word))
+    return sum(ls_centers(word))
 
 
 def da(word: str) -> int:

@@ -21,8 +21,8 @@ import narayana
 from narayana import __version__, cli, cli_common, cli_dist, cli_parse, posets, preshelling, shelling
 from narayana import qpoly, stats, tableaux
 from narayana.cli import build_parser, main
-from narayana.dyck import ls_set
 from narayana.qpoly import q_narayana_closed
+from oracles import ls_centers
 
 
 def run(capsys, *argv):
@@ -621,7 +621,7 @@ def test_omega_json_is_the_bytes_of_json_dumps(capsys):
             "command": "omega",
             "edges": [[words[a], words[b]] for a, b in om.covers()],
             "n": n,
-            "nodes": [{"ls": sorted(ls_set(w)), "word": w} for w in words],
+            "nodes": [{"ls": sorted(ls_centers(w)), "word": w} for w in words],
         }
         expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert run(capsys, "omega", "--n", str(n), "--format", "json")[:2] == (0, expected), n

@@ -21,10 +21,12 @@ from oracles import (
     hp,
     label_string,
     lnfs,
+    ls_centers,
     maj,
     maj_l,
     maj_wrt,
     rank,
+    rank_mask,
     walk_paths,
 )
 
@@ -116,9 +118,9 @@ def test_ls_set_matches_the_factor_windows():
     # slice of every window
     for n in range(9):
         for word in enumerate_paths(n):
-            windows = {i for i in range(2, 2 * n) if word[i - 2 : i + 1] in ("vvh", "hhv")}
-            assert ls_set(word) == windows, word
-    assert ls_set("vvhhvvhh") == {2, 4, 6}
+            assert ls_set(word) == rank_mask(ls_centers(word)), word
+    assert ls_set("vvhhvvhh") == rank_mask({2, 4, 6}) == 0b1010100
+    assert ls_centers("vvhhvvhh") == {2, 4, 6}
 
 
 def test_enumerate_frozen():
@@ -160,19 +162,21 @@ def test_ea_frozen():
 
 
 def test_ls_frozen():
-    assert ls_set("vhvhvh") == frozenset()
-    assert ls_set("vvvhhh") == {3}
-    assert ls_set("vvhhvh") == {2, 4}
-    assert ls_set("vvvhhhvh") == {3, 6}
+    assert ls_set("vhvhvh") == rank_mask(()) == 0
+    assert ls_set("vvvhhh") == rank_mask({3})
+    assert ls_set("vvhhvh") == rank_mask({2, 4})
+    assert ls_set("vvvhhhvh") == rank_mask({3, 6})
     assert (lnfs("vvhhvh"), maj_l("vvhhvh")) == (2, 6)
 
 
 @given(small_paths)
 def test_ls_members_in_range(word):
+    # no bit outside the centers 2..2n-1, and every set bit a window's center
     s = ls_set(word)
-    assert all(2 <= i <= len(word) - 1 for i in s)
-    for i in s:
-        assert word[i - 2 : i + 1] in ("vvh", "hhv")
+    assert s & ~rank_mask(range(2, len(word))) == 0
+    for i in range(2, len(word)):
+        if s & rank_mask({i}):
+            assert word[i - 2 : i + 1] in ("vvh", "hhv")
 
 
 def test_da_frozen():

@@ -24,6 +24,7 @@ from oracles import (
     permutation_descents,
     linear_extensions,
     path_to_extension,
+    rank_mask,
 )
 
 
@@ -230,7 +231,7 @@ def test_tables_match_pointwise_ops():
         for size in range(2 * n):
             for S in map(frozenset, itertools.combinations(range(1, 2 * n), size)):
                 assert alphas[S] == flag_f(L, S)
-                assert betas[S] == flag_h(L, S)
+                assert betas[rank_mask(S)] == flag_h(L, S)
 
 
 def test_flag_h_table_keeps_only_nonzero_entries():
@@ -248,7 +249,9 @@ def test_flag_h_table_matches_dense_oracle():
     # transform of the dense alpha table of the generic ideal lattice: the
     # same entries in the same key order
     for n in range(1, 10):
-        betas, expected = flag_h_table(n), dense_flag_h_table(j2xn(n))
+        dense = dense_flag_h_table(j2xn(n))
+        expected = {rank_mask(S): value for S, value in dense.items()}
+        betas = flag_h_table(n)
         assert betas == expected, n
         assert list(betas) == list(expected), n
     with pytest.raises(ValueError):
@@ -261,7 +264,7 @@ def test_narayana_from_flag_h():
         assert all(b >= 0 for b in betas.values())
         by_size = Counter()
         for S, b in betas.items():
-            by_size[len(S)] += b
+            by_size[S.bit_count()] += b
         for k in range(n):
             assert by_size[k] == narayana(n, k)
 
@@ -296,7 +299,7 @@ def test_verify_theorem_main_small(monkeypatch):
     assert verify_theorem_main(3, ["vvvhhh", "vhvhvh"]) == []
     # against a table that puts both catalan(2) paths on the empty set, each
     # reference's one path on the empty set and one on {2} both mismatch
-    monkeypatch.setattr("narayana.posets.flag_h_table", lambda n: Counter({frozenset(): 2}))
+    monkeypatch.setattr("narayana.posets.flag_h_table", lambda n: Counter({rank_mask(()): 2}))
     # a reference is validated and lowercased, so it is reported as its word
     assert verify_theorem_main(2, ["VHVH", iter("vvhh")]) == [
         {"flag_h": 2, "paths": 1, "ref_path": "vhvh", "s": []},
@@ -317,16 +320,16 @@ def test_verify_theorem_main_every_reference_path():
 
 def theorem_witnesses_per_pair(n, refs, beta):
     # the oracle: descent_set_wrt relabels both paths for every pair; within
-    # a reference, witnesses come by size and then elements of s
+    # a reference, witnesses come by size and then elements of s, the order
+    # in which combinations lists the rank sets
     witnesses = []
     for W in refs:
         buckets = Counter(descent_set_wrt(w, W) for w in enumerate_paths(n))
-        for s in sorted(set(beta) | set(buckets), key=lambda s: (len(s), sorted(s))):
-            value = beta.get(s, 0)
-            if buckets[s] != value:
-                witnesses.append(
-                    {"flag_h": value, "paths": buckets[s], "ref_path": W, "s": sorted(s)}
-                )
+        for size in range(2 * n):
+            for s in itertools.combinations(range(1, 2 * n), size):
+                value, paths = beta.get(rank_mask(s), 0), buckets[frozenset(s)]
+                if paths != value:
+                    witnesses.append({"flag_h": value, "paths": paths, "ref_path": W, "s": list(s)})
     return witnesses
 
 
@@ -362,11 +365,18 @@ def test_flag_h_mismatches_orders_by_size_then_elements():
     # beta of J(2 x 3) is 1 on {}, {2}, {3}, {4}, {2, 4} and 0 elsewhere
     betas = flag_h_table(3)
     assert flag_h_mismatches(betas, exact=betas) == []
-    shifted = Counter({frozenset({1}): 1, frozenset({2, 4}): 1})
+    shifted = Counter({rank_mask({1}): 1, rank_mask({2, 4}): 1})
     assert flag_h_mismatches(betas, exact=betas, shifted=shifted) == [
         {"flag_h": 1, "s": [], "exact": 1, "shifted": 0},
         {"flag_h": 0, "s": [1], "exact": 0, "shifted": 1},
         {"flag_h": 1, "s": [2], "exact": 1, "shifted": 0},
         {"flag_h": 1, "s": [3], "exact": 1, "shifted": 0},
         {"flag_h": 1, "s": [4], "exact": 1, "shifted": 0},
+    ]
+    # {1, 4} comes before {2, 3} by elements, after it by mask
+    assert (rank_mask({1, 4}), rank_mask({2, 3})) == (0b10010, 0b01100)
+    crossed = Counter({rank_mask({2, 3}): 1, rank_mask({1, 4}): 1})
+    assert flag_h_mismatches(Counter(), crossed=crossed) == [
+        {"flag_h": 0, "s": [1, 4], "crossed": 1},
+        {"flag_h": 0, "s": [2, 3], "crossed": 1},
     ]

@@ -11,6 +11,7 @@ goes on.  A function or method that no request reaches belongs in
 tests/oracles.py or nowhere, unless ALLOWED names it with its reason.
 No module under src/narayana holds an assert statement, since python -O
 strips them, or a global statement, since a module binds its names once,
+or the word frozenset, since a rank set is one int with rank r at bit r,
 and no function there calls itself, since a recursion's depth is bounded
 by the interpreter's limit and not by a guard, unless SELF_CALLS names it
 with its reason.
@@ -186,6 +187,18 @@ def test_no_assert_statement_under_src():
 def test_no_global_statement_under_src():
     # a module binds its names once, at import; no call rebinds one
     assert statements_under_src(ast.Global) == []
+
+
+def test_no_frozenset_under_src():
+    # a rank set is one int mask from the flag h-table to every check; the
+    # witnesses alone list its ranks
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(narayana.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "frozenset" in line
+    ]
+    assert found == []
 
 
 def self_calls_under_src() -> list[str]:
