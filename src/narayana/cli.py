@@ -13,10 +13,10 @@ from . import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, _library
 from .cli_common import OMEGA_GUARD, SAMPLES_LIMIT, VERIFY_CHECKS, UsageError, _discard, _usage
 
 # main() reads a full-form command line by the table below, and any other,
-# --help among them, by cli_parse; then it imports only the module of the
-# command asked for, each handler with the library modules it calls and json
-# and random only where it uses them, so that a request loads, and without
-# bytecode compiles, only those.
+# --help among them, by cli_parse, with argparse; then it imports only the
+# module of the command asked for, each handler with the library modules it
+# calls and json and random only where it uses them, so that a request
+# loads, and without bytecode compiles, only those.
 
 
 def build_parser() -> dict:

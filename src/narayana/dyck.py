@@ -1,15 +1,13 @@
 """Dyck paths as words: enumerated in lexicographic order, unranked, drawn at
-random, and read one at a time by ls_set and label.  A path of semilength n
-is a word of n ``v`` and n ``h`` steps in which every prefix holds at least
-as many v as h.  Positions are 1-based.  narayana.stats sums statistics
-over all paths.
+random, and read one at a time by ls_set.  A path of semilength n is a
+word of n ``v`` and n ``h`` steps in which every prefix holds at least as
+many v as h.  Positions are 1-based.  narayana.stats sums statistics over
+all paths.
 """
 
 import random
 from collections.abc import Iterable, Iterator
 from math import comb
-
-Label = tuple[str, int]
 
 
 def dyck_word(steps: "Iterable[str] | str") -> str:
@@ -108,16 +106,3 @@ def ls_set(word: str) -> int:
             i = word.find(factor, i + 1)
     return centers
 
-
-def label(word: str) -> tuple[Label, ...]:
-    """Occurrence labels: the i-th v becomes ("v", i), the j-th h ("h", j)."""
-    labels = []
-    seen_v = seen_h = 0
-    for letter in word:
-        if letter == "v":
-            seen_v += 1
-            labels.append(("v", seen_v))
-        else:
-            seen_h += 1
-            labels.append(("h", seen_h))
-    return tuple(labels)

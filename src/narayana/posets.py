@@ -15,9 +15,10 @@ Jordan-Holder permutations to path statistics.
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import count
 from operator import gt
 
-from .dyck import _bit_indices, dyck_word, enumerate_paths, label
+from .dyck import _bit_indices, dyck_word, enumerate_paths
 
 
 def flag_h_table(n: int) -> Counter[int]:
@@ -73,7 +74,7 @@ def verify_theorem_main(n: int, refs: Iterable[str]) -> list[dict]:
     path W in refs, each a word that is validated here.
 
     The flag h-vector is computed once and every path and reference is
-    labeled once.  Returns the flag_h_mismatches witnesses of each
+    coded once.  Returns the flag_h_mismatches witnesses of each
     reference in turn, each with keys flag_h, paths, ref_path and s; the
     list is empty when the theorem holds.
     """
@@ -86,16 +87,21 @@ def verify_theorem_main(n: int, refs: Iterable[str]) -> list[dict]:
         if len(W) != 2 * n:
             raise ValueError(f"length mismatch: |W| = {len(W)}, expected {2 * n}")
     betas = flag_h_table(n)
-    # each label coded by its position in v^n h^n, which indexes a list of
-    # a reference's label positions; a descent set is counted by its bytes,
-    # a flag per rank, and each distinct one read back to front in binary
-    staircase = label("v" * n + "h" * n)
-    code = {lab: k for k, lab in enumerate(staircase)}
-    coded = [list(map(code.__getitem__, label(w))) for w in enumerate_paths(n)]
+
+    def codes(word: str) -> list[int]:
+        # each letter coded by its place in v^n h^n: the i-th v is i - 1,
+        # the j-th h is n + j - 1
+        next_code = {"v": count().__next__, "h": count(n).__next__}
+        return [next_code[letter]() for letter in word]
+
+    # a reference's positions, indexed by code, are the inverse of its
+    # codes; a descent set is counted by its bytes, a flag per rank, and
+    # each distinct one read back to front in binary
+    coded = list(map(codes, enumerate_paths(n)))
     digits = bytes.maketrans(b"\0\1", b"01")
     witnesses = []
     for W in refs:
-        where = list(map(label(W).index, staircase))
+        where = sorted(range(2 * n), key=codes(W).__getitem__)
         positions = [list(map(where.__getitem__, c)) for c in coded]
         counts = Counter(bytes(map(gt, pi, pi[1:])) for pi in positions)
         masks = Counter({int(key[::-1].translate(digits), 2) << 1: c for key, c in counts.items()})

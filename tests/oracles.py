@@ -12,7 +12,7 @@ from functools import cache, cached_property, reduce
 from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from narayana.dyck import _bit_indices, dyck_word, label
+from narayana.dyck import _bit_indices, dyck_word
 from narayana.qpoly import QPoly
 from narayana.shelling import FacetOrder, PureComplex, _restriction_mask, _topological_order
 from narayana.tableaux import two_column_fillings
@@ -105,6 +105,20 @@ def maj_l(word: str) -> int:
 def da(word: str) -> int:
     """Number of double ascents, i.e. factors vv."""
     return sum(1 for i in range(len(word) - 1) if word[i] == "v" and word[i + 1] == "v")
+
+
+def label(word: str) -> tuple[tuple[str, int], ...]:
+    """Occurrence labels: the i-th v becomes ("v", i), the j-th h ("h", j)."""
+    labels = []
+    seen_v = seen_h = 0
+    for letter in word:
+        if letter == "v":
+            seen_v += 1
+            labels.append(("v", seen_v))
+        else:
+            seen_h += 1
+            labels.append(("h", seen_h))
+    return tuple(labels)
 
 
 def label_string(word: str) -> str:

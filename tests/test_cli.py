@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -1292,6 +1293,25 @@ def test_the_benchmark_setup_probe_runs():
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_benchmarked_request_takes_the_full_form_reader():
+    # so no request the benchmark draws imports cli_parse and argparse;
+    # dist-cache gives each of its requests a --cache-dir
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    commands = build_parser()
+    general = []
+    for workload in workloads.WORKLOADS:
+        catalogue = workloads.catalogue(workload)
+        assert catalogue, workload
+        for argv in catalogue:
+            argv = [*argv, *(["--cache-dir", "D"] if workload == "dist-cache" else [])]
+            if cli._full_form(commands, argv) is None:
+                general.append(argv)
+    assert general == []
 
 
 def test_every_request_reproduces_the_benchmark_digests(monkeypatch):

@@ -4,11 +4,12 @@ One deck of CLI requests runs in-process under sys.setprofile and records
 the code object of every Python frame it enters.  The deck covers every
 subcommand, check, route and format, --help, a random reference path, a
 cache miss and a hit, a closed-form request long enough for the Kronecker
-product, one request in abbreviated form, one refused request and one whose
-stdout and stderr are full; the process entry run() serves --version first,
-with its exit handlers and os._exit replaced, so that the test process
-goes on.  A function or method that no request reaches belongs in
-tests/oracles.py or nowhere, unless ALLOWED names it with its reason.
+product, one request in abbreviated form, one request refused by the
+general reader and one by its handler, and one whose stdout and stderr are
+full; the process entry run() serves --version first, with its exit
+handlers and os._exit replaced, so that the test process goes on.  A
+function or method that no request reaches belongs in tests/oracles.py or
+nowhere, unless ALLOWED names it with its reason.
 No module under src/narayana holds an assert statement, since python -O
 strips them, or a global statement, since a module binds its names once,
 or the word frozenset, since a rank set is one int with rank r at bit r,
@@ -69,7 +70,8 @@ def deck(cache_dir: str) -> list[list[str]]:
     requests += [["omega", "--n", "3", "--format", fmt] for fmt in ("dot", "json")]
     requests.append(["--help"])
     requests.append(["dist", "--n=4", "--st", "da"])  # abbreviated: the general reader
-    requests.append(["narayana", "--n", "0"])  # refused: exit 2
+    requests.append(["dist", "--n", "4", "--stat", "nope"])  # refused by the general reader: exit 2
+    requests.append(["narayana", "--n", "0"])  # refused by its handler: exit 2
     return requests
 
 
@@ -159,8 +161,8 @@ def test_every_function_and_method_serves_a_request(tmp_path):
                 codes.append(main(["narayana", "--n", "3"]))
     finally:
         sys.setprofile(previous)
-    assert codes[-2:] == [2, 2]
-    assert set(codes[:-2]) == {0}
+    assert codes[-3:] == [2, 2, 2]
+    assert set(codes[:-3]) == {0}
     assert len(list(tmp_path.iterdir())) == 1
     # the allowlist cannot go stale: each entry exists and is still unreached
     assert sorted(set(ALLOWED) - set(functions)) == [], "allowed but gone"
