@@ -16,6 +16,10 @@ ROUTES = {
     "schur-hook": ("qpoly", "q_narayana_hook", CLOSED_FORM_LIMIT),
     "enumerate": ("stats", "q_narayana_enumerate", ENUMERATION_LIMIT),
 }
+# path statistic -> its major-index co-statistic, or None, which dist --stat
+# and --q, the transfer matrices and the q-identity check read; key order is
+# the order --help lists the statistics in
+STATISTICS = {"des": "maj", "hp": "maj_w", "ea": None, "lnfs": "maj_l", "da": None}
 
 
 def _library(module: str, function: str):

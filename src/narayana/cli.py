@@ -9,7 +9,7 @@ byte identical across runs; wall-clock timing goes to stderr only.
 import sys
 from types import SimpleNamespace
 
-from . import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, _library
+from . import CLOSED_FORM_LIMIT, ENUMERATION_LIMIT, ROUTES, STATISTICS, _library
 from .cli_common import OMEGA_GUARD, SAMPLES_LIMIT, VERIFY_CHECKS, UsageError, _discard, _usage
 
 # main() reads a full-form command line by the table below, and any other,
@@ -39,7 +39,7 @@ def build_parser() -> dict:
         }),
         "dist": ("distribution table of a path statistic", ("cli_dist", "cmd_dist"), {
             "--n": (int, None, True, f"semilength, 1 <= n <= {ENUMERATION_LIMIT}"),
-            "--stat": (("des", "hp", "ea", "lnfs", "da"), None, True, "path statistic"),
+            "--stat": (tuple(STATISTICS), None, True, "path statistic"),
             "--q": (bool, False, False, "refine counts by the statistic's paired "
                     "major-index co-statistic"),
             "--format": ((*formats, "csv"), "text", False, "output format"),

@@ -5,10 +5,8 @@ import os
 import stat
 from types import SimpleNamespace
 
-from . import ENUMERATION_LIMIT, __version__
+from . import ENUMERATION_LIMIT, STATISTICS, __version__
 from .cli_common import _emit_json, _stderr, _usage, json_text
-
-Q_PAIRINGS = {"des": "maj", "lnfs": "maj_l", "hp": "maj_w"}
 
 
 def _cache_file(root: str | None, n: int, stat: str, with_q: bool) -> str | None:
@@ -98,7 +96,7 @@ def cmd_dist(args: SimpleNamespace) -> int:
         return _usage(f"n out of range: expected 1 <= n <= {ENUMERATION_LIMIT}, got {n}")
     costat = None
     if args.q:
-        costat = Q_PAIRINGS.get(stat)
+        costat = STATISTICS.get(stat)
         if costat is None:
             return _usage(f"statistic {stat} has no paired co-statistic for --q")
     root = args.cache_dir or os.environ.get("NARAYANA_CACHE_DIR")

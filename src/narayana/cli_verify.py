@@ -21,15 +21,16 @@ def cmd_verify(args: SimpleNamespace) -> int:
     parameters: dict = {"n": n}
     refs = None
     if check == "main-theorem":
-        from .dyck import dyck_word, random_path
+        from .dyck import dyck_word, enumerate_paths
 
         ref = args.ref_path if args.ref_path is not None else "v" * n + "h" * n
         if ref == "random":
             import random
 
             parameters.update({"ref_path": "random", "samples": args.samples, "seed": args.seed})
-            rng = random.Random(args.seed)
-            refs = [random_path(n, rng) for _ in range(args.samples)]
+            # each reference indexes the enumeration, uniformly
+            rng, words = random.Random(args.seed), list(enumerate_paths(n))
+            refs = [rng.choice(words) for _ in range(args.samples)]
         else:
             try:
                 w = dyck_word(ref)

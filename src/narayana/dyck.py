@@ -1,13 +1,11 @@
-"""Dyck paths as words: enumerated in lexicographic order, unranked, drawn at
-random, and read one at a time by ls_set.  A path of semilength n is a
-word of n ``v`` and n ``h`` steps in which every prefix holds at least as
-many v as h.  Positions are 1-based.  narayana.stats sums statistics over
-all paths.
+"""Dyck paths as words: enumerated in lexicographic order, which indexes
+them, and read one at a time by ls_set.  A path of semilength n is a word
+of n ``v`` and n ``h`` steps in which every prefix holds at least as many v
+as h.  Positions are 1-based.  narayana.stats sums statistics over all
+paths.
 """
 
-import random
 from collections.abc import Iterable, Iterator
-from math import comb
 
 
 def dyck_word(steps: "Iterable[str] | str") -> str:
@@ -47,45 +45,6 @@ def enumerate_paths(n: int) -> Iterator[str]:
                 raised.append(height - 1)
         words, heights = longer, raised
     return (word for word in words)
-
-
-def _completions(steps: int, excess: int) -> int:
-    # lattice walks of the given length from height `excess` down to 0,
-    # never dipping below 0: by reflection, all walks with u = (steps -
-    # excess) / 2 up steps minus those that touch -1, which have u - 1
-    if excess < 0 or excess > steps or (steps - excess) % 2:
-        return 0
-    up = (steps - excess) // 2
-    return comb(steps, up) - (comb(steps, up - 1) if up else 0)
-
-
-def unrank(n: int, index: int) -> str:
-    """The path at the given 0-based position in lexicographic order."""
-    if n < 0:
-        raise ValueError(f"negative semilength: {n}")
-    count = _completions(2 * n, 0)  # Catalan(n)
-    if not 0 <= index < count:
-        raise ValueError(f"index out of range: {index} not in [0, {count})")
-    word = []
-    excess = 0
-    for remaining in range(2 * n, 0, -1):
-        with_v = _completions(remaining - 1, excess + 1)
-        if index < with_v:
-            word.append("v")
-            excess += 1
-        else:
-            index -= with_v
-            word.append("h")
-            excess -= 1
-    return "".join(word)
-
-
-def random_path(n: int, seed: "int | random.Random | None" = None) -> str:
-    """A uniformly random path, reproducible for a fixed integer seed."""
-    if n < 0:
-        raise ValueError(f"negative semilength: {n}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return unrank(n, rng.randrange(_completions(2 * n, 0)))
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

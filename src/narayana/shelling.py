@@ -6,10 +6,10 @@ J(2 x n).  Its vertices are the points (a, b), 0 <= b <= a <= n, of ranks 1
 to 2n - 1, the ideal with a elements in the first row and b in the second
 having rank a + b, and its facets are the Dyck paths, each the chain of
 points that its proper prefixes reach.  The order is generated by the
-rewrites vvh -> vhv and hhv -> hvh; its restriction sets sit at the centers
-of vvh and hhv factors, and bucketing facets by restriction ranks recovers
-the flag h-vector (the parth check).  That the order is a pre-shelling is
-decided in narayana.preshelling.
+rewrites vvh -> vhv and hhv -> hvh, one at each center that ls_set finds;
+its restriction sets sit at those centers, and bucketing facets by
+restriction ranks recovers the flag h-vector (the parth check).  That the
+order is a pre-shelling is decided in narayana.preshelling.
 """
 
 from collections import Counter
@@ -188,26 +188,22 @@ def dyck_complex(n: int) -> PureComplex:
     return PureComplex(points, masks)
 
 
-# the single rewrites of a three-letter factor
-_REWRITES = {"vvh": "vhv", "hhv": "hvh"}
-
-
 @cache
 def omega_n(n: int) -> FacetOrder:
     """The transitive closure of single rewrites on the facets of
-    dyck_complex(n), labeled by path words; no complex is built."""
+    dyck_complex(n), labeled by path words; no complex is built.  The
+    rewrite of the factor that ls_set centers at r swaps letters r and
+    r + 1, vvh to vhv or hhv to hvh."""
     if n < 1:
         raise ValueError(f"omega_n needs n >= 1, got {n}")
     words = _words(n)
     # a rewrite that left the paths would raise KeyError here
     index = {word: j for j, word in enumerate(words)}
-    relations = []
-    for j, word in enumerate(words):
-        for factor, rewrite in _REWRITES.items():
-            i = word.find(factor)
-            while i >= 0:
-                relations.append((index[word[:i] + rewrite + word[i + 3 :]], j))
-                i = word.find(factor, i + 1)
+    relations = [
+        (index[word[: r - 1] + word[r] + word[r - 1] + word[r + 1 :]], j)
+        for j, word in enumerate(words)
+        for r in _bit_indices(ls_set(word))
+    ]
     return FacetOrder(len(words), relations, labels=words)
 
 

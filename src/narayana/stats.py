@@ -1,15 +1,18 @@
 """Dyck path statistics summed over all paths of one semilength.
 
-Statistics, by the names that the three tables below accept: des / maj
-(valleys, reported at the h), hp / maj_w (peaks with prefix v-excess at least
-2, the descents read against W = (vh)^n), ea (v in even position), lnfs /
-maj_l (vvh and hhv factors, reported at the center) and da (vv factors).  See
+Statistics, by the names that the tables below accept, each major index
+paired with its statistic by narayana.STATISTICS: des / maj (valleys,
+reported at the h), hp / maj_w (peaks with prefix v-excess at least 2, the
+descents read against W = (vh)^n), ea (v in even position), lnfs / maj_l
+(vvh and hhv factors, reported at the center) and da (vv factors).  See
 _joint_counts for the transfer matrix that sums them over all paths.  The
 enumerate route to the q-Narayana numbers reads the (des, maj) table.
 """
 
 from collections import defaultdict
 from math import comb
+
+from . import STATISTICS
 
 # Position i counts for a statistic when its mark holds on (i, height before
 # i, w_{i-1}, w_i, w_{i+1}), with None past either end of the word.  A major
@@ -21,7 +24,7 @@ _MARKS = {
     "lnfs": lambda i, h, a, b, c: (a, b, c) in (("v", "v", "h"), ("h", "h", "v")),
     "da": lambda i, h, a, b, c: b == "v" and c == "v",
 }
-_MAJOR = {"maj": "des", "maj_l": "lnfs", "maj_w": "hp"}
+_MAJOR = {major: name for name, major in STATISTICS.items() if major}
 # the rule of a statistic that is 0 on every path: the first of
 # distribution's two, so that its states all carry the value 0
 _NEVER = (lambda i, h, a, b, c: False, False)

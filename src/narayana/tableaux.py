@@ -135,25 +135,28 @@ def verify_ssyt(n: int) -> list[dict]:
 
 
 def verify_q_identity(n: int) -> list[dict]:
-    """The q-identity check: for every k < n the routes of narayana.ROUTES,
-    the closed form, both Schur routes and the sum over paths by (des, maj),
-    give one q-Narayana polynomial.  One witness per k where they differ,
-    with every route."""
+    """The q-identity check: for every k < n the closed and Schur routes of
+    narayana.ROUTES and the sum over paths of q^costatistic, for each
+    statistic of narayana.STATISTICS that has one, give one q-Narayana
+    polynomial, and each statistic without one counts narayana(n, k)
+    paths.  One witness per k where they differ, with every polynomial and
+    every count, each named by its route or statistic."""
     if n < 1:
         raise ValueError(f"verify_q_identity needs n >= 1, got {n}")
-    from . import ROUTES, _library
-    from .qpoly import QPoly
-    from .stats import joint_q
+    from . import ROUTES, STATISTICS, _library
+    from .qpoly import QPoly, narayana
+    from .stats import distribution, joint_q
 
-    routes_of = {name: _library(*row[:2]) for name, row in ROUTES.items()}
-    # the enumerate route reads one (des, maj) table, built once for every k
-    by_des = joint_q(n, "des", "maj")
-    routes_of["enumerate"] = lambda n, k: by_des.get(k, QPoly())
+    # the enumerate route is the des table: each table is built once for every k
+    routes_of = {name: _library(*row[:2]) for name, row in ROUTES.items() if name != "enumerate"}
+    tables = {stat: joint_q(n, stat, costat) for stat, costat in STATISTICS.items() if costat}
+    counts_of = {stat: distribution(n, stat) for stat, costat in STATISTICS.items() if not costat}
     witnesses = []
     for k in range(n):
         routes = {name: route(n, k) for name, route in routes_of.items()}
-        if len({p.coeffs for p in routes.values()}) > 1:
-            witnesses.append(
-                {"k": k, "routes": {name: list(p.coeffs) for name, p in routes.items()}}
-            )
+        routes.update((stat, table.get(k, QPoly())) for stat, table in tables.items())
+        counts = {"narayana": narayana(n, k), **{s: c.get(k, 0) for s, c in counts_of.items()}}
+        if len({p.coeffs for p in routes.values()}) > 1 or len(set(counts.values())) > 1:
+            routes = {name: list(p.coeffs) for name, p in routes.items()}
+            witnesses.append({"counts": counts, "k": k, "routes": routes})
     return witnesses

@@ -1,7 +1,40 @@
 import atexit
 import os
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the .pyc files under src/ when the session starts, and those it wrote
+_BEFORE = pytest.StashKey[set]()
+_WRITTEN = pytest.StashKey[list]()
+
+
+def _src_bytecode() -> set:
+    return set(map(str, SRC.rglob("*.pyc")))
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_BEFORE] = _src_bytecode()
+
+
+def pytest_sessionfinish(session):
+    """With bytecode writing off, the suite leaves no .pyc under src/: every
+    request it serves in a fresh process then compiles what it loads, as a
+    checkout's first run does, and the next run starts from the same tree.
+    A file written fails the session."""
+    written, before = [], session.config.stash.get(_BEFORE, None)
+    if os.environ.get("PYTHONDONTWRITEBYTECODE") and before is not None:
+        written = sorted(_src_bytecode() - before)
+    session.config.stash[_WRITTEN] = written
+    if written:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.stash.get(_WRITTEN, None):
+        terminalreporter.write_sep("!", "bytecode written under src/ with writing off", red=True)
+        terminalreporter.write_line("\n".join(config.stash[_WRITTEN]))
 
 
 @pytest.fixture(autouse=True)

@@ -150,8 +150,7 @@ def maj_wrt(w: str, w0: str) -> int:
 @cache
 def completions(steps: int, excess: int) -> int:
     """Lattice walks of the given length from height excess down to 0,
-    never dipping below 0, by their first step: the oracle of
-    dyck._completions."""
+    never dipping below 0, by their first step, which rank counts by."""
     if excess < 0 or excess > steps or (steps - excess) % 2:
         return 0
     if steps == 0:
@@ -160,8 +159,8 @@ def completions(steps: int, excess: int) -> int:
 
 
 def rank(word: str) -> int:
-    """Position of the word in lexicographic order with v < h; inverse of
-    dyck.unrank, counting the paths that branch off it with an h."""
+    """Position of the word in lexicographic order with v < h, its index in
+    dyck.enumerate_paths, counting the paths that branch off it with an h."""
     index = 0
     excess = 0
     length = len(word)

@@ -238,7 +238,8 @@ def csv_rows(rows) -> str:
 def test_csv_rows_are_the_rows_of_csv_writer(capsys):
     # csv.writer quotes a compact coefficient array only when it holds a comma
     stats = build_parser()["dist"][2]["--stat"][0]
-    kinds = [(stat, False) for stat in stats] + [(stat, True) for stat in cli_dist.Q_PAIRINGS]
+    paired = [stat for stat, costat in narayana.STATISTICS.items() if costat]
+    kinds = [(stat, False) for stat in stats] + [(stat, True) for stat in paired]
     for n in range(1, 9):
         for stat, with_q in kinds:
             argv = ["dist", "--n", str(n), "--stat", stat] + ["--q"] * with_q
@@ -503,6 +504,29 @@ def test_verify_main_theorem_random_is_deterministic(capsys):
     assert "samples 3" in first and "seed 7" in first
 
 
+# (n, seed, samples) -> the references that --ref-path random drew when it
+# unranked a uniform index below Catalan(n), frozen
+RANDOM_REFERENCES = {
+    (2, 0, 3): ["vhvh", "vhvh", "vvhh"],
+    (4, 7, 4): ["vvhvhvhh", "vvvhhvhh", "vvhvhhvh", "vhvvhvhh"],
+    (5, 11, 6): ["vhvvvvhhhh", "vhvvhhvvhh", "vhvvvhvhhh", "vhvvvvhhhh", "vhvvhvvhhh",
+                 "vhvhvvvhhh"],
+    (6, -5, 5): ["vvhvhvvhhhvh", "vhvvvvhvhhhh", "vvvvhvhvhhhh", "vhvhvvvhvhhh",
+                 "vvhvhvvhvhhh"],
+}
+
+
+def test_random_references_are_frozen(capsys, monkeypatch):
+    # the draws that --ref-path random hands to the check, for each seed
+    drawn = []
+    monkeypatch.setattr(posets, "verify_theorem_main", lambda n, refs: drawn.append(refs) or [])
+    for (n, seed, samples), refs in RANDOM_REFERENCES.items():
+        argv = ["verify", "--check", "main-theorem", "--n", str(n), "--ref-path", "random",
+                "--seed", str(seed), "--samples", str(samples)]
+        assert run(capsys, *argv)[0] == 0
+        assert drawn.pop() == refs, (n, seed, samples)
+
+
 def test_verify_bad_ref_paths(capsys):
     # refused before the check runs: the one error line and no elapsed line
     base = ["verify", "--check", "main-theorem", "--n", "3", "--ref-path"]
@@ -573,6 +597,32 @@ def test_verify_samples_bound(capsys):
         assert err.startswith("narayana: error:") and "Traceback" not in err
     code, out, _ = run(capsys, *base, "--samples", "200")
     assert code == 0 and "samples 200" in out and "verdict pass" in out
+
+
+# a mark of stats._MARKS broken so that its statistic's distribution or,
+# for lnfs, its joint table with maj_l leaves the Narayana numbers
+BROKEN_MARKS = {
+    "des": lambda i, h, a, b, c: b == "v" and c == "h",
+    "hp": lambda i, h, a, b, c: b == "v" and c == "h" and h >= 2,
+    "lnfs": lambda i, h, a, b, c: (a, b, c) == ("v", "v", "h"),
+    "ea": lambda i, h, a, b, c: b == "v" and i % 2 == 1,
+    "da": lambda i, h, a, b, c: b == "v" and c == "h",
+}
+
+
+@pytest.mark.parametrize("stat", list(BROKEN_MARKS))
+def test_q_identity_fails_on_a_broken_mark(stat, capsys, monkeypatch):
+    monkeypatch.setitem(stats._MARKS, stat, BROKEN_MARKS[stat])
+    code, out, _ = run(capsys, "verify", "--check", "q-identity", "--n", "5", "--format", "json")
+    assert code == 1
+    witnesses = json.loads(out)["witnesses"]
+    assert witnesses
+    # each witness names the statistic that disagrees, and only that one
+    for witness in witnesses:
+        routes, counts = witness["routes"], witness["counts"]
+        wrong = {name for name, p in routes.items() if p != routes["closed"]}
+        wrong |= {name for name, count in counts.items() if count != counts["narayana"]}
+        assert wrong == {stat}, witness
 
 
 def test_verify_remaining_checks_pass(capsys):
@@ -1295,13 +1345,19 @@ def test_the_benchmark_setup_probe_runs():
     assert result.returncode == 0, result.stderr
 
 
-def test_every_benchmarked_request_takes_the_full_form_reader():
-    # so no request the benchmark draws imports cli_parse and argparse;
-    # dist-cache gives each of its requests a --cache-dir
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file: perfbench is no package."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmarked_request_takes_the_full_form_reader():
+    # so no request the benchmark draws imports cli_parse and argparse;
+    # dist-cache gives each of its requests a --cache-dir
+    workloads = benchmark_workloads()
     commands = build_parser()
     general = []
     for workload in workloads.WORKLOADS:
@@ -1312,6 +1368,16 @@ def test_every_benchmarked_request_takes_the_full_form_reader():
             if cli._full_form(commands, argv) is None:
                 general.append(argv)
     assert general == []
+
+
+def test_the_benchmark_copies_agree_with_the_tables():
+    # the workloads name the statistics, the paired ones and the checks'
+    # limits in copies of their own
+    workloads = benchmark_workloads()
+    assert workloads.STATS == tuple(narayana.STATISTICS)
+    assert set(workloads.Q_STATS) == {stat for stat, costat in narayana.STATISTICS.items() if costat}
+    limits = {check: limit for check, (_, _, limit) in cli_common.VERIFY_CHECKS.items()}
+    assert workloads.VERIFY_LIMITS == limits
 
 
 def test_every_request_reproduces_the_benchmark_digests(monkeypatch):

@@ -1,17 +1,14 @@
 import itertools
-import math
-import random
 import types
 from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from narayana.dyck import _completions, dyck_word, enumerate_paths, ls_set, random_path, unrank
+from narayana.dyck import dyck_word, enumerate_paths, ls_set
 from narayana.qpoly import QPoly, catalan, narayana
 from narayana.stats import distribution, joint_q
 from oracles import (
-    completions,
     da,
     des,
     descent_set,
@@ -54,8 +51,9 @@ def heights(word: str) -> list[int]:
     return hs
 
 
-small_paths = st.builds(
-    random_path, st.integers(min_value=0, max_value=7), st.integers(0, 10**6)
+# a path drawn from the enumeration
+small_paths = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.sampled_from(list(enumerate_paths(n)))
 )
 
 
@@ -339,62 +337,8 @@ def test_joint_q_frozen():
     }
 
 
-def test_unrank_frozen():
-    assert unrank(1, 0) == "vh"
-    assert unrank(3, 0) == "vvvhhh"
-    assert unrank(3, 4) == "vhvhvh"
-
-
-def test_unrank_errors():
-    with pytest.raises(ValueError, match="index out of range"):
-        unrank(3, 5)
-    with pytest.raises(ValueError, match="index out of range"):
-        unrank(3, -1)
-
-
-def test_completions_is_the_ballot_difference():
-    # the closed form against the recursion on the first step, including
-    # the heights out of range and of the wrong parity
-    for steps in range(40):
-        for excess in range(-2, steps + 3):
-            assert _completions(steps, excess) == completions(steps, excess), (steps, excess)
-    # a length far past the interpreter's recursion limit
-    assert _completions(2400, 0) == math.comb(2400, 1200) // 1201
-    assert _completions(2401, 1) == _completions(2402, 0)
-
-
-def test_unrank_past_the_recursion_limit():
-    assert unrank(600, 0) == "v" * 600 + "h" * 600
-    assert unrank(600, math.comb(1200, 600) // 601 - 1) == "vh" * 600
-    w = random_path(600, 3)
-    assert len(w) == 1200 and dyck_word(w) == w
-
-
-def test_random_path_refuses_a_negative_semilength():
-    for seed in (0, random.Random(1)):
-        with pytest.raises(ValueError, match="^negative semilength: -1$"):
-            random_path(-1, seed)
-    with pytest.raises(ValueError, match="^negative semilength: -1$"):
-        unrank(-1, 0)
-
-
-def test_unrank_agrees_with_enumerate():
+def test_rank_agrees_with_enumerate():
+    # the enumeration's order is lexicographic, so its index is the rank
     for n in range(7):
         for i, w in enumerate(enumerate_paths(n)):
-            assert unrank(n, i) == w
             assert rank(w) == i
-
-
-def test_random_path_deterministic():
-    assert random_path(6, 42) == random_path(6, 42)
-    rng = random.Random(7)
-    first = [random_path(5, rng) for _ in range(10)]
-    rng = random.Random(7)
-    assert [random_path(5, rng) for _ in range(10)] == first
-
-
-@given(st.integers(min_value=0, max_value=8), st.integers(0, 10**9))
-def test_random_path_is_valid(n, seed):
-    w = random_path(n, seed)
-    assert type(w) is str and len(w) == 2 * n
-    assert dyck_word(w) == w

@@ -1,9 +1,10 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from narayana.dyck import enumerate_paths, random_path
+from narayana.dyck import enumerate_paths
 from narayana.posets import flag_h_mismatches, flag_h_table, verify_theorem_main
 from narayana.qpoly import catalan, narayana
 from oracles import (
@@ -310,7 +311,9 @@ def test_verify_theorem_main_small(monkeypatch):
 
 
 def test_verify_theorem_main_random_reference_paths():
-    assert verify_theorem_main(4, [random_path(4, seed) for seed in range(5)]) == []
+    words = list(enumerate_paths(4))
+    rng = random.Random(0)
+    assert verify_theorem_main(4, [rng.choice(words) for _ in range(5)]) == []
 
 
 def test_verify_theorem_main_every_reference_path():
@@ -335,7 +338,9 @@ def theorem_witnesses_per_pair(n, refs, beta):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_verify_theorem_main_matches_per_pair_oracle(n, monkeypatch):
-    refs = [random_path(n, seed) for seed in range(6)]
+    words = list(enumerate_paths(n))
+    rng = random.Random(n)
+    refs = [rng.choice(words) for _ in range(6)]
     beta = flag_h_table(n)
     assert verify_theorem_main(n, refs) == theorem_witnesses_per_pair(n, refs, beta) == []
     # with every beta off by one, each (reference, subset) pair is a witness

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from narayana import ROUTES, qpoly, stats
+from narayana import ROUTES, STATISTICS, qpoly, stats
 from narayana.dyck import enumerate_paths
 from narayana.qpoly import QPoly, q_narayana_closed, q_narayana_hook
 from narayana.stats import joint_q, q_narayana_enumerate
@@ -394,6 +394,7 @@ def test_schur_sum_counts_paths_by_descents():
 
 
 def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
+    # and one table of every other statistic, each read for every k
     calls = []
     joint_counts = stats._joint_counts
 
@@ -403,10 +404,12 @@ def test_q_identity_builds_one_des_maj_table_per_call(monkeypatch):
 
     monkeypatch.setattr(stats, "_joint_counts", counted)
     assert verify_q_identity(8) == []
-    assert calls == [(8, ("des", "maj"))]
-    # nothing is shared between calls: the next one builds its own table
+    tables = [(8, ("des", "maj")), (8, ("hp", "maj_w")), (8, ("lnfs", "maj_l"))]
+    tables += [(8, ("ea",)), (8, ("da",))]
+    assert calls == tables
+    # nothing is shared between calls: the next one builds its own tables
     assert verify_q_identity(8) == []
-    assert calls == [(8, ("des", "maj"))] * 2
+    assert calls == tables * 2
 
 
 def test_q_identity_witness_lists_every_route(monkeypatch):
@@ -418,10 +421,14 @@ def test_q_identity_witness_lists_every_route(monkeypatch):
     )
     (witness,) = verify_q_identity(4)
     assert witness == {
+        "counts": {"narayana": 6, "ea": 6, "da": 6},
         "k": 2,
-        "routes": {"closed": damaged, "schur-ssyt": true, "schur-hook": true, "enumerate": true},
+        "routes": {"closed": damaged, "schur-ssyt": true, "schur-hook": true,
+                   "des": true, "hp": true, "lnfs": true},
     }
-    assert list(witness["routes"]) == list(ROUTES)
+    # the enumerate route is the des table, and each statistic is named
+    paired = [stat for stat, costat in STATISTICS.items() if costat]
+    assert list(witness["routes"]) == [name for name in ROUTES if name != "enumerate"] + paired
 
 
 def test_q_identity_refuses_an_empty_row():

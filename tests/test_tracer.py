@@ -17,7 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracing.py"
-# by test id; the random reference paths put unrank, random_path and
+# by test id; the random reference paths put enumerate_paths and
 # verify_theorem_main under the tracer
 REQUESTS = {
     "narayana": ["narayana", "--n", "5"],
