@@ -9,13 +9,6 @@ from . import ENUMERATION_LIMIT, STATISTICS, __version__
 from .cli_common import _emit_json, _stderr, _usage, json_text
 
 
-def _cache_file(root: str | None, n: int, stat: str, with_q: bool) -> str | None:
-    if not root:
-        return None
-    marker = "-q" if with_q else ""
-    return os.path.join(root, f"dist-{__version__}-n{n}-{stat}{marker}.json")
-
-
 def _is_table(table: object, with_q: bool) -> bool:
     """A list of [k, entry] pairs: an int k and an int count, or with_q a
     list of int coefficients."""
@@ -41,12 +34,10 @@ def _int_lists(text: str):
     return stack[0][0]
 
 
-def _load_cached(path: str | None, header: dict) -> dict | None:
+def _load_cached(path: str, header: dict) -> dict | None:
     """The cached payload of the request that header describes, or None
     unless the file is a regular one that holds exactly the bytes that
     _store_cached writes for it, around a table that _is_table accepts."""
-    if path is None:
-        return None
     try:
         # not blocking: a FIFO at path is found irregular and replaced, not waited on
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
@@ -63,11 +54,9 @@ def _load_cached(path: str | None, header: dict) -> dict | None:
     return payload if _is_table(table, header["q"]) and text == json_text(payload) + "\n" else None
 
 
-def _store_cached(path: str | None, payload: dict) -> None:
+def _store_cached(path: str, payload: dict) -> None:
     """Write through a temp file and os.replace, so that a reader never sees a
     partial table; a failure leaves no file and is only a warning."""
-    if path is None:
-        return
     temp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, "w", encoding="utf-8") as handle:
@@ -99,18 +88,21 @@ def cmd_dist(args: SimpleNamespace) -> int:
         costat = STATISTICS.get(stat)
         if costat is None:
             return _usage(f"statistic {stat} has no paired co-statistic for --q")
+    header = {"command": "dist", "costat": costat, "n": n, "q": args.q, "stat": stat}
     root = args.cache_dir or os.environ.get("NARAYANA_CACHE_DIR")
-    if root:
+    if not root:
+        payload = dict(header, table=_dist_table(n, stat, costat))
+    else:
         try:
             os.makedirs(root, exist_ok=True)
         except OSError as exc:
             return _usage(f"unusable cache directory: {exc}")
-    header = {"command": "dist", "costat": costat, "n": n, "q": args.q, "stat": stat}
-    cache = _cache_file(root, n, stat, args.q)
-    payload = _load_cached(cache, header)
-    if payload is None:
-        payload = dict(header, table=_dist_table(n, stat, costat))
-        _store_cached(cache, payload)
+        marker = "-q" if args.q else ""
+        cache = os.path.join(root, f"dist-{__version__}-n{n}-{stat}{marker}.json")
+        payload = _load_cached(cache, header)
+        if payload is None:
+            payload = dict(header, table=_dist_table(n, stat, costat))
+            _store_cached(cache, payload)
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":

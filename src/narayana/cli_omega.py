@@ -20,12 +20,11 @@ def cmd_omega(args: SimpleNamespace) -> int:
     if not 1 <= n <= OMEGA_GUARD:
         return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
     from .dyck import _bit_indices, ls_set
-    from .shelling import omega_n
+    from .shelling import _words, omega_n
 
-    om = omega_n(n)
-    words = om.labels
+    words = _words(n)
     annotations = {w: list(_bit_indices(ls_set(w))) for w in words}
-    edges = [(words[a], words[b]) for a, b in om.covers()]
+    edges = [(words[a], words[b]) for a, b in omega_n(n).covers()]
     if args.format == "json":
         # json.dumps(payload, indent=2, sort_keys=True)'s bytes: every node
         # and every edge has one shape, so each list is written in one join

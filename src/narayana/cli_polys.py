@@ -8,14 +8,14 @@ from .cli_common import _emit_json, _usage
 
 
 def cmd_narayana(args: SimpleNamespace) -> int:
-    """Row of N(n, k) for k = 0..n-1 plus the Catalan row sum."""
+    """Row of N(n, k) for k = 0..n-1 plus its sum, the Catalan number."""
     n = args.n
     if not 1 <= n <= CLOSED_FORM_LIMIT:
         return _usage(f"n out of range: expected 1 <= n <= {CLOSED_FORM_LIMIT}, got {n}")
-    from .qpoly import catalan, narayana
+    from .qpoly import narayana
 
     row = [narayana(n, k) for k in range(n)]
-    total = catalan(n)
+    total = sum(row)
     if args.format == "json":
         _emit_json({"command": "narayana", "n": n, "row": row, "sum": total})
     elif args.format == "csv":

@@ -3,7 +3,7 @@
 Provides the q-analogues used everywhere else in the package: ratios of
 q-integers, Gaussian binomial coefficients and the two closed routes to the
 q-Narayana numbers, the closed form and the hook-content formula, together
-with the plain (q = 1) Narayana and Catalan numbers.
+with the plain (q = 1) Narayana numbers.
 
 All coefficients are Python ints, so arithmetic is exact at every size.
 Every product runs as one big-integer product (Kronecker substitution), and
@@ -152,16 +152,6 @@ def narayana(n: int, k: int) -> int:
     if leftover:
         raise ArithmeticError(f"narayana({n}, {k}) not integral")
     return quotient
-
-
-def catalan(n: int) -> int:
-    """Catalan number by the convolution recurrence (independent of narayana)."""
-    if n < 0:
-        raise ValueError(f"catalan of negative {n}")
-    c = [1]
-    for k in range(n):
-        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
-    return c[n]
 
 
 def _nonzero(route: str, n: int, k: int) -> bool:

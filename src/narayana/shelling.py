@@ -96,15 +96,10 @@ class PureComplex:
 class FacetOrder:
     """A strict partial order on the indices 0..m - 1 of the facets of a
     pure complex, generated by relations (a, b) of int indices: facet a
-    lies below facet b."""
+    lies below facet b.  It holds no labels; the facets of omega_n are
+    named by the words of _words."""
 
-    def __init__(
-        self,
-        m: int,
-        relations: Iterable[tuple[int, int]],
-        labels: "tuple[str, ...] | None" = None,
-    ):
-        labels = None if labels is None else tuple(labels)
+    def __init__(self, m: int, relations: Iterable[tuple[int, int]]):
         pairs = [(a, b) for a, b in relations]
         for a, b in pairs:
             if type(a) is not int or type(b) is not int:
@@ -127,9 +122,6 @@ class FacetOrder:
                 below[j] |= reach
         self._below = below
         self._relations = tuple(rels)
-        if labels is not None and len(labels) != m:
-            raise ValueError("labels length mismatch")
-        self._labels = labels
 
     @property
     def m(self) -> int:
@@ -138,10 +130,6 @@ class FacetOrder:
     @property
     def relations(self) -> tuple[tuple[int, int], ...]:
         return self._relations
-
-    @property
-    def labels(self) -> "tuple[str, ...] | None":
-        return self._labels
 
     def below_mask(self, j: int) -> int:
         return self._below[j]
@@ -159,7 +147,7 @@ class FacetOrder:
 
 @cache
 def _words(n: int) -> tuple[str, ...]:
-    # the facet labels of dyck_complex(n) and omega_n(n), enumerated once
+    # the facet words of dyck_complex(n) and omega_n(n), enumerated once
     return tuple(enumerate_paths(n))
 
 
@@ -191,9 +179,9 @@ def dyck_complex(n: int) -> PureComplex:
 @cache
 def omega_n(n: int) -> FacetOrder:
     """The transitive closure of single rewrites on the facets of
-    dyck_complex(n), labeled by path words; no complex is built.  The
-    rewrite of the factor that ls_set centers at r swaps letters r and
-    r + 1, vvh to vhv or hhv to hvh."""
+    dyck_complex(n); facet j is the j-th word of _words(n), and no complex
+    is built.  The rewrite of the factor that ls_set centers at r swaps
+    letters r and r + 1, vvh to vhv or hhv to hvh."""
     if n < 1:
         raise ValueError(f"omega_n needs n >= 1, got {n}")
     words = _words(n)
@@ -204,7 +192,7 @@ def omega_n(n: int) -> FacetOrder:
         for j, word in enumerate(words)
         for r in _bit_indices(ls_set(word))
     ]
-    return FacetOrder(len(words), relations, labels=words)
+    return FacetOrder(len(words), relations)
 
 
 def _restriction_mask(cx: PureComplex, ord: FacetOrder, f: int) -> int:
@@ -243,7 +231,6 @@ def verify_parth(n: int) -> list[dict]:
     # imported here, so that omega and preshelling do not load posets
     from .posets import flag_h_mismatches, flag_h_table
 
-    om = omega_n(n)
-    ls_counts = Counter(ls_set(w) for w in om.labels)
-    partition = _rank_set_counts(dyck_complex(n), om)
+    ls_counts = Counter(map(ls_set, _words(n)))
+    partition = _rank_set_counts(dyck_complex(n), omega_n(n))
     return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=partition)

@@ -95,19 +95,12 @@ def joint_coefficients(n: int, statistic: str, costatistic: str) -> dict[int, li
     return {k: _digits(totals[k], bits) for k in sorted(totals)}
 
 
-def joint_q(n: int, statistic: str, costatistic: str) -> "dict[int, QPoly]":
-    """joint_coefficients, each list as its QPoly."""
-    from .qpoly import QPoly  # here, so that the coefficient lists do not load it
-
-    return {k: QPoly(c) for k, c in joint_coefficients(n, statistic, costatistic).items()}
-
-
 def q_narayana_enumerate(n: int, k: int) -> "QPoly":
     """q-Narayana as the sum of q^maj over the paths of semilength n with
-    k descents, read from the (des, maj) table of joint_q; zero for k >= n
-    before the table is built."""
-    from .qpoly import QPoly, _nonzero
+    k descents, the list of k in the (des, maj) table of
+    joint_coefficients; zero for k >= n before the table is built."""
+    from .qpoly import QPoly, _nonzero  # here, so that the tables do not load it
 
     if not _nonzero("q_narayana_enumerate", n, k):
         return QPoly()
-    return joint_q(n, "des", "maj").get(k, QPoly())
+    return QPoly(joint_coefficients(n, "des", "maj").get(k, ()))

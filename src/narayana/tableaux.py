@@ -144,19 +144,18 @@ def verify_q_identity(n: int) -> list[dict]:
     if n < 1:
         raise ValueError(f"verify_q_identity needs n >= 1, got {n}")
     from . import ROUTES, STATISTICS, _library
-    from .qpoly import QPoly, narayana
-    from .stats import distribution, joint_q
+    from .qpoly import narayana
+    from .stats import distribution, joint_coefficients
 
     # the enumerate route is the des table: each table is built once for every k
     routes_of = {name: _library(*row[:2]) for name, row in ROUTES.items() if name != "enumerate"}
-    tables = {stat: joint_q(n, stat, costat) for stat, costat in STATISTICS.items() if costat}
+    tables = {s: joint_coefficients(n, s, costat) for s, costat in STATISTICS.items() if costat}
     counts_of = {stat: distribution(n, stat) for stat, costat in STATISTICS.items() if not costat}
     witnesses = []
     for k in range(n):
-        routes = {name: route(n, k) for name, route in routes_of.items()}
-        routes.update((stat, table.get(k, QPoly())) for stat, table in tables.items())
+        routes = {name: list(route(n, k).coeffs) for name, route in routes_of.items()}
+        routes.update((stat, table.get(k, [])) for stat, table in tables.items())
         counts = {"narayana": narayana(n, k), **{s: c.get(k, 0) for s, c in counts_of.items()}}
-        if len({p.coeffs for p in routes.values()}) > 1 or len(set(counts.values())) > 1:
-            routes = {name: list(p.coeffs) for name, p in routes.items()}
+        if len({tuple(c) for c in routes.values()}) > 1 or len(set(counts.values())) > 1:
             witnesses.append({"counts": counts, "k": k, "routes": routes})
     return witnesses

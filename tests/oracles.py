@@ -15,6 +15,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 from narayana.dyck import _bit_indices, dyck_word
 from narayana.qpoly import QPoly
 from narayana.shelling import FacetOrder, PureComplex, _restriction_mask, _topological_order
+from narayana.stats import joint_coefficients
 from narayana.tableaux import two_column_fillings
 
 Element = Hashable
@@ -56,7 +57,7 @@ def descent_set(word: str) -> frozenset[int]:
     )
 
 
-# per-path statistics, the oracle of stats.distribution and stats.joint_q
+# per-path statistics, the oracle of stats.distribution and stats.joint_coefficients
 def des(word: str) -> int:
     return len(descent_set(word))
 
@@ -721,6 +722,22 @@ def is_shelling(cx: PureComplex, order: Sequence[int]) -> dict:
         "violation": violation,
         "restrictions": restrictions,
     }
+
+
+# the Catalan numbers by their convolution recurrence, which does not use
+# qpoly.narayana: the oracle of the narayana command's row sum
+def catalan(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"catalan of negative {n}")
+    c = [1]
+    for k in range(n):
+        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
+    return c[n]
+
+
+def joint_q(n: int, statistic: str, costatistic: str) -> dict[int, QPoly]:
+    """stats.joint_coefficients, each list as its QPoly."""
+    return {k: QPoly(c) for k, c in joint_coefficients(n, statistic, costatistic).items()}
 
 
 # q-analogues, the schoolbook product and long division, the oracles of

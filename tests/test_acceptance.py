@@ -11,8 +11,8 @@ from narayana.dyck import enumerate_paths, ls_set
 from narayana.posets import flag_h_table, verify_theorem_main
 from narayana.preshelling import chain_count, check_preshelling
 from narayana.qpoly import QPoly, narayana, q_narayana_closed, q_narayana_hook
-from narayana.shelling import FacetOrder, _rank_set_counts, dyck_complex, omega_n
-from narayana.stats import distribution, joint_q
+from narayana.shelling import FacetOrder, _rank_set_counts, _words, dyck_complex, omega_n
+from narayana.stats import distribution
 from narayana.tableaux import (
     dyck_to_ssyt,
     q_narayana_ssyt,
@@ -24,6 +24,7 @@ from oracles import (
     descent_set_wrt,
     flag_h_from_partition,
     is_shelling,
+    joint_q,
     label_string,
     partition_intervals,
     random_linear_extension,
@@ -234,6 +235,6 @@ def test_criterion_10_figure_regressions(capsys):
         om = omega_n(4)
         if om.m != 14:
             return False
-        return [w for i, w in enumerate(om.labels) if not om.below_mask(i)] == ["vhvhvhvh"]
+        return [w for i, w in enumerate(_words(4)) if not om.below_mask(i)] == ["vhvhvhvh"]
 
     _criterion(capsys, 10, "worked examples reproduce byte-exactly", body)

@@ -23,7 +23,7 @@ from narayana import __version__, cli, cli_common, cli_dist, cli_parse, posets, 
 from narayana import qpoly, stats, tableaux
 from narayana.cli import build_parser, main
 from narayana.qpoly import q_narayana_closed
-from oracles import ls_centers
+from oracles import catalan, ls_centers
 
 
 def run(capsys, *argv):
@@ -66,11 +66,13 @@ def test_narayana_range_errors(capsys):
 
 
 def test_narayana_closed_form_scales(capsys):
-    code, out, _ = run(capsys, "narayana", "--n", "60", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["row"]) == 60
-    assert sum(payload["row"]) == payload["sum"]
+    # the sum is the row's, against a recurrence that does not use the row
+    for n in range(1, narayana.CLOSED_FORM_LIMIT + 1):
+        code, out, _ = run(capsys, "narayana", "--n", str(n), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["row"]) == n
+        assert sum(payload["row"]) == payload["sum"] == catalan(n), n
 
 
 def test_qnarayana_default_route(capsys):
@@ -430,16 +432,24 @@ def test_dist_cache_write_failure_is_a_warning(capsys, tmp_path, monkeypatch):
 
 def test_dist_cache_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NARAYANA_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "dist", "--n", "3", "--stat", "lnfs", "--q")
-    assert code == 0
-    assert (tmp_path / "dist-0.1.0-n3-lnfs-q.json").exists()
+    # a miss that writes the table, then a hit that reads it
+    with mock.patch.object(cli_dist, "_dist_table", wraps=cli_dist._dist_table) as compute:
+        code, first, _ = run(capsys, "dist", "--n", "3", "--stat", "lnfs", "--q")
+        assert (code, compute.call_count) == (0, 1)
+        assert run(capsys, "dist", "--n", "3", "--stat", "lnfs", "--q") == (0, first, "")
+        assert compute.call_count == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["dist-0.1.0-n3-lnfs-q.json"]
 
 
 def test_dist_no_cache_by_default(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, "dist", "--n", "3", "--stat", "des")
-    assert code == 0
+    # with no cache directory the cache is never read or written
+    for name in ("_load_cached", "_store_cached"):
+        monkeypatch.setattr(cli_dist, name, mock.Mock(side_effect=AssertionError(name)))
+    for extra in ([], ["--q"]):
+        code, out, err = run(capsys, "dist", "--n", "3", "--stat", "lnfs", *extra)
+        assert (code, err) == (0, "") and out
     assert list(tmp_path.iterdir()) == []
 
 
@@ -625,6 +635,16 @@ def test_q_identity_fails_on_a_broken_mark(stat, capsys, monkeypatch):
         assert wrong == {stat}, witness
 
 
+def test_q_identity_failing_witness_is_frozen(capsys, monkeypatch):
+    # hp's mark broken as above: the witness bytes are frozen, so the way the
+    # check compares and writes the routes' coefficient lists cannot move them
+    monkeypatch.setitem(stats._MARKS, "hp", BROKEN_MARKS["hp"])
+    code, out, _ = run(capsys, "verify", "--check", "q-identity", "--n", "5", "--format", "json")
+    assert code == 1
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "f2c07df8b37b1d5ff6b33f50acfd84ca864c63acde7b5700b95a497829ce3ee2"
+
+
 def test_verify_remaining_checks_pass(capsys):
     for check, n in (("ssyt", "5"), ("preshelling", "5"), ("q-identity", "6"), ("parth", "5")):
         code, out, _ = run(capsys, "verify", "--check", check, "--n", n, "--format", "json")
@@ -666,11 +686,10 @@ def test_omega_json_n4(capsys):
 def test_omega_json_is_the_bytes_of_json_dumps(capsys):
     # the handler writes the nodes and edges by their fixed shape
     for n in range(1, cli_common.OMEGA_GUARD + 1):
-        om = shelling.omega_n(n)
-        words = om.labels
+        words = shelling._words(n)
         payload = {
             "command": "omega",
-            "edges": [[words[a], words[b]] for a, b in om.covers()],
+            "edges": [[words[a], words[b]] for a, b in shelling.omega_n(n).covers()],
             "n": n,
             "nodes": [{"ls": sorted(ls_centers(w)), "word": w} for w in words],
         }

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from narayana.dyck import dyck_word, enumerate_paths, ls_set
-from narayana.qpoly import QPoly, catalan, narayana
-from narayana.stats import distribution, joint_q
+from narayana.qpoly import QPoly, narayana
+from narayana.stats import distribution
 from oracles import (
+    catalan,
     da,
     des,
     descent_set,
@@ -16,6 +17,7 @@ from oracles import (
     ea,
     high_peak_set,
     hp,
+    joint_q,
     label_string,
     lnfs,
     ls_centers,
@@ -212,7 +214,7 @@ def test_descent_set_wrt_length_mismatch():
         maj_wrt("vvhh", "vh")
 
 
-# Per-path oracle for the transfer matrix behind distribution and joint_q:
+# Per-path oracle for the transfer matrix behind distribution and joint_coefficients:
 # every accepted statistic name read off each enumerated path.  maj_w is
 # maj read against the reference path W = (vh)^n, relabeling both paths.
 PER_PATH = {

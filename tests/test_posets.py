@@ -6,11 +6,12 @@ import pytest
 
 from narayana.dyck import enumerate_paths
 from narayana.posets import flag_h_mismatches, flag_h_table, verify_theorem_main
-from narayana.qpoly import catalan, narayana
+from narayana.qpoly import narayana
 from oracles import (
     FinitePoset,
     GradedBoundedPoset,
     alpha_table,
+    catalan,
     chain_product_2xn,
     dense_flag_h_table,
     descent_set,

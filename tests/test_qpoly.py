@@ -7,14 +7,14 @@ from hypothesis import example, given, strategies as st
 from narayana import qpoly
 from narayana.qpoly import (
     QPoly,
-    catalan,
     narayana,
     q_binomial,
     q_narayana_closed,
     q_narayana_hook,
     ratio_q_int,
 )
-from oracles import InexactDivisionError, exact_div, q_factorial, q_int
+from narayana import CLOSED_FORM_LIMIT
+from oracles import InexactDivisionError, catalan, exact_div, q_factorial, q_int
 from oracles import schoolbook_mul as ref_mul
 
 ONE = QPoly((1,))
@@ -277,7 +277,7 @@ def test_catalan_past_the_recursion_limit():
 
 
 def test_narayana_rows_sum_to_catalan():
-    for n in range(1, 13):
+    for n in range(1, CLOSED_FORM_LIMIT + 1):
         assert sum(narayana(n, k) for k in range(n)) == catalan(n)
 
 

@@ -15,7 +15,8 @@ strips them, or a global statement, since a module binds its names once,
 or the word frozenset, since a rank set is one int with rank r at bit r,
 and no function there calls itself, since a recursion's depth is bounded
 by the interpreter's limit and not by a guard, unless SELF_CALLS names it
-with its reason.
+with its reason.  Every import there, at module or function level, is read
+in its own scope, a name in a string annotation counting as a read.
 """
 
 import ast
@@ -227,3 +228,41 @@ def self_calls_under_src() -> list[str]:
 def test_no_function_under_src_calls_itself():
     # a recursion fails with RecursionError at a depth no guard names
     assert self_calls_under_src() == sorted(SELF_CALLS)
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _free_reads(scope: ast.AST, unused: list[str], where: str) -> set[str]:
+    """The names that scope reads and does not import itself, its nested
+    scopes and the names in string annotations included; appends to unused
+    where:line name for each name that scope imports and never reads."""
+    imported: dict[str, int] = {}
+    reads: set[str] = set()
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        for field in ("annotation", "returns"):
+            text = getattr(node, field, None)
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                parsed = ast.parse(text.value, mode="eval")
+                reads |= {name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)}
+        if isinstance(node, _SCOPES):
+            reads |= _free_reads(node, unused, where)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    unused += [f"{where}:{line} {name}" for name, line in imported.items() if name not in reads]
+    return reads - imported.keys()
+
+
+def test_no_unused_import_under_src():
+    # an import, at module or function level, is read in its own scope
+    unused: list[str] = []
+    for path in sorted(Path(narayana.__file__).parent.glob("*.py")):
+        _free_reads(ast.parse(path.read_text(encoding="utf-8")), unused, path.name)
+    assert sorted(unused) == []

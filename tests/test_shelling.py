@@ -12,7 +12,6 @@ from narayana import shelling
 from narayana.dyck import dyck_word, enumerate_paths, ls_set
 from narayana.posets import flag_h_table
 from narayana.preshelling import chain_count, check_preshelling
-from narayana.qpoly import catalan
 from narayana.shelling import (
     FacetOrder,
     PureComplex,
@@ -23,6 +22,7 @@ from narayana.shelling import (
 )
 from oracles import (
     GradedBoundedPoset,
+    catalan,
     chain_product_2xn,
     closure_covers,
     dfs_face_masks,
@@ -160,8 +160,6 @@ def test_facet_order_rejects():
         FacetOrder(cx.m, [(1, 1)])
     with pytest.raises(ValueError, match="index out of range"):
         FacetOrder(cx.m, [(0, 3)])
-    with pytest.raises(ValueError, match="labels length mismatch"):
-        FacetOrder(cx.m, [], labels=("a", "b"))
 
 
 def test_facet_order_refuses_indices_that_are_not_ints():
@@ -243,7 +241,7 @@ def test_omega_n_enumerates_the_words_once(monkeypatch):
             value.cache_clear()
     om = omega_n(5)
     assert calls == [5]
-    assert om.labels == tuple(enumerate_paths(5))
+    assert shelling._words(5) == tuple(enumerate_paths(5))
     dyck_complex(5)
     assert calls == [5]
 
@@ -332,12 +330,12 @@ def test_omega_1():
     om = omega_n(1)
     assert om.m == 1
     assert om.relations == ()
-    assert om.labels == ("vh",)
+    assert shelling._words(1) == ("vh",)
 
 
 def test_omega_4_matches_figure():
-    om = omega_n(4)
-    covers = {(om.labels[a], om.labels[b]) for a, b in om.covers()}
+    words = shelling._words(4)
+    covers = {(words[a], words[b]) for a, b in omega_n(4).covers()}
     assert covers == OMEGA_4_COVERS
 
 
@@ -354,7 +352,7 @@ def test_omega_relations_match_rank_oracle():
             if s_map(w, i) != w
         }
         assert om.relations == tuple(sorted(expected)), n
-        assert om.labels == tuple(paths), n
+        assert shelling._words(n) == tuple(paths), n
 
 
 def random_facet_order(rng: random.Random) -> tuple[PureComplex, FacetOrder]:
@@ -404,7 +402,7 @@ def test_omega_unique_minimum():
     for n in range(1, 6):
         om = omega_n(n)
         mins = minimal_indices(om)
-        assert [om.labels[i] for i in mins] == ["vh" * n]
+        assert [shelling._words(n)[i] for i in mins] == ["vh" * n]
 
 
 def test_restriction_matches_ls():
@@ -418,7 +416,7 @@ def test_restriction_matches_ls():
 
 def test_restriction_examples():
     cx, om = dyck_complex(3), omega_n(3)
-    words = list(om.labels)
+    words = list(shelling._words(3))
     assert restriction(cx, om, words.index("vhvhvh")) == frozenset()
     assert restriction(cx, om, words.index("vvvhhh")) == {(3, 0)}
     assert restriction(cx, om, words.index("vvhhvh")) == {(2, 0), (2, 2)}
@@ -561,7 +559,7 @@ def test_upward_closure_preserves_restrictions():
                 a, b = b, a
             if not less(om, a, b):
                 extra.append((a, b))
-        bigger = FacetOrder(om.m, om.relations + tuple(extra), om.labels)
+        bigger = FacetOrder(om.m, om.relations + tuple(extra))
         assert check_preshelling(cx, bigger, chain_count(n))["is_preshelling"] is True
         assert [restriction(cx, bigger, f) for f in range(om.m)] == base
 
