@@ -143,24 +143,21 @@ def q_binomial(n: int, k: int) -> QPoly:
 
 def narayana(n: int, k: int) -> int:
     """The Narayana number ``C(n,k) * C(n,k+1) / n``; zero for k >= n."""
-    if n < 1:
-        raise ValueError(f"narayana needs n >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"narayana needs k >= 0, got {k}")
-    numerator = comb(n, k) * comb(n, k + 1)
-    quotient, leftover = divmod(numerator, n)
+    if not _nonzero("narayana", n, k):
+        return 0
+    quotient, leftover = divmod(comb(n, k) * comb(n, k + 1), n)
     if leftover:
         raise ArithmeticError(f"narayana({n}, {k}) not integral")
     return quotient
 
 
-def _nonzero(route: str, n: int, k: int) -> bool:
-    """Refuse n < 1 and k < 0 in the name of a q-Narayana route; whether
-    k < n, below which its polynomial is nonzero."""
+def _nonzero(name: str, n: int, k: int) -> bool:
+    """Refuse n < 1 and k < 0 in the name of a Narayana routine; whether
+    k < n, below which its number or polynomial is nonzero."""
     if n < 1:
-        raise ValueError(f"{route} needs n >= 1, got {n}")
+        raise ValueError(f"{name} needs n >= 1, got {n}")
     if k < 0:
-        raise ValueError(f"{route} needs k >= 0, got {k}")
+        raise ValueError(f"{name} needs k >= 0, got {k}")
     return k < n
 
 

@@ -140,10 +140,6 @@ def descent_set_wrt(w: str, w0: str) -> frozenset[int]:
     )
 
 
-def des_wrt(w: str, w0: str) -> int:
-    return len(descent_set_wrt(w, w0))
-
-
 def maj_wrt(w: str, w0: str) -> int:
     return sum(descent_set_wrt(w, w0))
 

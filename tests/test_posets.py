@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from narayana.dyck import enumerate_paths
-from narayana.posets import flag_h_mismatches, flag_h_table, verify_theorem_main
+from narayana.posets import _descent_counts, flag_h_mismatches, flag_h_table, verify_theorem_main
 from narayana.qpoly import narayana
 from oracles import (
     FinitePoset,
@@ -318,8 +318,22 @@ def test_verify_theorem_main_random_reference_paths():
 
 
 def test_verify_theorem_main_every_reference_path():
-    for n in range(1, 6):
+    for n in range(1, 8):
         assert verify_theorem_main(n, enumerate_paths(n)) == [], n
+
+
+def test_descent_counts_match_per_pair_oracle():
+    # the transfer matrix under a reference's labels against descent_set_wrt,
+    # which relabels each path against the reference.  By Stanley's theorem
+    # every Dyck reference gives beta, so a matrix that ignored its reference
+    # would pass on them; a word of n v's and n h's that is not a Dyck path
+    # labels 2 x n unnaturally, and its counts show that the word is read
+    for n in range(1, 7):
+        paths = list(enumerate_paths(n))
+        for vs in itertools.combinations(range(2 * n), n):
+            W = "".join("v" if i in vs else "h" for i in range(2 * n))
+            oracle = Counter(rank_mask(descent_set_wrt(w, W)) for w in paths)
+            assert _descent_counts(n, W) == oracle, W
 
 
 def theorem_witnesses_per_pair(n, refs, beta):
