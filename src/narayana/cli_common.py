@@ -77,21 +77,18 @@ def json_text(value, newline: str = "\n") -> str:
         return "false"
     elif isinstance(value, int):
         return int.__repr__(value)
-    elif isinstance(value, dict):
+    elif isinstance(value, (dict, list, tuple)):
+        opening, closing = "{}" if isinstance(value, dict) else "[]"
         if not value:
-            return "{}"
+            return opening + closing
         inner = newline + "  "
-        items = [f"{json_text(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        if all(type(v) is int for v in value):  # a coefficient list, in one join
+        if isinstance(value, dict):
+            items = [f"{json_text(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())]
+        elif all(type(v) is int for v in value):  # a coefficient list, in one join
             items = map(str, value)
         else:
             items = [json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return opening + inner + ("," + inner).join(items) + newline + closing
     import json
 
     return json.dumps(value)

@@ -25,6 +25,8 @@ def chain_count(n: int) -> int:
     """The chains of the proper part of J(2 x n), the empty one included: the
     faces of dyck_complex(n).  t[a + 1][b + 1] counts the nonempty chains at
     or below (a, b), each topped by a point alone or over a chain below it."""
+    if n < 0:
+        raise ValueError(f"negative semilength: {n}")
     t = [[0] * (n + 2) for _ in range(n + 2)]
     for a in range(n + 1):
         for b in range(n + 1):

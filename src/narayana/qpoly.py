@@ -142,9 +142,9 @@ def q_binomial(n: int, k: int) -> QPoly:
 
 
 def narayana(n: int, k: int) -> int:
-    """The Narayana number ``C(n,k) * C(n,k+1) / n``; zero for k >= n."""
-    if not _nonzero("narayana", n, k):
-        return 0
+    """The Narayana number ``C(n,k) * C(n,k+1) / n``; zero for k >= n, where
+    C(n,k+1) is zero."""
+    _nonzero("narayana", n, k)  # for its refusals of n < 1 and k < 0
     quotient, leftover = divmod(comb(n, k) * comb(n, k + 1), n)
     if leftover:
         raise ArithmeticError(f"narayana({n}, {k}) not integral")

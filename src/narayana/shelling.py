@@ -100,20 +100,16 @@ class FacetOrder:
     named by the words of _words."""
 
     def __init__(self, m: int, relations: Iterable[tuple[int, int]]):
-        pairs = [(a, b) for a, b in relations]
-        for a, b in pairs:
+        self._pairs = [(a, b) for a, b in relations]
+        up: list[list[int]] = [[] for _ in range(m)]
+        for a, b in self._pairs:
             if type(a) is not int or type(b) is not int:
                 raise ValueError(f"facet index not an int: ({a!r}, {b!r})")
-        rels = sorted(set(pairs))
-        up: list[list[int]] = [[] for _ in range(m)]
-        for a, b in rels:
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"facet index out of range: ({a}, {b})")
-            if a == b:
-                raise ValueError("order contains a cycle")
             up[a].append(b)
         order = _topological_order(up)
-        if len(order) != m:
+        if len(order) != m:  # a self-loop, too, leaves its facet out
             raise ValueError("order contains a cycle")
         below = [0] * m
         for i in order:
@@ -121,15 +117,16 @@ class FacetOrder:
             for j in up[i]:
                 below[j] |= reach
         self._below = below
-        self._relations = tuple(rels)
 
     @property
     def m(self) -> int:
         return len(self._below)
 
-    @property
+    @cached_property
     def relations(self) -> tuple[tuple[int, int], ...]:
-        return self._relations
+        """The generating relations, each once, in (a, b) order; sorted on
+        first read, which the parth check never makes."""
+        return tuple(sorted(set(self._pairs)))
 
     def below_mask(self, j: int) -> int:
         return self._below[j]
@@ -139,10 +136,10 @@ class FacetOrder:
         in relation order, that is by (i, j).  Each is a generating
         relation, and it covers exactly when no generated successor of i
         lies below j (j itself never does)."""
-        successors, below = [0] * self.m, self._below
-        for i, j in self._relations:
+        successors, below, relations = [0] * self.m, self._below, self.relations
+        for i, j in relations:
             successors[i] |= 1 << j
-        return [(i, j) for i, j in self._relations if not successors[i] & below[j]]
+        return [(i, j) for i, j in relations if not successors[i] & below[j]]
 
 
 @cache

@@ -21,8 +21,6 @@ Rows = tuple[tuple[int, int], ...]
 def two_column_fillings(k: int, m: int) -> Iterator[Rows]:
     """The rows of every tableau of shape 2^k with entries in [1, m], in
     lexicographic order of the row-major reading word."""
-    if k < 0 or m < 0:
-        raise ValueError(f"negative row count or max part: k = {k}, m = {m}")
     # row by row, in order; each row's entries leave room for the rows below
     tableaux: list[Rows] = [()]
     for room in range(m - k + 1, m + 1):
@@ -41,28 +39,12 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> str:
     The word is built in k + 1 blocks of v runs followed by h runs: the
     first block has T_12 v and T_11 h, block i the successive differences
     down the columns, and the last block tops both columns up to n.  The
-    descent set of the result is exactly the set of row sums, and the
-    validated rows make it a Dyck word by construction.
+    descent set of the result is exactly the set of row sums.  The rows are
+    not validated: verify_ssyt, the one caller, passes the tableaux of
+    two_column_fillings, and validates each image.
     """
-    if n < 1:
-        raise ValueError(f"ssyt_to_dyck needs n >= 1, got {n}")
     word, above = [], (0, 0)
-    for i, row in enumerate(rows, start=1):
-        # a valid row passes one chained comparison; the checks below name the fault
-        if not (len(row) == 2 and type(row[0]) is type(row[1]) is int
-                and above[0] < row[0] <= row[1] < n and above[1] < row[1]):
-            if len(row) != 2:
-                raise ValueError(f"not a two-column shape: {tuple(map(len, rows))}")
-            for entry in row:
-                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
-                    raise ValueError(f"entries must be positive integers, got {entry!r}")
-                if entry >= n:
-                    raise ValueError(f"entry out of range: {entry} >= {n}")
-            if row[0] > row[1]:
-                raise ValueError(f"rows must weakly increase: row {i}")
-            for j in (0, 1):
-                if above[j] >= row[j]:
-                    raise ValueError(f"columns must strictly increase: column {j + 1}")
+    for row in rows:
         word += ["v" * (row[1] - above[1]), "h" * (row[0] - above[0])]
         above = row
     word += ["v" * (n - above[1]), "h" * (n - above[0])]
@@ -70,8 +52,16 @@ def ssyt_to_dyck(rows: Sequence[Sequence[int]], n: int) -> str:
 
 
 def dyck_to_ssyt(word: str) -> Rows:
-    """Inverse of ssyt_to_dyck: row i holds the numbers of h and of v up to
-    the i-th descent.  The word's blocks, a v run and then an h run, end
+    """Inverse of ssyt_to_dyck, for a path's word from outside: lowercased
+    and validated by dyck_word, whose ValueError refuses any other word."""
+    from .dyck import dyck_word  # here, so that the schur-ssyt route loads no dyck
+
+    return _rows(dyck_word(word))
+
+
+def _rows(word: str) -> Rows:
+    """The tableau of a Dyck word: row i holds the numbers of h and of v up
+    to the i-th descent.  The word's blocks, a v run and then an h run, end
     at its descents, so the rows are the running counts over the blocks."""
     rows, h, v = [], 0, 0
     for block in word.replace("hv", "h v").split()[:-1]:
@@ -125,8 +115,8 @@ def verify_ssyt(n: int) -> list[dict]:
         for rows in two_column_fillings(k, n - 1):
             counts[sum(1 << a + b for a, b in rows)] += 1
             word = ssyt_to_dyck(rows, n)
-            try:
-                inverted = dyck_to_ssyt(dyck_word(word)) == rows
+            try:  # dyck_to_ssyt, without an import per image: one validation each
+                inverted = _rows(dyck_word(word)) == rows
             except ValueError:
                 inverted = False
             if not inverted:

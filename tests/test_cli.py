@@ -1391,12 +1391,35 @@ def test_every_benchmarked_request_takes_the_full_form_reader():
 
 def test_the_benchmark_copies_agree_with_the_tables():
     # the workloads name the statistics, the paired ones and the checks'
-    # limits in copies of their own
+    # limits in copies of their own, and draw requests up to guards they
+    # hold no copy of: a guard that moves fails here until the benchmark
+    # follows it
     workloads = benchmark_workloads()
     assert workloads.STATS == tuple(narayana.STATISTICS)
     assert set(workloads.Q_STATS) == {stat for stat, costat in narayana.STATISTICS.items() if costat}
     limits = {check: limit for check, (_, _, limit) in cli_common.VERIFY_CHECKS.items()}
     assert workloads.VERIFY_LIMITS == limits
+    requests = [argv for name in workloads.WORKLOADS for argv in workloads.catalogue(name)]
+
+    def value(argv, option):
+        return argv[argv.index(option) + 1] if option in argv else None
+
+    routes = {value(argv, "--route") for argv in requests} - {None}
+    assert routes <= {*narayana.ROUTES, "all"}
+
+    def largest(kinds):
+        # the largest n of the requests whose (command, route) is in kinds
+        return max(int(value(a, "--n")) for a in requests if (a[0], value(a, "--route")) in kinds)
+
+    def route_rows(limit):
+        return {("qnarayana", route) for route, (*_, n) in narayana.ROUTES.items() if n == limit}
+
+    assert largest({("omega", None)}) == cli_common.OMEGA_GUARD
+    closed_form = {("narayana", None), *route_rows(narayana.CLOSED_FORM_LIMIT)}
+    assert largest(closed_form) == narayana.CLOSED_FORM_LIMIT
+    # no n = 12: perfbench/workloads.py's _paths gives the reason
+    enumerative = {("dist", None), *route_rows(narayana.ENUMERATION_LIMIT)}
+    assert largest(enumerative) == narayana.ENUMERATION_LIMIT - 1
 
 
 def test_every_request_reproduces_the_benchmark_digests(monkeypatch):

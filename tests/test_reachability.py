@@ -1,15 +1,21 @@
-"""Every function, method and property under src/narayana serves some request.
+"""Every statement under src/narayana serves a request, a refusal, a failing
+check or a named library guard.
 
-One deck of CLI requests runs in-process under sys.setprofile and records
-the code object of every Python frame it enters.  The deck covers every
+One deck of CLI requests runs in-process under sys.settrace and records
+every line that a frame of the package runs.  The deck covers every
 subcommand, check, route and format, --help, a random reference path, a
 cache miss and a hit, a closed-form request long enough for the Kronecker
-product, one request in abbreviated form, one request refused by the
-general reader and one by its handler, and one whose stdout and stderr are
-full; the process entry run() serves --version first, with its exit
-handlers and os._exit replaced, so that the test process goes on.  A
-function or method that no request reaches belongs in tests/oracles.py or
-nowhere, unless ALLOWED names it with its reason.
+product, a q-Narayana polynomial that is zero on every route and one
+request in abbreviated form.  It grows by every refusal of
+the command line, the cache files that a request cannot use, a request
+whose stdout and stderr are closed, and a damaged run of each check in text
+and json, in which one library call is patched to make the check return
+witnesses.  The process entry run() serves --version and a request whose
+stdout and stderr are on a full device, with its exit handlers and
+os._exit replaced, so that the test process goes on.  A statement in a
+function body that nothing runs belongs in tests/oracles.py or nowhere,
+unless ALLOWED_LINES names it, by its function and its first line, with
+its reason.
 No module under src/narayana holds an assert statement, since python -O
 strips them, or a global statement, since a module binds its names once,
 or the word frozenset, since a rank set is one int with rank r at bit r,
@@ -23,29 +29,95 @@ import ast
 import atexit
 import contextlib
 import errno
-import functools
 import importlib
 import io
 import os
 import pkgutil
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import narayana
+from narayana import posets, preshelling, shelling, stats, tableaux
 from narayana.cli import main, run
 
-_VALUE = "value protocol: tests compare, hash and print instances"
-_TRACER = "perfbench/tracing.py reads it for a per-layer metric"
-# what no request enters and yet stays, each with its reason
-ALLOWED = {
-    "narayana.qpoly.QPoly.__eq__": _VALUE,
-    "narayana.qpoly.QPoly.__hash__": _VALUE,
-    "narayana.qpoly.QPoly.__repr__": _VALUE,
-    "narayana.qpoly.QPoly.degree": _TRACER,
+SRC = Path(narayana.__file__).parent
+_PUBLIC = "guard of a name on README's Library list, which takes outside input"
+_CLI = "library refusal or domain edge: the command line never sends the input"
+_GUARD = "guard of PureComplex or FacetOrder, which check_preshelling's callers build"
+_SELF = "self-check: only a bug in the library reaches it"
+_VALUE = "value protocol: tests build, compare, hash and print instances"
+_JSON = "json_text's contract: json writes the strs that payloads never hold"
+# (function, first line) of each statement that nothing runs and yet stays
+ALLOWED_LINES = {
+    ("narayana.dyck.enumerate_paths", 'raise ValueError(f"negative semilength: {n}")'): _PUBLIC,
+    ("narayana.stats._mark", 'raise ValueError(f"unknown statistic: {name}") from None'): _PUBLIC,
+    ("narayana.stats._joint_counts", 'raise ValueError(f"negative semilength: {n}")'): _PUBLIC,
+    ("narayana.posets.flag_h_table",
+     'raise ValueError(f"flag_h_table needs n >= 1, got {n}")'): _PUBLIC,
+    ("narayana.tableaux.dyck_to_ssyt",
+     "from .dyck import dyck_word"): _PUBLIC,
+    ("narayana.tableaux.dyck_to_ssyt", "return _rows(dyck_word(word))"): _PUBLIC,
+    ("narayana.shelling.dyck_complex",
+     'raise ValueError(f"dyck_complex needs n >= 1, got {n}")'): _PUBLIC,
+    ("narayana.shelling.omega_n", 'raise ValueError(f"omega_n needs n >= 1, got {n}")'): _PUBLIC,
+    ("narayana.preshelling.chain_count", 'raise ValueError(f"negative semilength: {n}")'): _PUBLIC,
+    ("narayana.preshelling.check_preshelling",
+     'raise ValueError(f"order on {ord.m} facets, complex of {cx.m}")'): _PUBLIC,
+    ("narayana.qpoly.q_binomial", 'raise ValueError(f"q_binomial with negative n: {n}")'): _CLI,
+    ("narayana.qpoly.q_binomial", "return QPoly()"): _CLI,
+    ("narayana.qpoly.ratio_q_int",
+     'raise ValueError(f"ratio_q_int needs a, b >= 1, got a = {a}, b = {b}")'): _CLI,
+    ("narayana.qpoly._nonzero", 'raise ValueError(f"{name} needs n >= 1, got {n}")'): _CLI,
+    ("narayana.qpoly._nonzero", 'raise ValueError(f"{name} needs k >= 0, got {k}")'): _CLI,
+    ("narayana.posets.verify_theorem_main",
+     'raise ValueError(f"verify_theorem_main needs n >= 1, got {n}")'): _CLI,
+    ("narayana.posets.verify_theorem_main",
+     'raise ValueError("verify_theorem_main needs at least one reference path")'): _CLI,
+    ("narayana.posets.verify_theorem_main",
+     'raise ValueError(f"length mismatch: |W| = {len(W)}, expected {2 * n}")'): _CLI,
+    ("narayana.tableaux.verify_q_identity",
+     'raise ValueError(f"verify_q_identity needs n >= 1, got {n}")'): _CLI,
+    ("narayana.shelling.PureComplex.__init__", 'raise ValueError("duplicate vertex")'): _GUARD,
+    ("narayana.shelling.PureComplex.__init__",
+     'raise ValueError("at least one facet required")'): _GUARD,
+    ("narayana.shelling.PureComplex.__init__",
+     'raise ValueError(f"facet mask not an int: {mask!r}")'): _GUARD,
+    ("narayana.shelling.PureComplex.__init__",
+     'raise ValueError(f"facet mask outside the vertex range: {mask}")'): _GUARD,
+    ("narayana.shelling.PureComplex.__init__",
+     'raise ValueError("not pure: all facets must have the same cardinality")'): _GUARD,
+    ("narayana.shelling.PureComplex.__init__", "repeats = Counter(masks)"): _GUARD,
+    ("narayana.shelling.PureComplex.__init__",
+     "i = next(i for i, a in enumerate(masks) if repeats[a] > 1)"): _GUARD,
+    ("narayana.shelling.PureComplex.__init__",
+     'raise ValueError(f"facet contained in another (or duplicated): index {i}")'): _GUARD,
+    ("narayana.shelling.FacetOrder.__init__",
+     'raise ValueError(f"facet index not an int: ({a!r}, {b!r})")'): _GUARD,
+    ("narayana.shelling.FacetOrder.__init__",
+     'raise ValueError(f"facet index out of range: ({a}, {b})")'): _GUARD,
+    ("narayana.shelling.FacetOrder.__init__", 'raise ValueError("order contains a cycle")'): _SELF,
+    ("narayana.preshelling.check_preshelling",
+     'raise RuntimeError(f"equivalence broken: {conditions}")'): _SELF,
+    ("narayana.qpoly.ratio_q_int",
+     'raise ArithmeticError(f"inexact division: {QPoly(cs)} * [{a}] by [{b}]")'): _SELF,
+    ("narayana.qpoly.narayana", 'raise ArithmeticError(f"narayana({n}, {k}) not integral")'): _SELF,
+    ("narayana.qpoly.QPoly.__init__", "cs.pop()"): _VALUE,
+    ("narayana.qpoly.QPoly.__eq__", "if isinstance(other, QPoly):"): _VALUE,
+    ("narayana.qpoly.QPoly.__eq__", "return self._coeffs == other._coeffs"): _VALUE,
+    ("narayana.qpoly.QPoly.__eq__", "return NotImplemented"): _VALUE,
+    ("narayana.qpoly.QPoly.__hash__", "return hash(self._coeffs)"): _VALUE,
+    ("narayana.qpoly.QPoly.__mul__", "return QPoly()"): _VALUE,
+    ("narayana.qpoly.QPoly.__repr__", 'return f"QPoly({self._coeffs!r})"'): _VALUE,
+    ("narayana.qpoly.QPoly.__str__", 'body = "q" if mag == 1 else f"{mag}q"'): _VALUE,
+    ("narayana.qpoly.QPoly.degree", "return len(self._coeffs) - 1"):
+        "perfbench/tracing.py reads it for a per-layer metric",
+    ("narayana.cli_common.json_text", "import json"): _JSON,
+    ("narayana.cli_common.json_text", "return json.dumps(value)"): _JSON,
 }
 # the functions that call themselves, each with its reason
 SELF_CALLS = {"cli_common.json_text": "its depth is the payload's"}
@@ -57,6 +129,7 @@ def deck(cache_dir: str) -> list[list[str]]:
         for fmt in ("text", "json"):
             requests.append(["qnarayana", "--n", "4", "--k", "1", "--route", route, "--format", fmt])
     requests.append(["qnarayana", "--n", "20", "--k", "9", "--route", "closed"])
+    requests.append(["qnarayana", "--n", "4", "--k", "4", "--route", "all"])  # zero on every route
     for fmt in ("text", "json", "csv"):
         requests.append(["dist", "--n", "4", "--stat", "hp", "--q", "--format", fmt])
         requests.append(["dist", "--n", "4", "--stat", "da", "--format", fmt])
@@ -71,9 +144,49 @@ def deck(cache_dir: str) -> list[list[str]]:
     requests += [["omega", "--n", "3", "--format", fmt] for fmt in ("dot", "json")]
     requests.append(["--help"])
     requests.append(["dist", "--n=4", "--st", "da"])  # abbreviated: the general reader
-    requests.append(["dist", "--n", "4", "--stat", "nope"])  # refused by the general reader: exit 2
-    requests.append(["narayana", "--n", "0"])  # refused by its handler: exit 2
     return requests
+
+
+def refusals(blocker: Path) -> list[list[str]]:
+    """Every refusal of the command line, each exit 2; blocker is a file."""
+    main_theorem = ["verify", "--check", "main-theorem", "--n", "2", "--ref-path"]
+    return [
+        ["dist", "--n", "4", "--stat", "nope"],  # by the general reader
+        ["dist", "--n", "4"],  # a required option missing: the general reader
+        ["narayana", "--n", "0"],
+        ["qnarayana", "--n", "0", "--k", "1"],
+        ["qnarayana", "--n", "4", "--k", "-1"],
+        ["qnarayana", "--n", "13", "--k", "1", "--route", "enumerate"],
+        ["dist", "--n", "13", "--stat", "des"],
+        ["dist", "--n", "4", "--stat", "ea", "--q"],
+        ["dist", "--n", "4", "--stat", "des", "--cache-dir", str(blocker / "sub")],
+        ["verify", "--check", "ssyt", "--n", "9"],
+        ["verify", "--check", "ssyt", "--n", "3", "--samples", "0"],
+        ["verify", "--check", "ssyt", "--n", "3", "--ref-path", "vhvhvh"],
+        main_theorem + ["vx"],
+        main_theorem + ["hv"],
+        main_theorem + ["vvh"],
+        main_theorem + ["vhvhvh"],
+        ["omega", "--n", "9"],
+    ]
+
+
+def _reversed_images(rows, n, real=tableaux.ssyt_to_dyck):
+    return real(rows, n)[::-1]  # starts with h: no Dyck word
+
+
+def _no_relations(n: int) -> shelling.FacetOrder:
+    return shelling.FacetOrder(len(shelling._words(n)), [])
+
+
+# check -> (module, name, stand-in) of one library call that makes it fail
+DAMAGE = {
+    "main-theorem": (posets, "flag_h_table", lambda n: Counter({0: 2})),
+    "ssyt": (tableaux, "ssyt_to_dyck", _reversed_images),
+    "preshelling": (preshelling, "omega_n", _no_relations),
+    "q-identity": (stats, "distribution", lambda n, statistic: {}),
+    "parth": (shelling, "omega_n", _no_relations),
+}
 
 
 class _Full(io.StringIO):
@@ -83,8 +196,10 @@ class _Full(io.StringIO):
         super().__init__()
         self._fd = fd
 
-    def write(self, text: str) -> int:
+    def write(self, text: str = "") -> int:
         raise OSError(errno.ENOSPC, "No space left on device")
+
+    flush = write
 
     def fileno(self) -> int:
         return self._fd
@@ -94,82 +209,147 @@ def _raise_exit(code: int):
     raise SystemExit(code)
 
 
-def _code_of(value):
-    """The code object behind a function, a cache wrapper, a static or class
-    method, a property or a cached_property; None for anything else."""
-    if isinstance(value, (staticmethod, classmethod)):
-        value = value.__func__
-    elif isinstance(value, property):
-        value = value.fget
-    elif isinstance(value, functools.cached_property):
-        value = value.func
-    return getattr(getattr(value, "__wrapped__", value), "__code__", None)
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
-def package_code() -> dict:
-    """Qualified name -> code object of every function defined at module
-    level in the package, and of every method and property its classes
-    define."""
-    out = {}
-    for info in pkgutil.iter_modules(narayana.__path__, "narayana."):
-        module = importlib.import_module(info.name)
-        for name, value in vars(module).items():
-            if getattr(value, "__module__", None) != module.__name__:
-                continue
-            members = vars(value).items() if isinstance(value, type) else [(None, value)]
-            for attr, member in members:
-                code = _code_of(member)
-                if code is not None:
-                    qualified = f"{module.__name__}.{name}" + (f".{attr}" if attr else "")
-                    out[qualified] = code
+def _run(argv: list[str], stream) -> int:
+    # run() as the process of argv, its exit handlers and os._exit replaced
+    with (
+        mock.patch.object(sys, "argv", ["narayana", *argv]),
+        mock.patch.object(atexit, "_run_exitfuncs"),
+        mock.patch.object(os, "_exit", _raise_exit),
+        contextlib.redirect_stdout(stream),
+        contextlib.redirect_stderr(stream),
+        pytest.raises(SystemExit) as exit,
+    ):
+        run()
+    return exit.value.code
+
+
+def serve_everything(tmp_path: Path) -> None:
+    """Send every request of the reachability deck, checking each exit."""
+    with tempfile.TemporaryFile() as scratch:
+        assert _run(["--version"], io.StringIO()) == 0
+        assert _run(["narayana", "--n", "3"], _Full(scratch.fileno())) == 2
+    cache = tmp_path / "cache"
+    requests = deck(str(cache))
+    assert [_in_process(argv)[0] for argv in requests] == [0] * len(requests)
+    assert len(list(cache.iterdir())) == 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in refusals(blocker):
+        code, out, err = _in_process(argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert err.startswith("narayana: error: "), argv
+    # closed when the process started: no output and no diagnostics
+    with mock.patch.object(sys, "stdout", None), mock.patch.object(sys, "stderr", None):
+        assert main(["narayana", "--n", "3"]) == 2
+    # a FIFO at the cache path, whose temp file is a directory, and a cache
+    # file that holds no table: each a miss, and only the last rewritten
+    faulty = tmp_path / "faulty"
+    faulty.mkdir()
+    stem = f"dist-{narayana.__version__}-n4"
+    os.mkfifo(faulty / f"{stem}-da.json")
+    (faulty / f"{stem}-da.json.{os.getpid()}.tmp").mkdir()
+    (faulty / f"{stem}-ea.json").write_text("{}\n")
+    for stat, warnings in (("da", 1), ("ea", 0)):
+        argv = ["dist", "--n", "4", "--stat", stat]
+        code, out, err = _in_process([*argv, "--cache-dir", str(faulty)])
+        assert (code, out) == (0, _in_process(argv)[1])
+        assert err.count("warning: cache not written") == warnings
+    for check, (module, name, damaged) in DAMAGE.items():
+        with mock.patch.object(module, name, damaged):
+            for fmt in ("text", "json"):
+                argv = ["verify", "--check", check, "--n", "3", "--format", fmt]
+                code, out, _ = _in_process(argv)
+                assert code == 1 and "fail" in out, argv
+
+
+def _own_lines(node: ast.stmt) -> set[int]:
+    # a compound statement runs its header's lines, a simple one all of its own
+    body = getattr(node, "body", None)
+    if not isinstance(body, list):
+        return set(range(node.lineno, node.end_lineno + 1))
+    start = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
+    return set(range(start, max(node.lineno, body[0].lineno - 1) + 1))
+
+
+def _is_docstring(node: ast.AST, parent: ast.AST) -> bool:
+    return (
+        node is getattr(parent, "body", [None])[0]
+        and isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def body_statements() -> list[tuple[str, str, str, set[int]]]:
+    """(file, function, first line, own lines) of every statement in a
+    function body under src/narayana.  The function is the qualified name
+    of the innermost one that holds the statement, and the first line has
+    no trailing comment.  Docstrings compile to no code, and a try
+    statement to none of its own: the statements of its blocks stand for
+    it."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        module = "narayana" if path.stem == "__init__" else f"narayana.{path.stem}"
+
+        def visit(parent: ast.AST, name: str, in_function: bool) -> None:
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.stmt, ast.excepthandler)):
+                    continue  # an expression holds no statement
+                if in_function and isinstance(node, ast.stmt) and not isinstance(node, ast.Try):
+                    if not _is_docstring(node, parent):
+                        text = lines[node.lineno - 1].split("  # ")[0].strip()
+                        out.append((str(path), name, text, _own_lines(node)))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(node, f"{name}.{node.name}", not isinstance(node, ast.ClassDef))
+                else:
+                    visit(node, name, in_function)
+
+        visit(ast.parse("\n".join(lines)), module, False)
     return out
 
 
-def test_every_function_and_method_serves_a_request(tmp_path):
-    functions = package_code()
-    assert "narayana.qpoly.QPoly.__mul__" in functions
-    assert "narayana.shelling.PureComplex.vertex_facets" in functions
+def test_every_statement_serves_a_request(tmp_path):
+    for info in pkgutil.iter_modules(narayana.__path__, "narayana."):
+        importlib.import_module(info.name)
+    statements = body_statements()
+    files = {path for path, *_ in statements}
     # a cached result from another test would hide the body of its function
     for info in pkgutil.iter_modules(narayana.__path__, "narayana."):
         for value in vars(sys.modules[info.name]).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    entered = set()
+    ran: set[tuple[str, int]] = set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
 
-    codes = []
-    previous = sys.getprofile()
-    sys.setprofile(profile)
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
     try:
-        with (
-            mock.patch.object(sys, "argv", ["narayana", "--version"]),
-            mock.patch.object(atexit, "_run_exitfuncs"),
-            mock.patch.object(os, "_exit", _raise_exit),
-            contextlib.redirect_stdout(io.StringIO()),
-            pytest.raises(SystemExit) as exit,
-        ):
-            run()
-        codes.append(exit.value.code)
-        for argv in deck(str(tmp_path)):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes.append(main(argv))
-        with tempfile.TemporaryFile() as scratch:
-            full = _Full(scratch.fileno())
-            with contextlib.redirect_stdout(full), contextlib.redirect_stderr(full):
-                codes.append(main(["narayana", "--n", "3"]))
+        serve_everything(tmp_path)
     finally:
-        sys.setprofile(previous)
-    assert codes[-3:] == [2, 2, 2]
-    assert set(codes[:-3]) == {0}
-    assert len(list(tmp_path.iterdir())) == 1
-    # the allowlist cannot go stale: each entry exists and is still unreached
-    assert sorted(set(ALLOWED) - set(functions)) == [], "allowed but gone"
-    assert sorted(n for n in ALLOWED if functions.get(n) in entered) == [], "allowed but reached"
-    unreached = sorted(name for name, code in functions.items() if code not in entered)
-    assert unreached == sorted(ALLOWED), unreached
+        sys.settrace(previous)
+    unreached = {
+        (function, text)
+        for path, function, text, lines in statements
+        if not any((path, line) in ran for line in lines)
+    }
+    # the allowlist cannot go stale: each entry names a statement still unreached
+    assert sorted(set(ALLOWED_LINES) - unreached) == [], "allowed but gone or reached"
+    assert sorted(unreached - set(ALLOWED_LINES)) == [], "reached by no request"
 
 
 def statements_under_src(kind: type) -> list[str]:

@@ -509,6 +509,14 @@ def test_chain_count_counts_the_faces():
     assert [chain_count(n) for n in range(1, 9)] == [2, 12, 88, 720, 6304, 57792, 547712, 5323008]
 
 
+def test_chain_count_refuses_a_negative_semilength():
+    # chain_count(0) counts the empty chain of J(2 x 0), a single point
+    assert chain_count(0) == 1
+    for n in (-1, -2, -10):
+        with pytest.raises(ValueError, match=f"^negative semilength: {n}$"):
+            chain_count(n)
+
+
 # run under python -O, which strips asserts: the broken orders' reports,
 # and whether a forced disagreement, a wrong face count, raises
 OPTIMIZED_PROBE = """
