@@ -14,9 +14,7 @@ from .cli_common import OMEGA_GUARD, SAMPLES_LIMIT, VERIFY_CHECKS, UsageError, _
 
 # main() reads a full-form command line by the table below, and any other,
 # --help among them, by cli_parse, with argparse; then it imports only the
-# module of the command asked for, each handler with the library modules it
-# calls and json and random only where it uses them, so that a request
-# loads, and without bytecode compiles, only those.
+# module of the command asked for (see cli_common on what a request loads).
 
 
 def build_parser() -> dict:
@@ -110,10 +108,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """main() as the process.  It ends without tearing the interpreter down:
-    it runs the exit handlers and flushes stdout and stderr, as finalization
-    would, then calls os._exit.  If a flush fails, finalization takes the
-    exit as before, and its own flush of a failed stream exits 120."""
+    """main() as the process: the entry of ``python -m narayana.cli`` and of
+    the narayana script.  It ends without tearing the interpreter down,
+    whose teardown frees what the OS reclaims at once anyway: it runs the
+    exit handlers with atexit._run_exitfuncs(), flushes stdout and then
+    stderr, as finalization would, then calls os._exit with main's code.
+    atexit is run here because os._exit skips it, so a handler that a site
+    hook or a caller registered, as coverage tools do, runs once, after all
+    of the request's stdout.  If a flush fails (output left unflushed on a
+    full device or a closed pipe, or a stream closed or None), it raises
+    SystemExit(code) and finalization takes the exit as before: its own
+    flush of a failed stream exits 120.  main flushes stdout itself and
+    turns a failed write into exit 2, so only output that an exit handler
+    writes reaches that fallback.  No request starts a thread.
+
+    main(argv) never exits the process or runs the exit handlers, so tests
+    and library callers serve requests in-process.  A profiler that reports
+    after the module returns, as ``python -m cProfile -m narayana.cli``
+    does, reports nothing; profile main in-process instead, as in
+    cProfile.run("main(['omega', '--n', '8'])", sort="tottime")."""
     import atexit
     import os
     code = main()

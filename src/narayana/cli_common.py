@@ -9,6 +9,20 @@ request compiles only the reader it needs and its own command.  No module
 imports narayana.cli: run as ``python -m narayana.cli`` it is __main__,
 and that import would compile it a second time.  No library module is
 imported here.
+
+Every request is a fresh process, and one that runs without bytecode, as a
+checkout with no __pycache__ under PYTHONDONTWRITEBYTECODE=1 does, compiles
+each module it loads; so a request loads only what it calls.  No full-form
+request loads argparse, gettext, locale or csv; --help, --version and every
+other form load argparse, and with it gettext and locale.  json is loaded
+only for verify's text witness lines, when a check fails, and by json_text
+for a str that needs escaping, which no payload holds: --format json and
+the cache files are written by json_text, a cache hit is read without
+json, and dist --format csv quotes a field itself, as csv.writer does.
+random is loaded only by verify --check main-theorem --ref-path random.  No
+module imports typing or __future__: annotations use builtins and
+collections.abc, and a name imported only inside the function that calls
+it is a string annotation.
 """
 
 import os

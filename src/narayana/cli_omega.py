@@ -19,11 +19,11 @@ def cmd_omega(args: SimpleNamespace) -> int:
     # refused against the guard, before any library module loads
     if not 1 <= n <= OMEGA_GUARD:
         return _usage(f"n out of range: expected 1 <= n <= {OMEGA_GUARD}, got {n}")
-    from .dyck import _bit_indices, ls_set
-    from .shelling import _words, omega_n
+    from .dyck import _bit_indices
+    from .shelling import _ls_sets, _words, omega_n
 
     words = _words(n)
-    annotations = {w: list(_bit_indices(ls_set(w))) for w in words}
+    annotations = {w: list(_bit_indices(centers)) for w, centers in zip(words, _ls_sets(n))}
     edges = [(words[a], words[b]) for a, b in omega_n(n).covers()]
     if args.format == "json":
         # json.dumps(payload, indent=2, sort_keys=True)'s bytes: every node

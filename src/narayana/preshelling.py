@@ -41,9 +41,22 @@ def check_preshelling(cx: PureComplex, ord: FacetOrder, faces: int) -> dict:
     failing pair (f, g) in the order of combinations (i) or permutations
     (iii, iv) of the facet indices, and for (ii) the face r(F) | r(G) of
     (i)'s pair, which both intervals hold, with all its owners.  faces is
-    the number of faces of cx, the empty one included.  The verdicts must
-    agree by the equivalence theorem; a disagreement could only come from
-    a bug, or a wrong face count, and raises RuntimeError."""
+    the number of faces of cx, the empty one included; an order on another
+    number of facets raises ValueError.
+
+    For each facet F it builds the facets G with r(F) inside G (fits, the
+    AND of the vertex incidences over r(F)), those with r(G) inside F
+    (fitted, every facet but those whose restriction holds a vertex outside
+    F) and those above F (above, the transpose of below_mask, built down
+    the generating relations).  Then (i) fails at F when fits & fitted
+    holds another facet, (iii) when fits holds a facet not above F, and
+    (iv) when fitted holds a facet not below F.  (ii)'s owners of a face
+    are the facets H with r(H) inside it and it inside H: the AND of the
+    incidences over the face, less every facet whose restriction holds a
+    vertex outside it.  No face is built.  The verdicts must agree by the
+    equivalence theorem; a disagreement could only come from a bug, or from
+    a wrong face count when (i) holds and the interval sizes miss it, and
+    raises RuntimeError."""
     if ord.m != cx.m:
         raise ValueError(f"order on {ord.m} facets, complex of {cx.m}")
     m = cx.m
@@ -66,7 +79,6 @@ def check_preshelling(cx: PureComplex, ord: FacetOrder, faces: int) -> dict:
         # the facets H with r(H) inside face: no vertex of r(H) lies outside it
         return everyone & ~reduce(or_, [h for bit, h in held if not face & bit], 0)
 
-    # fitted[f]: the facets G with r(G) inside F
     fitted = [inside(cx.mask(f)) for f in range(m)]
     # above[f]: the facets above F.  A generating relation (a, b) puts b and
     # all above it above a; b lies above more facets than a, so it comes first
@@ -83,7 +95,6 @@ def check_preshelling(cx: PureComplex, ord: FacetOrder, faces: int) -> dict:
     i = first([fits[f] & fitted[f] & ~(1 << f) for f in range(m)])
     shared = None
     if i is not None:
-        # its owners H have r(H) inside the face and the face inside H
         face = r[i["f"]] | r[i["g"]]
         owners = holding(face) & inside(face)
         shared = {"face": list(_bit_indices(face)), "covered_by": list(_bit_indices(owners))}

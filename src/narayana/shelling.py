@@ -149,6 +149,13 @@ def _words(n: int) -> tuple[str, ...]:
 
 
 @cache
+def _ls_sets(n: int) -> tuple[int, ...]:
+    # ls_set of each word of _words(n), in its order, read once for the
+    # rewrites of omega_n, the parth counts and omega's annotations
+    return tuple(map(ls_set, _words(n)))
+
+
+@cache
 def dyck_complex(n: int) -> PureComplex:
     """The order complex of the proper part of J(2 x n).  Its vertices are
     the points (a, b) of ranks 1 to 2n - 1, indexed by rank a + b and then
@@ -186,8 +193,8 @@ def omega_n(n: int) -> FacetOrder:
     index = {word: j for j, word in enumerate(words)}
     relations = [
         (index[word[: r - 1] + word[r] + word[r - 1] + word[r + 1 :]], j)
-        for j, word in enumerate(words)
-        for r in _bit_indices(ls_set(word))
+        for j, (word, centers) in enumerate(zip(words, _ls_sets(n)))
+        for r in _bit_indices(centers)
     ]
     return FacetOrder(len(words), relations)
 
@@ -228,6 +235,6 @@ def verify_parth(n: int) -> list[dict]:
     # imported here, so that omega and preshelling do not load posets
     from .posets import flag_h_mismatches, flag_h_table
 
-    ls_counts = Counter(map(ls_set, _words(n)))
+    ls_counts = Counter(_ls_sets(n))
     partition = _rank_set_counts(dyck_complex(n), omega_n(n))
     return flag_h_mismatches(flag_h_table(n), ls_count=ls_counts, partition=partition)

@@ -1,7 +1,50 @@
 """Slow definitional oracles for the fast routines of the library, and the
 paper's proof devices.  Each routine computes by definition what the library
 computes by a theorem or a transfer matrix, and the tests compare the two.
-None of it serves a request.
+None of it serves a request.  The oracles, and what the suite checks with
+them:
+
+- the per-path statistics (des, maj, hp, ea, lnfs, maj_l, da,
+  high_peak_set, ls_centers, descent_set_wrt, maj_wrt) and the occurrence
+  labels label and label_string: stats.distribution and
+  joint_coefficients, and dyck.ls_set against ls_centers;
+- catalan, the convolution recurrence, which does not use narayana: the
+  narayana command's row sum at every n it accepts; joint_q,
+  joint_coefficients with each list as its QPoly: the tables against the
+  q-Narayana routes;
+- rank_mask, the one way the tests read the library's rank sets: the
+  oracles keep theirs as frozensets, so they stay independent references;
+- walk_paths and walk_fillings, depth-first walks, and descent_set:
+  enumerate_paths and two_column_fillings word for word and in order
+  (n <= 10; k <= 7 and m <= 9), and dyck_to_ssyt (n <= 8);
+- pure_complex, face_members, the label-set restrictions restriction and
+  partition_intervals, and flag_h_from_partition: the rank-set buckets of
+  verify_parth (n <= 8); point_chain_complex, dyck_complex built from
+  chains of points: its facet masks (n <= 8);
+- completions and rank, a word's index in the enumeration:
+  enumerate_paths' order and omega_n's facet lookup; s_map, one rewrite:
+  omega_n's rewrites;
+- the shelling layer by walking the closure, closure_covers, less,
+  pairwise_restriction_mask and dfs_face_masks: FacetOrder.covers and the
+  restriction masks on omega_n(1..8) and on seeded random orders of random
+  pure complexes, and chain_count (n <= 6); interval_owners,
+  first_misowned_face and pairwise_preshelling, the four conditions over
+  every pair of facets with (ii) by a walk over every face:
+  check_preshelling's verdicts and witnesses;
+- FinitePoset, GradedBoundedPoset, IdealLattice, ideal_lattice,
+  chain_product_2xn, j2xn and the generic order_complex: the grid J(2 x n),
+  dyck_complex(n) having the vertices and facet masks of
+  order_complex(j2xn(n)) (n <= 8);
+- permutation_descents, linear extensions (linear_extensions,
+  is_linear_extension, random_linear_extension), jordan_holder, the
+  bijections from paths to the linear extensions of 2 x n and to the facets
+  of the order complex, is_shelling, each restriction from its definition,
+  and the rewrite potential sigma_stat: the paper's shelling claims;
+- q_factorial: q_binomial; schoolbook_mul, and exact_div with q_int and
+  InexactDivisionError: ratio_q_int;
+- flag_f and flag_h by inclusion-exclusion, and the dense alpha table with
+  its subset Moebius transform: flag_h_table entry by entry and in key
+  order (n <= 9).
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ Each key of the file is a request; sent through narayana.cli.main in this
 process, with NARAYANA_CACHE_DIR unset, it must exit 0 and print the bytes
 whose sha256 the file holds.  The script prints each mismatch and then the
 count replayed and the Python version, exits 1 on any mismatch, and writes
-no bytecode.  pytest does not collect it: test_cli replays the same digests
-under pytest, which not every interpreter has.
+no bytecode.  On a Python older than the package's requires-python it
+prints one line on stderr and exits 2, before it imports narayana.  pytest
+does not collect it: test_cli replays the same digests under pytest, which
+not every interpreter has.
 """
 
 import contextlib
@@ -19,6 +21,13 @@ import os
 import platform
 import sys
 from pathlib import Path
+
+REQUIRES_PYTHON = (3, 10)  # pyproject.toml's requires-python
+if sys.version_info < REQUIRES_PYTHON:
+    floor = ".".join(map(str, REQUIRES_PYTHON))
+    sys.stderr.write(f"replay_golden: narayana needs Python >= {floor}, "
+                     f"not {platform.python_version()}\n")
+    sys.exit(2)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True

@@ -1040,8 +1040,9 @@ ROUTE_MODULES = {
     "all": TABLEAUX_MODULES,
 }
 SHELLING_MODULES = ["dyck", "shelling"]
-# one request per row of README's start-up table: (argv, whether the dist
-# cache is warmed first, the narayana modules it loads)
+# each request of README's start-up table, which tests/test_readme.py
+# checks against these rows: (argv, whether the dist cache is warmed
+# first, the narayana modules it loads)
 STARTUP_ROWS = [
     ([], False, PARSER_MODULES),
     # the general reader writes --help itself
