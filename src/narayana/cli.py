@@ -41,8 +41,7 @@ def build_parser() -> dict:
             "--q": (bool, False, False, "refine counts by the statistic's paired "
                     "major-index co-statistic"),
             "--format": ((*formats, "csv"), "text", False, "output format"),
-            "--cache-dir": (str, None, False, "directory for cached tables; "
-                            "NARAYANA_CACHE_DIR is the fallback"),
+            "--cache-dir": (str, None, False, "directory for cached tables"),
         }),
         "verify": ("run one verification check and report pass/fail",
                    ("cli_verify", "cmd_verify"), {

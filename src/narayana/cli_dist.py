@@ -89,7 +89,7 @@ def cmd_dist(args: SimpleNamespace) -> int:
         if costat is None:
             return _usage(f"statistic {stat} has no paired co-statistic for --q")
     header = {"command": "dist", "costat": costat, "n": n, "q": args.q, "stat": stat}
-    root = args.cache_dir or os.environ.get("NARAYANA_CACHE_DIR")
+    root = args.cache_dir
     if not root:
         payload = dict(header, table=_dist_table(n, stat, costat))
     else:

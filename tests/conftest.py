@@ -1,5 +1,7 @@
 import atexit
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the .pyc files under src/ when the session starts, and those it wrote
 _BEFORE = pytest.StashKey[set]()
 _WRITTEN = pytest.StashKey[list]()
+
+
+def spawn(*args, flags=(), env=None, python=sys.executable, **kwargs):
+    """Run `python *flags *args` in a fresh process and return its
+    CompletedProcess: the tests' one way to start a process.  PYTHONPATH is
+    the checkout's src, and each key of env is set to its value, or unset
+    where the value is None; kwargs go to subprocess.run, and stdout and
+    stderr are captured as text unless they name others."""
+    environ = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
+    environ = {key: value for key, value in environ.items() if value is not None}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([python, *flags, *args], env=environ, text=True, **kwargs)
 
 
 def _src_bytecode() -> set:

@@ -4,20 +4,20 @@ Python, with the standard library alone:
     python tests/replay_golden.py
 
 Each key of the file is a request; sent through narayana.cli.main in this
-process, with NARAYANA_CACHE_DIR unset, it must exit 0 and print the bytes
-whose sha256 the file holds.  The script prints each mismatch and then the
-count replayed and the Python version, exits 1 on any mismatch, and writes
-no bytecode.  On a Python older than the package's requires-python it
-prints one line on stderr and exits 2, before it imports narayana.  pytest
-does not collect it: test_cli replays the same digests under pytest, which
-not every interpreter has.
+process, it must exit 0 and print the bytes whose sha256 the file holds.
+The script prints each mismatch and then the count replayed and the Python
+version, exits 1 on any mismatch, and writes no bytecode.  On a Python
+older than the package's requires-python it prints one line on stderr and
+exits 2, before it imports narayana.  pytest does not collect it: test_cli
+replays the same digests under pytest, which not every interpreter has,
+and runs this script under every other CPython >= 3.10 installed beside
+its own.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -38,7 +38,6 @@ from narayana.cli import main  # noqa: E402  (src/ first on the path)
 
 def mismatches(golden: dict) -> list:
     """The keys whose request exits nonzero or prints other bytes."""
-    os.environ.pop("NARAYANA_CACHE_DIR", None)
     failed = []
     for key, digest in golden.items():
         out = io.StringIO()

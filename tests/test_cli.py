@@ -23,6 +23,7 @@ from narayana import __version__, cli, cli_common, cli_dist, cli_parse, posets, 
 from narayana import qpoly, stats, tableaux
 from narayana.cli import build_parser, main
 from narayana.qpoly import q_narayana_closed
+from conftest import spawn
 from oracles import catalan, ls_centers
 
 
@@ -377,8 +378,6 @@ def test_dist_cache_in_other_bytes_is_recomputed_and_rewritten(capsys, tmp_path)
 def test_dist_cache_fifo_is_a_miss_and_replaced(tmp_path):
     cached = tmp_path / "dist-0.1.0-n4-des.json"
     argv = ["dist", "--n", "4", "--stat", "des", "--cache-dir", str(tmp_path)]
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     expected = (0, "0  1\n1  6\n2  6\n3  1\n", "")
     # a FIFO with no writer must not block the reader, and one that holds a
     # table in the bytes the writer writes must not be believed
@@ -391,10 +390,7 @@ def test_dist_cache_fifo_is_a_miss_and_replaced(tmp_path):
                 writer = os.open(cached, os.O_WRONLY)
                 os.write(writer, held.encode())
                 os.close(writer)
-            result = subprocess.run(
-                [sys.executable, "-m", "narayana.cli", *argv],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
+            result = spawn("-m", "narayana.cli", *argv, timeout=60)
         finally:
             os.close(reader)
         assert (result.returncode, result.stdout, result.stderr) == expected
@@ -414,7 +410,6 @@ def test_dist_cache_nested_too_deep_to_decode_is_recomputed(capsys, tmp_path):
 
 
 def test_dist_cache_write_failure_is_a_warning(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
     argv = ["dist", "--n", "4", "--stat", "lnfs", "--q", "--format", "json"]
     code, expected, _ = run(capsys, *argv)
     assert code == 0
@@ -430,19 +425,17 @@ def test_dist_cache_write_failure_is_a_warning(capsys, tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
-def test_dist_cache_env_fallback(capsys, tmp_path, monkeypatch):
+def test_dist_takes_no_cache_setting_from_the_environment(capsys, tmp_path, monkeypatch):
+    # --cache-dir is the one cache setting: without it, or given as "", no
+    # table is read or written, whatever the environment holds
     monkeypatch.setenv("NARAYANA_CACHE_DIR", str(tmp_path))
-    # a miss that writes the table, then a hit that reads it
-    with mock.patch.object(cli_dist, "_dist_table", wraps=cli_dist._dist_table) as compute:
-        code, first, _ = run(capsys, "dist", "--n", "3", "--stat", "lnfs", "--q")
-        assert (code, compute.call_count) == (0, 1)
-        assert run(capsys, "dist", "--n", "3", "--stat", "lnfs", "--q") == (0, first, "")
-        assert compute.call_count == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["dist-0.1.0-n3-lnfs-q.json"]
+    for extra in ([], ["--cache-dir", ""]):
+        got = run(capsys, "dist", "--n", "4", "--stat", "des", *extra)
+        assert got == (0, "0  1\n1  6\n2  6\n3  1\n", "")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_dist_no_cache_by_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
     # with no cache directory the cache is never read or written
     for name in ("_load_cached", "_store_cached"):
@@ -453,17 +446,13 @@ def test_dist_no_cache_by_default(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_dist_cache_dir_that_is_a_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+def test_dist_cache_dir_that_is_a_file_is_a_usage_error(capsys, tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("keep")
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
-    code, out, err = run(capsys, "dist", "--n", "3", "--stat", "des", "--cache-dir", str(blocker))
-    assert (code, out) == (2, "")
-    assert err.startswith("narayana: error:") and "Traceback" not in err
-    monkeypatch.setenv("NARAYANA_CACHE_DIR", str(blocker / "sub"))
-    code, out, err = run(capsys, "dist", "--n", "3", "--stat", "des")
-    assert (code, out) == (2, "")
-    assert err.startswith("narayana: error:")
+    for root in (blocker, blocker / "sub"):
+        code, out, err = run(capsys, "dist", "--n", "3", "--stat", "des", "--cache-dir", str(root))
+        assert (code, out) == (2, "")
+        assert err.startswith("narayana: error:") and "Traceback" not in err
     assert blocker.read_text() == "keep"
 
 
@@ -1003,19 +992,6 @@ def test_cli_copies_agree_with_the_library():
         assert callable(getattr(importlib.import_module(f"narayana.{module}"), function)), command
 
 
-# run in a fresh interpreter: build the parser, serve argv if any, and print
-# to stderr the narayana modules and whether csv was loaded, at start and end
-STARTUP_PROBE = """
-import sys
-csv_at_start = "csv" in sys.modules
-from narayana.cli import build_parser, main
-build_parser()
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-sys.stdout.flush()
-loaded = sorted(m[len("narayana."):] for m in sys.modules if m.startswith("narayana."))
-print(loaded, csv_at_start, "csv" in sys.modules, file=sys.stderr)
-raise SystemExit(code)
-"""
 # every request loads the parser and the helpers it shares with the handlers
 PARSER_MODULES = ["cli", "cli_common"]
 # and an argv not in full form the general reader too
@@ -1105,49 +1081,70 @@ STARTUP_ROWS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, warm, modules", STARTUP_ROWS, ids=[" ".join(row[0]) or "parser" for row in STARTUP_ROWS]
-)
-def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, tmp_path, monkeypatch):
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
-    if warm:
-        argv = [*argv, "--cache-dir", str(tmp_path)]
-        assert run_in_process(argv)[0] == 0
-    expected = run_in_process(argv) if argv else (0, "")
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, *argv], capture_output=True, text=True, env=env
-    )
-    assert (result.returncode, result.stdout) == expected, result.stderr
-    loaded, csv_at_start, csv_at_end = result.stderr.splitlines()[-1].rsplit(" ", 2)
-    assert loaded == repr(modules)
-    assert "cli_help" not in loaded
-    assert csv_at_end == csv_at_start  # no request loads csv, --format csv included
-
-
-# print the standard-library modules a fresh interpreter holds, after
-# serving argv if any
-STDLIB_PROBE = """
-import sys
-if len(sys.argv) > 1:
-    from narayana.cli import main
-    code = main(sys.argv[1:])
-    sys.stdout.flush()
-print(sorted(sys.modules), file=sys.stderr)
+# serve argv as `python -m narayana.cli` does, or with no argv run the
+# module as an import does; an exit handler registered first prints
+# sys.modules to stderr after all of stdout, so the report also shows that
+# the process exit runs the exit handlers
+PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))
+runpy.run_module("narayana.cli", run_name="__main__" if sys.argv[1:] else "cli", alter_sys=True)
 """
 
 
-def stdlib_modules(*argv: str, flags: tuple = (), cache: str | None = None) -> set:
-    """The modules a fresh interpreter holds after serving argv, if any."""
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    argv = [cache if word == "CACHE" else word for word in argv]
-    result = subprocess.run(
-        [sys.executable, *flags, "-c", STDLIB_PROBE, *argv], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
-    return set(ast.literal_eval(result.stderr.splitlines()[-1]))
+@pytest.fixture(scope="session")
+def bare_modules() -> set:
+    """The modules of a fresh interpreter without site that has imported
+    what PROBE imports."""
+    result = spawn("-c", "import atexit, runpy, sys; print(sorted(sys.modules))", flags=("-S",))
+    return set(ast.literal_eval(result.stdout))
+
+
+@pytest.fixture(scope="session")
+def serve(tmp_path_factory, bare_modules):
+    """serve(argv, warm) runs PROBE on argv in a fresh interpreter without
+    site, so that no site hook loads a module itself, and returns the
+    modules the request added to bare_modules.  CACHE in argv stands for a
+    fresh cache directory, which warm fills in-process first.  Each request
+    is spawned once a session, and each run is checked for what holds of
+    every request:
+    - its exit code and stdout are main's in-process;
+    - the cache directory holds one table if argv names it, else none;
+    - cli is compiled once, as __main__: no module imports narayana.cli;
+    - it loads no json, csv, typing or __future__, and argparse, gettext
+      and locale only with the general reader."""
+    served = {}
+
+    def serve(argv: list[str], warm: bool = False) -> set:
+        key = (tuple(argv), warm)
+        if key not in served:
+            cache = tmp_path_factory.mktemp("cache")
+            words = [str(cache) if word == "CACHE" else word for word in argv]
+            if warm:
+                assert run_in_process(words)[0] == 0
+            result = spawn("-c", PROBE, *words, flags=("-S",))
+            expected = run_in_process(words) if words else (0, "")
+            assert (result.returncode, result.stdout) == expected, result.stderr
+            added = set(ast.literal_eval(result.stderr.splitlines()[-1])) - bare_modules
+            assert len(list(cache.iterdir())) == ("CACHE" in argv)
+            assert "narayana.cli" not in added
+            forbidden = {"json", "csv", "typing", "__future__"}
+            if "narayana.cli_parse" not in added:
+                forbidden |= {"argparse", "gettext", "locale"}
+            assert sorted(added & forbidden) == []
+            served[key] = added
+        return served[key]
+
+    return serve
+
+
+@pytest.mark.parametrize(
+    "argv, warm, modules", STARTUP_ROWS, ids=[" ".join(row[0]) or "parser" for row in STARTUP_ROWS]
+)
+def test_each_request_loads_only_the_modules_it_calls(argv, warm, modules, serve):
+    added = serve([*argv, "--cache-dir", "CACHE"] if warm else argv, warm)
+    narayana_modules = [m[len("narayana."):] for m in added if m.startswith("narayana.")]
+    assert sorted(["cli", *narayana_modules]) == modules
 
 
 # argv (CACHE stands for a fresh cache directory) and whether the cache is
@@ -1173,15 +1170,9 @@ JSON_ROWS = [
 @pytest.mark.parametrize(
     "argv, warm", JSON_ROWS, ids=[" ".join(argv) + (" (hit)" if warm else "") for argv, warm in JSON_ROWS]
 )
-def test_requests_load_no_parser_locale_or_json_module(argv, warm, tmp_path):
-    # compared with a bare interpreter in the same environment, so that a
-    # site hook which loads one of these modules itself cannot fail the test
-    if warm:
-        stdlib_modules(*argv, cache=str(tmp_path))
-    added = stdlib_modules(*argv, cache=str(tmp_path)) - stdlib_modules()
-    assert "narayana.cli" in added
+def test_requests_load_no_parser_locale_or_json_module(argv, warm, serve):
+    added = serve(argv, warm)
     assert sorted(added & {"argparse", "gettext", "json", "locale"}) == []
-    assert len(list(tmp_path.iterdir())) == ("CACHE" in argv)
     if warm:
         assert "narayana.stats" not in added  # a hit computes no table
 
@@ -1198,24 +1189,12 @@ SITELESS_REQUESTS = [
 ]
 
 
-def test_no_request_loads_typing_or_future_without_site(tmp_path):
-    # with python -S no site hook preloads typing, so a request that imports
-    # it, or __future__, shows here
-    assert not {"typing", "__future__"} & stdlib_modules(flags=("-S",))
-    for argv in SITELESS_REQUESTS:
-        loaded = stdlib_modules(*argv, flags=("-S",), cache=str(tmp_path))
-        assert "narayana.cli" in loaded, argv
-        assert sorted({"typing", "__future__"} & loaded) == [], argv
-
-
-# serve argv as `python -m narayana.cli` does; an exit handler registered
-# first prints to stderr whether narayana.cli was imported besides __main__,
-# so the report also shows that the process exit runs the exit handlers
-RUNPY_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print("narayana.cli" in sys.modules, file=sys.stderr))
-runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
-"""
+def test_no_request_loads_typing_or_future_without_site(bare_modules, serve):
+    # with python -S no site hook preloads typing, so serve's check that a
+    # request adds neither it nor __future__ can fail
+    assert not {"typing", "__future__"} & bare_modules
+    for i, argv in enumerate(SITELESS_REQUESTS):
+        serve(argv, argv in SITELESS_REQUESTS[:i])
 
 
 @pytest.mark.parametrize(
@@ -1231,17 +1210,10 @@ runpy.run_module("narayana.cli", run_name="__main__", alter_sys=True)
     ],
     ids=" ".join,
 )
-def test_cli_compiles_once_per_request(argv, monkeypatch):
-    # run as __main__, cli is compiled once; a module that imported
-    # narayana.cli would compile it a second time
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", RUNPY_PROBE, *argv], capture_output=True, text=True, env=env
-    )
-    assert (result.returncode, result.stdout) == run_in_process(argv), result.stderr
-    assert result.stderr.splitlines()[-1] == "False"
+def test_cli_compiles_once_per_request(argv, serve):
+    # run as __main__, cli is compiled once; serve fails a run in which a
+    # module imported narayana.cli, which would compile it a second time
+    serve(argv)
 
 
 # serve argv as python -m narayana.cli does, with an exit handler registered
@@ -1276,12 +1248,7 @@ def test_the_process_exits_with_mains_code_after_the_exit_handlers(argv, code):
         expected = run_in_process([word for word in argv if word != "disagree"])
     assert expected[0] == code
     # buffered, so that the handler's line is written by run()'s own flush
-    unset = ("NARAYANA_CACHE_DIR", "PYTHONUNBUFFERED")
-    env = {k: v for k, v in os.environ.items() if k not in unset}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True, text=True, env=env
-    )
+    result = spawn("-c", EXIT_PROBE, *argv, env={"PYTHONUNBUFFERED": None})
     got = (result.returncode, result.stdout)
     assert got == (code, expected[1] + "exit handler\n"), result.stderr
 
@@ -1308,20 +1275,11 @@ def test_a_final_flush_that_fails_still_exits_120():
         'import narayana.cli as cli\ncli.main = lambda: print("unflushed") or 0\ncli.run()',
         'print("unflushed")\nraise SystemExit(0)',
     ]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         run_probe, bare = [
-            subprocess.run(
-                [sys.executable, "-c", probe],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
-            )
-            for probe in probes
+            spawn("-c", probe, env={"PYTHONUNBUFFERED": None}, stdout=write_end) for probe in probes
         ]
     finally:
         os.close(write_end)
@@ -1360,8 +1318,7 @@ def test_the_benchmark_setup_probe_runs():
         if isinstance(node, ast.Assign)
         and [getattr(target, "id", None) for target in node.targets] == ["SETUP_CODE"]
     )
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = spawn("-c", code)
     assert result.returncode == 0, result.stderr
 
 
@@ -1423,11 +1380,10 @@ def test_the_benchmark_copies_agree_with_the_tables():
     assert largest(enumerative) == narayana.ENUMERATION_LIMIT - 1
 
 
-def test_every_request_reproduces_the_benchmark_digests(monkeypatch):
+def test_every_request_reproduces_the_benchmark_digests():
     # perfbench/golden.json holds the sha256 of the stdout of every request
     # the benchmark draws, up to their ceilings; all are checked here
     # in-process, reading the file and never writing it
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
     golden_path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
     golden = json.loads(golden_path.read_text())
     assert len(golden) == 319
@@ -1439,12 +1395,28 @@ def test_every_request_reproduces_the_benchmark_digests(monkeypatch):
     assert mismatches == []
 
 
+def test_the_golden_replay_passes_on_every_other_installed_python():
+    # the suite runs under one interpreter; tests/replay_golden.py replays
+    # the digests under each other CPython >= 3.10 installed beside it, as
+    # version managers such as pyenv lay them out
+    home = Path(sys.base_prefix)
+    others = []
+    for python in sorted(home.parent.glob("*/bin/python3")):
+        name = python.parent.parent.name
+        version = re.fullmatch(r"(\d+)\.(\d+)\.\d+", name)
+        if version and name != home.name and tuple(map(int, version.groups())) >= (3, 10):
+            others.append(python)
+    if not others:
+        pytest.skip("no other CPython >= 3.10 beside this one")
+    script = Path(__file__).resolve().parent / "replay_golden.py"
+    for python in others:
+        result = spawn(str(script), python=str(python))
+        assert result.returncode == 0, (python, result.stdout, result.stderr)
+        assert result.stdout.startswith("319 of 319 digests replayed"), python
+
+
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "narayana.cli", "narayana", "--n", "4"],
-        capture_output=True,
-        text=True,
-    )
+    result = spawn("-m", "narayana.cli", "narayana", "--n", "4")
     assert result.returncode == 0
     assert result.stdout == "1, 6, 6, 1\nsum 14\n"
 
@@ -1453,16 +1425,9 @@ def run_into(
     stdout, *argv, unbuffered: bool, stderr=subprocess.PIPE
 ) -> subprocess.CompletedProcess:
     # buffered, a short output fails at the final flush; unbuffered, at its write
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(
-        [sys.executable, "-m", "narayana.cli", *argv],
-        stdout=stdout,
-        stderr=stderr,
-        text=True,
-        env=env,
+    return spawn(
+        "-m", "narayana.cli", *argv, env={"PYTHONUNBUFFERED": "1" if unbuffered else None},
+        stdout=stdout, stderr=stderr,
     )
 
 
@@ -1503,14 +1468,11 @@ def test_closed_stdout_pipe_is_a_usage_error():
         os.close(write_end)
 
 
-def run_closed(redirect: str, *argv: str) -> subprocess.CompletedProcess:
-    # the shell closes the descriptors that redirect names, as `>&-` does,
-    # before the interpreter starts, so its sys.stdout or sys.stderr is None
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    script = f'exec "$0" -m narayana.cli "$@" {redirect}'
-    return subprocess.run(
-        ["sh", "-c", script, sys.executable, *argv], capture_output=True, text=True, env=env
+def run_closed(descriptors: tuple, *argv: str) -> subprocess.CompletedProcess:
+    # the child closes descriptors, as the shell's `>&-` does, before the
+    # interpreter starts, so its sys.stdout or sys.stderr is None
+    return spawn(
+        "-m", "narayana.cli", *argv, preexec_fn=lambda: [os.close(fd) for fd in descriptors]
     )
 
 
@@ -1522,11 +1484,11 @@ def test_closed_stdout_descriptor_is_a_usage_error():
         *HELP_REQUESTS,
     )
     for argv in requests:
-        result = run_closed(">&-", *argv)
+        result = run_closed((1,), *argv)
         assert_cannot_write(result)
         assert result.stderr == "narayana: error: cannot write output: stdout is closed\n"
         # with stderr closed too the line is dropped, and the exit code stays
-        both = run_closed(">&- 2>&-", *argv)
+        both = run_closed((1, 2), *argv)
         assert (both.returncode, both.stdout, both.stderr) == (2, "", "")
 
 
@@ -1539,7 +1501,7 @@ def test_closed_stderr_descriptor_never_changes_the_exit_code_or_stdout():
         ["dist", "--n", "4", "--stat", "nope"],
         ["narayana", "--n", "4"],
     ):
-        result = run_closed("2>&-", *argv)
+        result = run_closed((2,), *argv)
         assert (result.returncode, result.stdout) == run_in_process(argv), argv
 
 
@@ -1595,11 +1557,7 @@ def test_verify_checks_survive_optimized_mode(capsys):
         argv = ["verify", "--check", check, "--n", "4"]
         code, expected, _ = run(capsys, *argv)
         assert code == 0, check
-        result = subprocess.run(
-            [sys.executable, "-O", "-m", "narayana.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
+        result = spawn("-m", "narayana.cli", *argv, flags=("-O",))
         assert result.returncode == 0, check
         assert result.stdout == expected, check
 
@@ -1610,26 +1568,15 @@ def test_qnarayana_routes_survive_optimized_mode(capsys):
     code, expected, _ = run(capsys, *argv)
     assert code == 0
     assert expected.splitlines()[-1] == "verdict pass"
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "narayana.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
+    result = spawn("-m", "narayana.cli", *argv, flags=("-O",))
     assert result.returncode == 0
     assert result.stdout == expected
 
 
 def test_acceptance_gate_survives_optimized_mode():
     # python -O strips the gate's own asserts, so count its PASS lines
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(tests / "test_acceptance.py")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    gate = Path(__file__).resolve().parent / "test_acceptance.py"
+    result = spawn("-m", "pytest", "-q", "-p", "no:cacheprovider", str(gate), flags=("-O",))
     passes = re.findall(r"\[acceptance +(\d+)\] PASS ", result.stdout)
     assert result.returncode == 0, result.stdout
     assert passes == [str(i) for i in range(1, 11)], result.stdout
@@ -1676,12 +1623,10 @@ def run_in_process(argv: list[str]) -> tuple[int, str]:
 @settings(max_examples=100, deadline=None)
 @given(accepted_argv())
 def test_every_accepted_request_finishes_or_is_refused(argv):
-    with mock.patch.dict(os.environ):
-        os.environ.pop("NARAYANA_CACHE_DIR", None)
-        code, out = run_in_process(argv)
-        assert code in (0, 1, 2), argv
-        if code == 2:
-            assert out == "", argv
-        elif "json" in argv:
-            json.loads(out)
-        assert run_in_process(argv) == (code, out), argv
+    code, out = run_in_process(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv
+    elif "json" in argv:
+        json.loads(out)
+    assert run_in_process(argv) == (code, out), argv

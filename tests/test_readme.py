@@ -124,8 +124,7 @@ def _shows(lines: list[str], shown: list[str]) -> bool:
 
 
 @pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[" ".join(a) for a, _ in EXAMPLES])
-def test_command_line_example(argv, shown, monkeypatch):
-    monkeypatch.delenv("NARAYANA_CACHE_DIR", raising=False)
+def test_command_line_example(argv, shown):
     code, out, err = _serve(argv)
     if shown[0].startswith("narayana: error:"):
         assert (code, out, err.splitlines()) == (2, "", shown)

@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +17,7 @@ from narayana.shelling import (
     dyck_complex,
     omega_n,
 )
+from conftest import spawn
 from oracles import (
     GradedBoundedPoset,
     catalan,
@@ -534,11 +532,8 @@ print(repr((reports, raised)))
 
 
 def test_check_preshelling_survives_optimized_mode():
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_PROBE], capture_output=True, text=True, env=env
-    )
+    # run in tests/, the probe's first entry on sys.path
+    result = spawn("-c", OPTIMIZED_PROBE, flags=("-O",), cwd=Path(__file__).resolve().parent)
     assert result.returncode == 0, result.stderr
     reports = [check_preshelling(dyck_complex(n), order, chain_count(n)) for n, order in broken_orders()]
     assert all(set(report["conditions"].values()) == {False} for report in reports)

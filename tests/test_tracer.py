@@ -8,12 +8,11 @@ catches that here.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import spawn
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracing.py"
@@ -33,16 +32,8 @@ REQUESTS = {
 
 @pytest.mark.parametrize("argv", list(REQUESTS.values()), ids=list(REQUESTS))
 def test_traced_request_writes_its_spans(argv, tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "NARAYANA_CACHE_DIR"}
-    env["PYTHONPATH"] = str(ROOT / "src")
     span_file = tmp_path / "spans.json"
-    result = subprocess.run(
-        [sys.executable, str(TRACER), str(span_file), "0", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-    )
+    result = spawn(str(TRACER), str(span_file), "0", *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     trace = json.loads(span_file.read_text())
     assert trace["spans"]
